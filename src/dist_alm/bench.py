@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ConvergenceError, EvaluationError
 from .inner_bcd import FixedScaled, InnerConfig
 from .model import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
                     NlpProblem, Polytope)
@@ -124,6 +124,46 @@ def _chain_coupling(w_mats) -> CouplingSpec:
     )
 
 
+def _chain_block_gradients(h_mats, w_mats, radius_sq):
+    """Batched block gradients of the chain instance.
+
+    Equal bitwise to the per-agent evaluators (up to the sign of an exact
+    zero): the products are stacked ``matmul`` calls on the same matrix
+    layouts (``W_{i-1}.T`` stays a transposed view) and every row keeps the
+    per-agent summation order
+    ``(2 H x + 2 x (mu + rho F)) + (W_{i-1}.T x_{i-1} + W_i x_{i+1})``.
+    The chain ends take a zero matrix for their missing neighbour.  The
+    gathered matrices are kept per index set (one per colour class).
+    """
+    h = np.array(h_mats)
+    w = np.array(w_mats)
+    zero = np.zeros((1,) + h.shape[1:])
+    w_prev = np.concatenate([zero, w])  # row i: W_{i-1}
+    w_next = np.concatenate([w, zero])  # row i: W_i
+    last = h.shape[0] - 1
+    plans = {}
+
+    def plan(idx):
+        key = idx.tobytes()
+        if key not in plans:
+            plans[key] = (h[idx], np.transpose(w_prev[idx], (0, 2, 1)),
+                          np.maximum(idx - 1, 0), w_next[idx],
+                          np.minimum(idx + 1, last))
+        return plans[key]
+
+    def block_gradients(x, mu, rho, idx):
+        h_idx, wt_prev, prev, w_nxt, nxt = plan(idx)
+        xi = x[idx]
+        sphere = (xi[:, None, :] @ xi[:, :, None])[:, 0, 0] - radius_sq
+        local = 2.0 * (h_idx @ xi[:, :, None])[:, :, 0] \
+            + (2.0 * xi) * (mu[idx] + rho * sphere)[:, None]
+        coupling = (wt_prev @ x[prev][:, :, None])[:, :, 0] \
+            + (w_nxt @ x[nxt][:, :, None])[:, :, 0]
+        return local + coupling
+
+    return block_gradients
+
+
 def generate_toy(params: ToyParams) -> NlpProblem:
     """Build one seeded chain instance (PCG64 stream ``default_rng(seed)``).
 
@@ -142,7 +182,10 @@ def generate_toy(params: ToyParams) -> NlpProblem:
         _quadratic_agent(h, params.sphere_radius_sq, params.box_bound)
         for h in h_mats
     )
-    return NlpProblem(agents=agents, coupling=_chain_coupling(w_mats))
+    return NlpProblem(
+        agents=agents, coupling=_chain_coupling(w_mats),
+        block_gradients=_chain_block_gradients(h_mats, w_mats,
+                                               params.sphere_radius_sq))
 
 
 def toy_definite_count(params: ToyParams) -> int:
@@ -226,7 +269,7 @@ def _run_instance(params_base: ToyParams, index: int, budgets, outer_cfg,
                 sweep_budgets=_split_budget(total, outer_iters),
                 inner_eps_stop=False,
             )
-        except Exception:  # hard failure counts as a negative outcome
+        except (EvaluationError, ConvergenceError):  # counts as a negative outcome
             log.exception("instance %d failed under budget %d", index, total)
             continue
         feas[b_idx] = state.trace[-1].h_inf

@@ -18,6 +18,19 @@ sufficient-decrease inequality and of the relative-error bound
 supplied as a hint, estimated by finite-difference sampling, or maintained
 by backtracking (doubled whenever a descent or certificate check fails,
 with the block step retried when the curvature surrogate depends on it).
+
+A sweep takes a vectorised path when four conditions hold: the problem
+supplies ``block_gradients`` (see :class:`~dist_alm.model.NlpProblem`),
+every agent set is a box, certificates are off and the surrogate is
+:class:`FixedScaled`.  Each color class is then updated at once from one
+batched gradient ``g`` (shape ``(len(idx), d)``) and one
+``clip(x - g / (scale * rho + alpha_i), lower, upper)``, with ``alpha_i``
+from the schedule as on the per-agent path.  That is the parallel form of
+the sweep and ignores ``threads``; it gives the same iterate as the
+per-agent path, which serves certificates, ``HessianBand``, general
+polytopes and problems without the hook.  The hook must agree with the
+problem's ``agents`` and ``coupling``; ``dataclasses.replace(problem,
+agents=...)`` keeps the old hook.
 """
 
 from __future__ import annotations
@@ -29,7 +42,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, PreconditionError
+from .errors import (ConfigurationError, ConvergenceError, EvaluationError,
+                     PreconditionError, StructureError)
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
                     Polytope, _agent_local_value, _aug_lagrangian,
                     _block_gradient, _coupling_value)
@@ -137,11 +151,10 @@ class InnerConfig:
             )
 
     def alpha_bounds(self, n_agents: int):
+        lo, hi = np.empty(n_agents), np.empty(n_agents)
         try:
-            lo = np.broadcast_to(np.atleast_1d(np.asarray(self.alpha_min, float)),
-                                 (n_agents,)).copy()
-            hi = np.broadcast_to(np.atleast_1d(np.asarray(self.alpha_max, float)),
-                                 (n_agents,)).copy()
+            lo[...] = self.alpha_min
+            hi[...] = self.alpha_max
         except ValueError:
             raise ConfigurationError(
                 f"alpha bounds must be scalars or length-{n_agents} sequences"
@@ -427,6 +440,61 @@ def _update_block(problem, snapshot, mu, rho, cfg, i, sweep, c_i, a_lo, a_hi,
 # Sweeps and the inner loop.
 # ---------------------------------------------------------------------------
 
+def _box_classes(problem, coloring) -> tuple:
+    """Colour classes with their stacked box bounds.
+
+    Each class is ``(idx, lower, upper)``: its agent indices in ascending
+    order and their ``(len(idx), d)`` bounds, classes in ascending colour.
+    Empty unless every agent set is a box.  Built on first use and kept
+    with the problem for the last coloring seen.
+    """
+    key = coloring.tobytes()
+    classes = problem._sweep_cache.get(key)
+    if classes is None:
+        classes = ()
+        if all(a.feasible_set.is_box for a in problem.agents):
+            lower = np.array([a.feasible_set.lower for a in problem.agents])
+            upper = np.array([a.feasible_set.upper for a in problem.agents])
+            classes = tuple((idx, lower[idx], upper[idx]) for idx in
+                            (np.flatnonzero(coloring == c) for c in np.unique(coloring)))
+        problem._sweep_cache.clear()
+        problem._sweep_cache[key] = classes
+    return classes
+
+
+def _box_sweep(problem, z, mu, rho, cfg, classes, sweep, a_lo, a_hi):
+    """One sweep as one batched gradient and one clip per colour class.
+
+    The same arithmetic as ``_update_block`` for a box and a fixed scaled
+    surrogate, so the result equals the per-agent sweep bitwise.
+    """
+    flat = np.array(z.flat)
+    x = flat.reshape(problem.n_agents, problem.block_dims[0])
+    view = x.view()
+    view.setflags(write=False)
+    b_scale = _b_scale(cfg.b_strategy, rho, 0.0)
+    for idx, lower, upper in classes:
+        grad = np.asarray(problem.block_gradients(view, mu.flat, rho, idx),
+                          dtype=float)
+        if grad.shape != (idx.shape[0], x.shape[1]):
+            raise StructureError(
+                f"block_gradients returned shape {grad.shape}, "
+                f"expected {(idx.shape[0], x.shape[1])}"
+            )
+        if not np.isfinite(grad).all():
+            i = int(idx[np.argmin(np.isfinite(grad).all(axis=1))])
+            raise EvaluationError(
+                f"agent {i} batched block gradient returned a non-finite value",
+                agent=i)
+        if cfg.alpha_schedule is None:
+            alpha = a_lo[idx]
+        else:
+            alpha = np.array([_pick_alpha(cfg, i, sweep, a_lo, a_hi) for i in idx])
+        m_diag = b_scale + alpha
+        x[idx] = np.clip(x[idx] - grad / m_diag[:, None], lower, upper)
+    return z._with_flat(flat)
+
+
 def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
               rho: float, cfg: InnerConfig, coloring,
               c_bounds: Optional[np.ndarray] = None, sweep_index: int = 0,
@@ -439,6 +507,10 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     in the color-sorted agent order.  ``c_bounds`` is updated in place when
     backtracking refines a curvature bound.
 
+    Box problems with ``block_gradients`` and no certificates under a
+    ``FixedScaled`` surrogate take the vectorised path described in the
+    module docstring, which ignores ``threads``.
+
     Returns
     -------
     (BlockVector, SweepCertificate or None)
@@ -448,15 +520,22 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     coloring = np.asarray(coloring, dtype=int)
     if coloring.shape != (n,):
         raise ConfigurationError(f"coloring must assign each of the {n} agents")
+    a_lo, a_hi = cfg.alpha_bounds(n)
+    if (problem.block_gradients is not None and not with_certificates
+            and isinstance(cfg.b_strategy, FixedScaled)):
+        classes = _box_classes(problem, coloring)
+        if classes:
+            return _box_sweep(problem, z, mu, rho, cfg, classes, sweep_index,
+                              a_lo, a_hi), None
+
     needs_c = with_certificates or isinstance(cfg.b_strategy, HessianBand)
     if c_bounds is None:
         if needs_c:
             c_bounds = _initial_c_bounds(problem, cfg, list(z.blocks), mu, rho)
         else:
             c_bounds = np.zeros(n)
-    a_lo, a_hi = cfg.alpha_bounds(n)
 
-    blocks = z.to_list()
+    blocks = list(z.blocks)
     lagr_before = math.nan
     if with_certificates:
         lagr_before = _aug_lagrangian(problem, blocks, mu, rho)
@@ -470,7 +549,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
 
     for color in np.unique(coloring):
         members = [i for i in range(n) if coloring[i] == color]
-        snapshot = [np.array(b) for b in blocks]
+        snapshot = list(blocks)
         updates = {}
         if threads > 1 and len(members) > 1:
             with ThreadPoolExecutor(max_workers=int(threads)) as pool:

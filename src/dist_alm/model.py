@@ -23,6 +23,8 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -151,6 +153,11 @@ class Polytope:
         """Check boundedness (finite extent along every coordinate)."""
         if self.is_box:
             return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
+        # rows that bound one coordinate: a positive multiple of +e_j or -e_j
+        axis_rows = self.a_mat[(np.count_nonzero(self.a_mat, axis=1) == 1)
+                               & np.isfinite(self.b_vec)]
+        if np.all(np.any(axis_rows > 0, axis=0)) and np.all(np.any(axis_rows < 0, axis=0)):
+            return True
         from scipy.optimize import linprog
 
         for j in range(self.dim):
@@ -165,55 +172,96 @@ class Polytope:
         return True
 
 
-class BlockVector:
-    """Decision variable partitioned into agent blocks.
+class _FlatParts:
+    """One read-only flat float64 array cut into consecutive read-only views.
 
-    Blocks are stored as read-only float64 arrays; use :meth:`with_block`
-    or :meth:`to_list` + construction to derive modified vectors.
+    ``_dims`` are the lengths of the views and ``_offsets`` their starts
+    (plus the end of the last); an array past their sum (the coupling part
+    of a multiplier) is allowed.  Views are made on access, not stored, so
+    that a retained vector costs one array.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("_flat", "_dims", "_offsets")
+
+    def _init(self, flat: np.ndarray, dims: tuple, offsets: Optional[tuple] = None):
+        flat.setflags(write=False)
+        self._flat = flat
+        self._dims = dims
+        self._offsets = (0, *accumulate(dims)) if offsets is None else offsets
+
+    @classmethod
+    def _of(cls, flat: np.ndarray, dims: tuple, offsets: Optional[tuple] = None):
+        """An instance over ``flat``, taken without copying."""
+        out = cls.__new__(cls)
+        out._init(flat, dims, offsets)
+        return out
+
+    def _with_flat(self, flat: np.ndarray):
+        """The same partition over ``flat``, taken without copying."""
+        return self._of(flat, self._dims, self._offsets)
+
+    def _view(self, i: int) -> np.ndarray:
+        return self._flat[self._offsets[i]:self._offsets[i + 1]]
+
+    def _split(self) -> tuple:
+        flat, offs = self._flat, self._offsets
+        return tuple(flat[offs[i]:offs[i + 1]] for i in range(len(self._dims)))
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The read-only flat array behind the views (no copy)."""
+        return self._flat
+
+    @property
+    def total_dim(self) -> int:
+        return self._flat.shape[0]
+
+    def flatten(self) -> np.ndarray:
+        return self._flat.copy()
+
+
+class BlockVector(_FlatParts):
+    """Decision variable partitioned into agent blocks.
+
+    The blocks live in one read-only flat float64 array; ``blocks`` holds
+    read-only views of it, one per agent.  Use :meth:`with_block` or
+    :meth:`to_list` + construction to derive modified vectors.
+    """
+
+    __slots__ = ()
 
     def __init__(self, blocks: Sequence[np.ndarray]):
-        stored = []
-        for blk in blocks:
-            arr = np.array(blk, dtype=float)
+        arrays = [np.asarray(blk, dtype=float) for blk in blocks]
+        for arr in arrays:
             if arr.ndim != 1:
                 raise StructureError(f"blocks must be vectors, got shape {arr.shape}")
-            arr.setflags(write=False)
-            stored.append(arr)
-        self.blocks = tuple(stored)
+        flat = np.concatenate(arrays) if arrays else np.zeros(0)
+        self._init(flat, tuple(arr.shape[0] for arr in arrays))
 
     @classmethod
     def from_flat(cls, vec, dims: Sequence[int]) -> "BlockVector":
         vec = _as_float_vector(vec, "flattened vector")
+        dims = tuple(int(d) for d in dims)
         if vec.shape[0] != sum(dims):
             raise StructureError(
                 f"flat vector of length {vec.shape[0]} does not match dims {list(dims)}"
             )
-        out, ofs = [], 0
-        for d in dims:
-            out.append(vec[ofs:ofs + d])
-            ofs += d
-        return cls(out)
+        return cls._of(vec.copy(), dims)
+
+    @property
+    def blocks(self) -> tuple:
+        return self._split()
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self._dims)
 
     @property
     def block_dims(self) -> tuple:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
+        return self._dims
 
     def block(self, i: int) -> np.ndarray:
-        return self.blocks[i]
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(self.blocks) if self.blocks else np.zeros(0)
+        return self._view(i)
 
     def with_block(self, i: int, values) -> "BlockVector":
         new = list(self.blocks)
@@ -225,13 +273,9 @@ class BlockVector:
 
     def max_block_diff(self, other: "BlockVector") -> float:
         """Sup-norm distance, the inner loop's termination metric."""
-        if self.block_dims != other.block_dims:
+        if self._dims != other._dims:
             raise StructureError("block layouts differ")
-        diff = 0.0
-        for a, b in zip(self.blocks, other.blocks):
-            if a.size:
-                diff = max(diff, float(np.max(np.abs(a - b))))
-        return diff
+        return float(np.max(np.abs(self._flat - other._flat), initial=0.0))
 
     def __repr__(self):
         return f"BlockVector(dims={self.block_dims})"
@@ -311,10 +355,23 @@ class NlpProblem:
 
     The stacked equality map orders blocks as (F_0, ..., F_{N-1}, G); the
     multiplier layout follows the same order.
+
+    ``block_gradients(x, mu, rho, idx)`` is an optional batched form of the
+    block gradients for problems whose blocks all have one dimension ``d``.
+    ``x`` is the read-only ``(N, d)`` array of all blocks, ``mu`` the flat
+    multiplier vector (length ``r``), ``rho`` the penalty and ``idx`` an
+    integer array of agent indices.  It returns the ``(len(idx), d)`` array
+    whose row ``k`` equals :func:`eval_block_gradient` for agent
+    ``idx[k]``, so it must agree with ``agents`` and ``coupling``;
+    ``dataclasses.replace(problem, agents=...)`` keeps the old hook.
     """
 
     agents: tuple
     coupling: CouplingSpec = field(default_factory=CouplingSpec.none)
+    block_gradients: Optional[Callable] = None
+    # layouts the inner loop derives from the problem, filled on first use
+    _sweep_cache: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         agents = tuple(self.agents)
@@ -328,12 +385,14 @@ class NlpProblem:
         for idx, agent in enumerate(agents):
             if not agent.feasible_set.is_bounded():
                 raise StructureError(f"agent {idx} has an unbounded feasible set")
+        if self.block_gradients is not None and len(set(self.block_dims)) != 1:
+            raise StructureError("block_gradients needs blocks of one common dimension")
 
     @property
     def n_agents(self) -> int:
         return len(self.agents)
 
-    @property
+    @cached_property
     def block_dims(self) -> tuple:
         return tuple(a.dim for a in self.agents)
 
@@ -370,25 +429,23 @@ class NlpProblem:
         )
 
 
-class MultiplierEstimate:
-    """Multiplier estimate partitioned like the stacked constraints."""
+class MultiplierEstimate(_FlatParts):
+    """Multiplier estimate partitioned like the stacked constraints.
 
-    __slots__ = ("parts", "coupling_part")
+    The estimate lives in one read-only flat float64 array; ``parts`` and
+    ``coupling_part`` are read-only views of it.
+    """
+
+    __slots__ = ()
 
     def __init__(self, parts: Sequence[np.ndarray], coupling_part=()):
-        stored = []
-        for part in parts:
-            arr = np.array(part, dtype=float).reshape(-1)
-            arr.setflags(write=False)
-            stored.append(arr)
-        self.parts = tuple(stored)
-        cp = np.array(coupling_part, dtype=float).reshape(-1)
-        cp.setflags(write=False)
-        self.coupling_part = cp
+        arrays = [np.asarray(part, dtype=float).reshape(-1) for part in parts]
+        arrays.append(np.asarray(coupling_part, dtype=float).reshape(-1))
+        self._init(np.concatenate(arrays), tuple(a.shape[0] for a in arrays[:-1]))
 
     @classmethod
     def zeros(cls, problem: NlpProblem) -> "MultiplierEstimate":
-        return cls([np.zeros(d) for d in problem.constraint_dims], np.zeros(problem.p))
+        return cls._of(np.zeros(problem.r), problem.constraint_dims)
 
     @classmethod
     def from_flat(cls, problem: NlpProblem, vec) -> "MultiplierEstimate":
@@ -397,26 +454,22 @@ class MultiplierEstimate:
             raise StructureError(
                 f"multiplier vector has length {vec.shape[0]}, expected r={problem.r}"
             )
-        parts, ofs = [], 0
-        for d in problem.constraint_dims:
-            parts.append(vec[ofs:ofs + d])
-            ofs += d
-        return cls(parts, vec[ofs:])
+        return cls._of(vec.copy(), problem.constraint_dims)
 
     @property
-    def total_dim(self) -> int:
-        return sum(p.shape[0] for p in self.parts) + self.coupling_part.shape[0]
+    def parts(self) -> tuple:
+        return self._split()
 
-    def flatten(self) -> np.ndarray:
-        pieces = list(self.parts) + [self.coupling_part]
-        return np.concatenate(pieces) if pieces else np.zeros(0)
+    @property
+    def coupling_part(self) -> np.ndarray:
+        return self._flat[self._offsets[-1]:]
 
     def part(self, i: int) -> np.ndarray:
-        return self.parts[i]
+        return self._view(i)
 
     def __repr__(self):
-        dims = tuple(p.shape[0] for p in self.parts)
-        return f"MultiplierEstimate(agent_dims={dims}, p={self.coupling_part.shape[0]})"
+        return (f"MultiplierEstimate(agent_dims={self._dims}, "
+                f"p={self.total_dim - self._offsets[-1]})")
 
 
 # ---------------------------------------------------------------------------

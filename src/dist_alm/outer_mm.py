@@ -148,14 +148,7 @@ def dual_update(mu: MultiplierEstimate, rho: float, h_val) -> MultiplierEstimate
             f"constraint value has length {h_val.shape[0]}, "
             f"multiplier expects {mu.total_dim}"
         )
-    parts = []
-    ofs = 0
-    for part in mu.parts:
-        d = part.shape[0]
-        parts.append(part + rho * h_val[ofs:ofs + d])
-        ofs += d
-    coupling = mu.coupling_part + rho * h_val[ofs:]
-    return MultiplierEstimate(parts, coupling)
+    return mu._with_flat(mu.flat + rho * h_val)
 
 
 def default_start(problem: NlpProblem) -> BlockVector:

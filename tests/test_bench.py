@@ -1,9 +1,12 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from dist_alm import (ConfigurationError, ToyParams, brute_force_min,
+from dist_alm import bench
+from dist_alm import (ConfigurationError, ConvergenceError, EvaluationError,
+                      ToyParams, brute_force_min,
                       eval_constraints, generate_toy, run_statistics,
                       toy_initial_guess, write_stats_csv)
 from dist_alm.bench import _split_budget
@@ -160,3 +163,30 @@ class TestRunStatistics:
             run_statistics(params, instances=1, budgets=[], tolerances=[1e-3])
         with pytest.raises(ConfigurationError):
             run_statistics(params, instances=1, budgets=[-5], tolerances=[1e-3])
+
+
+class TestInstanceFailures:
+    @pytest.mark.parametrize("error", [EvaluationError("non-finite", agent=1),
+                                       ConvergenceError("cap reached")])
+    def test_solver_failure_counts_as_infeasible(self, monkeypatch, caplog, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(bench, "run_outer", failing)
+        params = ToyParams(n_agents=3, block_dim=2, scale=2.0, seed=44)
+        with caplog.at_level(logging.ERROR, logger="dist_alm.bench"):
+            stats = run_statistics(params, instances=2, budgets=[5, 10],
+                                   tolerances=[1e-3])
+        assert np.all(np.isinf(stats.feasibility))
+        assert np.all(stats.fractions == 0.0)
+        failed = [r for r in caplog.records if "failed under budget" in r.getMessage()]
+        assert len(failed) == 4 and all(r.exc_info[1] is error for r in failed)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("malformed block_gradients hook")
+
+        monkeypatch.setattr(bench, "run_outer", broken)
+        params = ToyParams(n_agents=3, block_dim=2, scale=2.0, seed=45)
+        with pytest.raises(TypeError):
+            run_statistics(params, instances=1, budgets=[5], tolerances=[1e-3])

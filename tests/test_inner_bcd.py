@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
-                      CouplingSpec, FixedScaled, HessianBand, Hint, InnerConfig,
-                      MultiplierEstimate, NlpProblem, Polytope, Sampled,
-                      ToyParams, bcd_sweep, color_interaction_graph,
+                      CouplingSpec, EvaluationError, FixedScaled, HessianBand,
+                      Hint, InnerConfig, MultiplierEstimate, NlpProblem,
+                      OuterConfig, Polytope, Sampled, StructureError, ToyParams,
+                      bcd_sweep, color_interaction_graph,
                       estimate_hessian_bound, eval_aug_lagrangian,
-                      generate_toy, run_inner, toy_initial_guess)
+                      generate_toy, run_inner, run_outer, toy_initial_guess)
 from conftest import mu_like, one_agent_problem, quadratic_agent, zvec
 
 
@@ -145,6 +148,112 @@ class TestSweep:
         colors = color_interaction_graph(problem.coupling, 5)
         z_next, _ = bcd_sweep(problem, z0, mu0, 0.5, InnerConfig(), colors)
         assert problem.feasible(z_next, slack=1e-10)
+
+
+def with_hook(problem, hook):
+    return dataclasses.replace(problem, block_gradients=hook)
+
+
+def counting(problem):
+    """The problem with its batched gradient wrapped in a call counter."""
+    calls = []
+    hook = problem.block_gradients
+
+    def counted(x, mu, rho, idx):
+        calls.append(idx)
+        return hook(x, mu, rho, idx)
+
+    return with_hook(problem, counted), calls
+
+
+class TestColorClassSweep:
+    """The batched colour-class update against the per-agent reference."""
+
+    @pytest.mark.parametrize("n_agents", [2, 3, 20, 21])
+    @pytest.mark.parametrize("block_dim", [1, 3])
+    @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
+    @pytest.mark.parametrize("schedule", [None, lambda i, s: 1e-3 * (1 + (i + s) % 3)],
+                             ids=["alpha_min", "scheduled"])
+    def test_equals_per_agent_sweeps(self, n_agents, block_dim, rho, schedule):
+        _, problem, z0, mu = toy_setup(n_agents=n_agents, seed=n_agents,
+                                       block_dim=block_dim)
+        batched, calls = counting(problem)
+        reference = with_hook(problem, None)
+        cfg = InnerConfig(alpha_schedule=schedule)
+        colors = color_interaction_graph(problem.coupling, n_agents)
+        z, z_ref = z0, z0
+        for sweep in range(50):
+            z, cert = bcd_sweep(batched, z, mu, rho, cfg, colors, sweep_index=sweep,
+                                with_certificates=False)
+            z_ref, _ = bcd_sweep(reference, z_ref, mu, rho, cfg, colors,
+                                 sweep_index=sweep, with_certificates=False)
+            assert cert is None
+            assert np.array_equal(z.flatten(), z_ref.flatten()), sweep
+        assert len(calls) == 50 * 2
+
+    def test_outer_run_equals_per_agent_run(self):
+        _, problem, z0, mu0 = toy_setup(n_agents=8, seed=3)
+        outer = OuterConfig(rho0=0.1, beta=100.0, eps0=1e-2, eta=0.0, max_outer=3)
+        inner = InnerConfig(tau=1e-12)
+        kwargs = dict(with_certificates=False, sweep_budgets=[30] * 3,
+                      inner_eps_stop=False)
+        state, _ = run_outer(problem, outer, inner, z0, mu0, **kwargs)
+        ref, _ = run_outer(with_hook(problem, None), outer, inner, z0, mu0, **kwargs)
+        assert np.array_equal(state.z.flatten(), ref.z.flatten())
+        assert np.array_equal(state.mu.flatten(), ref.mu.flatten())
+        assert [t.as_dict() for t in state.trace] == [t.as_dict() for t in ref.trace]
+
+    def test_non_finite_row_names_its_agent(self):
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=5)
+        hook = problem.block_gradients
+
+        def poisoned(x, mu_flat, rho, idx):
+            grad = hook(x, mu_flat, rho, idx)
+            grad[idx == 3, 1] = np.nan
+            return grad
+
+        colors = color_interaction_graph(problem.coupling, 6)
+        with pytest.raises(EvaluationError) as err:
+            bcd_sweep(with_hook(problem, poisoned), z0, mu, 1.0, InnerConfig(),
+                      colors, with_certificates=False)
+        assert err.value.agent == 3
+
+    @pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1]])
+    def test_wrongly_shaped_gradients_rejected(self, cut):
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=6)
+        hook = problem.block_gradients
+        short = with_hook(problem, lambda *args: hook(*args)[cut])
+        colors = color_interaction_graph(problem.coupling, 6)
+        with pytest.raises(StructureError):
+            bcd_sweep(short, z0, mu, 1.0, InnerConfig(), colors,
+                      with_certificates=False)
+
+    def test_alpha_schedule_bounds_still_checked(self):
+        _, problem, z0, mu = toy_setup(n_agents=4, seed=7)
+        colors = color_interaction_graph(problem.coupling, 4)
+        cfg = InnerConfig(alpha_schedule=lambda i, s: 5.0)  # above alpha_max
+        with pytest.raises(ConfigurationError):
+            bcd_sweep(problem, z0, mu, 1.0, cfg, colors, with_certificates=False)
+
+    @pytest.mark.parametrize("case", ["certificates", "band", "polytope"])
+    def test_hook_unused_outside_its_conditions(self, case):
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=8)
+        cfg = InnerConfig()
+        certificates = case == "certificates"
+        if case == "band":
+            cfg = InnerConfig(b_strategy=HessianBand())
+        if case == "polytope":
+            # the box rows plus one redundant cut: same set, not a box
+            box = problem.agents[2].feasible_set
+            cut = Polytope(np.vstack([box.a_mat, np.ones((1, 3))]),
+                           np.append(box.b_vec, 3.6))
+            agents = list(problem.agents)
+            agents[2] = dataclasses.replace(agents[2], feasible_set=cut)
+            problem = dataclasses.replace(problem, agents=tuple(agents))
+        counted, calls = counting(problem)
+        colors = color_interaction_graph(problem.coupling, 6)
+        bcd_sweep(counted, z0, mu, 1.0, cfg, colors, with_certificates=certificates)
+        assert calls == []
 
 
 class TestCertificates:

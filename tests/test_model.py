@@ -186,6 +186,23 @@ class TestBlockVector:
         with pytest.raises(StructureError):
             BlockVector.from_flat(np.zeros(3), (2, 2))
 
+    def test_blocks_are_views_of_one_flat_copy(self):
+        source = [np.array([1.0, 2.0]), np.array([3.0])]
+        z = BlockVector(source)
+        source[0][0] = 9.0  # the vector owns a copy
+        assert not z.flat.flags.writeable
+        assert all(np.shares_memory(b, z.flat) for b in z.blocks)
+        np.testing.assert_array_equal(z.flat, [1.0, 2.0, 3.0])
+        flat = z.flatten()
+        flat[0] = 7.0  # flatten hands out a copy
+        assert z.block(0)[0] == 1.0
+
+    def test_max_block_diff_is_the_sup_norm(self):
+        a, b = zvec([1.0, 2.0], [3.0]), zvec([1.5, 2.0], [1.0])
+        assert a.max_block_diff(b) == 2.0
+        with pytest.raises(StructureError):
+            a.max_block_diff(zvec([1.0], [2.0, 3.0]))
+
 
 class TestPolytope:
     def test_box_and_row_representations_agree(self):
@@ -206,6 +223,24 @@ class TestPolytope:
         with pytest.raises(StructureError):
             Polytope.box([0.0], [np.inf])
 
+    def test_box_rows_with_cuts_bounded_without_linear_programs(self, monkeypatch):
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        eye = np.eye(3)
+        rows = np.vstack([2.0 * eye, -0.5 * eye, [[1.0, 1.0, 0.0], [0.3, -1.0, 2.0]]])
+        assert Polytope(rows, np.ones(8)).is_bounded()
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0]],                           # half-space
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],  # one coordinate bounded above only
+    ])
+    def test_unbounded_polytopes_detected(self, rows):
+        assert not Polytope(rows, np.ones(len(rows))).is_bounded()
+
     def test_unbounded_polytope_rejected_in_problem(self):
         half_plane = Polytope(a_mat=np.array([[1.0, 0.0]]), b_vec=np.array([1.0]))
         with pytest.raises(StructureError):
@@ -215,7 +250,23 @@ class TestPolytope:
             ))
 
 
+class TestBatchedGradientHook:
+    def test_needs_one_block_dimension(self):
+        agents = (quadratic_agent(np.eye(2), [-1, -1], [1, 1]),
+                  quadratic_agent(np.eye(1), [-1], [1]))
+        NlpProblem(agents=agents)
+        with pytest.raises(StructureError):
+            NlpProblem(agents=agents, block_gradients=lambda x, mu, rho, idx: x[idx])
+
+
 class TestMultiplier:
+    def test_parts_are_views_of_the_flat_vector(self):
+        mu = MultiplierEstimate([np.array([1.0]), np.array([2.0, 4.0])], np.array([3.0]))
+        assert not mu.flat.flags.writeable
+        assert all(np.shares_memory(p, mu.flat) for p in mu.parts)
+        np.testing.assert_array_equal(mu.part(1), [2.0, 4.0])
+        assert mu.total_dim == 4
+
     def test_flatten_order_matches_stacking(self):
         problem = two_agent_coupled()
         mu = MultiplierEstimate([np.array([1.0]), np.array([2.0])], np.array([3.0]))
