@@ -35,6 +35,7 @@ __all__ = [
     "RunStats",
     "ToyParams",
     "generate_toy",
+    "one_agent_problem",
     "run_statistics",
     "toy_definite_count",
     "toy_initial_guess",
@@ -218,6 +219,20 @@ def toy_initial_guess(params: ToyParams, problem: NlpProblem):
               for _ in range(params.n_agents)]
     flat_mu = rng.uniform(-1.0, 1.0, problem.r)
     return BlockVector(blocks), MultiplierEstimate.from_flat(problem, flat_mu)
+
+
+def one_agent_problem() -> NlpProblem:
+    """x^2 objective with x^2 = 1 on the box [-2, 2]; KKT at (x, mu) = (1, -1)."""
+    return NlpProblem(agents=(
+        AgentSpec(
+            cost=lambda x: float(x[0] ** 2),
+            cost_grad=lambda x: np.array([2.0 * x[0]]),
+            feasible_set=Polytope.box([-2.0], [2.0]),
+            constraint=lambda x: np.array([x[0] ** 2 - 1.0]),
+            constraint_jac=lambda x: np.array([[2.0 * x[0]]]),
+            constraint_dim=1,
+        ),
+    ))
 
 
 @dataclass

@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .bench import ToyParams, generate_toy, run_statistics, toy_initial_guess, \
-    write_stats_csv
+from .bench import ToyParams, generate_toy, one_agent_problem, run_statistics, \
+    toy_initial_guess, write_stats_csv
 from .errors import ConfigurationError, RefusalError
 from .inner_bcd import FixedScaled, InnerConfig
 from .model import (AgentSpec, BlockVector, MultiplierEstimate, NlpProblem,
@@ -148,20 +148,6 @@ def _parse_float_list(text, key):
     return values
 
 
-def _one_agent_problem():
-    """x^2 objective with x^2 = 1 on the box [-2, 2]; KKT at (x, mu) = (1, -1)."""
-    return NlpProblem(agents=(
-        AgentSpec(
-            cost=lambda x: float(x[0] ** 2),
-            cost_grad=lambda x: np.array([2.0 * x[0]]),
-            feasible_set=Polytope.box([-2.0], [2.0]),
-            constraint=lambda x: np.array([x[0] ** 2 - 1.0]),
-            constraint_jac=lambda x: np.array([[2.0 * x[0]]]),
-            constraint_dim=1,
-        ),
-    ))
-
-
 def _cmd_solve(opts) -> int:
     params = ToyParams(n_agents=opts["n"], block_dim=opts["d"],
                        scale=opts["r"], seed=opts["seed"])
@@ -231,7 +217,7 @@ def _cmd_verify(opts) -> int:
     report("gradient finite differences", worst <= 1e-5, f"worst {worst:.2e}")
 
     # one-agent analytic KKT point
-    one = _one_agent_problem()
+    one = one_agent_problem()
     state, status = run_outer(
         one,
         OuterConfig(rho0=1.0, beta=10.0, eps0=1e-1, eta=1e-8, max_outer=30),

@@ -46,6 +46,10 @@ __all__ = [
 #: Default slack for polytope membership tests.
 FEASIBILITY_SLACK = 1e-12
 
+#: Relative slack for detecting active rows: row ``k`` is active at ``x``
+#: when ``b_k - a_k @ x <= ACTIVE_TOL * (1 + |b_k|)``.
+ACTIVE_TOL = 1e-8
+
 
 def _as_float_vector(x, name="vector"):
     arr = np.asarray(x, dtype=float)
@@ -126,6 +130,42 @@ class Polytope:
 
     def contains(self, x, slack: float = FEASIBILITY_SLACK) -> bool:
         return self.violation(x) <= slack
+
+    def normal_cone_distance(self, x, grad):
+        """Squared distance of ``-grad`` to the normal cone at ``x``.
+
+        Returns ``(dist_sq, row_multipliers, active_rows)``: the value of
+        ``min_{v in N(x)} ||grad + v||^2``, one multiplier per row (zero on
+        inactive rows) and the ascending indices of the active rows (see
+        :data:`ACTIVE_TOL`).  Boxes use the per-coordinate closed form;
+        other polytopes solve nonnegative least squares on the active rows.
+        ``x`` is taken to be feasible.
+        """
+        x = np.asarray(x, dtype=float)
+        grad = np.asarray(grad, dtype=float)
+        if self.is_box:
+            at_hi = x >= self.upper - ACTIVE_TOL * (1.0 + np.abs(self.upper))
+            at_lo = x <= self.lower + ACTIVE_TOL * (1.0 + np.abs(self.lower))
+            # an upper bound absorbs a nonpositive gradient, a lower bound a
+            # nonnegative one, a coordinate at both bounds any gradient
+            res = np.where((at_hi & (grad <= 0)) | (at_lo & (grad >= 0)), 0.0, grad)
+            # the multiplier that cancels grad on one row; zero at both bounds
+            # (rows j and dim + j are the upper and lower bound of coordinate j)
+            push = np.concatenate([-grad, grad])
+            at = np.concatenate([at_hi, at_lo])
+            single = at & ~np.concatenate([at_lo, at_hi])
+            lam = np.where(single & (push > 0), push, 0.0)
+            return float(res @ res), lam, np.flatnonzero(at)
+        lam = np.zeros(self.n_rows)
+        slack = self.b_vec - self.a_mat @ x
+        active = np.flatnonzero(slack <= ACTIVE_TOL * (1.0 + np.abs(self.b_vec)))
+        if active.size == 0:
+            return float(grad @ grad), lam, active
+        from scipy.optimize import nnls
+
+        lam_act, rnorm = nnls(self.a_mat[active].T, -grad)
+        lam[active] = lam_act
+        return float(rnorm) ** 2, lam, active
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection; exact for boxes only."""
@@ -481,36 +521,39 @@ def _check_finite(arr, what, agent):
         raise EvaluationError(f"{what} returned a non-finite value", agent=agent)
 
 
-def _agent_constraint(problem, blocks, i):
+def _checked_cost(raw, what, agent):
+    val = float(raw)
+    if not np.isfinite(val):
+        raise EvaluationError(f"{what} returned a non-finite value", agent=agent)
+    return val
+
+
+def _checked_constraint(raw, declared, what, agent):
+    val = np.asarray(raw, dtype=float).reshape(-1)
+    if val.shape[0] != declared:
+        raise StructureError(f"{what} returned length {val.shape[0]}, declared {declared}")
+    _check_finite(val, what, agent)
+    return val
+
+
+def _agent_constraint(problem, x_i, i):
     agent = problem.agents[i]
     if agent.constraint is None:
         return np.zeros(0)
-    val = np.asarray(agent.constraint(blocks[i]), dtype=float).reshape(-1)
-    if val.shape[0] != agent.constraint_dim:
-        raise StructureError(
-            f"agent {i} constraint returned length {val.shape[0]}, "
-            f"declared {agent.constraint_dim}"
-        )
-    _check_finite(val, f"agent {i} constraint", i)
-    return val
+    return _checked_constraint(agent.constraint(x_i), agent.constraint_dim,
+                               f"agent {i} constraint", i)
 
 
 def _coupling_constraint(problem, blocks):
     coup = problem.coupling
     if coup.constraint is None:
         return np.zeros(0)
-    val = np.asarray(coup.constraint(blocks), dtype=float).reshape(-1)
-    if val.shape[0] != coup.constraint_dim:
-        raise StructureError(
-            f"coupling constraint returned length {val.shape[0]}, "
-            f"declared {coup.constraint_dim}"
-        )
-    _check_finite(val, "coupling constraint", None)
-    return val
+    return _checked_constraint(coup.constraint(blocks), coup.constraint_dim,
+                               "coupling constraint", None)
 
 
 def _constraints(problem, blocks):
-    pieces = [_agent_constraint(problem, blocks, i) for i in range(problem.n_agents)]
+    pieces = [_agent_constraint(problem, blocks[i], i) for i in range(problem.n_agents)]
     pieces.append(_coupling_constraint(problem, blocks))
     return np.concatenate(pieces)
 
@@ -518,27 +561,18 @@ def _constraints(problem, blocks):
 def _objective(problem, blocks):
     total = 0.0
     for i, agent in enumerate(problem.agents):
-        val = float(agent.cost(blocks[i]))
-        if not np.isfinite(val):
-            raise EvaluationError(f"agent {i} cost returned a non-finite value", agent=i)
-        total += val
+        total += _checked_cost(agent.cost(blocks[i]), f"agent {i} cost", i)
     if problem.coupling.cost is not None:
-        q = float(problem.coupling.cost(blocks))
-        if not np.isfinite(q):
-            raise EvaluationError("coupling cost returned a non-finite value")
-        total += q
+        total += _checked_cost(problem.coupling.cost(blocks), "coupling cost", None)
     return total
 
 
 def _agent_local_value(problem, x_i, mu_i, rho, i):
     """J_i + mu_i @ F_i + (rho/2) ||F_i||^2 at one block value."""
     agent = problem.agents[i]
-    val = float(agent.cost(x_i))
-    if not np.isfinite(val):
-        raise EvaluationError(f"agent {i} cost returned a non-finite value", agent=i)
+    val = _checked_cost(agent.cost(x_i), f"agent {i} cost", i)
     if agent.constraint is not None:
-        f_val = np.asarray(agent.constraint(x_i), dtype=float).reshape(-1)
-        _check_finite(f_val, f"agent {i} constraint", i)
+        f_val = _agent_constraint(problem, x_i, i)
         val += float(mu_i @ f_val) + 0.5 * rho * float(f_val @ f_val)
     return val
 
@@ -548,10 +582,7 @@ def _coupling_value(problem, blocks, mu_g, rho):
     coup = problem.coupling
     val = 0.0
     if coup.cost is not None:
-        q = float(coup.cost(blocks))
-        if not np.isfinite(q):
-            raise EvaluationError("coupling cost returned a non-finite value")
-        val += q
+        val += _checked_cost(coup.cost(blocks), "coupling cost", None)
     if coup.constraint is not None:
         g_val = _coupling_constraint(problem, blocks)
         val += float(mu_g @ g_val) + 0.5 * rho * float(g_val @ g_val)
@@ -575,7 +606,7 @@ def _block_gradient(problem, blocks, mu, rho, i):
     _check_finite(grad, f"agent {i} cost gradient", i)
     grad = grad.copy()
     if agent.constraint is not None:
-        f_val = _agent_constraint(problem, blocks, i)
+        f_val = _agent_constraint(problem, x_i, i)
         f_jac = np.atleast_2d(np.asarray(agent.constraint_jac(x_i), dtype=float))
         if f_jac.shape != (agent.constraint_dim, agent.dim):
             raise StructureError(

@@ -18,7 +18,7 @@ transient growth of ``eps`` when ``rho0 < 1``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -113,19 +113,7 @@ class IterTrace:
     inner_achieved: bool
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rho": self.rho,
-            "eps": self.eps,
-            "h_inf": self.h_inf,
-            "h_two": self.h_two,
-            "lagrangian": self.lagrangian,
-            "residual": self.residual,
-            "sweeps": self.sweeps,
-            "cum_sweeps": self.cum_sweeps,
-            "certificates_ok": self.certificates_ok,
-            "inner_achieved": self.inner_achieved,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -119,17 +119,15 @@ def solve_prox_qp(qp: ProxQp, tol: float = DEFAULT_TOL):
         else:
             x = _solve_box_apg(qp, tol)
         x = np.clip(x, poly.lower, poly.upper)
-        residual = _box_residual(qp, x)
-        active = _active_rows(poly, x)
-        return x, residual, active
-    if poly.n_rows > _MAX_POLYTOPE_ROWS:
+    elif poly.n_rows > _MAX_POLYTOPE_ROWS:
         raise StructureError(
             f"general polytopes are limited to {_MAX_POLYTOPE_ROWS} rows, "
             f"got {poly.n_rows}"
         )
-    x = _solve_polytope_active_set(qp)
-    residual = _polytope_residual(qp, x)
-    active = _active_rows(poly, x)
+    else:
+        x = _solve_polytope_active_set(qp)
+    dist_sq, _, active = poly.normal_cone_distance(x, qp.gradient(x))
+    residual = _box_residual(qp, x) if poly.is_box else float(np.sqrt(dist_sq))
     return x, residual, active
 
 
@@ -188,23 +186,6 @@ def _solve_box_apg(qp: ProxQp, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # General polytope path: small primal active-set method.
 # ---------------------------------------------------------------------------
-
-def _active_rows(poly: Polytope, x, scale: float = 1e-8) -> np.ndarray:
-    slack = poly.b_vec - poly.a_mat @ x
-    return np.flatnonzero(slack <= scale * (1.0 + np.abs(poly.b_vec)))
-
-
-def _polytope_residual(qp: ProxQp, x) -> float:
-    """Normal-cone distance of the gradient via nonnegative least squares."""
-    from scipy.optimize import nnls
-
-    grad = qp.gradient(x)
-    active = _active_rows(qp.feasible_set, x)
-    if active.size == 0:
-        return float(np.linalg.norm(grad))
-    _, rnorm = nnls(qp.feasible_set.a_mat[active].T, -grad)
-    return float(rnorm)
-
 
 def _solve_polytope_active_set(qp: ProxQp) -> np.ndarray:
     """Primal active-set iteration for the strictly convex QP.

@@ -6,7 +6,9 @@ gradient to the negative normal cone of the feasible polytope,
     d(0, grad L_rho(z, mu) + N_Z(z)),
 
 which is the inexactness the inner loop must drive below the outer loop's
-tolerance.  Boxes use the per-coordinate closed form; general polytopes
+tolerance.  The per-block distance and the active rows come from
+``Polytope.normal_cone_distance``, which holds the active-row tolerance
+``ACTIVE_TOL``: boxes use the per-coordinate closed form; general polytopes
 reconstruct inequality multipliers by nonnegative least squares on the
 active rows.  The remaining routines are deliberately simple, derivative-
 free or exhaustive, so they can serve as oracles for the solver itself.
@@ -35,9 +37,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Relative slack for detecting active inequality rows.
-ACTIVE_TOL_SCALE = 1e-8
-
 
 @dataclass
 class KktReport:
@@ -54,65 +53,18 @@ class KktReport:
     regular: bool
 
 
-def _active_box_state(poly, x):
-    """Per-coordinate activity: -1 lower, +1 upper, 2 both, 0 inactive."""
-    tol_hi = ACTIVE_TOL_SCALE * (1.0 + np.abs(poly.upper))
-    tol_lo = ACTIVE_TOL_SCALE * (1.0 + np.abs(poly.lower))
-    at_hi = x >= poly.upper - tol_hi
-    at_lo = x <= poly.lower + tol_lo
-    state = np.zeros(x.shape[0], dtype=int)
-    state[at_hi] = 1
-    state[at_lo] = -1
-    state[at_hi & at_lo] = 2
-    return state
+def _block_cone_terms(problem, blocks, mu, rho):
+    """Yield ``Polytope.normal_cone_distance`` of every block, in agent order.
 
-
-def _box_residual_vector(poly, x, grad):
-    """Componentwise normal-cone distance on a box.
-
-    Inactive coordinates contribute the raw gradient; at an upper bound the
-    admissible normals are nonnegative, so only a positive gradient remains;
-    at a lower bound only a negative one.
+    Each block must lie in its polytope up to 1e-10.
     """
-    state = _active_box_state(poly, x)
-    res = np.array(grad, dtype=float)
-    res[(state == 1) & (grad <= 0)] = 0.0
-    res[(state == -1) & (grad >= 0)] = 0.0
-    res[state == 2] = 0.0
-    return res
-
-
-def _block_cone_distance_sq(poly, x, grad):
-    """Squared normal-cone distance for one block, plus multipliers."""
-    q = poly.n_rows
-    lam = np.zeros(q)
-    if poly.is_box:
-        res = _box_residual_vector(poly, x, grad)
-        state = _active_box_state(poly, x)
-        n = poly.dim
-        # multipliers: absorbed gradient mass on the active rows
-        for j in range(n):
-            if state[j] == 1 and grad[j] < 0:
-                lam[j] = -grad[j]
-            elif state[j] == -1 and grad[j] > 0:
-                lam[n + j] = grad[j]
-        active = np.flatnonzero(state != 0)
-        rows = []
-        for j in active:
-            if state[j] in (1, 2):
-                rows.append(j)
-            if state[j] in (-1, 2):
-                rows.append(n + j)
-        return float(res @ res), lam, np.array(sorted(rows), dtype=int)
-    from scipy.optimize import nnls
-
-    slack = poly.b_vec - poly.a_mat @ x
-    active = np.flatnonzero(slack <= ACTIVE_TOL_SCALE * (1.0 + np.abs(poly.b_vec)))
-    if active.size == 0:
-        return float(grad @ grad), lam, active
-    lam_act, rnorm = nnls(poly.a_mat[active].T, -grad)
-    lam[active] = lam_act
-    return float(rnorm) ** 2, lam, active
+    for i, agent in enumerate(problem.agents):
+        poly = agent.feasible_set
+        viol = poly.violation(blocks[i])
+        if viol > 1e-10:
+            raise PreconditionError(f"block {i} violates its polytope by {viol:.3e}")
+        grad = _block_gradient(problem, blocks, mu, rho, i)
+        yield poly.normal_cone_distance(blocks[i], grad)
 
 
 def criticality_residual(problem: NlpProblem, z: BlockVector,
@@ -130,42 +82,35 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
         ``min_{v in N_Z(z)} || grad L_rho(z, mu) + v ||_2``.
     """
     problem.check_block_structure(z)
-    blocks = list(z.blocks)
     total = 0.0
-    for i, agent in enumerate(problem.agents):
-        poly = agent.feasible_set
-        if poly.violation(blocks[i]) > 1e-10:
-            raise PreconditionError(
-                f"block {i} violates its polytope by {poly.violation(blocks[i]):.3e}"
-            )
-        grad = _block_gradient(problem, blocks, mu, rho, i)
-        dist_sq, _, _ = _block_cone_distance_sq(poly, blocks[i], grad)
+    for dist_sq, _, _ in _block_cone_terms(problem, list(z.blocks), mu, rho):
         total += dist_sq
     return float(np.sqrt(total))
 
 
 def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
                rho: float, rank_tol: float = 1e-8) -> KktReport:
-    """Assemble stationarity, feasibility, multipliers and regularity."""
+    """Assemble stationarity, feasibility, multipliers and regularity.
+
+    ``stationarity`` equals :func:`criticality_residual`; ``z`` must lie in
+    the polytope up to 1e-10.
+    """
     problem.check_block_structure(z)
     blocks = list(z.blocks)
     total = 0.0
     lams, actives = [], []
     offset = 0
-    for i, agent in enumerate(problem.agents):
-        poly = agent.feasible_set
-        grad = _block_gradient(problem, blocks, mu, rho, i)
-        dist_sq, lam, active = _block_cone_distance_sq(poly, blocks[i], grad)
+    for dist_sq, lam, active in _block_cone_terms(problem, blocks, mu, rho):
         total += dist_sq
         lams.append(lam)
-        actives.extend(offset + a for a in active)
-        offset += poly.n_rows
+        actives.append(offset + active)
+        offset += lam.shape[0]
     h_val = _constraints(problem, blocks)
     return KktReport(
         stationarity=float(np.sqrt(total)),
         feasibility_inf=float(np.max(np.abs(h_val), initial=0.0)),
-        active_rows=np.array(actives, dtype=int),
-        multipliers=np.concatenate(lams) if lams else np.zeros(0),
+        active_rows=np.concatenate(actives),
+        multipliers=np.concatenate(lams),
         regular=regularity_check(problem, z, rank_tol),
     )
 

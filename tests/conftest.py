@@ -1,21 +1,8 @@
 import numpy as np
 import pytest
 
-from dist_alm import AgentSpec, BlockVector, MultiplierEstimate, NlpProblem, Polytope
-
-
-def one_agent_problem():
-    """x^2 objective, x^2 = 1 equality, box [-2, 2]; KKT at (1, -1)."""
-    return NlpProblem(agents=(
-        AgentSpec(
-            cost=lambda x: float(x[0] ** 2),
-            cost_grad=lambda x: np.array([2.0 * x[0]]),
-            feasible_set=Polytope.box([-2.0], [2.0]),
-            constraint=lambda x: np.array([x[0] ** 2 - 1.0]),
-            constraint_jac=lambda x: np.array([[2.0 * x[0]]]),
-            constraint_dim=1,
-        ),
-    ))
+from dist_alm import AgentSpec, BlockVector, MultiplierEstimate, Polytope
+from dist_alm.bench import one_agent_problem
 
 
 def quadratic_agent(p_mat, lower, upper):

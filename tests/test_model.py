@@ -109,6 +109,20 @@ class TestAugLagrangian:
             eval_aug_lagrangian(bad, zvec([0.0]), MultiplierEstimate.zeros(bad), 1.0)
         assert err.value.agent == 0
 
+    def test_local_value_checks_constraint_length(self):
+        from dist_alm.model import _agent_local_value
+
+        bad = NlpProblem(agents=(
+            AgentSpec(cost=lambda x: float(x[0] ** 2),
+                      cost_grad=lambda x: 2.0 * x,
+                      feasible_set=Polytope.box([-1.0], [1.0]),
+                      constraint=lambda x: np.array([x[0], x[0]]),
+                      constraint_jac=lambda x: np.array([[1.0]]),
+                      constraint_dim=1),
+        ))
+        with pytest.raises(StructureError):
+            _agent_local_value(bad, np.array([0.5]), np.zeros(1), 1.0, 0)
+
 
 class TestBlockGradient:
     def test_reduces_to_cost_gradient_without_constraints(self):

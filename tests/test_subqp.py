@@ -144,12 +144,13 @@ class TestPolytopePath:
             center = rng.uniform(-0.4, 0.4, 2)
             box = Polytope.box([-0.5, -0.5], [0.5, 0.5])
             rows = self.box_as_rows([-0.5, -0.5], [0.5, 0.5])
-            x_box, _, _ = solve_prox_qp(ProxQp(g=g, m_mat=m_mat, center=center,
-                                               feasible_set=box))
-            x_rows, res, _ = solve_prox_qp(ProxQp(g=g, m_mat=m_mat, center=center,
-                                                  feasible_set=rows))
+            x_box, _, act_box = solve_prox_qp(ProxQp(g=g, m_mat=m_mat, center=center,
+                                                     feasible_set=box))
+            x_rows, res, act_rows = solve_prox_qp(ProxQp(g=g, m_mat=m_mat, center=center,
+                                                         feasible_set=rows))
             np.testing.assert_allclose(x_rows, x_box, atol=1e-8)
             assert res <= 1e-8
+            np.testing.assert_array_equal(act_rows, act_box)
 
     def test_triangle_polytope(self):
         # x >= 0, y >= 0, x + y <= 1

@@ -67,6 +67,10 @@ class TestCriticalityResidual:
         r_box = criticality_residual(as_box, z, mu_box, 1.0)
         r_rows = criticality_residual(as_rows, z, mu_box, 1.0)
         assert r_rows == pytest.approx(r_box, abs=1e-9)
+        k_box = kkt_report(as_box, z, mu_box, 1.0)
+        k_rows = kkt_report(as_rows, z, mu_box, 1.0)
+        np.testing.assert_array_equal(k_rows.active_rows, k_box.active_rows)
+        np.testing.assert_allclose(k_rows.multipliers, k_box.multipliers, atol=1e-9)
 
     def test_activating_constraints_never_increases_distance(self):
         problem = gradient_probe_problem([-3.0, 1.0], [-2.0, -2.0], [2.0, 2.0])
@@ -229,3 +233,39 @@ class TestKktReport:
         # outward gradient at the active upper bound is fully absorbed
         assert report.multipliers[0] == pytest.approx(3.0, abs=1e-12)
         assert report.stationarity == pytest.approx(1.0, abs=1e-12)
+
+    def test_point_outside_polytope_rejected(self):
+        problem = gradient_probe_problem([1.0], [-1.0], [1.0])
+        with pytest.raises(PreconditionError):
+            kkt_report(problem, zvec([1.5]), MultiplierEstimate.zeros(problem), 1.0)
+
+    def test_stationarity_is_the_criticality_residual_on_toy(self):
+        params = ToyParams(n_agents=6, block_dim=3, scale=2.0, seed=11)
+        problem = generate_toy(params)
+        rng = np.random.default_rng(11)
+        b = params.box_bound
+        flat = rng.uniform(-b, b, problem.total_dim)
+        flat[rng.random(flat.shape[0]) < 0.4] = b  # push coordinates onto bounds
+        z = BlockVector.from_flat(flat, problem.block_dims)
+        mu = mu_like(problem, rng.uniform(-1.0, 1.0, problem.r))
+        for rho in (0.1, 10.0, 1e3):
+            assert kkt_report(problem, z, mu, rho).stationarity == \
+                criticality_residual(problem, z, mu, rho)
+
+    def test_stationarity_is_the_criticality_residual_on_cut_polytope(self):
+        # unit box with the cut x + y <= 1; the point sits on the cut and on y <= 1
+        rows = Polytope(a_mat=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                                        [0.0, -1.0], [1.0, 1.0]]),
+                        b_vec=np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
+        problem = NlpProblem(agents=(
+            AgentSpec(cost=lambda x: float(-2.0 * x[0] - x[1]),
+                      cost_grad=lambda x: np.array([-2.0, -1.0]),
+                      feasible_set=rows),
+            quadratic_agent(np.eye(2), [-1.0, -1.0], [1.0, 1.0]),
+        ))
+        z = zvec([0.0, 1.0], [1.0, 0.5])
+        mu = MultiplierEstimate.zeros(problem)
+        report = kkt_report(problem, z, mu, 1.0)
+        assert report.stationarity == criticality_residual(problem, z, mu, 1.0)
+        np.testing.assert_array_equal(report.active_rows, [1, 4, 5])
+        assert report.stationarity > 0.0
