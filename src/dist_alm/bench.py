@@ -30,6 +30,7 @@ from .inner_bcd import FixedScaled, InnerConfig
 from .model import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
                     NlpProblem, Polytope)
 from .outer_mm import OuterConfig, run_outer
+from .subqp import ProxQp
 
 __all__ = [
     "RunStats",
@@ -37,6 +38,7 @@ __all__ = [
     "generate_toy",
     "one_agent_problem",
     "run_statistics",
+    "stiff_polytope_qp",
     "toy_definite_count",
     "toy_initial_guess",
     "write_stats_csv",
@@ -233,6 +235,23 @@ def one_agent_problem() -> NlpProblem:
             constraint_dim=1,
         ),
     ))
+
+
+def stiff_polytope_qp() -> ProxQp:
+    """A block QP at the scale of rho = 1e7 on the full benchmark schedule.
+
+    ``M = 3e8 I`` over the box [-1.2, 1.2]^3 given as a general polytope
+    (its six rows), centred on the face ``x_1 = 1.2`` with a gradient that
+    pushes through it.  The minimiser lies on that face: it is the
+    projection of ``center - g / 3e8 = (0.6005, 1.201, -0.4003)``.  A KKT
+    solve with a relative rank cutoff drops the face row here and
+    overshoots the face by 1e-3.
+    """
+    eye = np.eye(3)
+    m = 3e8
+    return ProxQp(g=m * np.array([-5e-4, -1e-3, 3e-4]), m_mat=m * eye,
+                  center=np.array([0.6, 1.2, -0.4]),
+                  feasible_set=Polytope(np.vstack([eye, -eye]), np.full(6, 1.2)))
 
 
 @dataclass

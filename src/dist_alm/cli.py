@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from .bench import ToyParams, generate_toy, one_agent_problem, run_statistics, \
-    toy_initial_guess, write_stats_csv
+    stiff_polytope_qp, toy_initial_guess, write_stats_csv
 from .errors import ConfigurationError, RefusalError
 from .inner_bcd import FixedScaled, InnerConfig
-from .model import (AgentSpec, BlockVector, MultiplierEstimate, NlpProblem,
-                    Polytope)
+from .model import (FEAS_TOL, AgentSpec, BlockVector, MultiplierEstimate,
+                    NlpProblem, Polytope)
 from .outer_mm import OuterConfig, run_outer
 from .subqp import ProxQp, solve_prox_qp
 from .verify import brute_force_min, fd_gradient_check
@@ -246,6 +246,17 @@ def _cmd_verify(opts) -> int:
     x_qp, _, _ = solve_prox_qp(qp)
     report("QP vs grid oracle", abs(qp.objective(x_qp) - grid_val) <= 1e-3,
            f"qp {qp.objective(x_qp):.6f} grid {grid_val:.6f}")
+
+    # polytope projection (the block update) against the QP at M = 3e8 I
+    qp = stiff_polytope_qp()
+    poly = qp.feasible_set
+    x_proj = poly.project(qp.center - qp.g / qp.m_mat[0, 0], qp.center)
+    x_qp, _, _ = solve_prox_qp(qp)
+    gap = float(np.max(np.abs(x_proj - x_qp)))
+    viol = max(poly.violation(x_proj), poly.violation(x_qp))
+    report("polytope projection vs QP at M=3e8 I",
+           gap <= 1e-9 * float(np.max(np.abs(x_proj))) and viol <= FEAS_TOL,
+           f"gap {gap:.1e} violation {viol:.1e}")
 
     return 0 if failures == 0 else 1
 

@@ -8,8 +8,13 @@ local quadratic model
     g_i @ (x - x_i) + 0.5 * (x - x_i) @ (B_i + alpha_i I) @ (x - x_i)
 
 over the agent's polytope, where ``g_i`` is the augmented-Lagrangian block
-gradient at the current partial update and ``B_i`` is a positive definite
-curvature surrogate.
+gradient at the current partial update and ``B_i = b_i I`` is a scaled
+identity curvature surrogate.  The minimiser is the Euclidean projection of
+``x_i - g_i / (b_i + alpha_i)`` onto the polytope: boxes clip, and other
+polytopes call :meth:`~dist_alm.model.Polytope.project` with ``x_i`` as its
+start, so the rows active at ``x_i`` (the previous sweep's active set) seed
+its working set.  Every block therefore stays inside its polytope up to
+rounding.
 
 Every sweep can emit a certificate with, per agent, the two sides of the
 sufficient-decrease inequality and of the relative-error bound
@@ -44,10 +49,9 @@ import numpy as np
 
 from .errors import (ConfigurationError, ConvergenceError, EvaluationError,
                      PreconditionError, StructureError)
-from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
-                    Polytope, _agent_local_value, _aug_lagrangian,
+from .model import (FEAS_TOL, BlockVector, CouplingSpec, MultiplierEstimate,
+                    NlpProblem, Polytope, _agent_local_value, _aug_lagrangian,
                     _block_gradient, _coupling_value)
-from .subqp import ProxQp, solve_prox_qp
 from .verify import criticality_residual
 
 __all__ = [
@@ -134,15 +138,12 @@ class InnerConfig:
     b_strategy: BStrategy = field(default_factory=FixedScaled)
     c_source: CSource = field(default_factory=Backtracking)
     max_sweeps: int = 500
-    qp_tol: float = 1e-10
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if self.max_sweeps < 0:
             raise ConfigurationError("max_sweeps must be nonnegative")
-        if self.qp_tol <= 0:
-            raise ConfigurationError("qp_tol must be positive")
         lo = np.atleast_1d(np.asarray(self.alpha_min, dtype=float))
         hi = np.atleast_1d(np.asarray(self.alpha_max, dtype=float))
         if np.any(lo <= 0) or np.any(hi <= lo):
@@ -388,10 +389,8 @@ def _update_block(problem, snapshot, mu, rho, cfg, i, sweep, c_i, a_lo, a_hi,
                 # closed form for a scaled-identity model on a box
                 x_new = np.clip(x_old - g_old / m_diag, poly.lower, poly.upper)
             else:
-                qp = ProxQp(g=g_old, m_mat=m_diag * np.eye(agent.dim),
-                            center=x_old, feasible_set=poly)
                 try:
-                    x_new, _, _ = solve_prox_qp(qp, cfg.qp_tol)
+                    x_new = poly.project(x_old - g_old / m_diag, x_old)
                 except (ConvergenceError, PreconditionError) as exc:
                     raise type(exc)(f"agent {i}, sweep {sweep}: {exc}") from exc
             step = x_new - x_old
@@ -605,11 +604,12 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     target, the criticality residual is checked first and after every
     sweep; reaching it counts as achieving the target, while stopping on
     ``tau`` alone does not.  Exhausting the sweep budget raises no error:
-    the result carries a soft-failure flag instead.
+    the result carries a soft-failure flag instead.  Every block of ``z0``
+    must lie in its polytope up to ``model.FEAS_TOL``.
     """
     problem.check_block_structure(z0)
     for i, agent in enumerate(problem.agents):
-        if agent.feasible_set.violation(z0.block(i)) > 1e-9:
+        if agent.feasible_set.violation(z0.block(i)) > FEAS_TOL:
             raise PreconditionError(
                 f"start block {i} violates its polytope by "
                 f"{agent.feasible_set.violation(z0.block(i)):.3e}"

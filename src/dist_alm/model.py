@@ -29,7 +29,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, PreconditionError, StructureError
+from .errors import (ConvergenceError, EvaluationError, PreconditionError,
+                     StructureError)
 
 __all__ = [
     "AgentSpec",
@@ -46,9 +47,16 @@ __all__ = [
 #: Default slack for polytope membership tests.
 FEASIBILITY_SLACK = 1e-12
 
+#: Tolerance of every feasibility gate of the solver and its oracles: start
+#: points, iterates and oracle inputs must satisfy ``max(A x - b) <= FEAS_TOL``
+#: on each polytope.
+FEAS_TOL = 1e-10
+
 #: Relative slack for detecting active rows: row ``k`` is active at ``x``
 #: when ``b_k - a_k @ x <= ACTIVE_TOL * (1 + |b_k|)``.
 ACTIVE_TOL = 1e-8
+
+_MAX_PROJECT_ITERS = 500
 
 
 def _as_float_vector(x, name="vector"):
@@ -149,16 +157,16 @@ class Polytope:
             # an upper bound absorbs a nonpositive gradient, a lower bound a
             # nonnegative one, a coordinate at both bounds any gradient
             res = np.where((at_hi & (grad <= 0)) | (at_lo & (grad >= 0)), 0.0, grad)
-            # the multiplier that cancels grad on one row; zero at both bounds
-            # (rows j and dim + j are the upper and lower bound of coordinate j)
+            # the active row whose multiplier cancels grad takes it (rows j and
+            # dim + j are the upper and lower bound of coordinate j)
             push = np.concatenate([-grad, grad])
             at = np.concatenate([at_hi, at_lo])
-            single = at & ~np.concatenate([at_lo, at_hi])
-            lam = np.where(single & (push > 0), push, 0.0)
+            lam = np.where(at & (push > 0), push, 0.0)
             return float(res @ res), lam, np.flatnonzero(at)
         lam = np.zeros(self.n_rows)
         slack = self.b_vec - self.a_mat @ x
-        active = np.flatnonzero(slack <= ACTIVE_TOL * (1.0 + np.abs(self.b_vec)))
+        _, _, active_slack, _ = self._row_scales
+        active = np.flatnonzero(slack <= active_slack)
         if active.size == 0:
             return float(grad @ grad), lam, active
         from scipy.optimize import nnls
@@ -167,11 +175,93 @@ class Polytope:
         lam[active] = lam_act
         return float(rnorm) ** 2, lam, active
 
-    def project(self, x) -> np.ndarray:
-        """Euclidean projection; exact for boxes only."""
-        if not self.is_box:
-            raise StructureError("exact projection is only available for boxes")
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+    def project(self, v, start=None) -> np.ndarray:
+        """Euclidean projection of ``v`` onto the polytope.
+
+        Boxes clip and ignore ``start``.  Other polytopes run a primal
+        active-set method with identity Hessian from the feasible point
+        ``start`` (default: the Chebyshev centre), its working set ``W``
+        seeded from the rows active there (see :data:`ACTIVE_TOL`); a start
+        at the previous projection therefore hot-starts from the previous
+        active set.  Each step aims at the projection of ``v`` onto
+        ``{x : A_W x = b_W}`` and stops at the first row it would cross,
+        which joins ``W``; at the aim, the row with the smallest index
+        among those with a negative multiplier leaves ``W``.  A row that
+        ``start`` violates is in ``W`` from the outset and the first step
+        lands on it, so the result satisfies ``A x <= b`` up to rounding.
+
+        Raises
+        ------
+        PreconditionError
+            If ``start`` violates the polytope by more than :data:`FEAS_TOL`.
+        ConvergenceError
+            If the iteration cap is reached; carries the last iterate.
+        """
+        if self.is_box:
+            return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
+        v = _as_float_vector(v, "point")
+        x = _as_float_vector(self.chebyshev_center() if start is None else start,
+                             "start")
+        if v.shape[0] != self.dim or x.shape[0] != self.dim:
+            raise StructureError(
+                f"point and start have dimensions {v.shape[0]} and {x.shape[0]}, "
+                f"polytope expects {self.dim}"
+            )
+        a_mat, b_vec = self.a_mat, self.b_vec
+        abs_a, row_norms, active_slack, b_max = self._row_scales
+        slack = b_vec - a_mat @ x
+        if slack.min() < -FEAS_TOL:
+            raise PreconditionError(
+                f"projection start violates the polytope by {-slack.min():.3e}")
+        working = np.flatnonzero(slack <= active_slack)
+        if working.size > 1:
+            # keep the active rows that are independent of the earlier ones
+            r_diag = np.abs(np.linalg.qr(a_mat[working].T, mode="r").diagonal())
+            working = working[:r_diag.size]
+            working = working[r_diag > ACTIVE_TOL * row_norms[working]]
+        working = working.tolist()
+        lam_tol = 1e-12 * (1.0 + np.abs(v).max() + b_max)
+        for _ in range(_MAX_PROJECT_ITERS):
+            if working:
+                a_w = a_mat[working]
+                gram, rhs = a_w @ a_w.T, a_w @ v - b_vec[working]
+                try:
+                    lam = np.linalg.solve(gram, rhs)
+                except np.linalg.LinAlgError:  # dependent working set
+                    lam = np.linalg.lstsq(gram, rhs)[0]
+                target = v - lam @ a_w
+            else:
+                target = v.copy()
+            slack_t = b_vec - a_mat @ target
+            slack_t[working] = 0.0
+            if slack_t.min() < 0.0:
+                # the aim lies outside a row of W's complement: ratio test,
+                # ignoring changes of a row below the rounding of ``A p``
+                p = target - x
+                a_p = a_mat @ p
+                moving = a_p > 1e-14 * (abs_a @ np.abs(p))
+                moving[working] = False
+                limit = np.divide(slack, a_p, out=np.full(a_p.shape, np.inf), where=moving)
+                block = int(limit.argmin())
+                if limit[block] < 1.0:
+                    x = x + max(limit[block], 0.0) * p
+                    slack = b_vec - a_mat @ x
+                    working.append(block)
+                    continue
+            x, slack = target, slack_t
+            if not working or lam.min() >= -lam_tol:
+                return x
+            working.remove(min(k for k, lk in zip(working, lam) if lk < -lam_tol))
+        raise ConvergenceError(
+            f"polytope projection did not converge in {_MAX_PROJECT_ITERS} iterations",
+            best=x)
+
+    @cached_property
+    def _row_scales(self):
+        """``|A|``, the row norms, the active-row slack and ``max |b|``."""
+        abs_b = np.abs(self.b_vec)
+        return (np.abs(self.a_mat), np.linalg.norm(self.a_mat, axis=1),
+                ACTIVE_TOL * (1.0 + abs_b), float(np.max(abs_b, initial=0.0)))
 
     def chebyshev_center(self) -> np.ndarray:
         """Center of the largest inscribed ball (box midpoint for boxes)."""
@@ -517,7 +607,7 @@ class MultiplierEstimate(_FlatParts):
 # ---------------------------------------------------------------------------
 
 def _check_finite(arr, what, agent):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise EvaluationError(f"{what} returned a non-finite value", agent=agent)
 
 

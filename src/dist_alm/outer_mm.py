@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, StructureError
 from .inner_bcd import InnerConfig, run_inner
-from .model import (BlockVector, MultiplierEstimate, NlpProblem,
+from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem,
                     eval_aug_lagrangian, eval_constraints)
 
 __all__ = [
@@ -157,7 +157,8 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
         Problem and the two loop configurations.
     z0, mu0
         Start point (default: polytope centers) and multiplier estimate
-        (default: zero).  ``z0`` must be feasible for the polytopes.
+        (default: zero).  ``z0`` must lie in the polytopes up to
+        ``model.FEAS_TOL``.
     with_certificates, threads
         Passed through to the inner loop.
     sweep_budgets
@@ -185,7 +186,7 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
         raise StructureError(
             f"mu0 has dimension {mu.total_dim}, expected r={problem.r}"
         )
-    if not problem.feasible(z, slack=1e-9):
+    if not problem.feasible(z, slack=FEAS_TOL):
         raise PreconditionError("z0 violates the polytopic constraints")
     if sweep_budgets is not None and len(sweep_budgets) < cfg.max_outer:
         raise ConfigurationError(

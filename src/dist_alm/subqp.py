@@ -1,6 +1,6 @@
 """Strictly convex proximal QP over one agent's polytope.
 
-Each block update of the inner loop minimises
+The QP minimises
 
     q(x) = g @ (x - center) + 0.5 * (x - center) @ M @ (x - center)
 
@@ -9,6 +9,10 @@ Boxes are handled by a coordinatewise closed form when ``M`` is diagonal
 and by accelerated projected gradient otherwise; general polytopes (up to
 32 rows) go through a small primal active-set method.  The solve function
 is stateless and safe to call concurrently on distinct instances.
+
+The inner loop's block updates have ``M = m I``, whose minimiser is the
+projection of ``center - g / m``; they call ``Polytope.project`` and build
+no QP.  This general-``M`` solver is the oracle for that projection.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError, StructureError
-from .model import Polytope
+from .model import FEAS_TOL, Polytope
 
 __all__ = ["ProxQp", "solve_prox_qp"]
 
@@ -84,7 +88,7 @@ def solve_prox_qp(qp: ProxQp, tol: float = DEFAULT_TOL):
     Parameters
     ----------
     qp : ProxQp
-        Problem data; the center must be feasible.
+        Problem data; the center must lie in the set up to ``FEAS_TOL``.
     tol : float
         Target on the projected-stationarity residual (boxes) or the
         normal-cone distance of the gradient (polytopes).
@@ -109,7 +113,7 @@ def solve_prox_qp(qp: ProxQp, tol: float = DEFAULT_TOL):
     if tol <= 0:
         raise PreconditionError(f"tolerance must be positive, got {tol}")
     poly = qp.feasible_set
-    if poly.violation(qp.center) > 1e-10:
+    if poly.violation(qp.center) > FEAS_TOL:
         raise PreconditionError(
             f"QP center violates the feasible set by {poly.violation(qp.center):.3e}"
         )
@@ -191,11 +195,16 @@ def _solve_polytope_active_set(qp: ProxQp) -> np.ndarray:
     """Primal active-set iteration for the strictly convex QP.
 
     Works in the shifted variable ``y = x - center`` with constraints
-    ``A y <= s`` where ``s = b - A center >= 0``; starts at ``y = 0``.
-    Ties in blocking or dropped constraints break on the smallest index.
+    ``A y <= s`` where ``s = b - A center``; starts at ``y = 0``.  A row the
+    center violates (``s < 0``) blocks the first step towards it and then
+    holds with equality, so the violation is repaired, not carried on.
+    The KKT system is solved without rank truncation: at large ``M`` its
+    smallest singular value falls below any relative cutoff while the
+    working set stays independent.  Ties in blocking or dropped
+    constraints break on the smallest index.
     """
     a_mat = qp.feasible_set.a_mat
-    s = np.maximum(qp.feasible_set.b_vec - a_mat @ qp.center, 0.0)
+    s = qp.feasible_set.b_vec - a_mat @ qp.center
     n = qp.center.shape[0]
     y = np.zeros(n)
     working = []
@@ -211,7 +220,10 @@ def _solve_polytope_active_set(qp: ProxQp) -> np.ndarray:
             kkt[:n, n:] = a_mat[w].T
             kkt[n:, :n] = a_mat[w]
             rhs[n:] = s[w]
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:  # dependent working set
+            sol = np.linalg.lstsq(kkt, rhs)[0]
         y_star = sol[:n]
         lam = sol[n:]
         p = y_star - y

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, RefusalError
-from .model import (BlockVector, MultiplierEstimate, NlpProblem,
+from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem,
                     _aug_lagrangian, _block_gradient, _constraints, _objective)
 
 __all__ = [
@@ -56,12 +56,12 @@ class KktReport:
 def _block_cone_terms(problem, blocks, mu, rho):
     """Yield ``Polytope.normal_cone_distance`` of every block, in agent order.
 
-    Each block must lie in its polytope up to 1e-10.
+    Each block must lie in its polytope up to ``FEAS_TOL``.
     """
     for i, agent in enumerate(problem.agents):
         poly = agent.feasible_set
         viol = poly.violation(blocks[i])
-        if viol > 1e-10:
+        if viol > FEAS_TOL:
             raise PreconditionError(f"block {i} violates its polytope by {viol:.3e}")
         grad = _block_gradient(problem, blocks, mu, rho, i)
         yield poly.normal_cone_distance(blocks[i], grad)
@@ -74,7 +74,8 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
     Parameters
     ----------
     problem, z, mu, rho
-        Point and dual data; ``z`` must lie in the polytope up to 1e-10.
+        Point and dual data; ``z`` must lie in the polytope up to
+        ``model.FEAS_TOL``.
 
     Returns
     -------
@@ -93,7 +94,7 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     """Assemble stationarity, feasibility, multipliers and regularity.
 
     ``stationarity`` equals :func:`criticality_residual`; ``z`` must lie in
-    the polytope up to 1e-10.
+    the polytope up to ``model.FEAS_TOL``.
     """
     problem.check_block_structure(z)
     blocks = list(z.blocks)
@@ -122,7 +123,7 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
 
     The step is scaled per coordinate as ``h * (1 + |z_j|)``; every
     perturbed point must stay inside the polytope, otherwise the interior
-    margin precondition is violated.
+    margin precondition is violated (membership up to ``model.FEAS_TOL``).
     """
     problem.check_block_structure(z)
     if h <= 0:
@@ -137,7 +138,7 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
             for sign in (1.0, -1.0):
                 pt = np.array(blocks[i])
                 pt[j] += sign * step
-                if not agent.feasible_set.contains(pt, slack=1e-9):
+                if not agent.feasible_set.contains(pt, slack=FEAS_TOL):
                     raise PreconditionError(
                         f"block {i} is closer than {step:.1e} to its boundary "
                         f"in coordinate {j}"

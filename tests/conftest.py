@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from dist_alm import AgentSpec, BlockVector, MultiplierEstimate, Polytope
+import dataclasses
+
+from dist_alm import (AgentSpec, BlockVector, MultiplierEstimate, NlpProblem,
+                      Polytope, ToyParams, default_start, generate_toy,
+                      toy_initial_guess)
 from dist_alm.bench import one_agent_problem
 
 
@@ -26,6 +30,36 @@ def linear_agent(c_vec, lower, upper):
         cost_grad=lambda x, _c=c_vec: np.array(_c),
         feasible_set=Polytope.box(lower, upper),
     )
+
+
+def box_with_cuts(box, rng, cuts=4):
+    """The rows of a box symmetric about 0, then ``cuts`` unit-normal cuts.
+
+    Per cut, a standard-normal direction scaled to unit length, then its
+    offset, U[0.3, 0.9] times the largest value the direction takes on the
+    box; every cut meets the box and keeps the origin strictly inside.
+    """
+    a_cut = rng.standard_normal((cuts, box.dim))
+    a_cut /= np.linalg.norm(a_cut, axis=1)[:, None]
+    b_cut = rng.uniform(0.3, 0.9, cuts) * (np.abs(a_cut) @ box.upper)
+    return Polytope(np.vstack([box.a_mat, a_cut]), np.concatenate([box.b_vec, b_cut]))
+
+
+def cut_chain(seed, n_agents=6):
+    """A toy chain (d=3, R=2) whose boxes each carry four random cuts.
+
+    The cuts come from ``default_rng(seed + 0x5A17)``, agent by agent; the
+    start is the Chebyshev centre of each polytope with the toy's seeded
+    multipliers.
+    """
+    params = ToyParams(n_agents=n_agents, block_dim=3, scale=2.0, seed=seed)
+    chain = generate_toy(params)
+    rng = np.random.default_rng(seed + 0x5A17)
+    agents = tuple(dataclasses.replace(a, feasible_set=box_with_cuts(a.feasible_set, rng))
+                   for a in chain.agents)
+    problem = NlpProblem(agents=agents, coupling=chain.coupling)
+    _, mu0 = toy_initial_guess(params, chain)
+    return problem, default_start(problem), mu0
 
 
 @pytest.fixture

@@ -52,7 +52,8 @@ class TestVerify:
     def test_fresh_checkout_passes(self, capsys):
         assert run_cli(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+        assert out.count("[PASS]") == 4 and "[FAIL]" not in out
+        assert "[PASS] polytope projection vs QP at M=3e8 I" in out
 
 
 class TestConfigHandling:

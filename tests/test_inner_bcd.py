@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
-                      CouplingSpec, EvaluationError, FixedScaled, HessianBand,
-                      Hint, InnerConfig, MultiplierEstimate, NlpProblem,
-                      OuterConfig, Polytope, Sampled, StructureError, ToyParams,
-                      bcd_sweep, color_interaction_graph,
-                      estimate_hessian_bound, eval_aug_lagrangian,
-                      generate_toy, run_inner, run_outer, toy_initial_guess)
-from conftest import mu_like, one_agent_problem, quadratic_agent, zvec
+                      ConvergenceError, CouplingSpec, EvaluationError,
+                      FixedScaled, HessianBand, Hint, InnerConfig,
+                      MultiplierEstimate, NlpProblem, OuterConfig, Polytope,
+                      ProxQp, Sampled, StructureError, ToyParams, bcd_sweep,
+                      color_interaction_graph, estimate_hessian_bound,
+                      eval_aug_lagrangian, eval_block_gradient, generate_toy,
+                      run_inner, run_outer, toy_initial_guess)
+from dist_alm import model
+from conftest import cut_chain, mu_like, one_agent_problem, quadratic_agent, zvec
 
 
 def toy_setup(n_agents=6, seed=0, block_dim=3, scale=2.0):
@@ -148,6 +150,37 @@ class TestSweep:
         colors = color_interaction_graph(problem.coupling, 5)
         z_next, _ = bcd_sweep(problem, z0, mu0, 0.5, InnerConfig(), colors)
         assert problem.feasible(z_next, slack=1e-10)
+
+
+class TestPolytopeUpdate:
+    """Blocks on general polytopes are projected, with no QP object."""
+
+    def test_block_update_is_the_projection(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the sweep built a QP")
+
+        monkeypatch.setattr(ProxQp, "__post_init__", refuse)
+        problem, z0, mu0 = cut_chain(3)
+        colors = color_interaction_graph(problem.coupling, problem.n_agents)
+        rho, cfg = 10.0, InnerConfig()
+        z1, _ = bcd_sweep(problem, z0, mu0, rho, cfg, colors,
+                          with_certificates=False)
+        m_diag = FixedScaled().scale * rho + cfg.alpha_min
+        for i in np.flatnonzero(colors == 0):  # the first class reads z0
+            g = eval_block_gradient(problem, z0, mu0, rho, i)
+            x_old = z0.block(i)
+            expected = problem.agents[i].feasible_set.project(x_old - g / m_diag, x_old)
+            np.testing.assert_array_equal(z1.block(i), expected)
+        _, cert = bcd_sweep(problem, z1, mu0, rho, cfg, colors)
+        assert cert is not None
+
+    def test_projection_failure_names_agent_and_sweep(self, monkeypatch):
+        monkeypatch.setattr(model, "_MAX_PROJECT_ITERS", 0)
+        problem, z0, mu0 = cut_chain(3)
+        colors = color_interaction_graph(problem.coupling, problem.n_agents)
+        with pytest.raises(ConvergenceError, match=r"^agent 0, sweep 4: "):
+            bcd_sweep(problem, z0, mu0, 10.0, InnerConfig(), colors,
+                      sweep_index=4, with_certificates=False)
 
 
 def with_hook(problem, hook):
@@ -392,5 +425,3 @@ class TestRunInner:
             InnerConfig(tau=0.0)
         with pytest.raises(ConfigurationError):
             InnerConfig(alpha_min=1.0, alpha_max=0.5)
-        with pytest.raises(ConfigurationError):
-            InnerConfig(qp_tol=-1.0)

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dist_alm import (AgentSpec, BlockVector, CouplingSpec, EvaluationError,
-                      MultiplierEstimate, NlpProblem, Polytope, StructureError,
-                      ToyParams, eval_aug_lagrangian, eval_block_gradient,
-                      eval_constraints, generate_toy)
-from conftest import mu_like, quadratic_agent, zvec
+from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
+                      EvaluationError, MultiplierEstimate, NlpProblem, Polytope,
+                      PreconditionError, StructureError, ToyParams,
+                      eval_aug_lagrangian, eval_block_gradient, eval_constraints,
+                      generate_toy)
+from dist_alm import model
+from conftest import box_with_cuts, mu_like, quadratic_agent, zvec
 
 
 def two_agent_coupled():
@@ -255,6 +257,15 @@ class TestPolytope:
     def test_unbounded_polytopes_detected(self, rows):
         assert not Polytope(rows, np.ones(len(rows))).is_bounded()
 
+    def test_equal_bounds_multipliers_cancel_the_gradient(self):
+        box = Polytope.box([0.0, -1.0], [0.0, 1.0])
+        grad = np.array([-1.0, 0.0])
+        dist_sq, lam, active = box.normal_cone_distance([0.0, 0.5], grad)
+        assert dist_sq == 0.0
+        np.testing.assert_array_equal(active, [0, 2])
+        np.testing.assert_array_equal(lam, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(grad + box.a_mat.T @ lam, 0.0)
+
     def test_unbounded_polytope_rejected_in_problem(self):
         half_plane = Polytope(a_mat=np.array([[1.0, 0.0]]), b_vec=np.array([1.0]))
         with pytest.raises(StructureError):
@@ -262,6 +273,68 @@ class TestPolytope:
                 AgentSpec(cost=lambda x: 0.0, cost_grad=lambda x: np.zeros(2),
                           feasible_set=half_plane),
             ))
+
+
+class TestProjection:
+    """``Polytope.project``; its agreement with the QP is in test_subqp."""
+
+    def cut_polytope(self, seed=5):
+        box = Polytope.box(-1.2 * np.ones(3), 1.2 * np.ones(3))
+        return box_with_cuts(box, np.random.default_rng(seed))
+
+    def test_box_projection_is_clip(self):
+        lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 2.0])
+        box = Polytope.box(lo, hi)
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            v = rng.uniform(-3, 3, 3)
+            np.testing.assert_array_equal(box.project(v), np.clip(v, lo, hi))
+            np.testing.assert_array_equal(box.project(v, start=0.5 * (lo + hi)),
+                                          np.clip(v, lo, hi))
+
+    def test_point_inside_returned_bitwise(self):
+        poly = self.cut_polytope()
+        centre = poly.chebyshev_center()
+        on_face = poly.project(centre + np.array([40.0, -3.0, 7.0]), centre)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            v = centre + rng.uniform(-0.05, 0.05, 3)
+            assert poly.contains(v)
+            for start in (centre, on_face, None):
+                np.testing.assert_array_equal(poly.project(v, start), v)
+
+    def test_result_on_the_boundary_and_inside(self):
+        poly = self.cut_polytope()
+        centre = poly.chebyshev_center()
+        x = poly.project(centre + np.array([5.0, 5.0, -5.0]), centre)
+        assert poly.violation(x) <= model.FEAS_TOL
+        assert poly.violation(x) >= -model.FEAS_TOL  # on some row
+
+    def test_start_outside_rejected(self):
+        poly = self.cut_polytope()
+        start = poly.project(np.array([9.0, 0.0, 0.0]), poly.chebyshev_center())
+        with pytest.raises(PreconditionError):
+            poly.project(np.zeros(3), start + np.array([1e-9, 0.0, 0.0]))
+
+    def test_start_within_tolerance_is_repaired(self):
+        poly = self.cut_polytope()
+        start = poly.project(np.array([9.0, 0.0, 0.0]), poly.chebyshev_center())
+        start = start + np.array([5e-11, 0.0, 0.0])
+        assert 0.0 < poly.violation(start) <= model.FEAS_TOL
+        x = poly.project(start + np.array([1.0, 0.1, 0.0]), start)
+        assert poly.violation(x) <= 1e-15
+
+    def test_iteration_cap_raises_with_a_feasible_best(self, monkeypatch):
+        poly = self.cut_polytope()
+        monkeypatch.setattr(model, "_MAX_PROJECT_ITERS", 1)
+        with pytest.raises(ConvergenceError) as err:
+            poly.project(np.array([50.0, 50.0, 50.0]), poly.chebyshev_center())
+        assert poly.contains(err.value.best)
+
+    def test_dimension_mismatch(self):
+        poly = self.cut_polytope()
+        with pytest.raises(StructureError):
+            poly.project(np.zeros(2), np.zeros(3))
 
 
 class TestBatchedGradientHook:

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from dist_alm import (ConvergenceError, Polytope, PreconditionError, ProxQp,
                       StructureError, solve_prox_qp)
+from dist_alm.bench import stiff_polytope_qp
+from dist_alm.model import FEAS_TOL
+from conftest import box_with_cuts
 
 
 def box_qp(g, m_mat, center, lo, hi):
@@ -164,6 +167,47 @@ class TestPolytopePath:
         assert tri.violation(x) <= 1e-10
         assert 2 in active.tolist()
         np.testing.assert_allclose(x[0] + x[1], 1.0, atol=1e-9)
+
+    def test_stiff_qp_stays_on_its_face(self):
+        # M = 3e8 I: the KKT matrix's smallest singular value is below any
+        # relative rank cutoff, yet the working set is independent
+        qp = stiff_polytope_qp()
+        x, _, active = solve_prox_qp(qp)
+        assert qp.feasible_set.violation(x) <= 1e-12
+        x_proj = qp.feasible_set.project(qp.center - qp.g / qp.m_mat[0, 0], qp.center)
+        np.testing.assert_allclose(x, x_proj, rtol=1e-9, atol=0.0)
+        np.testing.assert_array_equal(active, [1])
+
+    def test_center_violation_repaired_not_carried(self):
+        # x >= 0, y >= 0, x + y <= 1; the center is outside the last row by
+        # 5e-11, within the centre gate, and the step pushes through it
+        tri = Polytope(a_mat=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                       b_vec=np.array([0.0, 0.0, 1.0]))
+        center = np.array([0.5, 0.5]) + 2.5e-11
+        assert 4e-11 < tri.violation(center) <= FEAS_TOL
+        qp = ProxQp(g=np.array([-1.0, -0.5]), m_mat=np.eye(2), center=center,
+                    feasible_set=tri)
+        x, _, _ = solve_prox_qp(qp)
+        assert tri.violation(x) <= 1e-15
+
+    def test_projection_agrees_with_qp_on_cut_polytopes(self):
+        rng = np.random.default_rng(11)
+        box = Polytope.box(-1.2 * np.ones(3), 1.2 * np.ones(3))
+        worst_gap = 0.0
+        for k in range(300):
+            poly = box_with_cuts(box, rng)
+            start = poly.chebyshev_center()
+            if k % 2:  # a start on the boundary seeds the working set
+                start = poly.project(start + rng.uniform(-5, 5, 3), start)
+            direction = rng.standard_normal(3)
+            v = start + 10.0 ** rng.uniform(-3, 3) * direction / np.linalg.norm(direction)
+            x = poly.project(v, start)
+            x_qp, _, _ = solve_prox_qp(ProxQp(g=start - v, m_mat=np.eye(3),
+                                              center=start, feasible_set=poly))
+            worst_gap = max(worst_gap, float(np.max(np.abs(x - x_qp))))
+            assert poly.violation(x) <= FEAS_TOL
+            assert poly.normal_cone_distance(x, x - v)[0] <= 1e-20
+        assert worst_gap <= 1e-10
 
     def test_row_cap_enforced(self):
         rng = np.random.default_rng(1)
