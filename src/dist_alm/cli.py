@@ -4,8 +4,8 @@ or run the self-check suite.
 Every flag has a config-file equivalent (a flat JSON object keyed by the
 flag name with dashes replaced by underscores); explicit flags override
 file values.  Outputs are bit-stable for a fixed seed in sequential mode.
-Worker parallelism is capped by the DIST_ALM_THREADS environment variable
-(0 = sequential, the default).
+The DIST_ALM_THREADS environment variable caps the worker threads that
+``bench`` runs instances on (0 = sequential, the default).
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _cmd_solve(opts) -> int:
     inner_cfg = InnerConfig(tau=opts["tau"], max_sweeps=opts["max_sweeps"],
                             b_strategy=FixedScaled(opts["b_scale"]))
     state, status = run_outer(problem, outer_cfg, inner_cfg, z0, mu0,
-                              with_certificates=False, threads=_threads())
+                              with_certificates=False)
     last = state.trace[-1]
     print(f"status={status} outer_iterations={state.k} "
           f"total_sweeps={last.cum_sweeps}")

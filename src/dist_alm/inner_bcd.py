@@ -1,57 +1,52 @@
 """Proximal-regularised block coordinate descent over the agent blocks.
 
 One sweep visits every agent once, in graph-coloring order: agents of the
-same color do not interact through the coupling, so they all read the same
-frozen snapshot and may be updated concurrently.  Each visit minimises the
-local quadratic model
+same color do not interact through the coupling, so a whole color class is
+updated from one frozen snapshot.  Each visit minimises the local quadratic
+model
 
     g_i @ (x - x_i) + 0.5 * (x - x_i) @ (B_i + alpha_i I) @ (x - x_i)
 
 over the agent's polytope, where ``g_i`` is the augmented-Lagrangian block
-gradient at the current partial update and ``B_i = b_i I`` is a scaled
-identity curvature surrogate.  The minimiser is the Euclidean projection of
+gradient at the snapshot and ``B_i = b_i I`` is a scaled identity curvature
+surrogate.  The minimiser is the Euclidean projection of
 ``x_i - g_i / (b_i + alpha_i)`` onto the polytope: boxes clip, and other
 polytopes call :meth:`~dist_alm.model.Polytope.project` with ``x_i`` as its
 start, so the rows active at ``x_i`` (the previous sweep's active set) seed
 its working set.  Every block therefore stays inside its polytope up to
 rounding.
 
+One kernel serves every configuration.  Per color class it takes one
+batched gradient (one call of the problem's ``block_gradients`` hook when
+there is one, see :class:`~dist_alm.model.NlpProblem`), one step size per
+agent, and one clip when the class is a stack of boxes of one dimension,
+else one projection per agent.  The hook must agree with the problem's
+``agents`` and ``coupling``; ``dataclasses.replace(problem, agents=...)``
+keeps the old hook.
+
 Every sweep can emit a certificate with, per agent, the two sides of the
 sufficient-decrease inequality and of the relative-error bound
 ``(3 C_i + alpha_max) ||step||`` that underpin convergence of the scheme.
-``C_i`` is a bound on the curvature of the local Lagrangian; it can be
-supplied as a hint, estimated by finite-difference sampling, or maintained
-by backtracking (doubled whenever a descent or certificate check fails,
-with the block step retried when the curvature surrogate depends on it).
-
-A sweep takes a vectorised path when four conditions hold: the problem
-supplies ``block_gradients`` (see :class:`~dist_alm.model.NlpProblem`),
-every agent set is a box, certificates are off and the surrogate is
-:class:`FixedScaled`.  Each color class is then updated at once from one
-batched gradient ``g`` (shape ``(len(idx), d)``) and one
-``clip(x - g / (scale * rho + alpha_i), lower, upper)``, with ``alpha_i``
-from the schedule as on the per-agent path.  That is the parallel form of
-the sweep and ignores ``threads``; it gives the same iterate as the
-per-agent path, which serves certificates, ``HessianBand``, general
-polytopes and problems without the hook.  The hook must agree with the
-problem's ``agents`` and ``coupling``; ``dataclasses.replace(problem,
-agents=...)`` keeps the old hook.
+Both are per-block inequalities, checked agent by agent against the class
+snapshot after the class step.  ``C_i`` is a bound on the curvature of the
+local Lagrangian; it can be supplied as a hint, estimated by
+finite-difference sampling, or maintained by backtracking (doubled whenever
+a descent or certificate check fails, with the block re-projected when the
+curvature surrogate depends on it).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ConfigurationError, ConvergenceError, EvaluationError,
-                     PreconditionError, StructureError)
+from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .model import (FEAS_TOL, BlockVector, CouplingSpec, MultiplierEstimate,
                     NlpProblem, Polytope, _agent_local_value, _aug_lagrangian,
-                    _block_gradient, _coupling_value)
+                    _block_gradient, _block_gradients, _coupling_value)
 from .verify import criticality_residual
 
 __all__ = [
@@ -321,35 +316,21 @@ def _initial_c_bounds(problem, cfg, blocks, mu, rho) -> np.ndarray:
     ])
 
 
-def _b_scale(strategy: BStrategy, rho: float, c_i: float) -> float:
-    """Scalar multiple of the identity used as curvature surrogate."""
+def _b_scales(strategy: BStrategy, rho: float, c_bounds, idx):
+    """Multiples of the identity used as curvature surrogate by agents ``idx``."""
     base = strategy.scale * rho
     if isinstance(strategy, HessianBand):
-        lo = c_i * (1.0 + strategy.margin)
-        hi = 2.0 * c_i * (1.0 - strategy.margin)
-        return float(min(max(base, lo), hi))
-    return float(base)
+        c = c_bounds[idx]
+        return np.minimum(np.maximum(base, c * (1.0 + strategy.margin)),
+                          2.0 * c * (1.0 - strategy.margin))
+    return base
 
 
 # ---------------------------------------------------------------------------
-# One block update (runs inside a sweep, possibly on a worker thread).
+# Sweeps and the inner loop.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _BlockUpdate:
-    x_new: np.ndarray
-    step_norm: float
-    c_final: float
-    alpha: float
-    decrease_lhs: float = math.nan
-    decrease_rhs: float = math.nan
-    rel_err_lhs: float = math.nan
-    rel_err_bound: float = math.nan
-
 
 def _pick_alpha(cfg, i, sweep, a_lo, a_hi) -> float:
-    if cfg.alpha_schedule is None:
-        return float(a_lo[i])
     alpha = float(cfg.alpha_schedule(i, sweep))
     if not (a_lo[i] <= alpha <= a_hi[i]):
         raise ConfigurationError(
@@ -359,156 +340,111 @@ def _pick_alpha(cfg, i, sweep, a_lo, a_hi) -> float:
     return alpha
 
 
-def _update_block(problem, snapshot, mu, rho, cfg, i, sweep, c_i, a_lo, a_hi,
-                  with_certificates) -> _BlockUpdate:
-    agent = problem.agents[i]
-    poly = agent.feasible_set
-    x_old = snapshot[i]
-    alpha = _pick_alpha(cfg, i, sweep, a_lo, a_hi)
-    g_old = _block_gradient(problem, snapshot, mu, rho, i)
-    backtracking = isinstance(cfg.c_source, Backtracking)
-    band = isinstance(cfg.b_strategy, HessianBand)
-    needs_values = with_certificates or (backtracking and band)
-
-    if needs_values:
-        local_old = _agent_local_value(
-            problem, x_old, mu.part(i) if agent.constraint is not None else None,
-            rho, i)
-        coup_old = _coupling_value(problem, snapshot, mu.coupling_part, rho)
-
-    attempts = 0
-    resolve = True
-    x_new = x_old
-    step = np.zeros_like(x_old)
-    snorm = 0.0
-    upd = None
-    while True:
-        if resolve:
-            m_diag = _b_scale(cfg.b_strategy, rho, c_i) + alpha
-            if poly.is_box:
-                # closed form for a scaled-identity model on a box
-                x_new = np.clip(x_old - g_old / m_diag, poly.lower, poly.upper)
-            else:
-                try:
-                    x_new = poly.project(x_old - g_old / m_diag, x_old)
-                except (ConvergenceError, PreconditionError) as exc:
-                    raise type(exc)(f"agent {i}, sweep {sweep}: {exc}") from exc
-            step = x_new - x_old
-            snorm = float(np.linalg.norm(step))
-            upd = _BlockUpdate(x_new=x_new, step_norm=snorm, c_final=c_i,
-                               alpha=alpha)
-            if not (needs_values or backtracking):
-                return upd
-            trial = list(snapshot)
-            trial[i] = x_new
-            if needs_values:
-                local_new = _agent_local_value(
-                    problem, x_new,
-                    mu.part(i) if agent.constraint is not None else None, rho, i)
-                coup_new = _coupling_value(problem, trial, mu.coupling_part, rho)
-                upd.decrease_lhs = local_new + coup_new + 0.5 * alpha * snorm ** 2
-                upd.decrease_rhs = local_old + coup_old
-            if with_certificates:
-                g_new = _block_gradient(problem, trial, mu, rho, i)
-                upd.rel_err_lhs = float(
-                    np.linalg.norm(g_new - g_old - m_diag * step))
-
-        upd.c_final = c_i
-        upd.rel_err_bound = (3.0 * c_i + a_hi[i]) * snorm
-        ok = True
-        if needs_values:
-            # descent-lemma check drives the backtracking refinement
-            descent_rhs = (local_old + coup_old + float(g_old @ step)
-                           + 0.5 * c_i * snorm ** 2)
-            ok &= (local_new + coup_new) <= descent_rhs + DECREASE_SLACK
-            if band:
-                # re-solving with a larger C shrinks the step, so a failed
-                # decrease certificate is fixable; with a fixed surrogate it
-                # is not and is recorded as-is
-                ok &= upd.decrease_lhs <= upd.decrease_rhs + DECREASE_SLACK
-        if with_certificates:
-            ok &= upd.rel_err_lhs <= upd.rel_err_bound + REL_ERR_SLACK
-        if ok or not backtracking or attempts >= _MAX_BACKTRACK:
-            return upd
-        c_i *= 2.0
-        attempts += 1
-        resolve = band  # a banded surrogate depends on C, so re-solve
+def _project(poly, v, start, i, sweep):
+    try:
+        return poly.project(v, start)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"agent {i}, sweep {sweep}: {exc}", best=exc.best) from exc
+    except PreconditionError as exc:
+        raise PreconditionError(f"agent {i}, sweep {sweep}: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# Sweeps and the inner loop.
-# ---------------------------------------------------------------------------
-
-def _box_classes(problem, coloring) -> tuple:
-    """Colour classes with their stacked box bounds.
+def _color_classes(problem, coloring) -> tuple:
+    """Colour classes with the stacked box bounds of each.
 
     Each class is ``(idx, lower, upper)``: its agent indices in ascending
-    order and their ``(len(idx), d)`` bounds, classes in ascending colour.
-    Empty unless every agent set is a box.  Built on first use and kept
-    with the problem for the last coloring seen.
+    order and, when every block has one dimension ``d`` and the class's
+    sets are boxes, their ``(len(idx), d)`` bounds (else ``None``); classes
+    in ascending colour.  Built on first use and kept with the problem for
+    the last coloring seen.
     """
     key = coloring.tobytes()
     classes = problem._sweep_cache.get(key)
     if classes is None:
-        classes = ()
-        if all(a.feasible_set.is_box for a in problem.agents):
-            lower = np.array([a.feasible_set.lower for a in problem.agents])
-            upper = np.array([a.feasible_set.upper for a in problem.agents])
-            classes = tuple((idx, lower[idx], upper[idx]) for idx in
-                            (np.flatnonzero(coloring == c) for c in np.unique(coloring)))
+        stackable = len(set(problem.block_dims)) == 1
+        classes = []
+        for color in np.unique(coloring):
+            idx = np.flatnonzero(coloring == color)
+            sets = [problem.agents[i].feasible_set for i in idx]
+            if stackable and all(s.is_box for s in sets):
+                classes.append((idx, np.array([s.lower for s in sets]),
+                                np.array([s.upper for s in sets])))
+            else:
+                classes.append((idx, None, None))
+        classes = tuple(classes)
         problem._sweep_cache.clear()
         problem._sweep_cache[key] = classes
     return classes
 
 
-def _box_sweep(problem, z, mu, rho, cfg, classes, sweep, a_lo, a_hi):
-    """One sweep as one batched gradient and one clip per colour class.
+def _check_class(problem, blocks, mu, rho, cfg, idx, grad, alpha, x_new,
+                 c_bounds, a_hi, sweep, cert):
+    """Certificate values and curvature backtracking for one colour class.
 
-    The same arithmetic as ``_update_block`` for a box and a fixed scaled
-    surrogate, so the result equals the per-agent sweep bitwise.
+    ``blocks`` is the class snapshot and ``x_new`` the class step from it.
+    Per agent, the descent-lemma check drives the backtracking of ``C_i``
+    (doubled in ``c_bounds`` on failure); a banded surrogate depends on
+    ``C_i``, so its block is re-projected, and a failed decrease
+    certificate counts as a failure too.  With a fixed surrogate doubling
+    cannot fix the step, which is recorded as-is.  ``cert`` (or ``None``)
+    receives the per-agent certificate values.
     """
-    flat = np.array(z.flat)
-    x = flat.reshape(problem.n_agents, problem.block_dims[0])
-    view = x.view()
-    view.setflags(write=False)
-    b_scale = _b_scale(cfg.b_strategy, rho, 0.0)
-    for idx, lower, upper in classes:
-        grad = np.asarray(problem.block_gradients(view, mu.flat, rho, idx),
-                          dtype=float)
-        if grad.shape != (idx.shape[0], x.shape[1]):
-            raise StructureError(
-                f"block_gradients returned shape {grad.shape}, "
-                f"expected {(idx.shape[0], x.shape[1])}"
-            )
-        if not np.isfinite(grad).all():
-            i = int(idx[np.argmin(np.isfinite(grad).all(axis=1))])
-            raise EvaluationError(
-                f"agent {i} batched block gradient returned a non-finite value",
-                agent=i)
-        if cfg.alpha_schedule is None:
-            alpha = a_lo[idx]
-        else:
-            alpha = np.array([_pick_alpha(cfg, i, sweep, a_lo, a_hi) for i in idx])
-        m_diag = b_scale + alpha
-        x[idx] = np.clip(x[idx] - grad / m_diag[:, None], lower, upper)
-    return z._with_flat(flat)
+    band = isinstance(cfg.b_strategy, HessianBand)
+    backtracking = isinstance(cfg.c_source, Backtracking)
+    coup_old = _coupling_value(problem, blocks, mu.coupling_part, rho)
+    for k, i in enumerate(idx.tolist()):
+        agent = problem.agents[i]
+        mu_i = mu.part(i) if agent.constraint is not None else None
+        x_old, g_old = blocks[i], grad[k]
+        value_old = _agent_local_value(problem, x_old, mu_i, rho, i) + coup_old
+        trial = list(blocks)
+        for attempt in range(_MAX_BACKTRACK + 1):
+            c_i = c_bounds[i]
+            if attempt == 0 or band:
+                m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, i) + alpha[k]
+                if attempt:
+                    x_new[k] = _project(agent.feasible_set, x_old - g_old / m_diag,
+                                        x_old, i, sweep)
+                trial[i] = x_new[k]
+                step = x_new[k] - x_old
+                snorm = float(np.linalg.norm(step))
+                value_new = (_agent_local_value(problem, x_new[k], mu_i, rho, i)
+                             + _coupling_value(problem, trial, mu.coupling_part, rho))
+                dec_lhs = value_new + 0.5 * alpha[k] * snorm ** 2
+                if cert is not None:
+                    g_new = _block_gradient(problem, trial, mu, rho, i)
+                    re_lhs = float(np.linalg.norm(g_new - g_old - m_diag * step))
+            re_bound = (3.0 * c_i + a_hi[i]) * snorm
+            ok = value_new <= (value_old + float(g_old @ step)
+                               + 0.5 * c_i * snorm ** 2) + DECREASE_SLACK
+            if band:
+                ok &= dec_lhs <= value_old + DECREASE_SLACK
+            if cert is not None:
+                ok &= re_lhs <= re_bound + REL_ERR_SLACK
+            if ok or not backtracking or attempt == _MAX_BACKTRACK:
+                break
+            c_bounds[i] = 2.0 * c_i
+        if cert is not None:
+            cert.decrease_lhs[i], cert.decrease_rhs[i] = dec_lhs, value_old
+            cert.rel_err_lhs[i], cert.rel_err_bound[i] = re_lhs, re_bound
+            cert.step_norms[i], cert.alpha_used[i] = snorm, alpha[k]
 
 
 def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
               rho: float, cfg: InnerConfig, coloring,
               c_bounds: Optional[np.ndarray] = None, sweep_index: int = 0,
-              with_certificates: bool = True, threads: int = 0):
+              with_certificates: bool = True):
     """Update every block once, color class by color class.
 
     Blocks inside one color class read the same frozen snapshot (they do
-    not interact), so the class may be solved concurrently; classes are
-    applied in ascending color order, which realises a Gauss-Seidel pass
-    in the color-sorted agent order.  ``c_bounds`` is updated in place when
-    backtracking refines a curvature bound.
-
-    Box problems with ``block_gradients`` and no certificates under a
-    ``FixedScaled`` surrogate take the vectorised path described in the
-    module docstring, which ignores ``threads``.
+    not interact) and are updated together: one batched gradient, one step
+    size per agent, and one clip when the class is a stack of boxes of one
+    dimension (else one projection per agent).  With certificates, or with
+    backtracking under a banded surrogate, each agent's step is then
+    checked against the snapshot.  Classes are applied in ascending color
+    order, which realises a Gauss-Seidel pass in the color-sorted agent
+    order.  ``c_bounds`` is updated in place when backtracking refines a
+    curvature bound.
 
     Returns
     -------
@@ -520,83 +456,60 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     if coloring.shape != (n,):
         raise ConfigurationError(f"coloring must assign each of the {n} agents")
     a_lo, a_hi = cfg.alpha_bounds(n)
-    if (problem.block_gradients is not None and not with_certificates
-            and isinstance(cfg.b_strategy, FixedScaled)):
-        classes = _box_classes(problem, coloring)
-        if classes:
-            return _box_sweep(problem, z, mu, rho, cfg, classes, sweep_index,
-                              a_lo, a_hi), None
+    band = isinstance(cfg.b_strategy, HessianBand)
+    check = with_certificates or (band and isinstance(cfg.c_source, Backtracking))
+    if c_bounds is None and (with_certificates or band):
+        c_bounds = _initial_c_bounds(problem, cfg, list(z.blocks), mu, rho)
+    classes = _color_classes(problem, coloring)
 
-    needs_c = with_certificates or isinstance(cfg.b_strategy, HessianBand)
-    if c_bounds is None:
-        if needs_c:
-            c_bounds = _initial_c_bounds(problem, cfg, list(z.blocks), mu, rho)
-        else:
-            c_bounds = np.zeros(n)
-
-    blocks = list(z.blocks)
-    lagr_before = math.nan
-    if with_certificates:
-        lagr_before = _aug_lagrangian(problem, blocks, mu, rho)
-
-    dec_lhs = np.full(n, math.nan)
-    dec_rhs = np.full(n, math.nan)
-    re_lhs = np.full(n, math.nan)
-    re_bound = np.full(n, math.nan)
-    steps = np.zeros(n)
-    alphas = np.zeros(n)
-
-    for color in np.unique(coloring):
-        members = [i for i in range(n) if coloring[i] == color]
-        snapshot = list(blocks)
-        updates = {}
-        if threads > 1 and len(members) > 1:
-            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-                futures = {
-                    i: pool.submit(_update_block, problem, snapshot, mu, rho,
-                                   cfg, i, sweep_index, float(c_bounds[i]),
-                                   a_lo, a_hi, with_certificates)
-                    for i in members
-                }
-                for i in members:
-                    updates[i] = futures[i].result()
-        else:
-            for i in members:
-                updates[i] = _update_block(problem, snapshot, mu, rho, cfg, i,
-                                           sweep_index, float(c_bounds[i]),
-                                           a_lo, a_hi, with_certificates)
-        for i in members:
-            upd = updates[i]
-            blocks[i] = upd.x_new
-            c_bounds[i] = upd.c_final
-            steps[i] = upd.step_norm
-            alphas[i] = upd.alpha
-            dec_lhs[i] = upd.decrease_lhs
-            dec_rhs[i] = upd.decrease_rhs
-            re_lhs[i] = upd.rel_err_lhs
-            re_bound[i] = upd.rel_err_bound
-
+    flat = np.array(z.flat)
+    view = flat.view()
+    view.setflags(write=False)
+    blocks = None
+    if check or any(lower is None for _, lower, _ in classes):
+        blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
     cert = None
     if with_certificates:
-        cert = SweepCertificate(
-            sweep=sweep_index,
-            decrease_lhs=dec_lhs,
-            decrease_rhs=dec_rhs,
-            rel_err_lhs=re_lhs,
-            rel_err_bound=re_bound,
-            step_norms=steps,
-            c_used=np.array(c_bounds),
-            alpha_used=alphas,
-            lagrangian_before=lagr_before,
-            lagrangian_after=_aug_lagrangian(problem, blocks, mu, rho),
-        )
-    return BlockVector(blocks), cert
+        cert = SweepCertificate(sweep_index, *(np.full(n, math.nan) for _ in range(4)),
+                                step_norms=np.zeros(n), c_used=None, alpha_used=np.zeros(n),
+                                lagrangian_before=_aug_lagrangian(problem, blocks, mu, rho),
+                                lagrangian_after=math.nan)
+
+    for idx, lower, upper in classes:
+        grad = _block_gradients(problem, view, mu, rho, idx)
+        if cfg.alpha_schedule is None:
+            alpha = a_lo[idx]
+        else:
+            alpha = np.array([_pick_alpha(cfg, i, sweep_index, a_lo, a_hi)
+                              for i in idx.tolist()])
+        m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + alpha
+        if lower is not None:
+            x = flat.reshape(n, -1)
+            x_new = np.clip(x[idx] - grad / m_diag[:, None], lower, upper)
+        else:
+            x_new = [_project(problem.agents[i].feasible_set,
+                              blocks[i] - grad[k] / m_diag[k], blocks[i], i,
+                              sweep_index)
+                     for k, i in enumerate(idx.tolist())]
+        if check:
+            _check_class(problem, blocks, mu, rho, cfg, idx, grad, alpha, x_new,
+                         c_bounds, a_hi, sweep_index, cert)
+        if lower is not None:
+            x[idx] = x_new
+        else:
+            for i, x_i in zip(idx, x_new):
+                blocks[i][...] = x_i
+
+    if cert is not None:
+        cert.c_used = np.array(c_bounds)
+        cert.lagrangian_after = _aug_lagrangian(problem, blocks, mu, rho)
+    return z._with_flat(flat), cert
 
 
 def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
               rho: float, cfg: InnerConfig, eps_target: Optional[float] = None,
-              sweep_cap: Optional[int] = None, with_certificates: bool = True,
-              threads: int = 0) -> InnerResult:
+              sweep_cap: Optional[int] = None,
+              with_certificates: bool = True) -> InnerResult:
     """Sweep until the step, the residual target, or the budget stops it.
 
     Without ``eps_target`` the loop stops once a full sweep moves less than
@@ -635,8 +548,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     while sweeps < cap:
         z_next, cert = bcd_sweep(problem, z, mu, rho, cfg, coloring,
                                  c_bounds=c_bounds, sweep_index=sweeps,
-                                 with_certificates=with_certificates,
-                                 threads=threads)
+                                 with_certificates=with_certificates)
         step = z.max_block_diff(z_next)
         z = z_next
         sweeps += 1

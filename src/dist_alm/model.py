@@ -727,6 +727,34 @@ def _block_gradient(problem, blocks, mu, rho, i):
     return grad
 
 
+def _block_gradients(problem, flat, mu, rho, idx):
+    """Block gradients of the agents ``idx`` at the read-only point ``flat``.
+
+    Item ``k`` is the gradient of agent ``idx[k]``.  With the
+    ``block_gradients`` hook this is one call on ``flat`` seen as the
+    ``(N, d)`` array of blocks, returning its checked ``(len(idx), d)``
+    array (a non-finite row names its agent); without it, a list of one
+    :func:`_block_gradient` per agent.
+    """
+    hook = problem.block_gradients
+    if hook is None:
+        blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
+        return [_block_gradient(problem, blocks, mu, rho, i) for i in idx.tolist()]
+    x = flat.reshape(problem.n_agents, -1)
+    grad = np.asarray(hook(x, mu.flat, rho, idx), dtype=float)
+    if grad.shape != (idx.shape[0], x.shape[1]):
+        raise StructureError(
+            f"block_gradients returned shape {grad.shape}, "
+            f"expected {(idx.shape[0], x.shape[1])}"
+        )
+    if not np.isfinite(grad).all():
+        i = int(idx[np.argmin(np.isfinite(grad).all(axis=1))])
+        raise EvaluationError(
+            f"agent {i} batched block gradient returned a non-finite value",
+            agent=i)
+    return grad
+
+
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------

@@ -159,8 +159,11 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
         Start point (default: polytope centers) and multiplier estimate
         (default: zero).  ``z0`` must lie in the polytopes up to
         ``model.FEAS_TOL``.
-    with_certificates, threads
+    with_certificates
         Passed through to the inner loop.
+    threads
+        Ignored: the inner loop updates a color class as one batch on
+        the calling thread.  Kept so that existing callers keep working.
     sweep_budgets
         Optional per-outer-iteration sweep caps (benchmark mode).
     inner_eps_stop
@@ -204,7 +207,6 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
             problem, state.z, state.mu, rho, inner_cfg,
             eps_target=eps if inner_eps_stop else None,
             sweep_cap=budget, with_certificates=with_certificates,
-            threads=threads,
         )
         last_achieved = inner.achieved_target
         state.z = inner.z

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, RefusalError
 from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem,
-                    _aug_lagrangian, _block_gradient, _constraints, _objective)
+                    _aug_lagrangian, _block_gradient, _block_gradients,
+                    _constraints, _objective)
 
 __all__ = [
     "KktReport",
@@ -53,18 +54,20 @@ class KktReport:
     regular: bool
 
 
-def _block_cone_terms(problem, blocks, mu, rho):
+def _block_cone_terms(problem, z, mu, rho):
     """Yield ``Polytope.normal_cone_distance`` of every block, in agent order.
 
-    Each block must lie in its polytope up to ``FEAS_TOL``.
+    Every block must lie in its polytope up to ``FEAS_TOL``; all blocks are
+    checked before the gradients are taken, in one ``_block_gradients``.
     """
+    blocks = z.blocks
     for i, agent in enumerate(problem.agents):
-        poly = agent.feasible_set
-        viol = poly.violation(blocks[i])
+        viol = agent.feasible_set.violation(blocks[i])
         if viol > FEAS_TOL:
             raise PreconditionError(f"block {i} violates its polytope by {viol:.3e}")
-        grad = _block_gradient(problem, blocks, mu, rho, i)
-        yield poly.normal_cone_distance(blocks[i], grad)
+    grads = _block_gradients(problem, z.flat, mu, rho, np.arange(problem.n_agents))
+    for agent, x, grad in zip(problem.agents, blocks, grads):
+        yield agent.feasible_set.normal_cone_distance(x, grad)
 
 
 def criticality_residual(problem: NlpProblem, z: BlockVector,
@@ -84,7 +87,7 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
     """
     problem.check_block_structure(z)
     total = 0.0
-    for dist_sq, _, _ in _block_cone_terms(problem, list(z.blocks), mu, rho):
+    for dist_sq, _, _ in _block_cone_terms(problem, z, mu, rho):
         total += dist_sq
     return float(np.sqrt(total))
 
@@ -97,16 +100,15 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     the polytope up to ``model.FEAS_TOL``.
     """
     problem.check_block_structure(z)
-    blocks = list(z.blocks)
     total = 0.0
     lams, actives = [], []
     offset = 0
-    for dist_sq, lam, active in _block_cone_terms(problem, blocks, mu, rho):
+    for dist_sq, lam, active in _block_cone_terms(problem, z, mu, rho):
         total += dist_sq
         lams.append(lam)
         actives.append(offset + active)
         offset += lam.shape[0]
-    h_val = _constraints(problem, blocks)
+    h_val = _constraints(problem, list(z.blocks))
     return KktReport(
         stationarity=float(np.sqrt(total)),
         feasibility_inf=float(np.max(np.abs(h_val), initial=0.0)),

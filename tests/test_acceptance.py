@@ -208,10 +208,20 @@ def test_criterion_8_coloring_parallel_safety():
     assert int(np.sum(colors == 0)) == 10 and int(np.sum(colors == 1)) == 10
     z0, mu0 = toy_initial_guess(params, problem)
     cfg = InnerConfig()
-    z_seq, _ = bcd_sweep(problem, z0, mu0, 1.0, cfg, colors, threads=0)
-    z_par, _ = bcd_sweep(problem, z0, mu0, 1.0, cfg, colors, threads=4)
-    worst = max(float(np.max(np.abs(z_seq.block(i) - z_par.block(i))))
-                for i in range(20))
+    # singleton classes in colour order (evens, then odds): a sequential
+    # Gauss-Seidel pass with the data dependencies of the two-class sweep
+    agents = np.arange(20)
+    sequential = np.where(colors == 0, agents // 2, 10 + agents // 2)
+    worst = 0.0
+    for certificates in (False, True):
+        z_par, c_par = bcd_sweep(problem, z0, mu0, 1.0, cfg, colors,
+                                 with_certificates=certificates)
+        z_seq, c_seq = bcd_sweep(problem, z0, mu0, 1.0, cfg, sequential,
+                                 with_certificates=certificates)
+        worst = max(worst, float(np.max(np.abs(z_seq.flatten() - z_par.flatten()))))
+        if certificates:
+            assert np.array_equal(c_par.agent_pass, c_seq.agent_pass)
+            assert np.array_equal(c_par.c_used, c_seq.c_used)
     assert worst <= 1e-12
     _report(8, "coloring parallel safety",
             f"2 colors of 10, max deviation {worst:.1e}")

@@ -136,20 +136,45 @@ class TestSweep:
         for i in range(10):
             np.testing.assert_allclose(z_rb.block(i), z_seq.block(i), atol=1e-12)
 
-    def test_parallel_color_class_matches_sequential(self):
-        params, problem, z0, mu0 = toy_setup(n_agents=12, seed=6)
-        cfg = InnerConfig()
-        colors = color_interaction_graph(problem.coupling, 12)
-        z_one, _ = bcd_sweep(problem, z0, mu0, 2.0, cfg, colors, threads=0)
-        z_par, _ = bcd_sweep(problem, z0, mu0, 2.0, cfg, colors, threads=4)
-        for i in range(12):
-            np.testing.assert_allclose(z_par.block(i), z_one.block(i), atol=1e-12)
-
     def test_feasibility_preserved(self):
         params, problem, z0, mu0 = toy_setup(n_agents=5, seed=8)
         colors = color_interaction_graph(problem.coupling, 5)
         z_next, _ = bcd_sweep(problem, z0, mu0, 0.5, InnerConfig(), colors)
         assert problem.feasible(z_next, slack=1e-10)
+
+    def test_blocks_of_unequal_dimension(self):
+        # boxes of dimensions 1, 2 and 3; agents 1 and 2 share a bilinear
+        # coupling cost, so the classes are {0, 1} and {2}
+        w_mat = np.arange(1.0, 7.0).reshape(2, 3) / 4.0
+        coupling = CouplingSpec(
+            cost=lambda b: float(b[1] @ w_mat @ b[2]),
+            cost_block_grad=lambda b, i: (w_mat @ b[2] if i == 1 else
+                                          w_mat.T @ b[1] if i == 2 else np.zeros(1)),
+            edges=frozenset({(1, 2)}))
+        agents = tuple(quadratic_agent(np.diag(np.arange(1.0, d + 1) - 2.5),
+                                       -np.ones(d), np.ones(d)) for d in (1, 2, 3))
+        problem = NlpProblem(agents=agents, coupling=coupling)
+        colors = color_interaction_graph(coupling, 3)
+        assert colors.tolist() == [0, 0, 1]
+        z0 = zvec([0.5], [0.2, -0.4], [0.3, 0.1, -0.6])
+        mu = MultiplierEstimate.zeros(problem)
+        rho, cfg = 0.05, InnerConfig()
+        z1, _ = bcd_sweep(problem, z0, mu, rho, cfg, colors, with_certificates=False)
+        m_diag = FixedScaled().scale * rho + cfg.alpha_min
+        expected = z0
+        for color in (0, 1):
+            snapshot = expected
+            for i in np.flatnonzero(colors == color):
+                box = agents[i].feasible_set
+                g = eval_block_gradient(problem, snapshot, mu, rho, i)
+                expected = expected.with_block(
+                    i, np.clip(snapshot.block(i) - g / m_diag, box.lower, box.upper))
+        assert np.array_equal(z1.flatten(), expected.flatten())
+        assert not np.array_equal(z1.flatten(), z0.flatten())
+        banded = InnerConfig(b_strategy=HessianBand(), max_sweeps=10)
+        result = run_inner(problem, z0, mu, rho, banded)
+        assert result.certificates and all(c.passed for c in result.certificates)
+        assert problem.feasible(result.z)
 
 
 class TestPolytopeUpdate:
@@ -178,9 +203,11 @@ class TestPolytopeUpdate:
         monkeypatch.setattr(model, "_MAX_PROJECT_ITERS", 0)
         problem, z0, mu0 = cut_chain(3)
         colors = color_interaction_graph(problem.coupling, problem.n_agents)
-        with pytest.raises(ConvergenceError, match=r"^agent 0, sweep 4: "):
+        with pytest.raises(ConvergenceError, match=r"^agent 0, sweep 4: ") as err:
             bcd_sweep(problem, z0, mu0, 10.0, InnerConfig(), colors,
                       sweep_index=4, with_certificates=False)
+        # with no iteration allowed the best point is the projection's start
+        np.testing.assert_array_equal(err.value.best, z0.block(0))
 
 
 def with_hook(problem, hook):
@@ -269,7 +296,7 @@ class TestColorClassSweep:
             bcd_sweep(problem, z0, mu, 1.0, cfg, colors, with_certificates=False)
 
     @pytest.mark.parametrize("case", ["certificates", "band", "polytope"])
-    def test_hook_unused_outside_its_conditions(self, case):
+    def test_hook_equals_per_agent_path(self, case):
         _, problem, z0, mu = toy_setup(n_agents=6, seed=8)
         cfg = InnerConfig()
         certificates = case == "certificates"
@@ -285,8 +312,16 @@ class TestColorClassSweep:
             problem = dataclasses.replace(problem, agents=tuple(agents))
         counted, calls = counting(problem)
         colors = color_interaction_graph(problem.coupling, 6)
-        bcd_sweep(counted, z0, mu, 1.0, cfg, colors, with_certificates=certificates)
-        assert calls == []
+        z, cert = bcd_sweep(counted, z0, mu, 1.0, cfg, colors,
+                            with_certificates=certificates)
+        z_ref, cert_ref = bcd_sweep(with_hook(problem, None), z0, mu, 1.0, cfg,
+                                    colors, with_certificates=certificates)
+        assert len(calls) == 2  # one per colour class
+        assert np.array_equal(z.flatten(), z_ref.flatten())
+        assert (cert is None) == (cert_ref is None) == (not certificates)
+        if certificates:
+            for name in (f.name for f in dataclasses.fields(cert)):
+                assert np.array_equal(getattr(cert, name), getattr(cert_ref, name)), name
 
 
 class TestCertificates:
@@ -299,6 +334,27 @@ class TestCertificates:
         for cert in result.certificates:
             assert cert.passed, (cert.decrease_lhs - cert.decrease_rhs,
                                  cert.rel_err_lhs - cert.rel_err_bound)
+
+    def test_decrease_terms_are_lagrangian_changes(self):
+        # each agent's decrease sides differ by the change of L_rho when its
+        # block alone moves from the class snapshot, plus the proximal term
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=9)
+        colors = color_interaction_graph(problem.coupling, 6)
+        rho = 1.0
+        z1, cert = bcd_sweep(problem, z0, mu, rho, InnerConfig(), colors)
+        snapshot = z0
+        for color in (0, 1):
+            members = np.flatnonzero(colors == color)
+            for i in members:
+                moved = snapshot.with_block(i, z1.block(i))
+                change = (eval_aug_lagrangian(problem, moved, mu, rho)
+                          - eval_aug_lagrangian(problem, snapshot, mu, rho))
+                prox = 0.5 * cert.alpha_used[i] * cert.step_norms[i] ** 2
+                assert cert.step_norms[i] > 0.0
+                np.testing.assert_allclose(cert.decrease_lhs[i] - cert.decrease_rhs[i],
+                                           change + prox, rtol=1e-9, atol=1e-12)
+            for i in members:
+                snapshot = snapshot.with_block(i, z1.block(i))
 
     def test_monotone_descent_across_sweeps(self):
         params, problem, z0, mu0 = toy_setup(n_agents=6, seed=12)
