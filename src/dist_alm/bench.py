@@ -167,6 +167,37 @@ def _chain_block_gradients(h_mats, w_mats, radius_sq):
     return block_gradients
 
 
+def _chain_block_values(h_mats, w_mats, radius_sq):
+    """Batched local and coupling terms of the chain instance.
+
+    Equal bitwise to the per-agent evaluators: the products are stacked
+    ``matmul`` calls with the per-agent association (``(x @ H) @ x`` and
+    ``(x_i @ W_i) @ x_{i+1}``), the local term keeps the order
+    ``J + (mu F + (rho / 2) F^2)``, and each coupling value folds its
+    edge terms left to right, as ``sum`` does, with the moved block's two
+    edge terms replaced.
+    """
+    h = np.array(h_mats)
+    w = np.array(w_mats)
+    last = h.shape[0] - 1
+
+    def block_values(x, mu, rho, idx, trial):
+        rows = trial[:, None, :]
+        cost = ((rows @ h[idx]) @ trial[:, :, None])[:, 0, 0]
+        sphere = (rows @ trial[:, :, None])[:, 0, 0] - radius_sq
+        local = cost + (mu[idx] * sphere + (0.5 * rho) * (sphere * sphere))
+        left = x[:-1, None, :] @ w  # row e: x_e @ W_e
+        terms = np.tile((left @ x[1:, :, None])[:, 0, 0], (idx.shape[0], 1))
+        k = np.flatnonzero(idx > 0)
+        terms[k, idx[k] - 1] = (left[idx[k] - 1] @ trial[k, :, None])[:, 0, 0]
+        k = np.flatnonzero(idx < last)
+        terms[k, idx[k]] = ((rows[k] @ w[idx[k]]) @ x[idx[k] + 1, :, None])[:, 0, 0]
+        # a left fold from +0.0, as sum's start value gives
+        return local, np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+
+    return block_values
+
+
 def generate_toy(params: ToyParams) -> NlpProblem:
     """Build one seeded chain instance (PCG64 stream ``default_rng(seed)``).
 
@@ -188,7 +219,8 @@ def generate_toy(params: ToyParams) -> NlpProblem:
     return NlpProblem(
         agents=agents, coupling=_chain_coupling(w_mats),
         block_gradients=_chain_block_gradients(h_mats, w_mats,
-                                               params.sphere_radius_sq))
+                                               params.sphere_radius_sq),
+        block_values=_chain_block_values(h_mats, w_mats, params.sphere_radius_sq))
 
 
 def toy_definite_count(params: ToyParams) -> int:

@@ -16,23 +16,30 @@ start, so the rows active at ``x_i`` (the previous sweep's active set) seed
 its working set.  Every block therefore stays inside its polytope up to
 rounding.
 
-One kernel serves every configuration.  Per color class it takes one
+One kernel serves every configuration.  Classes are split by block
+dimension, so each holds ``(K, d)`` arrays.  Per class the kernel takes one
 batched gradient (one call of the problem's ``block_gradients`` hook when
 there is one, see :class:`~dist_alm.model.NlpProblem`), one step size per
-agent, and one clip when the class is a stack of boxes of one dimension,
-else one projection per agent.  The hook must agree with the problem's
-``agents`` and ``coupling``; ``dataclasses.replace(problem, agents=...)``
-keeps the old hook.
+agent, and one clip when the class's sets are boxes, else one projection
+per agent.  The hooks must agree with the problem's ``agents`` and
+``coupling``; ``dataclasses.replace(problem, agents=...)`` keeps the old
+hooks.
 
 Every sweep can emit a certificate with, per agent, the two sides of the
 sufficient-decrease inequality and of the relative-error bound
 ``(3 C_i + alpha_max) ||step||`` that underpin convergence of the scheme.
-Both are per-block inequalities, checked agent by agent against the class
-snapshot after the class step.  ``C_i`` is a bound on the curvature of the
-local Lagrangian; it can be supplied as a hint, estimated by
-finite-difference sampling, or maintained by backtracking (doubled whenever
-a descent or certificate check fails, with the block re-projected when the
-curvature surrogate depends on it).
+Both are per-block inequalities, checked against the class snapshot after
+the class step, for the whole class at once: one call of the problem's
+``block_values`` hook gives every member's value with only its own block
+moved, one gradient call at the moved class gives the new gradients, and
+the agents that fail are re-solved together.  ``C_i`` is a bound on the
+curvature of the local Lagrangian; it can be supplied as a hint, estimated
+by finite-difference sampling, or maintained by backtracking (doubled
+whenever a descent or certificate check fails, with the block re-projected
+when the curvature surrogate depends on it).  Sampling perturbs every
+member of a class at once, one coordinate and sign per gradient call, and
+the sample points are drawn once per problem.  Without the hooks every
+value comes from the per-agent evaluators; the results are the same.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .model import (FEAS_TOL, BlockVector, CouplingSpec, MultiplierEstimate,
-                    NlpProblem, Polytope, _agent_local_value, _aug_lagrangian,
-                    _block_gradient, _block_gradients, _coupling_value)
+                    NlpProblem, Polytope, _aug_lagrangian, _block_gradient,
+                    _block_gradients, _block_values, _row_dots)
 from .verify import criticality_residual
 
 __all__ = [
@@ -273,6 +280,11 @@ def _fd_block_hessian_norm(problem, blocks, mu, rho, i) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(hess))))
 
 
+def _sample_rng(i: int):
+    """Agent ``i``'s own stream of curvature sample points."""
+    return np.random.default_rng(_SAMPLE_SEED + 7919 * (i + 1))
+
+
 def estimate_hessian_bound(problem: NlpProblem, z_region: Polytope, i: int,
                            cfg: InnerConfig, rho: float, mu: MultiplierEstimate,
                            background: Optional[Sequence[np.ndarray]] = None) -> float:
@@ -295,10 +307,9 @@ def estimate_hessian_bound(problem: NlpProblem, z_region: Polytope, i: int,
                 f"agent {i} has no hessian_bound_hint but the hint source is set"
             )
         return max(float(hint), C_FLOOR)
-    samples = source.samples if isinstance(source, Sampled) else source.init_samples
-    rng = np.random.default_rng(_SAMPLE_SEED + 7919 * (i + 1))
+    rng = _sample_rng(i)
     best = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(_sample_count(source)):
         if background is not None:
             blocks = [np.array(b) for b in background]
         else:
@@ -308,12 +319,71 @@ def estimate_hessian_bound(problem: NlpProblem, z_region: Polytope, i: int,
     return max(1.5 * best, C_FLOOR)
 
 
-def _initial_c_bounds(problem, cfg, blocks, mu, rho) -> np.ndarray:
-    return np.array([
-        estimate_hessian_bound(problem, problem.agents[i].feasible_set, i, cfg,
-                               rho, mu, background=blocks)
-        for i in range(problem.n_agents)
-    ])
+def _sample_count(source) -> int:
+    return max(1, source.samples if isinstance(source, Sampled) else source.init_samples)
+
+
+def _agent_samples(problem, samples: int) -> list:
+    """Per agent, its ``(samples, d_i)`` curvature sample points.
+
+    Agent ``i`` draws them from its own set and stream, in the order
+    :func:`estimate_hessian_bound` does with a background (a box takes
+    them in one draw, which fills them from the stream in the same
+    order).  They are drawn once per problem and sample count and kept
+    with the problem.
+    """
+    points = problem._sample_points.get(samples)
+    if points is None:
+        points = []
+        for i, agent in enumerate(problem.agents):
+            rng, poly = _sample_rng(i), agent.feasible_set
+            if poly.is_box:
+                points.append(rng.uniform(poly.lower, poly.upper, (samples, poly.dim)))
+            else:
+                points.append(np.array([_sample_in_polytope(poly, rng)
+                                        for _ in range(samples)]))
+        problem._sample_points[samples] = points
+    return points
+
+
+def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
+    """Every agent's :func:`estimate_hessian_bound` over its own set, with
+    the point ``flat`` as background, one colour class at a time.
+
+    Members of a colour class share no coupling edge, so each member's
+    block gradient at a point where every member sits at its own sample
+    (or its perturbation) equals the gradient with that member moved
+    alone.  A class therefore takes one ``_block_gradients`` call per
+    sample, coordinate and sign, and one stacked ``eigvalsh`` per sample;
+    the values equal the per-agent estimates bitwise.
+    """
+    n = problem.n_agents
+    if isinstance(cfg.c_source, Hint):
+        return np.array([estimate_hessian_bound(problem, a.feasible_set, i, cfg, rho, mu)
+                         for i, a in enumerate(problem.agents)])
+    points = _agent_samples(problem, _sample_count(cfg.c_source))
+    coloring = color_interaction_graph(problem.coupling, n)
+    best = np.zeros(n)
+    for idx, pos, _, _ in _color_classes(problem, coloring):
+        k, d = pos.shape
+        for x in np.stack([points[i] for i in idx.tolist()], axis=1):
+            at = np.array(flat)
+            at[pos] = x
+            step = 1e-5 * (1.0 + np.abs(x))
+            hess = np.empty((k, d, d))
+            for j in range(d):
+                hi, lo = np.array(at), np.array(at)
+                hi[pos[:, j]] += step[:, j]
+                lo[pos[:, j]] -= step[:, j]
+                hi.setflags(write=False)
+                lo.setflags(write=False)
+                g_hi = np.asarray(_block_gradients(problem, hi, mu, rho, idx))
+                g_lo = np.asarray(_block_gradients(problem, lo, mu, rho, idx))
+                hess[:, :, j] = (g_hi - g_lo) / (2.0 * step[:, j, None])
+            hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+            norms = np.max(np.abs(np.linalg.eigvalsh(hess)), axis=1, initial=0.0)
+            best[idx] = np.maximum(best[idx], norms)
+    return np.maximum(1.5 * best, C_FLOOR)
 
 
 def _b_scales(strategy: BStrategy, rho: float, c_bounds, idx):
@@ -350,101 +420,136 @@ def _project(poly, v, start, i, sweep):
 
 
 def _color_classes(problem, coloring) -> tuple:
-    """Colour classes with the stacked box bounds of each.
+    """Colour classes, each split by block dimension, with stacked box bounds.
 
-    Each class is ``(idx, lower, upper)``: its agent indices in ascending
-    order and, when every block has one dimension ``d`` and the class's
-    sets are boxes, their ``(len(idx), d)`` bounds (else ``None``); classes
-    in ascending colour.  Built on first use and kept with the problem for
-    the last coloring seen.
+    Each class is ``(idx, pos, lower, upper)``: its agent indices in
+    ascending order, the ``(len(idx), d)`` positions of their blocks in the
+    flat point and, when the class's sets are boxes, their stacked bounds
+    (else ``None``); classes in ascending colour, then dimension.  Built on
+    first use and kept with the problem for the last coloring seen.
     """
     key = coloring.tobytes()
     classes = problem._sweep_cache.get(key)
     if classes is None:
-        stackable = len(set(problem.block_dims)) == 1
+        dims = np.array(problem.block_dims)
+        starts = np.concatenate([[0], np.cumsum(dims[:-1])])
         classes = []
         for color in np.unique(coloring):
-            idx = np.flatnonzero(coloring == color)
-            sets = [problem.agents[i].feasible_set for i in idx]
-            if stackable and all(s.is_box for s in sets):
-                classes.append((idx, np.array([s.lower for s in sets]),
-                                np.array([s.upper for s in sets])))
-            else:
-                classes.append((idx, None, None))
+            for d in np.unique(dims[coloring == color]):
+                idx = np.flatnonzero((coloring == color) & (dims == d))
+                pos = starts[idx][:, None] + np.arange(d)
+                sets = [problem.agents[i].feasible_set for i in idx]
+                if all(s.is_box for s in sets):
+                    classes.append((idx, pos, np.array([s.lower for s in sets]),
+                                    np.array([s.upper for s in sets])))
+                else:
+                    classes.append((idx, pos, None, None))
         classes = tuple(classes)
         problem._sweep_cache.clear()
         problem._sweep_cache[key] = classes
     return classes
 
 
-def _check_class(problem, blocks, mu, rho, cfg, idx, grad, alpha, x_new,
+def _solve_rows(problem, cls, rows, x_old, grad, m_diag, sweep):
+    """Block minimisers of the agents ``cls[0][rows]`` from ``x_old``.
+
+    Row ``k`` is the projection of ``x_old[k] - grad[k] / m_diag[k]`` onto
+    its agent's polytope: one clip for a class of boxes, else one
+    :meth:`~dist_alm.model.Polytope.project` started at ``x_old[k]``.
+    """
+    idx, _, lower, upper = cls
+    target = x_old - grad / m_diag[:, None]
+    if lower is not None:
+        return np.clip(target, lower[rows], upper[rows])
+    return np.array([_project(problem.agents[i].feasible_set, v, x, i, sweep)
+                     for i, v, x in zip(idx[rows].tolist(), target, x_old)])
+
+
+def _check_class(problem, flat, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
                  c_bounds, a_hi, sweep, cert):
     """Certificate values and curvature backtracking for one colour class.
 
-    ``blocks`` is the class snapshot and ``x_new`` the class step from it.
-    Per agent, the descent-lemma check drives the backtracking of ``C_i``
-    (doubled in ``c_bounds`` on failure); a banded surrogate depends on
-    ``C_i``, so its block is re-projected, and a failed decrease
-    certificate counts as a failure too.  With a fixed surrogate doubling
-    cannot fix the step, which is recorded as-is.  ``cert`` (or ``None``)
+    ``flat`` is the read-only class snapshot, ``x_old`` the class's blocks
+    in it and ``x_new`` the class step, updated in place.  Per agent, the
+    descent-lemma check drives the backtracking of ``C_i`` (doubled in
+    ``c_bounds`` on failure); a banded surrogate depends on ``C_i``, so
+    the blocks that failed are re-solved together and only their values
+    are taken again, and a failed decrease certificate counts as a failure
+    too.  With a fixed surrogate doubling cannot fix the step, which is
+    recorded as-is.  The members share no coupling edge: their values
+    come from one ``_block_values`` call per evaluation (each with only its
+    own block moved) and their new gradients from one ``_block_gradients``
+    call at the snapshot with the members moved.  ``cert`` (or ``None``)
     receives the per-agent certificate values.
     """
+    idx, pos = cls[0], cls[1]
     band = isinstance(cfg.b_strategy, HessianBand)
     backtracking = isinstance(cfg.c_source, Backtracking)
-    coup_old = _coupling_value(problem, blocks, mu.coupling_part, rho)
-    for k, i in enumerate(idx.tolist()):
-        agent = problem.agents[i]
-        mu_i = mu.part(i) if agent.constraint is not None else None
-        x_old, g_old = blocks[i], grad[k]
-        value_old = _agent_local_value(problem, x_old, mu_i, rho, i) + coup_old
-        trial = list(blocks)
-        for attempt in range(_MAX_BACKTRACK + 1):
-            c_i = c_bounds[i]
-            if attempt == 0 or band:
-                m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, i) + alpha[k]
-                if attempt:
-                    x_new[k] = _project(agent.feasible_set, x_old - g_old / m_diag,
-                                        x_old, i, sweep)
-                trial[i] = x_new[k]
-                step = x_new[k] - x_old
-                snorm = float(np.linalg.norm(step))
-                value_new = (_agent_local_value(problem, x_new[k], mu_i, rho, i)
-                             + _coupling_value(problem, trial, mu.coupling_part, rho))
-                dec_lhs = value_new + 0.5 * alpha[k] * snorm ** 2
-                if cert is not None:
-                    g_new = _block_gradient(problem, trial, mu, rho, i)
-                    re_lhs = float(np.linalg.norm(g_new - g_old - m_diag * step))
-            re_bound = (3.0 * c_i + a_hi[i]) * snorm
-            ok = value_new <= (value_old + float(g_old @ step)
-                               + 0.5 * c_i * snorm ** 2) + DECREASE_SLACK
-            if band:
-                ok &= dec_lhs <= value_old + DECREASE_SLACK
+    value_old = np.add(*_block_values(problem, flat, mu, rho, idx))
+    moved = np.array(flat)
+    moved_view = moved.view()
+    moved_view.setflags(write=False)
+    k = idx.shape[0]
+    step = np.empty_like(x_new)
+    snorm, snorm_sq, value_new, re_lhs = (np.empty(k) for _ in range(4))
+    pending = np.ones(k, dtype=bool)
+    for attempt in range(_MAX_BACKTRACK + 1):
+        if attempt == 0 or band:
+            rows = np.flatnonzero(pending)
+            m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + alpha[rows]
+            if attempt:
+                x_new[rows] = _solve_rows(problem, cls, rows, x_old[rows], grad[rows],
+                                          m_diag, sweep)
+            step[rows] = x_new[rows] - x_old[rows]
+            snorm[rows] = np.sqrt(_row_dots(step[rows], step[rows]))
+            # Python's float power (libm pow): it rounds differently from
+            # s * s for about one value in a thousand
+            snorm_sq[rows] = [s ** 2 for s in snorm[rows].tolist()]
+            value_new[rows] = np.add(*_block_values(problem, flat, mu, rho, idx[rows],
+                                                    x_new[rows]))
             if cert is not None:
-                ok &= re_lhs <= re_bound + REL_ERR_SLACK
-            if ok or not backtracking or attempt == _MAX_BACKTRACK:
-                break
-            c_bounds[i] = 2.0 * c_i
+                moved[pos[rows]] = x_new[rows]
+                g_new = np.asarray(_block_gradients(problem, moved_view, mu, rho,
+                                                    idx[rows]))
+                resid = g_new - grad[rows] - m_diag[:, None] * step[rows]
+                re_lhs[rows] = np.sqrt(_row_dots(resid, resid))
+        c = c_bounds[idx]
+        re_bound = (3.0 * c + a_hi[idx]) * snorm
+        dec_lhs = value_new + 0.5 * alpha * snorm_sq
+        ok = value_new <= (value_old + _row_dots(grad, step)
+                           + 0.5 * c * snorm_sq) + DECREASE_SLACK
+        if band:
+            ok &= dec_lhs <= value_old + DECREASE_SLACK
         if cert is not None:
-            cert.decrease_lhs[i], cert.decrease_rhs[i] = dec_lhs, value_old
-            cert.rel_err_lhs[i], cert.rel_err_bound[i] = re_lhs, re_bound
-            cert.step_norms[i], cert.alpha_used[i] = snorm, alpha[k]
+            ok &= re_lhs <= re_bound + REL_ERR_SLACK
+        pending &= ~ok
+        if not pending.any() or not backtracking or attempt == _MAX_BACKTRACK:
+            break
+        c_bounds[idx[pending]] = 2.0 * c[pending]
+    if cert is not None:
+        cert.decrease_lhs[idx], cert.decrease_rhs[idx] = dec_lhs, value_old
+        cert.rel_err_lhs[idx], cert.rel_err_bound[idx] = re_lhs, re_bound
+        cert.step_norms[idx], cert.alpha_used[idx] = snorm, alpha
 
 
 def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
               rho: float, cfg: InnerConfig, coloring,
               c_bounds: Optional[np.ndarray] = None, sweep_index: int = 0,
-              with_certificates: bool = True):
+              with_certificates: bool = True,
+              lagrangian_before: Optional[float] = None):
     """Update every block once, color class by color class.
 
     Blocks inside one color class read the same frozen snapshot (they do
     not interact) and are updated together: one batched gradient, one step
-    size per agent, and one clip when the class is a stack of boxes of one
-    dimension (else one projection per agent).  With certificates, or with
-    backtracking under a banded surrogate, each agent's step is then
-    checked against the snapshot.  Classes are applied in ascending color
-    order, which realises a Gauss-Seidel pass in the color-sorted agent
-    order.  ``c_bounds`` is updated in place when backtracking refines a
-    curvature bound.
+    size per agent, and one clip when the class's sets are boxes (else one
+    projection per agent).  With certificates, or with backtracking under a
+    banded surrogate, the class's steps are then checked against the
+    snapshot together.  Classes are applied in ascending color order, which
+    realises a Gauss-Seidel pass in the color-sorted agent order.
+    ``c_bounds`` is updated in place when backtracking refines a curvature
+    bound.  ``lagrangian_before`` is the augmented Lagrangian at ``z`` when
+    the caller already has it (the certificate's value); by default it is
+    evaluated.
 
     Returns
     -------
@@ -459,46 +564,37 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     band = isinstance(cfg.b_strategy, HessianBand)
     check = with_certificates or (band and isinstance(cfg.c_source, Backtracking))
     if c_bounds is None and (with_certificates or band):
-        c_bounds = _initial_c_bounds(problem, cfg, list(z.blocks), mu, rho)
+        c_bounds = _initial_c_bounds(problem, cfg, z.flat, mu, rho)
     classes = _color_classes(problem, coloring)
 
     flat = np.array(z.flat)
     view = flat.view()
     view.setflags(write=False)
-    blocks = None
-    if check or any(lower is None for _, lower, _ in classes):
-        blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
     cert = None
     if with_certificates:
+        blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
+        if lagrangian_before is None:
+            lagrangian_before = _aug_lagrangian(problem, blocks, mu, rho)
         cert = SweepCertificate(sweep_index, *(np.full(n, math.nan) for _ in range(4)),
                                 step_norms=np.zeros(n), c_used=None, alpha_used=np.zeros(n),
-                                lagrangian_before=_aug_lagrangian(problem, blocks, mu, rho),
+                                lagrangian_before=lagrangian_before,
                                 lagrangian_after=math.nan)
 
-    for idx, lower, upper in classes:
-        grad = _block_gradients(problem, view, mu, rho, idx)
+    for cls in classes:
+        idx, pos = cls[0], cls[1]
+        grad = np.asarray(_block_gradients(problem, view, mu, rho, idx))
         if cfg.alpha_schedule is None:
             alpha = a_lo[idx]
         else:
             alpha = np.array([_pick_alpha(cfg, i, sweep_index, a_lo, a_hi)
                               for i in idx.tolist()])
         m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + alpha
-        if lower is not None:
-            x = flat.reshape(n, -1)
-            x_new = np.clip(x[idx] - grad / m_diag[:, None], lower, upper)
-        else:
-            x_new = [_project(problem.agents[i].feasible_set,
-                              blocks[i] - grad[k] / m_diag[k], blocks[i], i,
-                              sweep_index)
-                     for k, i in enumerate(idx.tolist())]
+        x_old = flat[pos]
+        x_new = _solve_rows(problem, cls, slice(None), x_old, grad, m_diag, sweep_index)
         if check:
-            _check_class(problem, blocks, mu, rho, cfg, idx, grad, alpha, x_new,
+            _check_class(problem, view, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
                          c_bounds, a_hi, sweep_index, cert)
-        if lower is not None:
-            x[idx] = x_new
-        else:
-            for i, x_i in zip(idx, x_new):
-                blocks[i][...] = x_i
+        flat[pos] = x_new
 
     if cert is not None:
         cert.c_used = np.array(c_bounds)
@@ -531,7 +627,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     needs_c = with_certificates or isinstance(cfg.b_strategy, HessianBand)
     c_bounds = None
     if needs_c:
-        c_bounds = _initial_c_bounds(problem, cfg, list(z0.blocks), mu, rho)
+        c_bounds = _initial_c_bounds(problem, cfg, z0.flat, mu, rho)
 
     cap = cfg.max_sweeps if sweep_cap is None else min(cfg.max_sweeps, sweep_cap)
     z = z0
@@ -545,15 +641,18 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     achieved = False
     step = math.inf
     sweeps = 0
+    lagrangian = None
     while sweeps < cap:
         z_next, cert = bcd_sweep(problem, z, mu, rho, cfg, coloring,
                                  c_bounds=c_bounds, sweep_index=sweeps,
-                                 with_certificates=with_certificates)
+                                 with_certificates=with_certificates,
+                                 lagrangian_before=lagrangian)
         step = z.max_block_diff(z_next)
         z = z_next
         sweeps += 1
         if cert is not None:
             certificates.append(cert)
+            lagrangian = cert.lagrangian_after
         if eps_target is not None:
             residual = criticality_residual(problem, z, mu, rho)
             if residual <= eps_target:

@@ -23,7 +23,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -152,11 +152,7 @@ class Polytope:
         x = np.asarray(x, dtype=float)
         grad = np.asarray(grad, dtype=float)
         if self.is_box:
-            at_hi = x >= self.upper - ACTIVE_TOL * (1.0 + np.abs(self.upper))
-            at_lo = x <= self.lower + ACTIVE_TOL * (1.0 + np.abs(self.lower))
-            # an upper bound absorbs a nonpositive gradient, a lower bound a
-            # nonnegative one, a coordinate at both bounds any gradient
-            res = np.where((at_hi & (grad <= 0)) | (at_lo & (grad >= 0)), 0.0, grad)
+            at_hi, at_lo, res = _box_cone_parts(x, grad, self.lower, self.upper)
             # the active row whose multiplier cancels grad takes it (rows j and
             # dim + j are the upper and lower bound of coordinate j)
             push = np.concatenate([-grad, grad])
@@ -302,13 +298,45 @@ class Polytope:
         return True
 
 
+def _box_cone_parts(x, grad, lower, upper):
+    """Elementwise box closed form of :meth:`Polytope.normal_cone_distance`.
+
+    Returns the masks of coordinates at their upper and at their lower
+    bound (see :data:`ACTIVE_TOL`) and the residual ``grad + v`` of the
+    nearest ``v`` in the normal cone.  The arrays may hold one block or a
+    stack of blocks, with bounds of the same shape.
+    """
+    at_hi = x >= upper - ACTIVE_TOL * (1.0 + np.abs(upper))
+    at_lo = x <= lower + ACTIVE_TOL * (1.0 + np.abs(lower))
+    # an upper bound absorbs a nonpositive gradient, a lower bound a
+    # nonnegative one, a coordinate at both bounds any gradient
+    res = np.where((at_hi & (grad <= 0)) | (at_lo & (grad >= 0)), 0.0, grad)
+    return at_hi, at_lo, res
+
+
+def _row_dots(a, b) -> np.ndarray:
+    """``a[k] @ b[k]`` for every row of two ``(K, d)`` arrays.
+
+    Stacked ``matmul`` computes each row with the inner-product routine of
+    a 1-D ``@``, so each entry equals the per-row product bitwise.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+@lru_cache(maxsize=64)
+def _partition(dims: tuple) -> tuple:
+    """``(dims, offsets)`` of one partition, one pair of tuples per layout."""
+    return dims, (0, *accumulate(dims))
+
+
 class _FlatParts:
     """One read-only flat float64 array cut into consecutive read-only views.
 
     ``_dims`` are the lengths of the views and ``_offsets`` their starts
     (plus the end of the last); an array past their sum (the coupling part
-    of a multiplier) is allowed.  Views are made on access, not stored, so
-    that a retained vector costs one array.
+    of a multiplier) is allowed.  Views are made on access, not stored, and
+    vectors of one partition share its two tuples (see :func:`_partition`),
+    so that a retained vector costs one array.
     """
 
     __slots__ = ("_flat", "_dims", "_offsets")
@@ -316,8 +344,7 @@ class _FlatParts:
     def _init(self, flat: np.ndarray, dims: tuple, offsets: Optional[tuple] = None):
         flat.setflags(write=False)
         self._flat = flat
-        self._dims = dims
-        self._offsets = (0, *accumulate(dims)) if offsets is None else offsets
+        self._dims, self._offsets = _partition(dims) if offsets is None else (dims, offsets)
 
     @classmethod
     def _of(cls, flat: np.ndarray, dims: tuple, offsets: Optional[tuple] = None):
@@ -492,16 +519,34 @@ class NlpProblem:
     multiplier vector (length ``r``), ``rho`` the penalty and ``idx`` an
     integer array of agent indices.  It returns the ``(len(idx), d)`` array
     whose row ``k`` equals :func:`eval_block_gradient` for agent
-    ``idx[k]``, so it must agree with ``agents`` and ``coupling``;
-    ``dataclasses.replace(problem, agents=...)`` keeps the old hook.
+    ``idx[k]``.
+
+    ``block_values(x, mu, rho, idx, trial)`` is the optional batched form
+    of the values that certify a block step, under the same conditions.
+    ``x``, ``mu``, ``rho`` and ``idx`` are as above and ``trial`` is a
+    ``(len(idx), d)`` array of trial blocks.  It returns two arrays of
+    length ``len(idx)``: entry ``k`` of the first is agent ``idx[k]``'s
+    local term ``J_i + mu_i @ F_i + (rho/2) ||F_i||^2`` at ``trial[k]``,
+    and entry ``k`` of the second the coupling term
+    ``Q + mu_G @ G + (rho/2) ||G||^2`` at ``x`` with only block ``idx[k]``
+    replaced by ``trial[k]``.  Certificate values are sums of these terms,
+    so a hook that rounds differently from the per-agent evaluators moves
+    them in the last bits.
+
+    Both hooks must agree with ``agents`` and ``coupling``;
+    ``dataclasses.replace(problem, agents=...)`` keeps the old hooks.
     """
 
     agents: tuple
     coupling: CouplingSpec = field(default_factory=CouplingSpec.none)
     block_gradients: Optional[Callable] = None
+    block_values: Optional[Callable] = None
     # layouts the inner loop derives from the problem, filled on first use
     _sweep_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+    # curvature sample points per sample count, drawn on first use
+    _sample_points: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         agents = tuple(self.agents)
@@ -515,8 +560,9 @@ class NlpProblem:
         for idx, agent in enumerate(agents):
             if not agent.feasible_set.is_bounded():
                 raise StructureError(f"agent {idx} has an unbounded feasible set")
-        if self.block_gradients is not None and len(set(self.block_dims)) != 1:
-            raise StructureError("block_gradients needs blocks of one common dimension")
+        for name in ("block_gradients", "block_values"):
+            if getattr(self, name) is not None and len(set(self.block_dims)) != 1:
+                raise StructureError(f"{name} needs blocks of one common dimension")
 
     @property
     def n_agents(self) -> int:
@@ -529,6 +575,15 @@ class NlpProblem:
     @property
     def total_dim(self) -> int:
         return sum(self.block_dims)
+
+    @cached_property
+    def _stacked_boxes(self):
+        """``(N, d)`` lower and upper bounds when every set is a box of one
+        dimension ``d``, else ``None``."""
+        sets = [a.feasible_set for a in self.agents]
+        if len(set(self.block_dims)) != 1 or not all(s.is_box for s in sets):
+            return None
+        return np.array([s.lower for s in sets]), np.array([s.upper for s in sets])
 
     @property
     def constraint_dims(self) -> tuple:
@@ -753,6 +808,48 @@ def _block_gradients(problem, flat, mu, rho, idx):
             f"agent {i} batched block gradient returned a non-finite value",
             agent=i)
     return grad
+
+
+def _block_values(problem, flat, mu, rho, idx, trial=None):
+    """Local and coupling terms of the agents ``idx`` at trial blocks.
+
+    Returns two arrays of length ``len(idx)``: agent ``idx[k]``'s local
+    term at ``trial[k]`` and the coupling term at the read-only point
+    ``flat`` with only block ``idx[k]`` replaced by ``trial[k]`` (see
+    ``NlpProblem.block_values``).  ``trial=None`` takes every agent's own
+    block of ``flat``.  With the ``block_values`` hook this is one checked
+    call; without it, one :func:`_agent_local_value` per agent and one
+    :func:`_coupling_value` per trial block (one in all for ``None``).
+    """
+    hook = problem.block_values
+    k = idx.shape[0]
+    if hook is None:
+        blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
+        local, coupling = np.empty(k), np.empty(k)
+        if trial is None:
+            coupling[:] = _coupling_value(problem, blocks, mu.coupling_part, rho)
+        for row, i in enumerate(idx.tolist()):
+            x_i = blocks[i] if trial is None else trial[row]
+            mu_i = mu.part(i) if problem.agents[i].constraint is not None else None
+            local[row] = _agent_local_value(problem, x_i, mu_i, rho, i)
+            if trial is not None:
+                moved = list(blocks)
+                moved[i] = x_i
+                coupling[row] = _coupling_value(problem, moved, mu.coupling_part, rho)
+        return local, coupling
+    x = flat.reshape(problem.n_agents, -1)
+    out = hook(x, mu.flat, rho, idx, x[idx] if trial is None else trial)
+    local, coupling = (np.asarray(v, dtype=float) for v in out)
+    if local.shape != (k,) or coupling.shape != (k,):
+        raise StructureError(
+            f"block_values returned shapes {local.shape} and {coupling.shape}, "
+            f"expected {(k,)}")
+    finite = np.isfinite(local) & np.isfinite(coupling)
+    if not finite.all():
+        i = int(idx[np.argmin(finite)])
+        raise EvaluationError(
+            f"agent {i} batched block values returned a non-finite value", agent=i)
+    return local, coupling
 
 
 # ---------------------------------------------------------------------------

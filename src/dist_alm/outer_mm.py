@@ -174,7 +174,10 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
     -------
     (OuterState, str)
         Final state (with per-iteration trace) and a status string:
-        ``"converged"``, ``"iteration_cap"`` or ``"inner_failure"``.
+        ``"converged"`` once the constraint norm reaches ``eta``; else
+        ``"inner_failure"`` if any inner call missed its target (see
+        ``IterTrace.inner_achieved``) and ``"iteration_cap"`` if every
+        one met it.
 
     Notes
     -----
@@ -198,7 +201,7 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
 
     state = OuterState(z=z, mu=mu, rho=cfg.rho0, eps=cfg.eps0, k=0)
     cum_sweeps = 0
-    last_achieved = True
+    all_achieved = True
     while state.k < cfg.max_outer:
         rho, eps = cfg.schedule(state.k)
         state.rho, state.eps = rho, eps
@@ -208,7 +211,7 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
             eps_target=eps if inner_eps_stop else None,
             sweep_cap=budget, with_certificates=with_certificates,
         )
-        last_achieved = inner.achieved_target
+        all_achieved = all_achieved and inner.achieved_target
         state.z = inner.z
         cum_sweeps += inner.sweeps
         h_val = eval_constraints(problem, state.z)
@@ -228,4 +231,4 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
         h_norm = h_inf if cfg.constraint_norm == "inf" else h_two
         if cfg.eta > 0.0 and h_norm <= cfg.eta:
             return state, STATUS_CONVERGED
-    return state, (STATUS_ITERATION_CAP if last_achieved else STATUS_INNER_FAILURE)
+    return state, (STATUS_ITERATION_CAP if all_achieved else STATUS_INNER_FAILURE)

@@ -13,7 +13,8 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
                       color_interaction_graph, estimate_hessian_bound,
                       eval_aug_lagrangian, eval_block_gradient, generate_toy,
                       run_inner, run_outer, toy_initial_guess)
-from dist_alm import model
+from dist_alm import inner_bcd, model
+from dist_alm.inner_bcd import C_FLOOR
 from conftest import cut_chain, mu_like, one_agent_problem, quadratic_agent, zvec
 
 
@@ -23,6 +24,32 @@ def toy_setup(n_agents=6, seed=0, block_dim=3, scale=2.0):
     problem = generate_toy(params)
     z0, mu0 = toy_initial_guess(params, problem)
     return params, problem, z0, mu0
+
+
+def hookless(problem):
+    """The problem evaluated by its per-agent evaluators only."""
+    return dataclasses.replace(problem, block_gradients=None, block_values=None)
+
+
+def unequal_blocks_problem():
+    """Boxes of dimensions 1, 2 and 3; agents 1 and 2 share a bilinear
+    coupling cost, so the colour classes are {0, 1} and {2}."""
+    w_mat = np.arange(1.0, 7.0).reshape(2, 3) / 4.0
+    coupling = CouplingSpec(
+        cost=lambda b: float(b[1] @ w_mat @ b[2]),
+        cost_block_grad=lambda b, i: (w_mat @ b[2] if i == 1 else
+                                      w_mat.T @ b[1] if i == 2 else np.zeros(1)),
+        edges=frozenset({(1, 2)}))
+    agents = tuple(quadratic_agent(np.diag(np.arange(1.0, d + 1) - 2.5),
+                                   -np.ones(d), np.ones(d)) for d in (1, 2, 3))
+    problem = NlpProblem(agents=agents, coupling=coupling)
+    return problem, zvec([0.5], [0.2, -0.4], [0.3, 0.1, -0.6])
+
+
+def per_agent_bounds(problem, cfg, z, mu, rho):
+    return np.array([estimate_hessian_bound(problem, a.feasible_set, i, cfg, rho, mu,
+                                            background=list(z.blocks))
+                     for i, a in enumerate(problem.agents)])
 
 
 class TestColoring:
@@ -91,6 +118,41 @@ class TestHessianBound:
                                    rho=1.0, mu=MultiplierEstimate.zeros(problem))
         assert c == 7.5
 
+    @pytest.mark.parametrize("n_agents", [2, 7, 40])
+    @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
+    @pytest.mark.parametrize("source", [Sampled(3), Backtracking()],
+                             ids=["sampled", "backtracking"])
+    def test_batched_bounds_equal_per_agent_estimates(self, n_agents, rho, source):
+        _, problem, z0, mu = toy_setup(n_agents=n_agents, seed=n_agents)
+        cfg = InnerConfig(c_source=source)
+        for variant in (problem, hookless(problem)):
+            batched = inner_bcd._initial_c_bounds(variant, cfg, z0.flat, mu, rho)
+            assert np.array_equal(batched, per_agent_bounds(variant, cfg, z0, mu, rho))
+
+    @pytest.mark.parametrize("case", ["unequal", "cut"])
+    def test_batched_bounds_on_unequal_blocks_and_cut_polytopes(self, case):
+        if case == "unequal":
+            problem, z0 = unequal_blocks_problem()
+            mu = MultiplierEstimate.zeros(problem)
+        else:
+            problem, z0, mu = cut_chain(3)
+        for cfg in (InnerConfig(c_source=Sampled(2)), InnerConfig()):
+            for rho in (0.1, 1e3):
+                batched = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, rho)
+                assert np.array_equal(batched, per_agent_bounds(problem, cfg, z0, mu, rho))
+
+    def test_replaced_agents_draw_their_own_samples(self):
+        _, problem, z0, mu = toy_setup(n_agents=7, seed=7)
+        cfg = InnerConfig()
+        before = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, 1.0)
+        halved = tuple(dataclasses.replace(a, feasible_set=Polytope.box(
+            0.5 * a.feasible_set.lower, 0.5 * a.feasible_set.upper))
+            for a in problem.agents)
+        replaced = dataclasses.replace(problem, agents=halved)
+        after = inner_bcd._initial_c_bounds(replaced, cfg, z0.flat, mu, 1.0)
+        assert np.array_equal(after, per_agent_bounds(replaced, cfg, z0, mu, 1.0))
+        assert not np.array_equal(after, before)
+
     def test_missing_hint_is_a_configuration_error(self):
         problem = one_agent_problem()
         cfg = InnerConfig(c_source=Hint())
@@ -143,20 +205,10 @@ class TestSweep:
         assert problem.feasible(z_next, slack=1e-10)
 
     def test_blocks_of_unequal_dimension(self):
-        # boxes of dimensions 1, 2 and 3; agents 1 and 2 share a bilinear
-        # coupling cost, so the classes are {0, 1} and {2}
-        w_mat = np.arange(1.0, 7.0).reshape(2, 3) / 4.0
-        coupling = CouplingSpec(
-            cost=lambda b: float(b[1] @ w_mat @ b[2]),
-            cost_block_grad=lambda b, i: (w_mat @ b[2] if i == 1 else
-                                          w_mat.T @ b[1] if i == 2 else np.zeros(1)),
-            edges=frozenset({(1, 2)}))
-        agents = tuple(quadratic_agent(np.diag(np.arange(1.0, d + 1) - 2.5),
-                                       -np.ones(d), np.ones(d)) for d in (1, 2, 3))
-        problem = NlpProblem(agents=agents, coupling=coupling)
-        colors = color_interaction_graph(coupling, 3)
+        problem, z0 = unequal_blocks_problem()
+        agents = problem.agents
+        colors = color_interaction_graph(problem.coupling, 3)
         assert colors.tolist() == [0, 0, 1]
-        z0 = zvec([0.5], [0.2, -0.4], [0.3, 0.1, -0.6])
         mu = MultiplierEstimate.zeros(problem)
         rho, cfg = 0.05, InnerConfig()
         z1, _ = bcd_sweep(problem, z0, mu, rho, cfg, colors, with_certificates=False)
@@ -215,15 +267,32 @@ def with_hook(problem, hook):
 
 
 def counting(problem):
-    """The problem with its batched gradient wrapped in a call counter."""
-    calls = []
-    hook = problem.block_gradients
+    """The problem with both batched hooks wrapped in call recorders.
 
-    def counted(x, mu, rho, idx):
-        calls.append(idx)
-        return hook(x, mu, rho, idx)
+    Returns the problem and the index arrays of the gradient and of the
+    value calls.
+    """
+    grad_calls, value_calls = [], []
+    grads, values = problem.block_gradients, problem.block_values
 
-    return with_hook(problem, counted), calls
+    def counted_grads(x, mu, rho, idx):
+        grad_calls.append(idx)
+        return grads(x, mu, rho, idx)
+
+    def counted_values(x, mu, rho, idx, trial):
+        value_calls.append(idx)
+        return values(x, mu, rho, idx, trial)
+
+    counted = dataclasses.replace(problem, block_gradients=counted_grads,
+                                  block_values=counted_values)
+    return counted, grad_calls, value_calls
+
+
+def assert_same_certificates(cert, cert_ref):
+    assert (cert is None) == (cert_ref is None)
+    if cert is not None:
+        for name in (f.name for f in dataclasses.fields(cert)):
+            assert np.array_equal(getattr(cert, name), getattr(cert_ref, name)), name
 
 
 class TestColorClassSweep:
@@ -237,7 +306,7 @@ class TestColorClassSweep:
     def test_equals_per_agent_sweeps(self, n_agents, block_dim, rho, schedule):
         _, problem, z0, mu = toy_setup(n_agents=n_agents, seed=n_agents,
                                        block_dim=block_dim)
-        batched, calls = counting(problem)
+        batched, calls, _ = counting(problem)
         reference = with_hook(problem, None)
         cfg = InnerConfig(alpha_schedule=schedule)
         colors = color_interaction_graph(problem.coupling, n_agents)
@@ -288,6 +357,25 @@ class TestColorClassSweep:
             bcd_sweep(short, z0, mu, 1.0, InnerConfig(), colors,
                       with_certificates=False)
 
+    def test_block_values_checked_at_the_boundary(self):
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=5)
+        values = problem.block_values
+        colors = color_interaction_graph(problem.coupling, 6)
+
+        def poisoned(x, mu_flat, rho, idx, trial):
+            local, coupling = values(x, mu_flat, rho, idx, trial)
+            coupling[idx == 3] = np.inf
+            return local, coupling
+
+        with pytest.raises(EvaluationError) as err:
+            bcd_sweep(dataclasses.replace(problem, block_values=poisoned), z0, mu,
+                      1.0, InnerConfig(), colors)
+        assert err.value.agent == 3
+        short = dataclasses.replace(
+            problem, block_values=lambda *args: tuple(v[:-1] for v in values(*args)))
+        with pytest.raises(StructureError):
+            bcd_sweep(short, z0, mu, 1.0, InnerConfig(), colors)
+
     def test_alpha_schedule_bounds_still_checked(self):
         _, problem, z0, mu = toy_setup(n_agents=4, seed=7)
         colors = color_interaction_graph(problem.coupling, 4)
@@ -295,8 +383,16 @@ class TestColorClassSweep:
         with pytest.raises(ConfigurationError):
             bcd_sweep(problem, z0, mu, 1.0, cfg, colors, with_certificates=False)
 
-    @pytest.mark.parametrize("case", ["certificates", "band", "polytope"])
-    def test_hook_equals_per_agent_path(self, case):
+    # Gradient calls: sampling the curvature bounds takes one per sign,
+    # coordinate (3), sample (5) and class (2); each class then takes one
+    # for its step and, with certificates, one at the moved class.  Value
+    # calls: per checked class, one at the snapshot and one for the step.
+    @pytest.mark.parametrize("case, grad_calls, value_calls", [
+        ("certificates", 2 * 3 * 5 * 2 + 2 + 2, 2 + 2),
+        ("band", 2 * 3 * 5 * 2 + 2, 2 + 2),
+        ("polytope", 2, 0),
+    ], ids=["certificates", "band", "polytope"])
+    def test_hook_equals_per_agent_path(self, case, grad_calls, value_calls):
         _, problem, z0, mu = toy_setup(n_agents=6, seed=8)
         cfg = InnerConfig()
         certificates = case == "certificates"
@@ -310,18 +406,56 @@ class TestColorClassSweep:
             agents = list(problem.agents)
             agents[2] = dataclasses.replace(agents[2], feasible_set=cut)
             problem = dataclasses.replace(problem, agents=tuple(agents))
-        counted, calls = counting(problem)
+        counted, grads, values = counting(problem)
         colors = color_interaction_graph(problem.coupling, 6)
         z, cert = bcd_sweep(counted, z0, mu, 1.0, cfg, colors,
                             with_certificates=certificates)
-        z_ref, cert_ref = bcd_sweep(with_hook(problem, None), z0, mu, 1.0, cfg,
+        z_ref, cert_ref = bcd_sweep(hookless(problem), z0, mu, 1.0, cfg,
                                     colors, with_certificates=certificates)
-        assert len(calls) == 2  # one per colour class
+        assert (len(grads), len(values)) == (grad_calls, value_calls)
         assert np.array_equal(z.flatten(), z_ref.flatten())
-        assert (cert is None) == (cert_ref is None) == (not certificates)
-        if certificates:
-            for name in (f.name for f in dataclasses.fields(cert)):
-                assert np.array_equal(getattr(cert, name), getattr(cert_ref, name)), name
+        assert (cert is not None) == certificates
+        assert_same_certificates(cert, cert_ref)
+
+    def test_masked_resolves_equal_per_agent_path(self):
+        # every C_i starts at the floor, so each agent doubles its bound
+        # until its step passes; a re-solve takes only the failed agents
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=8)
+        cfg = InnerConfig(b_strategy=HessianBand())
+        colors = color_interaction_graph(problem.coupling, 6)
+        counted, grads, values = counting(problem)
+        c_hook, c_ref = np.full(6, C_FLOOR), np.full(6, C_FLOOR)
+        z, cert = bcd_sweep(counted, z0, mu, 1.0, cfg, colors, c_bounds=c_hook)
+        z_ref, cert_ref = bcd_sweep(hookless(problem), z0, mu, 1.0, cfg, colors,
+                                    c_bounds=c_ref)
+        assert np.array_equal(z.flatten(), z_ref.flatten())
+        assert np.array_equal(c_hook, c_ref)
+        assert_same_certificates(cert, cert_ref)
+        assert cert.passed
+        doublings = np.log2(c_hook / C_FLOOR)  # exact: powers of two
+        assert doublings.min() >= 1
+        # per class: the step's gradient and the snapshot's values, then per
+        # attempt the values and the gradient of the rows still failing
+        assert [i.tolist() for i in grads] == [i.tolist() for i in values]
+        for color in (0, 1):
+            members = np.flatnonzero(colors == color).tolist()
+            calls = [i.tolist() for i in values if set(i.tolist()) <= set(members)]
+            assert calls[:2] == [members, members]
+            for prev, cur in zip(calls[1:], calls[2:]):
+                assert set(cur) <= set(prev)
+            for i in members:
+                assert sum(i in c for c in calls[2:]) == doublings[i]
+
+    @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
+    def test_long_chain_equals_per_agent_path(self, rho):
+        _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
+        cfg = InnerConfig(b_strategy=HessianBand(), max_sweeps=4)
+        result = run_inner(problem, z0, mu, rho, cfg)
+        ref = run_inner(hookless(problem), z0, mu, rho, cfg)
+        assert np.array_equal(result.z.flatten(), ref.z.flatten())
+        assert len(result.certificates) == len(ref.certificates) > 0
+        for cert, cert_ref in zip(result.certificates, ref.certificates):
+            assert_same_certificates(cert, cert_ref)
 
 
 class TestCertificates:
@@ -353,6 +487,39 @@ class TestCertificates:
                 assert cert.step_norms[i] > 0.0
                 np.testing.assert_allclose(cert.decrease_lhs[i] - cert.decrease_rhs[i],
                                            change + prox, rtol=1e-9, atol=1e-12)
+            for i in members:
+                snapshot = snapshot.with_block(i, z1.block(i))
+
+    def test_certified_steps_follow_the_final_bounds(self):
+        # every C_i starts at the floor and doubles; each agent's recorded
+        # step and relative-error sides belong to its final bound, with the
+        # gradient change taken when its block alone moves from the snapshot
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=9)
+        colors = color_interaction_graph(problem.coupling, 6)
+        rho, cfg = 1.0, InnerConfig(b_strategy=HessianBand())
+        z1, cert = bcd_sweep(problem, z0, mu, rho, cfg, colors,
+                             c_bounds=np.full(6, C_FLOOR))
+        assert cert.passed and cert.c_used.min() > C_FLOOR
+        band = cfg.b_strategy
+        snapshot = z0
+        for color in (0, 1):
+            members = np.flatnonzero(colors == color)
+            for i in members:
+                c = cert.c_used[i]
+                m_diag = min(max(band.scale * rho, c * (1 + band.margin)),
+                             2 * c * (1 - band.margin)) + cfg.alpha_min
+                g_old = eval_block_gradient(problem, snapshot, mu, rho, i)
+                box = problem.agents[i].feasible_set
+                x_old = snapshot.block(i)
+                np.testing.assert_array_equal(
+                    z1.block(i), np.clip(x_old - g_old / m_diag, box.lower, box.upper))
+                step = z1.block(i) - x_old
+                g_new = eval_block_gradient(problem, snapshot.with_block(i, z1.block(i)),
+                                            mu, rho, i)
+                np.testing.assert_allclose(cert.rel_err_lhs[i],
+                                           np.linalg.norm(g_new - g_old - m_diag * step),
+                                           rtol=1e-12)
+                assert cert.rel_err_bound[i] == (3 * c + cfg.alpha_max) * np.linalg.norm(step)
             for i in members:
                 snapshot = snapshot.with_block(i, z1.block(i))
 

@@ -342,8 +342,11 @@ class TestBatchedGradientHook:
         agents = (quadratic_agent(np.eye(2), [-1, -1], [1, 1]),
                   quadratic_agent(np.eye(1), [-1], [1]))
         NlpProblem(agents=agents)
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="block_gradients"):
             NlpProblem(agents=agents, block_gradients=lambda x, mu, rho, idx: x[idx])
+        with pytest.raises(StructureError, match="block_values"):
+            NlpProblem(agents=agents,
+                       block_values=lambda x, mu, rho, idx, trial: (x[idx], x[idx]))
 
 
 class TestMultiplier:

@@ -141,6 +141,16 @@ class TestRunOuter:
         assert status == "inner_failure"
         assert all(not t.inner_achieved for t in state.trace)
 
+    def test_early_inner_failure_is_reported(self, one_agent):
+        # the first inner call has no sweeps and misses its target, the
+        # last one meets it; the status covers both
+        state, status = run_outer(one_agent,
+                                  self.outer_cfg(max_outer=2, eta=1e-12),
+                                  self.inner_cfg(), zvec([2.0]),
+                                  sweep_budgets=[0, 5000])
+        assert [t.inner_achieved for t in state.trace] == [False, True]
+        assert status == "inner_failure"
+
     def test_default_start_is_box_midpoint(self, one_agent):
         z = default_start(one_agent)
         np.testing.assert_array_equal(z.block(0), [0.0])

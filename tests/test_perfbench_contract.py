@@ -30,5 +30,11 @@ def test_traced_run_is_correct_and_complete(workload):
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0
     if workload == "certified":
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
         # counted only when bcd_sweep receives c_bounds by keyword
-        assert result["metrics"]["inner_bcd.c_doublings"]["value"] > 0
+        assert metrics["inner_bcd.c_doublings"] > 0
+        # certified sweeps and curvature sampling run one colour class at a
+        # time: no per-agent gradient, and at most one whole-coupling value
+        # per class (two per chain sweep)
+        assert metrics["model.block_gradient.calls"] == 0
+        assert metrics["model.coupling_value.calls"] <= 2 * metrics["inner_bcd.bcd_sweep.calls"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,21 @@ class TestCriticalityResidual:
         with pytest.raises(PreconditionError):
             criticality_residual(problem, zvec([1.5]),
                                  MultiplierEstimate.zeros(problem), 1.0)
+
+    def test_stacked_boxes_name_the_first_violating_block(self):
+        params = ToyParams(n_agents=5, block_dim=3, scale=2.0, seed=3)
+        problem = generate_toy(params)
+        flat = np.zeros(problem.total_dim)
+        flat[3 * 3 + 1] = params.box_bound + 1e-9
+        flat[4 * 3] = -params.box_bound - 1.0
+        z = BlockVector.from_flat(flat, problem.block_dims)
+        mu = MultiplierEstimate.zeros(problem)
+        messages = []
+        for check in (criticality_residual, kkt_report):  # stacked, per block
+            with pytest.raises(PreconditionError, match=r"^block 3 violates") as err:
+                check(problem, z, mu, 1.0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -248,9 +265,12 @@ class TestKktReport:
         flat[rng.random(flat.shape[0]) < 0.4] = b  # push coordinates onto bounds
         z = BlockVector.from_flat(flat, problem.block_dims)
         mu = mu_like(problem, rng.uniform(-1.0, 1.0, problem.r))
+        assert problem._stacked_boxes is not None  # the stacked closed form
+        hookless = dataclasses.replace(problem, block_gradients=None, block_values=None)
         for rho in (0.1, 10.0, 1e3):
-            assert kkt_report(problem, z, mu, rho).stationarity == \
-                criticality_residual(problem, z, mu, rho)
+            per_block = kkt_report(problem, z, mu, rho).stationarity
+            assert per_block == criticality_residual(problem, z, mu, rho)
+            assert per_block == criticality_residual(hookless, z, mu, rho)
 
     def test_stationarity_is_the_criticality_residual_on_cut_polytope(self):
         # unit box with the cut x + y <= 1; the point sits on the cut and on y <= 1
