@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -359,7 +358,9 @@ def run_statistics(params_base: ToyParams, instances: int,
     with the budget split evenly over ``outer_iters`` outer iterations.
     Success at tolerance ``tol`` means the final iterate satisfies
     ``max_i |  ||x_i||^2 - a^2 | <= tol``.  Identical inputs give
-    identical statistics; instances may be evaluated concurrently.
+    identical statistics.  ``threads`` is ignored: instances are solved one
+    after another on the calling thread.  It is kept so that existing
+    callers keep working.
     """
     if instances < 1:
         raise ConfigurationError("need at least one instance")
@@ -378,18 +379,9 @@ def run_statistics(params_base: ToyParams, instances: int,
 
     feasibility = np.full((instances, len(budgets)), np.inf)
     all_rows = []
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(
-                lambda idx: _run_instance(params_base, idx, budgets, outer_cfg,
-                                          inner_cfg, outer_iters),
-                range(instances)))
-    else:
-        results = [_run_instance(params_base, idx, budgets, outer_cfg,
-                                 inner_cfg, outer_iters)
-                   for idx in range(instances)]
-    for idx, (feas, rows) in enumerate(results):
-        feasibility[idx] = feas
+    for idx in range(instances):
+        feasibility[idx], rows = _run_instance(params_base, idx, budgets, outer_cfg,
+                                               inner_cfg, outer_iters)
         all_rows.extend(rows)
 
     fractions = np.zeros((len(budgets), len(tolerances)))

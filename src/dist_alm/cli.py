@@ -3,16 +3,13 @@ or run the self-check suite.
 
 Every flag has a config-file equivalent (a flat JSON object keyed by the
 flag name with dashes replaced by underscores); explicit flags override
-file values.  Outputs are bit-stable for a fixed seed in sequential mode.
-The DIST_ALM_THREADS environment variable caps the worker threads that
-``bench`` runs instances on (0 = sequential, the default).
+file values.  Outputs are bit-stable for a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -42,16 +39,6 @@ _BENCH_DEFAULTS = {
     "out": "stats.csv", "trace": None, "b_scale": 30.0,
 }
 _VERIFY_DEFAULTS = {"seed": 0}
-
-
-def _threads() -> int:
-    raw = os.environ.get("DIST_ALM_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise ConfigurationError(
-            f"DIST_ALM_THREADS must be an integer, got {raw!r}"
-        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,8 +172,7 @@ def _cmd_bench(opts) -> int:
                             b_strategy=FixedScaled(opts["b_scale"]))
     stats = run_statistics(params, int(opts["instances"]), budgets, tolerances,
                            outer_cfg=outer_cfg, inner_cfg=inner_cfg,
-                           outer_iters=outer_iters, trace_path=opts["trace"],
-                           threads=_threads())
+                           outer_iters=outer_iters, trace_path=opts["trace"])
     write_stats_csv(stats, opts["out"])
     print(f"stats written to {opts['out']} "
           f"({stats.instances} instances, {len(budgets)} budgets)")

@@ -51,9 +51,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, PreconditionError
-from .model import (FEAS_TOL, BlockVector, CouplingSpec, MultiplierEstimate,
-                    NlpProblem, Polytope, _aug_lagrangian, _block_gradient,
-                    _block_gradients, _block_values, _row_dots)
+from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
+                    Polytope, _aug_lagrangian, _block_gradient, _block_gradients,
+                    _block_values, _row_dots)
 from .verify import criticality_residual
 
 __all__ = [
@@ -616,13 +616,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     the result carries a soft-failure flag instead.  Every block of ``z0``
     must lie in its polytope up to ``model.FEAS_TOL``.
     """
-    problem.check_block_structure(z0)
-    for i, agent in enumerate(problem.agents):
-        if agent.feasible_set.violation(z0.block(i)) > FEAS_TOL:
-            raise PreconditionError(
-                f"start block {i} violates its polytope by "
-                f"{agent.feasible_set.violation(z0.block(i)):.3e}"
-            )
+    problem.check_membership(z0)
     coloring = color_interaction_graph(problem.coupling, problem.n_agents)
     needs_c = with_certificates or isinstance(cfg.b_strategy, HessianBand)
     c_bounds = None

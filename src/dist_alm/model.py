@@ -17,11 +17,13 @@ constraints on every subproblem.  Agent indices are 0-based throughout.
 
 Evaluators are plain callables returning values and first derivatives; they
 must be pure functions of their inputs.  Problem objects are immutable after
-construction and safe to share across threads.
+construction, apart from the layout and curvature-sample caches the inner
+loop fills on first use; every solve runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -535,6 +537,13 @@ class NlpProblem:
 
     Both hooks must agree with ``agents`` and ``coupling``;
     ``dataclasses.replace(problem, agents=...)`` keeps the old hooks.
+
+    Every evaluator and hook output is checked where the solver and the
+    oracles read it, by ``_checked`` in this module: a wrong shape raises
+    ``StructureError`` and a non-finite entry ``EvaluationError`` naming
+    the agent (``None`` for the coupling's values).
+    :meth:`check_membership` is the one polytope-membership gate of the
+    solver and the oracles.
     """
 
     agents: tuple
@@ -607,11 +616,34 @@ class NlpProblem:
                 f"block dims {z.block_dims} do not match problem dims {self.block_dims}"
             )
 
-    def feasible(self, z: BlockVector, slack: float = FEASIBILITY_SLACK) -> bool:
+    def check_multiplier(self, mu: "MultiplierEstimate"):
+        if mu.total_dim != self.r:
+            raise StructureError(
+                f"multiplier has dimension {mu.total_dim}, expected r={self.r}")
+
+    def _violations(self, z: BlockVector) -> np.ndarray:
+        """Every block's :meth:`Polytope.violation`, in one stacked form when
+        every set is a box of one dimension."""
         self.check_block_structure(z)
-        return all(
-            a.feasible_set.contains(b, slack) for a, b in zip(self.agents, z.blocks)
-        )
+        if self._stacked_boxes is None:
+            return np.array([a.feasible_set.violation(b)
+                             for a, b in zip(self.agents, z.blocks)])
+        lower, upper = self._stacked_boxes
+        x = z.flat.reshape(self.n_agents, -1)
+        return np.maximum(np.max(x - upper, axis=1, initial=-np.inf),
+                          np.max(lower - x, axis=1, initial=-np.inf))
+
+    def check_membership(self, z: BlockVector):
+        """Raise ``PreconditionError`` naming the first block of ``z`` that
+        violates its polytope by more than :data:`FEAS_TOL` (or by NaN)."""
+        viol = self._violations(z)
+        bad = np.flatnonzero(~(viol <= FEAS_TOL))
+        if bad.size:
+            raise PreconditionError(
+                f"block {bad[0]} violates its polytope by {viol[bad[0]]:.3e}")
+
+    def feasible(self, z: BlockVector, slack: float = FEASIBILITY_SLACK) -> bool:
+        return bool(np.all(self._violations(z) <= slack))
 
 
 class MultiplierEstimate(_FlatParts):
@@ -661,40 +693,62 @@ class MultiplierEstimate(_FlatParts):
 # Evaluation helpers working on plain block lists (hot path for the sweeps).
 # ---------------------------------------------------------------------------
 
-def _check_finite(arr, what, agent):
-    if not np.isfinite(arr).all():
-        raise EvaluationError(f"{what} returned a non-finite value", agent=agent)
+def _checked(raw, shape, what, agent=None, rows=None):
+    """One evaluator or hook output, checked: a finite float or float array.
 
-
-def _checked_cost(raw, what, agent):
-    val = float(raw)
-    if not np.isfinite(val):
-        raise EvaluationError(f"{what} returned a non-finite value", agent=agent)
-    return val
-
-
-def _checked_constraint(raw, declared, what, agent):
-    val = np.asarray(raw, dtype=float).reshape(-1)
-    if val.shape[0] != declared:
-        raise StructureError(f"{what} returned length {val.shape[0]}, declared {declared}")
-    _check_finite(val, what, agent)
-    return val
+    ``shape=()`` takes a cost through ``float``.  An evaluator's vector is
+    taken flattened and its matrix through ``np.atleast_2d``; a hook's
+    array (``rows`` given) is taken as returned, and its row ``k`` belongs
+    to agent ``rows[k]``.  A wrong shape raises ``StructureError`` and a
+    non-finite entry ``EvaluationError`` naming ``agent``, or the agent of
+    the first non-finite row.
+    """
+    if shape == ():
+        val = float(raw)
+        if math.isfinite(val):
+            return val
+    else:
+        val = np.asarray(raw, dtype=float)
+        if rows is None:
+            val = val.reshape(-1) if len(shape) == 1 else np.atleast_2d(val)
+        if val.shape != shape:
+            raise StructureError(f"{what} returned shape {val.shape}, expected {shape}")
+        finite = np.isfinite(val)
+        if finite.all():
+            return val
+        if rows is not None:
+            agent = int(rows[np.argmin(finite.reshape(shape[0], -1).all(axis=1))])
+            what = f"agent {agent}: {what}"
+    raise EvaluationError(f"{what} returned a non-finite value", agent=agent)
 
 
 def _agent_constraint(problem, x_i, i):
     agent = problem.agents[i]
     if agent.constraint is None:
         return np.zeros(0)
-    return _checked_constraint(agent.constraint(x_i), agent.constraint_dim,
-                               f"agent {i} constraint", i)
+    return _checked(agent.constraint(x_i), (agent.constraint_dim,),
+                    f"agent {i} constraint", i)
 
 
 def _coupling_constraint(problem, blocks):
     coup = problem.coupling
     if coup.constraint is None:
         return np.zeros(0)
-    return _checked_constraint(coup.constraint(blocks), coup.constraint_dim,
-                               "coupling constraint", None)
+    return _checked(coup.constraint(blocks), (coup.constraint_dim,),
+                    "coupling constraint", None)
+
+
+def _agent_jacobian(problem, x_i, i):
+    agent = problem.agents[i]
+    return _checked(agent.constraint_jac(x_i), (agent.constraint_dim, agent.dim),
+                    f"agent {i} constraint Jacobian", i)
+
+
+def _coupling_jacobian(problem, blocks, i):
+    coup = problem.coupling
+    return _checked(coup.constraint_block_jac(blocks, i),
+                    (coup.constraint_dim, problem.agents[i].dim),
+                    f"coupling constraint Jacobian of block {i}", i)
 
 
 def _constraints(problem, blocks):
@@ -706,16 +760,16 @@ def _constraints(problem, blocks):
 def _objective(problem, blocks):
     total = 0.0
     for i, agent in enumerate(problem.agents):
-        total += _checked_cost(agent.cost(blocks[i]), f"agent {i} cost", i)
+        total += _checked(agent.cost(blocks[i]), (), f"agent {i} cost", i)
     if problem.coupling.cost is not None:
-        total += _checked_cost(problem.coupling.cost(blocks), "coupling cost", None)
+        total += _checked(problem.coupling.cost(blocks), (), "coupling cost", None)
     return total
 
 
 def _agent_local_value(problem, x_i, mu_i, rho, i):
     """J_i + mu_i @ F_i + (rho/2) ||F_i||^2 at one block value."""
     agent = problem.agents[i]
-    val = _checked_cost(agent.cost(x_i), f"agent {i} cost", i)
+    val = _checked(agent.cost(x_i), (), f"agent {i} cost", i)
     if agent.constraint is not None:
         f_val = _agent_constraint(problem, x_i, i)
         val += float(mu_i @ f_val) + 0.5 * rho * float(f_val @ f_val)
@@ -727,7 +781,7 @@ def _coupling_value(problem, blocks, mu_g, rho):
     coup = problem.coupling
     val = 0.0
     if coup.cost is not None:
-        val += _checked_cost(coup.cost(blocks), "coupling cost", None)
+        val += _checked(coup.cost(blocks), (), "coupling cost", None)
     if coup.constraint is not None:
         g_val = _coupling_constraint(problem, blocks)
         val += float(mu_g @ g_val) + 0.5 * rho * float(g_val @ g_val)
@@ -743,42 +797,18 @@ def _aug_lagrangian(problem, blocks, mu, rho):
 def _block_gradient(problem, blocks, mu, rho, i):
     agent = problem.agents[i]
     x_i = blocks[i]
-    grad = np.asarray(agent.cost_grad(x_i), dtype=float).reshape(-1)
-    if grad.shape[0] != agent.dim:
-        raise StructureError(
-            f"agent {i} cost gradient has length {grad.shape[0]}, expected {agent.dim}"
-        )
-    _check_finite(grad, f"agent {i} cost gradient", i)
-    grad = grad.copy()
+    grad = _checked(agent.cost_grad(x_i), (agent.dim,), f"agent {i} cost gradient",
+                    i).copy()
     if agent.constraint is not None:
         f_val = _agent_constraint(problem, x_i, i)
-        f_jac = np.atleast_2d(np.asarray(agent.constraint_jac(x_i), dtype=float))
-        if f_jac.shape != (agent.constraint_dim, agent.dim):
-            raise StructureError(
-                f"agent {i} constraint Jacobian has shape {f_jac.shape}, "
-                f"expected {(agent.constraint_dim, agent.dim)}"
-            )
-        _check_finite(f_jac, f"agent {i} constraint Jacobian", i)
-        grad += f_jac.T @ (mu.part(i) + rho * f_val)
+        grad += _agent_jacobian(problem, x_i, i).T @ (mu.part(i) + rho * f_val)
     coup = problem.coupling
     if coup.cost is not None:
-        q_grad = np.asarray(coup.cost_block_grad(blocks, i), dtype=float).reshape(-1)
-        if q_grad.shape[0] != agent.dim:
-            raise StructureError(
-                f"coupling cost gradient for agent {i} has length {q_grad.shape[0]}"
-            )
-        _check_finite(q_grad, "coupling cost gradient", i)
-        grad += q_grad
+        grad += _checked(coup.cost_block_grad(blocks, i), (agent.dim,),
+                         f"coupling cost gradient of block {i}", i)
     if coup.constraint is not None:
         g_val = _coupling_constraint(problem, blocks)
-        g_jac = np.atleast_2d(np.asarray(coup.constraint_block_jac(blocks, i), dtype=float))
-        if g_jac.shape != (coup.constraint_dim, agent.dim):
-            raise StructureError(
-                f"coupling Jacobian for agent {i} has shape {g_jac.shape}, "
-                f"expected {(coup.constraint_dim, agent.dim)}"
-            )
-        _check_finite(g_jac, "coupling constraint Jacobian", i)
-        grad += g_jac.T @ (mu.coupling_part + rho * g_val)
+        grad += _coupling_jacobian(problem, blocks, i).T @ (mu.coupling_part + rho * g_val)
     return grad
 
 
@@ -796,18 +826,8 @@ def _block_gradients(problem, flat, mu, rho, idx):
         blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
         return [_block_gradient(problem, blocks, mu, rho, i) for i in idx.tolist()]
     x = flat.reshape(problem.n_agents, -1)
-    grad = np.asarray(hook(x, mu.flat, rho, idx), dtype=float)
-    if grad.shape != (idx.shape[0], x.shape[1]):
-        raise StructureError(
-            f"block_gradients returned shape {grad.shape}, "
-            f"expected {(idx.shape[0], x.shape[1])}"
-        )
-    if not np.isfinite(grad).all():
-        i = int(idx[np.argmin(np.isfinite(grad).all(axis=1))])
-        raise EvaluationError(
-            f"agent {i} batched block gradient returned a non-finite value",
-            agent=i)
-    return grad
+    return _checked(hook(x, mu.flat, rho, idx), (idx.shape[0], x.shape[1]),
+                    "block_gradients", rows=idx)
 
 
 def _block_values(problem, flat, mu, rho, idx, trial=None):
@@ -838,18 +858,9 @@ def _block_values(problem, flat, mu, rho, idx, trial=None):
                 coupling[row] = _coupling_value(problem, moved, mu.coupling_part, rho)
         return local, coupling
     x = flat.reshape(problem.n_agents, -1)
-    out = hook(x, mu.flat, rho, idx, x[idx] if trial is None else trial)
-    local, coupling = (np.asarray(v, dtype=float) for v in out)
-    if local.shape != (k,) or coupling.shape != (k,):
-        raise StructureError(
-            f"block_values returned shapes {local.shape} and {coupling.shape}, "
-            f"expected {(k,)}")
-    finite = np.isfinite(local) & np.isfinite(coupling)
-    if not finite.all():
-        i = int(idx[np.argmin(finite)])
-        raise EvaluationError(
-            f"agent {i} batched block values returned a non-finite value", agent=i)
-    return local, coupling
+    local, coupling = hook(x, mu.flat, rho, idx, x[idx] if trial is None else trial)
+    return (_checked(local, (k,), "block_values local terms", rows=idx),
+            _checked(coupling, (k,), "block_values coupling terms", rows=idx))
 
 
 # ---------------------------------------------------------------------------
@@ -883,10 +894,7 @@ def eval_aug_lagrangian(problem: NlpProblem, z: BlockVector,
     """
     _require_positive_rho(rho)
     problem.check_block_structure(z)
-    if mu.total_dim != problem.r:
-        raise StructureError(
-            f"multiplier has dimension {mu.total_dim}, expected r={problem.r}"
-        )
+    problem.check_multiplier(mu)
     return _aug_lagrangian(problem, list(z.blocks), mu, rho)
 
 
@@ -901,10 +909,7 @@ def eval_block_gradient(problem: NlpProblem, z: BlockVector,
     problem.check_block_structure(z)
     if not (0 <= i < problem.n_agents):
         raise StructureError(f"agent index {i} out of range [0, {problem.n_agents})")
-    if mu.total_dim != problem.r:
-        raise StructureError(
-            f"multiplier has dimension {mu.total_dim}, expected r={problem.r}"
-        )
+    problem.check_multiplier(mu)
     return _block_gradient(problem, list(z.blocks), mu, rho, i)
 
 

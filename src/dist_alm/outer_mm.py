@@ -23,10 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError, StructureError
+from .errors import ConfigurationError, StructureError
 from .inner_bcd import InnerConfig, run_inner
-from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem,
-                    eval_aug_lagrangian, eval_constraints)
+from .model import (BlockVector, MultiplierEstimate, NlpProblem, eval_aug_lagrangian,
+                    eval_constraints)
 
 __all__ = [
     "IterTrace",
@@ -187,13 +187,8 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
     """
     z = default_start(problem) if z0 is None else z0
     mu = MultiplierEstimate.zeros(problem) if mu0 is None else mu0
-    problem.check_block_structure(z)
-    if mu.total_dim != problem.r:
-        raise StructureError(
-            f"mu0 has dimension {mu.total_dim}, expected r={problem.r}"
-        )
-    if not problem.feasible(z, slack=FEAS_TOL):
-        raise PreconditionError("z0 violates the polytopic constraints")
+    problem.check_membership(z)
+    problem.check_multiplier(mu)
     if sweep_budgets is not None and len(sweep_budgets) < cfg.max_outer:
         raise ConfigurationError(
             f"need {cfg.max_outer} sweep budgets, got {len(sweep_budgets)}"

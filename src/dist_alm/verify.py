@@ -24,8 +24,10 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, RefusalError
 from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem,
-                    _aug_lagrangian, _block_gradient, _block_gradients,
-                    _box_cone_parts, _constraints, _objective, _row_dots)
+                    _agent_constraint, _agent_jacobian, _aug_lagrangian,
+                    _block_gradient, _block_gradients, _box_cone_parts,
+                    _constraints, _coupling_constraint, _coupling_jacobian,
+                    _objective, _row_dots)
 
 __all__ = [
     "KktReport",
@@ -55,18 +57,10 @@ class KktReport:
 
 
 def _block_cone_terms(problem, z, mu, rho):
-    """Yield ``Polytope.normal_cone_distance`` of every block, in agent order.
-
-    Every block must lie in its polytope up to ``FEAS_TOL``; all blocks are
-    checked before the gradients are taken, in one ``_block_gradients``.
-    """
-    blocks = z.blocks
-    for i, agent in enumerate(problem.agents):
-        viol = agent.feasible_set.violation(blocks[i])
-        if viol > FEAS_TOL:
-            raise PreconditionError(f"block {i} violates its polytope by {viol:.3e}")
+    """Yield ``Polytope.normal_cone_distance`` of every block, in agent order,
+    from one ``_block_gradients`` call."""
     grads = _block_gradients(problem, z.flat, mu, rho, np.arange(problem.n_agents))
-    for agent, x, grad in zip(problem.agents, blocks, grads):
+    for agent, x, grad in zip(problem.agents, z.blocks, grads):
         yield agent.feasible_set.normal_cone_distance(x, grad)
 
 
@@ -85,7 +79,7 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
     float
         ``min_{v in N_Z(z)} || grad L_rho(z, mu) + v ||_2``.
     """
-    problem.check_block_structure(z)
+    problem.check_membership(z)
     boxes = problem._stacked_boxes
     if boxes is None:
         dists = [dist_sq for dist_sq, _, _ in _block_cone_terms(problem, z, mu, rho)]
@@ -100,17 +94,11 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
 def _stacked_box_dists(problem, z, mu, rho, lower, upper):
     """Per-block squared distances when every set is a box of one dimension.
 
-    The ``(N, d)`` form of :func:`_block_cone_terms`: the same
-    ``FEAS_TOL`` gate, one ``_block_gradients`` call and the elementwise
-    box closed form, each entry equal to the per-block value bitwise.
+    The ``(N, d)`` form of :func:`_block_cone_terms`: one
+    ``_block_gradients`` call and the elementwise box closed form, each
+    entry equal to the per-block value bitwise.
     """
     x = z.flat.reshape(problem.n_agents, -1)
-    viol = np.maximum(np.max(x - upper, axis=1, initial=-np.inf),
-                      np.max(lower - x, axis=1, initial=-np.inf))
-    bad = np.flatnonzero(viol > FEAS_TOL)
-    if bad.size:
-        raise PreconditionError(
-            f"block {bad[0]} violates its polytope by {viol[bad[0]]:.3e}")
     grads = np.asarray(_block_gradients(problem, z.flat, mu, rho,
                                         np.arange(problem.n_agents)))
     _, _, res = _box_cone_parts(x, grads, lower, upper)
@@ -124,7 +112,7 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     ``stationarity`` equals :func:`criticality_residual`; ``z`` must lie in
     the polytope up to ``model.FEAS_TOL``.
     """
-    problem.check_block_structure(z)
+    problem.check_membership(z)
     total = 0.0
     lams, actives = [], []
     offset = 0
@@ -203,16 +191,14 @@ def regularity_check(problem: NlpProblem, z: BlockVector,
     col = 0
     for i, agent in enumerate(problem.agents):
         if agent.constraint is not None:
-            j = np.atleast_2d(np.asarray(agent.constraint_jac(blocks[i]), dtype=float))
-            jac[row:row + agent.constraint_dim, col:col + agent.dim] = j
+            jac[row:row + agent.constraint_dim, col:col + agent.dim] = \
+                _agent_jacobian(problem, blocks[i], i)
             row += agent.constraint_dim
         col += agent.dim
     if problem.coupling.constraint is not None:
         col = 0
         for i, agent in enumerate(problem.agents):
-            j = np.atleast_2d(np.asarray(
-                problem.coupling.constraint_block_jac(blocks, i), dtype=float))
-            jac[row:row + problem.p, col:col + agent.dim] = j
+            jac[row:, col:col + agent.dim] = _coupling_jacobian(problem, blocks, i)
             col += agent.dim
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
@@ -281,10 +267,8 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
             if problem.agents[i].constraint is None:
                 kept.append(pts)
                 continue
-            mask = np.array([
-                np.max(np.abs(np.asarray(problem.agents[i].constraint(p)))) <=
-                feasibility_band for p in pts
-            ])
+            mask = np.array([np.max(np.abs(_agent_constraint(problem, p, i)))
+                             <= feasibility_band for p in pts])
             kept.append(pts[mask])
             if kept[-1].shape[0] == 0:
                 raise RefusalError(
@@ -309,7 +293,7 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
     for combo in itertools.product(*grids):
         blocks = [np.array(c) for c in combo]
         if check_coupling_band:
-            g_val = np.asarray(problem.coupling.constraint(blocks))
+            g_val = _coupling_constraint(problem, blocks)
             if g_val.size and np.max(np.abs(g_val)) > feasibility_band:
                 continue
         if lagrangian_mode:

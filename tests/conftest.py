@@ -3,8 +3,8 @@ import pytest
 
 import dataclasses
 
-from dist_alm import (AgentSpec, BlockVector, MultiplierEstimate, NlpProblem,
-                      Polytope, ToyParams, default_start, generate_toy,
+from dist_alm import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
+                      NlpProblem, Polytope, ToyParams, default_start, generate_toy,
                       toy_initial_guess)
 from dist_alm.bench import one_agent_problem
 
@@ -73,3 +73,41 @@ def mu_like(problem, values):
 
 def zvec(*blocks):
     return BlockVector([np.atleast_1d(np.asarray(b, dtype=float)) for b in blocks])
+
+
+def _chain_neighbours_sum(blocks, i):
+    return sum(blocks[j] for j in (i - 1, i + 1) if 0 <= j < len(blocks))
+
+
+def site_problem(site=None, bad=None):
+    """Three agents with 2-D boxes, one constraint each, and a chain coupling
+    with a cost and one constraint row.
+
+    With ``site`` (an ``AgentSpec`` or ``CouplingSpec`` field, the latter
+    prefixed ``coupling.``), that evaluator returns ``bad``: for agent 1
+    only, for the coupling's block derivatives only for block 1, and for
+    the coupling's values always.
+    """
+    agents = [AgentSpec(cost=lambda x: float(x @ x), cost_grad=lambda x: 2.0 * x,
+                        feasible_set=Polytope.box([-1.0, -1.0], [1.0, 1.0]),
+                        constraint=lambda x: np.array([x[0] + x[1]]),
+                        constraint_jac=lambda x: np.array([[1.0, 1.0]]),
+                        constraint_dim=1)
+              for _ in range(3)]
+    coupling = CouplingSpec(
+        cost=lambda b: float(b[0] @ b[1] + b[1] @ b[2]),
+        cost_block_grad=_chain_neighbours_sum,
+        constraint=lambda b: np.array([b[0][0] + b[1][0] + b[2][0]]),
+        constraint_block_jac=lambda b, i: np.array([[1.0, 0.0]]),
+        constraint_dim=1, edges={(0, 1), (1, 2)})
+    if site is not None and site.startswith("coupling."):
+        name = site.split(".")[1]
+        good = getattr(coupling, name)
+        if name in ("cost", "constraint"):
+            evaluator = lambda blocks: bad  # noqa: E731
+        else:
+            evaluator = lambda blocks, i: bad if i == 1 else good(blocks, i)  # noqa: E731
+        coupling = dataclasses.replace(coupling, **{name: evaluator})
+    elif site is not None:
+        agents[1] = dataclasses.replace(agents[1], **{site: lambda x: bad})
+    return NlpProblem(agents=tuple(agents), coupling=coupling)

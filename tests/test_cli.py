@@ -90,22 +90,3 @@ class TestConfigHandling:
         assert run_cli(["solve", "--toy", "--beta", "0.5"]) == 2
         assert "config error" in capsys.readouterr().err
 
-
-class TestEnvironment:
-    def test_thread_cap_parsed_from_env(self, monkeypatch):
-        from dist_alm.cli import _threads
-
-        monkeypatch.setenv("DIST_ALM_THREADS", "3")
-        assert _threads() == 3
-        monkeypatch.setenv("DIST_ALM_THREADS", "0")
-        assert _threads() == 0
-        monkeypatch.delenv("DIST_ALM_THREADS")
-        assert _threads() == 0
-
-    def test_bad_thread_env_is_config_error(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setenv("DIST_ALM_THREADS", "many")
-        out = tmp_path / "s.csv"
-        code = run_cli(["bench", "--n", "4", "--d", "2", "--instances", "1",
-                        "--budgets", "2", "--tolerances", "1e-2",
-                        "--out", str(out)])
-        assert code == 2

@@ -1,15 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
-                      EvaluationError, MultiplierEstimate, NlpProblem, Polytope,
-                      PreconditionError, StructureError, ToyParams,
-                      eval_aug_lagrangian, eval_block_gradient, eval_constraints,
-                      generate_toy)
+                      EvaluationError, InnerConfig, MultiplierEstimate, NlpProblem,
+                      OuterConfig, Polytope, PreconditionError, StructureError,
+                      ToyParams, bcd_sweep, color_interaction_graph,
+                      criticality_residual, default_start, eval_aug_lagrangian,
+                      eval_block_gradient, eval_constraints, generate_toy,
+                      kkt_report, run_inner, run_outer, toy_initial_guess)
 from dist_alm import model
-from conftest import box_with_cuts, mu_like, quadratic_agent, zvec
+from dist_alm.model import FEAS_TOL
+from conftest import (box_with_cuts, cut_chain, mu_like, quadratic_agent, site_problem,
+                      zvec)
 
 
 def two_agent_coupled():
@@ -369,3 +375,166 @@ class TestMultiplier:
         problem = two_agent_coupled()
         with pytest.raises(StructureError):
             MultiplierEstimate.from_flat(problem, np.zeros(2))
+
+
+NAN = float("nan")
+
+#: Per evaluator: the public call that reaches it, a wrongly shaped output
+#: (``None`` for costs, which are converted by ``float``), a non-finite
+#: output and the agent its ``EvaluationError`` names (``None`` for the
+#: coupling's values).  See ``conftest.site_problem``.
+EVALUATOR_SITES = {
+    "cost": ("lagrangian", None, NAN, 1),
+    "cost_grad": ("gradient", np.zeros(3), np.array([NAN, 0.0]), 1),
+    "constraint": ("constraints", np.zeros(2), np.array([NAN]), 1),
+    "constraint_jac": ("gradient", np.zeros((1, 1)), np.full((1, 2), NAN), 1),
+    "coupling.cost": ("lagrangian", None, NAN, None),
+    "coupling.cost_block_grad": ("gradient", np.zeros(3), np.array([0.0, NAN]), 1),
+    "coupling.constraint": ("constraints", np.zeros(2), np.array([NAN]), None),
+    "coupling.constraint_block_jac": ("gradient", np.zeros((1, 1)),
+                                      np.full((1, 2), NAN), 1),
+}
+
+
+def evaluate_site(problem, call):
+    z = zvec([0.1, 0.2], [0.3, -0.4], [-0.5, 0.6])
+    mu = MultiplierEstimate.zeros(problem)
+    if call == "lagrangian":
+        return eval_aug_lagrangian(problem, z, mu, 1.0)
+    if call == "constraints":
+        return eval_constraints(problem, z)
+    return eval_block_gradient(problem, z, mu, 1.0, 1)
+
+
+def poisoned_hook(problem, name, kind):
+    """``problem`` whose hook ``name`` returns a NaN in agent 2's row
+    (``kind="nan"``) or one row or column too few (``kind="shape"``)."""
+    hook = getattr(problem, name)
+
+    def gradients(x, mu_flat, rho, idx):
+        grad = hook(x, mu_flat, rho, idx)
+        if kind == "shape":
+            return grad[:, :-1]
+        grad[idx == 2, 1] = NAN
+        return grad
+
+    def values(x, mu_flat, rho, idx, trial):
+        local, coupling = hook(x, mu_flat, rho, idx, trial)
+        if kind == "shape":
+            return local[:-1], coupling
+        coupling[idx == 2] = NAN
+        return local, coupling
+
+    return dataclasses.replace(
+        problem, **{name: gradients if name == "block_gradients" else values})
+
+
+def evaluate_hook(problem, name):
+    """Reach hook ``name`` through the residual or a certified sweep."""
+    params = ToyParams(n_agents=6, block_dim=3, scale=2.0, seed=5)
+    z0, mu = toy_initial_guess(params, generate_toy(params))
+    if name == "block_gradients":
+        return criticality_residual(problem, z0, mu, 1.0)
+    return bcd_sweep(problem, z0, mu, 1.0, InnerConfig(),
+                     color_interaction_graph(problem.coupling, 6))
+
+
+class TestEvaluatorOutputChecks:
+    """Every evaluator and hook output is checked: a wrong shape is a
+    ``StructureError`` and a non-finite entry an ``EvaluationError`` that
+    names the agent."""
+
+    def test_well_formed_outputs_pass(self):
+        problem = site_problem()
+        for call in ("lagrangian", "constraints", "gradient"):
+            assert np.all(np.isfinite(evaluate_site(problem, call)))
+
+    @pytest.mark.parametrize("site", [s for s, v in EVALUATOR_SITES.items()
+                                      if v[1] is not None])
+    def test_wrong_shape_is_structural(self, site):
+        call, wrong, _, _ = EVALUATOR_SITES[site]
+        with pytest.raises(StructureError):
+            evaluate_site(site_problem(site, wrong), call)
+
+    @pytest.mark.parametrize("site", list(EVALUATOR_SITES))
+    def test_non_finite_names_its_agent(self, site):
+        call, _, nan, agent = EVALUATOR_SITES[site]
+        with pytest.raises(EvaluationError) as err:
+            evaluate_site(site_problem(site, nan), call)
+        assert err.value.agent == agent
+
+    @pytest.mark.parametrize("name", ["block_gradients", "block_values"])
+    def test_hook_wrong_shape_is_structural(self, name):
+        problem = generate_toy(ToyParams(n_agents=6, block_dim=3, scale=2.0, seed=5))
+        with pytest.raises(StructureError, match=name):
+            evaluate_hook(poisoned_hook(problem, name, "shape"), name)
+
+    @pytest.mark.parametrize("name", ["block_gradients", "block_values"])
+    def test_hook_non_finite_row_names_its_agent(self, name):
+        problem = generate_toy(ToyParams(n_agents=6, block_dim=3, scale=2.0, seed=5))
+        with pytest.raises(EvaluationError) as err:
+            evaluate_hook(poisoned_hook(problem, name, "nan"), name)
+        assert err.value.agent == 2
+
+
+def outside_by(poly, delta):
+    """A point ``delta`` outside ``poly`` (inside for ``delta < 0``): from its
+    Chebyshev centre along a fixed direction, past the first row it meets."""
+    u = np.array([1.0, 0.3, -0.2])
+    center = poly.chebyshev_center()
+    along = poly.a_mat @ u
+    t = np.full(along.shape, np.inf)
+    np.divide(poly.b_vec - poly.a_mat @ center, along, out=t, where=along > 0)
+    k = int(np.argmin(t))
+    return center + (t[k] + delta / along[k]) * u
+
+
+def gate_chain(kind, delta):
+    """A six-agent toy chain of boxes, or of boxes with cuts, whose block 3
+    lies ``delta`` outside its set, with zero multipliers."""
+    if kind == "box":
+        problem = generate_toy(ToyParams(n_agents=6, block_dim=3, scale=2.0, seed=2))
+    else:
+        problem = cut_chain(seed=3)[0]
+    blocks = default_start(problem).to_list()
+    poly = problem.agents[3].feasible_set
+    blocks[3] = outside_by(poly, delta)
+    assert poly.violation(blocks[3]) == pytest.approx(delta, rel=1e-3)
+    return problem, BlockVector(blocks), MultiplierEstimate.zeros(problem)
+
+
+GATED_CALLS = {
+    "run_outer": lambda p, z, mu: run_outer(
+        p, OuterConfig(rho0=1.0, beta=10.0, eps0=1e-2, eta=0.0, max_outer=1),
+        InnerConfig(), z, mu, with_certificates=False, sweep_budgets=[1],
+        inner_eps_stop=False),
+    "run_inner": lambda p, z, mu: run_inner(p, z, mu, 1.0, InnerConfig(), sweep_cap=1,
+                                            with_certificates=False),
+    "criticality_residual": lambda p, z, mu: criticality_residual(p, z, mu, 1.0),
+    "kkt_report": lambda p, z, mu: kkt_report(p, z, mu, 1.0),
+}
+
+
+class TestMembershipGate:
+    """One gate, ``NlpProblem.check_membership``, serves the solver and the
+    oracles: the first block outside its set by more than ``FEAS_TOL`` is
+    named, whatever the set and the caller."""
+
+    @pytest.mark.parametrize("call", list(GATED_CALLS))
+    @pytest.mark.parametrize("kind", ["box", "cuts"])
+    def test_first_violating_block_is_named(self, kind, call):
+        problem, z, mu = gate_chain(kind, 1e-6)
+        with pytest.raises(PreconditionError, match=r"^block 3 violates its polytope by"):
+            GATED_CALLS[call](problem, z, mu)
+
+    @pytest.mark.parametrize("call", list(GATED_CALLS))
+    @pytest.mark.parametrize("kind", ["box", "cuts"])
+    def test_drift_within_the_tolerance_passes(self, kind, call):
+        problem, z, mu = gate_chain(kind, FEAS_TOL / 2)
+        GATED_CALLS[call](problem, z, mu)
+
+    @pytest.mark.parametrize("kind", ["box", "cuts"])
+    def test_feasible_reads_the_same_violations(self, kind):
+        problem, z, _ = gate_chain(kind, 1e-6)
+        assert problem.feasible(z, slack=2e-6)
+        assert not problem.feasible(z, slack=FEAS_TOL)

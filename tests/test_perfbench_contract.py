@@ -1,11 +1,12 @@
 """The benchmark harness in ``perfbench/`` runs against this checkout.
 
 The harness calls the solver by name and keyword (``run_outer(threads=0)``,
-``run_statistics(threads=0)``, ``bcd_sweep(..., c_bounds=...)``) and its
-tracer wraps module-level names such as ``_initial_c_bounds``,
-``_block_gradient`` and ``_coupling_value``.  A rename or a dropped keyword
-on the solver's side shows up here as a failed or incorrect run, or as a
-layer reported as not measured.
+``run_statistics(threads=0)``, ``bcd_sweep(..., c_bounds=...)``; both
+``threads`` keywords are accepted and ignored) and its tracer wraps
+module-level names such as ``_initial_c_bounds``, ``_block_gradient`` and
+``_coupling_value``.  A rename or a dropped keyword on the solver's side
+shows up here as a failed or incorrect run, or as a layer reported as not
+measured.
 """
 
 import json

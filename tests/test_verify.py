@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dist_alm import (AgentSpec, BlockVector, MultiplierEstimate, NlpProblem,
-                      Polytope, PreconditionError, RefusalError, ToyParams,
-                      brute_force_min, criticality_residual, fd_gradient_check,
-                      generate_toy, kkt_report, regularity_check)
-from conftest import linear_agent, mu_like, one_agent_problem, quadratic_agent, zvec
+from dist_alm import (AgentSpec, BlockVector, CouplingSpec, EvaluationError,
+                      MultiplierEstimate, NlpProblem, Polytope, PreconditionError,
+                      RefusalError, StructureError, ToyParams, brute_force_min,
+                      criticality_residual, fd_gradient_check, generate_toy,
+                      kkt_report, regularity_check)
+from conftest import (linear_agent, mu_like, one_agent_problem, quadratic_agent,
+                      site_problem, zvec)
 
 
 def gradient_probe_problem(c_vec, lo, hi):
@@ -289,3 +291,39 @@ class TestKktReport:
         assert report.stationarity == criticality_residual(problem, z, mu, 1.0)
         np.testing.assert_array_equal(report.active_rows, [1, 4, 5])
         assert report.stationarity > 0.0
+
+
+class TestOracleOutputChecks:
+    """The oracles check evaluator output like the solver does."""
+
+    @pytest.mark.parametrize("site", ["constraint_jac", "coupling.constraint_block_jac"])
+    def test_regularity_rejects_a_wrongly_shaped_jacobian(self, site):
+        problem = site_problem(site, np.ones((1, 1)))  # block 1 is 2-D
+        with pytest.raises(StructureError):
+            regularity_check(problem, zvec([0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]))
+
+    @pytest.mark.parametrize("site", ["constraint_jac", "coupling.constraint_block_jac"])
+    def test_regularity_names_the_agent_of_a_non_finite_jacobian(self, site):
+        problem = site_problem(site, np.full((1, 2), np.nan))
+        with pytest.raises(EvaluationError) as err:
+            regularity_check(problem, zvec([0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]))
+        assert err.value.agent == 1
+
+    def test_brute_force_rejects_a_non_finite_agent_constraint(self):
+        base = one_agent_problem().agents[0]
+        problem = NlpProblem(agents=(dataclasses.replace(
+            base, constraint=lambda x: np.array([x[0] ** 2 - 1.0 if x[0] >= 0 else np.nan])),))
+        with pytest.raises(EvaluationError) as err:
+            brute_force_min(problem, grid_step=0.5, feasibility_band=1e-2)
+        assert err.value.agent == 0
+
+    def test_brute_force_rejects_a_non_finite_coupling_constraint(self):
+        problem = NlpProblem(
+            agents=(linear_agent([1.0], [-1.0], [1.0]), linear_agent([1.0], [-1.0], [1.0])),
+            coupling=CouplingSpec(
+                constraint=lambda b: np.array([b[0][0] + b[1][0] if b[0][0] >= 0 else np.nan]),
+                constraint_block_jac=lambda b, i: np.array([[1.0]]),
+                constraint_dim=1, edges={(0, 1)}))
+        with pytest.raises(EvaluationError) as err:
+            brute_force_min(problem, grid_step=0.5, feasibility_band=1e-2)
+        assert err.value.agent is None
