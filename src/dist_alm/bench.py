@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,6 +127,14 @@ def _chain_coupling(w_mats) -> CouplingSpec:
     )
 
 
+def _per_index_set(gather):
+    """``gather(idx)``, kept for the 64 index sets asked for last (colour
+    classes, all agents, subsets that backtracking re-solves)."""
+    cached = lru_cache(maxsize=64)(
+        lambda key, dtype: gather(np.frombuffer(key, dtype=dtype)))
+    return lambda idx: cached(idx.tobytes(), idx.dtype)
+
+
 def _chain_block_gradients(h_mats, w_mats, radius_sq):
     """Batched block gradients of the chain instance.
 
@@ -135,7 +144,7 @@ def _chain_block_gradients(h_mats, w_mats, radius_sq):
     per-agent summation order
     ``(2 H x + 2 x (mu + rho F)) + (W_{i-1}.T x_{i-1} + W_i x_{i+1})``.
     The chain ends take a zero matrix for their missing neighbour.  The
-    gathered matrices are kept per index set (one per colour class).
+    gathered matrices are kept per index set (see :func:`_per_index_set`).
     """
     h = np.array(h_mats)
     w = np.array(w_mats)
@@ -143,15 +152,9 @@ def _chain_block_gradients(h_mats, w_mats, radius_sq):
     w_prev = np.concatenate([zero, w])  # row i: W_{i-1}
     w_next = np.concatenate([w, zero])  # row i: W_i
     last = h.shape[0] - 1
-    plans = {}
-
-    def plan(idx):
-        key = idx.tobytes()
-        if key not in plans:
-            plans[key] = (h[idx], np.transpose(w_prev[idx], (0, 2, 1)),
-                          np.maximum(idx - 1, 0), w_next[idx],
-                          np.minimum(idx + 1, last))
-        return plans[key]
+    plan = _per_index_set(lambda idx: (
+        h[idx], np.transpose(w_prev[idx], (0, 2, 1)), np.maximum(idx - 1, 0),
+        w_next[idx], np.minimum(idx + 1, last)))
 
     def block_gradients(x, mu, rho, idx):
         h_idx, wt_prev, prev, w_nxt, nxt = plan(idx)
@@ -174,23 +177,30 @@ def _chain_block_values(h_mats, w_mats, radius_sq):
     ``(x_i @ W_i) @ x_{i+1}``), the local term keeps the order
     ``J + (mu F + (rho / 2) F^2)``, and each coupling value folds its
     edge terms left to right, as ``sum`` does, with the moved block's two
-    edge terms replaced.
+    edge terms replaced.  The gathers are kept per index set (see
+    :func:`_per_index_set`).
     """
     h = np.array(h_mats)
     w = np.array(w_mats)
     last = h.shape[0] - 1
 
+    @_per_index_set
+    def plan(idx):
+        k_left, k_right = np.flatnonzero(idx > 0), np.flatnonzero(idx < last)
+        return (h[idx], k_left, idx[k_left] - 1, k_right, idx[k_right],
+                w[idx[k_right]], idx[k_right] + 1)
+
     def block_values(x, mu, rho, idx, trial):
+        h_idx, k_left, e_left, k_right, e_right, w_right, right = plan(idx)
         rows = trial[:, None, :]
-        cost = ((rows @ h[idx]) @ trial[:, :, None])[:, 0, 0]
+        cost = ((rows @ h_idx) @ trial[:, :, None])[:, 0, 0]
         sphere = (rows @ trial[:, :, None])[:, 0, 0] - radius_sq
         local = cost + (mu[idx] * sphere + (0.5 * rho) * (sphere * sphere))
         left = x[:-1, None, :] @ w  # row e: x_e @ W_e
         terms = np.tile((left @ x[1:, :, None])[:, 0, 0], (idx.shape[0], 1))
-        k = np.flatnonzero(idx > 0)
-        terms[k, idx[k] - 1] = (left[idx[k] - 1] @ trial[k, :, None])[:, 0, 0]
-        k = np.flatnonzero(idx < last)
-        terms[k, idx[k]] = ((rows[k] @ w[idx[k]]) @ x[idx[k] + 1, :, None])[:, 0, 0]
+        terms[k_left, e_left] = (left[e_left] @ trial[k_left, :, None])[:, 0, 0]
+        terms[k_right, e_right] = ((rows[k_right] @ w_right)
+                                   @ x[right, :, None])[:, 0, 0]
         # a left fold from +0.0, as sum's start value gives
         return local, np.add.accumulate(terms, axis=1)[:, -1] + 0.0
 

@@ -27,19 +27,24 @@ hooks.
 
 Every sweep can emit a certificate with, per agent, the two sides of the
 sufficient-decrease inequality and of the relative-error bound
-``(3 C_i + alpha_max) ||step||`` that underpin convergence of the scheme.
-Both are per-block inequalities, checked against the class snapshot after
-the class step, for the whole class at once: one call of the problem's
-``block_values`` hook gives every member's value with only its own block
-moved, one gradient call at the moved class gives the new gradients, and
-the agents that fail are re-solved together.  ``C_i`` is a bound on the
-curvature of the local Lagrangian; it can be supplied as a hint, estimated
-by finite-difference sampling, or maintained by backtracking (doubled
-whenever a descent or certificate check fails, with the block re-projected
-when the curvature surrogate depends on it).  Sampling perturbs every
-member of a class at once, one coordinate and sign per gradient call, and
-the sample points are drawn once per problem.  Without the hooks every
-value comes from the per-agent evaluators; the results are the same.
+``(3 C_i + alpha_max) ||step||`` that underpin convergence of the scheme,
+and the augmented Lagrangian before and after the sweep: the sum of local
+and coupling terms (see :mod:`dist_alm.model`) whose changes make up the
+decrease sides.  Both are per-block inequalities, checked against the class
+snapshot after the class step, for the whole class at once: one call of the
+problem's ``block_values`` hook gives every member's value with only its
+own block moved, one gradient call at the moved class gives the new
+gradients, and the agents that fail are re-solved together.  Between two
+sweeps of :func:`run_inner`, the residual's gradients and the Lagrangian's
+terms serve the next sweep's first class, whose snapshot that point is.
+``C_i`` is a bound on the curvature of the local Lagrangian; it can be
+supplied as a hint, estimated by finite-difference sampling, or maintained
+by backtracking (doubled whenever a descent or certificate check fails,
+with the block re-projected when the curvature surrogate depends on it).
+Sampling perturbs every member of a class at once, one coordinate and sign
+per gradient call, and the sample points are drawn once per problem.
+Without the hooks every value comes from the per-agent evaluators; the
+results are the same.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
                     Polytope, _aug_lagrangian, _block_gradient, _block_gradients,
                     _block_values, _row_dots)
-from .verify import criticality_residual
+from .verify import _residual_and_gradients, criticality_residual
 
 __all__ = [
     "Backtracking",
@@ -224,11 +229,8 @@ def color_interaction_graph(coupling: CouplingSpec, n_agents: int) -> np.ndarray
         adjacency[j].append(i)
     colors = np.full(n_agents, -1, dtype=int)
     for i in range(n_agents):
-        taken = {colors[j] for j in adjacency[i] if colors[j] >= 0}
-        color = 0
-        while color in taken:
-            color += 1
-        colors[i] = color
+        taken = {colors[j] for j in adjacency[i]}
+        colors[i] = min(set(range(len(taken) + 1)) - taken)
     return colors
 
 
@@ -247,15 +249,10 @@ def _sample_in_polytope(poly: Polytope, rng) -> np.ndarray:
     direction /= norm
     along = poly.a_mat @ direction
     slack = poly.b_vec - poly.a_mat @ center
-    t_hi = np.inf
-    t_lo = -np.inf
-    for a, s in zip(along, slack):
-        if a > 1e-14:
-            t_hi = min(t_hi, s / a)
-        elif a < -1e-14:
-            t_lo = max(t_lo, s / a)
-    t_hi = 0.0 if not np.isfinite(t_hi) else t_hi
-    t_lo = 0.0 if not np.isfinite(t_lo) else t_lo
+    up, down = along > 1e-14, along < -1e-14
+    t_hi = np.min(slack[up] / along[up], initial=np.inf)
+    t_lo = np.max(slack[down] / along[down], initial=-np.inf)
+    t_hi, t_lo = (t if np.isfinite(t) else 0.0 for t in (t_hi, t_lo))
     return center + direction * rng.uniform(0.95 * t_lo, 0.95 * t_hi)
 
 
@@ -266,14 +263,12 @@ def _fd_block_hessian_norm(problem, blocks, mu, rho, i) -> float:
     hess = np.zeros((n, n))
     for j in range(n):
         step = 1e-5 * (1.0 + abs(x[j]))
-        hi = [b if k != i else None for k, b in enumerate(blocks)]
-        hi_pt = np.array(x); hi_pt[j] += step
-        lo_pt = np.array(x); lo_pt[j] -= step
-        hi[i] = hi_pt
-        lo = list(blocks); lo[i] = lo_pt
-        g_hi = _block_gradient(problem, hi, mu, rho, i)
-        g_lo = _block_gradient(problem, lo, mu, rho, i)
-        hess[:, j] = (g_hi - g_lo) / (2.0 * step)
+        hi, lo = list(blocks), list(blocks)
+        hi[i], lo[i] = np.array(x), np.array(x)
+        hi[i][j] += step
+        lo[i][j] -= step
+        hess[:, j] = (_block_gradient(problem, hi, mu, rho, i)
+                      - _block_gradient(problem, lo, mu, rho, i)) / (2.0 * step)
     hess = 0.5 * (hess + hess.T)
     if n == 0:
         return 0.0
@@ -362,9 +357,8 @@ def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
         return np.array([estimate_hessian_bound(problem, a.feasible_set, i, cfg, rho, mu)
                          for i, a in enumerate(problem.agents)])
     points = _agent_samples(problem, _sample_count(cfg.c_source))
-    coloring = color_interaction_graph(problem.coupling, n)
     best = np.zeros(n)
-    for idx, pos, _, _ in _color_classes(problem, coloring):
+    for idx, pos, _, _ in _color_classes(problem, _coloring(problem)):
         k, d = pos.shape
         for x in np.stack([points[i] for i in idx.tolist()], axis=1):
             at = np.array(flat)
@@ -419,6 +413,14 @@ def _project(poly, v, start, i, sweep):
         raise PreconditionError(f"agent {i}, sweep {sweep}: {exc}") from exc
 
 
+def _coloring(problem) -> np.ndarray:
+    """The problem's :func:`color_interaction_graph`, kept with the problem."""
+    cache = problem._sweep_cache
+    if "coloring" not in cache:
+        cache["coloring"] = color_interaction_graph(problem.coupling, problem.n_agents)
+    return cache["coloring"]
+
+
 def _color_classes(problem, coloring) -> tuple:
     """Colour classes, each split by block dimension, with stacked box bounds.
 
@@ -429,8 +431,8 @@ def _color_classes(problem, coloring) -> tuple:
     first use and kept with the problem for the last coloring seen.
     """
     key = coloring.tobytes()
-    classes = problem._sweep_cache.get(key)
-    if classes is None:
+    seen, classes = problem._sweep_cache.get("classes", (None, None))
+    if seen != key:
         dims = np.array(problem.block_dims)
         starts = np.concatenate([[0], np.cumsum(dims[:-1])])
         classes = []
@@ -445,8 +447,7 @@ def _color_classes(problem, coloring) -> tuple:
                 else:
                     classes.append((idx, pos, None, None))
         classes = tuple(classes)
-        problem._sweep_cache.clear()
-        problem._sweep_cache[key] = classes
+        problem._sweep_cache["classes"] = (key, classes)
     return classes
 
 
@@ -466,26 +467,28 @@ def _solve_rows(problem, cls, rows, x_old, grad, m_diag, sweep):
 
 
 def _check_class(problem, flat, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
-                 c_bounds, a_hi, sweep, cert):
+                 c_bounds, a_hi, sweep, cert, value_old=None):
     """Certificate values and curvature backtracking for one colour class.
 
     ``flat`` is the read-only class snapshot, ``x_old`` the class's blocks
-    in it and ``x_new`` the class step, updated in place.  Per agent, the
-    descent-lemma check drives the backtracking of ``C_i`` (doubled in
-    ``c_bounds`` on failure); a banded surrogate depends on ``C_i``, so
-    the blocks that failed are re-solved together and only their values
-    are taken again, and a failed decrease certificate counts as a failure
-    too.  With a fixed surrogate doubling cannot fix the step, which is
-    recorded as-is.  The members share no coupling edge: their values
-    come from one ``_block_values`` call per evaluation (each with only its
-    own block moved) and their new gradients from one ``_block_gradients``
-    call at the snapshot with the members moved.  ``cert`` (or ``None``)
-    receives the per-agent certificate values.
+    in it and ``x_new`` the class step, updated in place; ``value_old``,
+    the members' values at the snapshot, is evaluated unless given.  Per
+    agent, the descent-lemma check drives the backtracking of ``C_i``
+    (doubled in ``c_bounds`` on failure); a banded surrogate depends on
+    ``C_i``, so the blocks that failed are re-solved together and only
+    their values are taken again, and a failed decrease certificate counts
+    as a failure too.  With a fixed surrogate doubling cannot fix the
+    step, which is recorded as-is.  The members share no coupling edge:
+    their values come from one ``_block_values`` call per evaluation (each
+    with only its own block moved) and their new gradients from one
+    ``_block_gradients`` call at the snapshot with the members moved.
+    ``cert`` (or ``None``) receives the per-agent certificate values.
     """
     idx, pos = cls[0], cls[1]
     band = isinstance(cfg.b_strategy, HessianBand)
     backtracking = isinstance(cfg.c_source, Backtracking)
-    value_old = np.add(*_block_values(problem, flat, mu, rho, idx))
+    if value_old is None:
+        value_old = np.add(*_block_values(problem, flat, mu, rho, idx))
     moved = np.array(flat)
     moved_view = moved.view()
     moved_view.setflags(write=False)
@@ -532,11 +535,21 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
         cert.step_norms[idx], cert.alpha_used[idx] = snorm, alpha
 
 
+@dataclass
+class _Boundary:
+    """Evaluations at the point between two sweeps, each ``None`` until
+    taken: every block gradient, and the Lagrangian with its terms."""
+
+    grads: object = None
+    lagrangian: Optional[float] = None
+    terms: Optional[np.ndarray] = None
+
+
 def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
               rho: float, cfg: InnerConfig, coloring,
               c_bounds: Optional[np.ndarray] = None, sweep_index: int = 0,
-              with_certificates: bool = True,
-              lagrangian_before: Optional[float] = None):
+              with_certificates: bool = True, *,
+              boundary: Optional[_Boundary] = None):
     """Update every block once, color class by color class.
 
     Blocks inside one color class read the same frozen snapshot (they do
@@ -547,9 +560,11 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     snapshot together.  Classes are applied in ascending color order, which
     realises a Gauss-Seidel pass in the color-sorted agent order.
     ``c_bounds`` is updated in place when backtracking refines a curvature
-    bound.  ``lagrangian_before`` is the augmented Lagrangian at ``z`` when
-    the caller already has it (the certificate's value); by default it is
-    evaluated.
+    bound.
+
+    ``boundary`` is for :func:`run_inner`: the first class, whose snapshot
+    is ``z``, takes the evaluations it holds (at ``z``) in place of its own.
+    On return it holds those of the Lagrangian at the new point, if any.
 
     Returns
     -------
@@ -570,19 +585,21 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     flat = np.array(z.flat)
     view = flat.view()
     view.setflags(write=False)
+    at = _Boundary() if boundary is None else boundary
     cert = None
     if with_certificates:
-        blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
-        if lagrangian_before is None:
-            lagrangian_before = _aug_lagrangian(problem, blocks, mu, rho)
+        if at.terms is None:
+            at.lagrangian, at.terms = _aug_lagrangian(problem, view, mu, rho)
         cert = SweepCertificate(sweep_index, *(np.full(n, math.nan) for _ in range(4)),
                                 step_norms=np.zeros(n), c_used=None, alpha_used=np.zeros(n),
-                                lagrangian_before=lagrangian_before,
+                                lagrangian_before=at.lagrangian,
                                 lagrangian_after=math.nan)
 
+    grads, terms = at.grads, at.terms  # at z: the first class's snapshot
     for cls in classes:
         idx, pos = cls[0], cls[1]
-        grad = np.asarray(_block_gradients(problem, view, mu, rho, idx))
+        grad = np.asarray(_block_gradients(problem, view, mu, rho, idx) if grads is None
+                          else [grads[i] for i in idx.tolist()])
         if cfg.alpha_schedule is None:
             alpha = a_lo[idx]
         else:
@@ -593,12 +610,16 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
         x_new = _solve_rows(problem, cls, slice(None), x_old, grad, m_diag, sweep_index)
         if check:
             _check_class(problem, view, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
-                         c_bounds, a_hi, sweep_index, cert)
+                         c_bounds, a_hi, sweep_index, cert,
+                         None if terms is None else terms[idx])
         flat[pos] = x_new
+        grads = terms = None
 
+    at.grads = at.lagrangian = at.terms = None
     if cert is not None:
         cert.c_used = np.array(c_bounds)
-        cert.lagrangian_after = _aug_lagrangian(problem, blocks, mu, rho)
+        at.lagrangian, at.terms = _aug_lagrangian(problem, view, mu, rho)
+        cert.lagrangian_after = at.lagrangian
     return z._with_flat(flat), cert
 
 
@@ -617,17 +638,17 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     must lie in its polytope up to ``model.FEAS_TOL``.
     """
     problem.check_membership(z0)
-    coloring = color_interaction_graph(problem.coupling, problem.n_agents)
-    needs_c = with_certificates or isinstance(cfg.b_strategy, HessianBand)
+    coloring = _coloring(problem)
     c_bounds = None
-    if needs_c:
+    if with_certificates or isinstance(cfg.b_strategy, HessianBand):
         c_bounds = _initial_c_bounds(problem, cfg, z0.flat, mu, rho)
 
     cap = cfg.max_sweeps if sweep_cap is None else min(cfg.max_sweeps, sweep_cap)
     z = z0
     residual = math.nan
+    boundary = _Boundary()
     if eps_target is not None:
-        residual = criticality_residual(problem, z, mu, rho)
+        residual, boundary.grads = _residual_and_gradients(problem, z, mu, rho)
         if residual <= eps_target:
             return InnerResult(z, 0, [], True, False, residual, 0.0)
 
@@ -635,20 +656,18 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     achieved = False
     step = math.inf
     sweeps = 0
-    lagrangian = None
     while sweeps < cap:
         z_next, cert = bcd_sweep(problem, z, mu, rho, cfg, coloring,
                                  c_bounds=c_bounds, sweep_index=sweeps,
                                  with_certificates=with_certificates,
-                                 lagrangian_before=lagrangian)
+                                 boundary=boundary)
         step = z.max_block_diff(z_next)
         z = z_next
         sweeps += 1
         if cert is not None:
             certificates.append(cert)
-            lagrangian = cert.lagrangian_after
         if eps_target is not None:
-            residual = criticality_residual(problem, z, mu, rho)
+            residual, boundary.grads = _residual_and_gradients(problem, z, mu, rho)
             if residual <= eps_target:
                 achieved = True
                 break

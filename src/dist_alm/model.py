@@ -12,6 +12,11 @@ and the augmented Lagrangian with penalty ``rho`` and multiplier estimate
 
     L_rho(z, mu) = sum_i J_i(z_i) + Q(z) + mu @ H(z) + (rho / 2) ||H(z)||^2.
 
+The solver evaluates it one way only: as the exactly rounded sum of the
+agents' local terms ``J_i + mu_i @ F_i + (rho/2) ||F_i||^2`` and the
+coupling term ``Q + mu_G @ G + (rho/2) ||G||^2``, which the inner loop's
+block certificates telescope; the oracles in ``verify`` keep the form above.
+
 Only the equality constraints are penalised; the polytopes stay as hard
 constraints on every subproblem.  Agent indices are 0-based throughout.
 
@@ -536,7 +541,10 @@ class NlpProblem:
     them in the last bits.
 
     Both hooks must agree with ``agents`` and ``coupling``;
-    ``dataclasses.replace(problem, agents=...)`` keeps the old hooks.
+    ``dataclasses.replace(problem, agents=...)`` keeps the old hooks.  Row
+    ``k`` of a hook's output may depend only on ``idx[k]`` (and
+    ``trial[k]``), not on the other rows: the inner loop takes rows of a
+    call over all agents in place of a call over a colour class.
 
     Every evaluator and hook output is checked where the solver and the
     oracles read it, by ``_checked`` in this module: a wrong shape raises
@@ -696,7 +704,7 @@ class MultiplierEstimate(_FlatParts):
 def _checked(raw, shape, what, agent=None, rows=None):
     """One evaluator or hook output, checked: a finite float or float array.
 
-    ``shape=()`` takes a cost through ``float``.  An evaluator's vector is
+    ``shape=()`` takes a 0-d cost through ``float``.  An evaluator's vector is
     taken flattened and its matrix through ``np.atleast_2d``; a hook's
     array (``rows`` given) is taken as returned, and its row ``k`` belongs
     to agent ``rows[k]``.  A wrong shape raises ``StructureError`` and a
@@ -704,6 +712,8 @@ def _checked(raw, shape, what, agent=None, rows=None):
     the first non-finite row.
     """
     if shape == ():
+        if not isinstance(raw, float) and np.ndim(raw) != 0:
+            raise StructureError(f"{what} returned shape {np.shape(raw)}, expected ()")
         val = float(raw)
         if math.isfinite(val):
             return val
@@ -788,12 +798,6 @@ def _coupling_value(problem, blocks, mu_g, rho):
     return val
 
 
-def _aug_lagrangian(problem, blocks, mu, rho):
-    h_val = _constraints(problem, blocks)
-    return _objective(problem, blocks) + float(mu.flatten() @ h_val) \
-        + 0.5 * rho * float(h_val @ h_val)
-
-
 def _block_gradient(problem, blocks, mu, rho, i):
     agent = problem.agents[i]
     x_i = blocks[i]
@@ -850,17 +854,23 @@ def _block_values(problem, flat, mu, rho, idx, trial=None):
             coupling[:] = _coupling_value(problem, blocks, mu.coupling_part, rho)
         for row, i in enumerate(idx.tolist()):
             x_i = blocks[i] if trial is None else trial[row]
-            mu_i = mu.part(i) if problem.agents[i].constraint is not None else None
-            local[row] = _agent_local_value(problem, x_i, mu_i, rho, i)
+            local[row] = _agent_local_value(problem, x_i, mu.part(i), rho, i)
             if trial is not None:
-                moved = list(blocks)
-                moved[i] = x_i
+                moved = [*blocks[:i], x_i, *blocks[i + 1:]]
                 coupling[row] = _coupling_value(problem, moved, mu.coupling_part, rho)
         return local, coupling
     x = flat.reshape(problem.n_agents, -1)
     local, coupling = hook(x, mu.flat, rho, idx, x[idx] if trial is None else trial)
     return (_checked(local, (k,), "block_values local terms", rows=idx),
             _checked(coupling, (k,), "block_values coupling terms", rows=idx))
+
+
+def _aug_lagrangian(problem, flat, mu, rho):
+    """The augmented Lagrangian at the read-only point ``flat`` and its
+    per-agent terms (local plus coupling term, the value that certifies a
+    step of that block), from one :func:`_block_values` call over all agents."""
+    local, coupling = _block_values(problem, flat, mu, rho, np.arange(problem.n_agents))
+    return math.fsum([*local.tolist(), coupling[0]]), local + coupling
 
 
 # ---------------------------------------------------------------------------
@@ -889,13 +899,14 @@ def eval_aug_lagrangian(problem: NlpProblem, z: BlockVector,
                         mu: MultiplierEstimate, rho: float) -> float:
     """Partially augmented Lagrangian ``J + mu @ H + (rho/2) ||H||^2``.
 
-    Only the equality constraints enter the penalty; the polytopes are not
-    part of this value.  ``rho`` must be positive.
+    The exactly rounded sum of the local and coupling terms (see the module
+    docstring).  Only the equality constraints enter the penalty; the
+    polytopes are not part of this value.  ``rho`` must be positive.
     """
     _require_positive_rho(rho)
     problem.check_block_structure(z)
     problem.check_multiplier(mu)
-    return _aug_lagrangian(problem, list(z.blocks), mu, rho)
+    return _aug_lagrangian(problem, z.flat, mu, rho)[0]
 
 
 def eval_block_gradient(problem: NlpProblem, z: BlockVector,

@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, RefusalError
 from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem,
-                    _agent_constraint, _agent_jacobian, _aug_lagrangian,
-                    _block_gradient, _block_gradients, _box_cone_parts,
-                    _constraints, _coupling_constraint, _coupling_jacobian,
-                    _objective, _row_dots)
+                    _agent_constraint, _agent_jacobian, _block_gradient,
+                    _block_gradients, _box_cone_parts, _constraints,
+                    _coupling_constraint, _coupling_jacobian, _objective,
+                    _row_dots)
 
 __all__ = [
     "KktReport",
@@ -56,14 +56,6 @@ class KktReport:
     regular: bool
 
 
-def _block_cone_terms(problem, z, mu, rho):
-    """Yield ``Polytope.normal_cone_distance`` of every block, in agent order,
-    from one ``_block_gradients`` call."""
-    grads = _block_gradients(problem, z.flat, mu, rho, np.arange(problem.n_agents))
-    for agent, x, grad in zip(problem.agents, z.blocks, grads):
-        yield agent.feasible_set.normal_cone_distance(x, grad)
-
-
 def criticality_residual(problem: NlpProblem, z: BlockVector,
                          mu: MultiplierEstimate, rho: float) -> float:
     """Distance of the augmented-Lagrangian gradient to -N_Z(z).
@@ -79,30 +71,28 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
     float
         ``min_{v in N_Z(z)} || grad L_rho(z, mu) + v ||_2``.
     """
+    return _residual_and_gradients(problem, z, mu, rho)[0]
+
+
+def _residual_and_gradients(problem, z, mu, rho):
+    """:func:`criticality_residual` and the gradients of every block it was
+    taken from (one ``_block_gradients`` call).  When every set is a box of
+    one dimension, the squared distances are the box closed form over the
+    ``(N, d)`` stack, each equal to the per-block value bitwise."""
     problem.check_membership(z)
+    grads = _block_gradients(problem, z.flat, mu, rho, np.arange(problem.n_agents))
     boxes = problem._stacked_boxes
     if boxes is None:
-        dists = [dist_sq for dist_sq, _, _ in _block_cone_terms(problem, z, mu, rho)]
+        dists = [a.feasible_set.normal_cone_distance(x, g)[0]
+                 for a, x, g in zip(problem.agents, z.blocks, grads)]
     else:
-        dists = _stacked_box_dists(problem, z, mu, rho, *boxes).tolist()
+        x = z.flat.reshape(problem.n_agents, -1)
+        _, _, res = _box_cone_parts(x, np.asarray(grads), *boxes)
+        dists = _row_dots(res, res).tolist()
     total = 0.0
     for dist_sq in dists:  # in agent order
         total += dist_sq
-    return float(np.sqrt(total))
-
-
-def _stacked_box_dists(problem, z, mu, rho, lower, upper):
-    """Per-block squared distances when every set is a box of one dimension.
-
-    The ``(N, d)`` form of :func:`_block_cone_terms`: one
-    ``_block_gradients`` call and the elementwise box closed form, each
-    entry equal to the per-block value bitwise.
-    """
-    x = z.flat.reshape(problem.n_agents, -1)
-    grads = np.asarray(_block_gradients(problem, z.flat, mu, rho,
-                                        np.arange(problem.n_agents)))
-    _, _, res = _box_cone_parts(x, grads, lower, upper)
-    return _row_dots(res, res)
+    return float(np.sqrt(total)), grads
 
 
 def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
@@ -112,23 +102,29 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     ``stationarity`` equals :func:`criticality_residual`; ``z`` must lie in
     the polytope up to ``model.FEAS_TOL``.
     """
-    problem.check_membership(z)
-    total = 0.0
+    stationarity, grads = _residual_and_gradients(problem, z, mu, rho)
     lams, actives = [], []
     offset = 0
-    for dist_sq, lam, active in _block_cone_terms(problem, z, mu, rho):
-        total += dist_sq
+    for agent, x, grad in zip(problem.agents, z.blocks, grads):
+        _, lam, active = agent.feasible_set.normal_cone_distance(x, grad)
         lams.append(lam)
         actives.append(offset + active)
         offset += lam.shape[0]
     h_val = _constraints(problem, list(z.blocks))
     return KktReport(
-        stationarity=float(np.sqrt(total)),
+        stationarity=stationarity,
         feasibility_inf=float(np.max(np.abs(h_val), initial=0.0)),
         active_rows=np.concatenate(actives),
         multipliers=np.concatenate(lams),
         regular=regularity_check(problem, z, rank_tol),
     )
+
+
+def _oracle_lagrangian(problem, blocks, mu, rho):
+    """``J + mu @ H + (rho/2) ||H||^2`` from the per-agent evaluators."""
+    h_val = _constraints(problem, blocks)
+    return _objective(problem, blocks) + float(mu.flatten() @ h_val) \
+        + 0.5 * rho * float(h_val @ h_val)
 
 
 def fd_gradient_check(problem: NlpProblem, z: BlockVector,
@@ -150,22 +146,17 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
         fd = np.zeros_like(grad)
         for j in range(agent.dim):
             step = h * (1.0 + abs(blocks[i][j]))
-            for sign in (1.0, -1.0):
-                pt = np.array(blocks[i])
-                pt[j] += sign * step
-                if not agent.feasible_set.contains(pt, slack=FEAS_TOL):
-                    raise PreconditionError(
-                        f"block {i} is closer than {step:.1e} to its boundary "
-                        f"in coordinate {j}"
-                    )
-            hi = list(blocks)
-            lo = list(blocks)
-            hi_pt = np.array(blocks[i]); hi_pt[j] += step
-            lo_pt = np.array(blocks[i]); lo_pt[j] -= step
-            hi[i] = hi_pt
-            lo[i] = lo_pt
-            fd[j] = (_aug_lagrangian(problem, hi, mu, rho)
-                     - _aug_lagrangian(problem, lo, mu, rho)) / (2.0 * step)
+            hi, lo = list(blocks), list(blocks)
+            hi[i], lo[i] = np.array(blocks[i]), np.array(blocks[i])
+            hi[i][j] += step
+            lo[i][j] -= step
+            if not all(agent.feasible_set.contains(pt, slack=FEAS_TOL)
+                       for pt in (hi[i], lo[i])):
+                raise PreconditionError(
+                    f"block {i} is closer than {step:.1e} to its boundary "
+                    f"in coordinate {j}")
+            fd[j] = (_oracle_lagrangian(problem, hi, mu, rho)
+                     - _oracle_lagrangian(problem, lo, mu, rho)) / (2.0 * step)
         scale = max(1.0, float(np.max(np.abs(grad), initial=0.0)))
         worst = max(worst, float(np.max(np.abs(fd - grad), initial=0.0)) / scale)
     return worst
@@ -187,8 +178,7 @@ def regularity_check(problem: NlpProblem, z: BlockVector,
         return False
     blocks = list(z.blocks)
     jac = np.zeros((r, n))
-    row = 0
-    col = 0
+    row = col = 0
     for i, agent in enumerate(problem.agents):
         if agent.constraint is not None:
             jac[row:row + agent.constraint_dim, col:col + agent.dim] = \
@@ -297,7 +287,7 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
             if g_val.size and np.max(np.abs(g_val)) > feasibility_band:
                 continue
         if lagrangian_mode:
-            val = _aug_lagrangian(problem, blocks, mu, rho)
+            val = _oracle_lagrangian(problem, blocks, mu, rho)
         else:
             val = _objective(problem, blocks)
         if val < best_val:

@@ -86,6 +86,35 @@ class TestToyFamily:
         assert count <= 3
 
 
+class TestChainHooks:
+    """Row ``k`` of a chain hook's output depends only on ``idx[k]`` (and
+    ``trial[k]``): the inner loop takes rows of a call over all agents in
+    place of a call over a colour class."""
+
+    @pytest.mark.parametrize("n_agents", [2, 7, 40, 320])
+    @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
+    def test_rows_do_not_depend_on_the_batch(self, n_agents, rho):
+        params = ToyParams(n_agents=n_agents, block_dim=3, scale=2.0, seed=n_agents)
+        problem = generate_toy(params)
+        z, mu = toy_initial_guess(params, problem)
+        x = z.flat.reshape(n_agents, 3)
+        rng = np.random.default_rng(n_agents)
+        moved = np.clip(x + rng.uniform(-0.1, 0.1, x.shape), -1.2, 1.2)
+        everyone = np.arange(n_agents)
+        batches = [everyone[0::2], everyone[1::2]]  # the colour classes
+        batches += [np.array([i]) for i in everyone]
+        grads = problem.block_gradients(x, mu.flat, rho, everyone)
+        values = {name: problem.block_values(x, mu.flat, rho, everyone, trial)
+                  for name, trial in (("own", x), ("moved", moved))}
+        for idx in batches:
+            got = problem.block_gradients(x, mu.flat, rho, idx)
+            assert got.tobytes() == grads[idx].tobytes(), idx
+            for name, trial in (("own", x), ("moved", moved)):
+                local, coupling = problem.block_values(x, mu.flat, rho, idx, trial[idx])
+                assert local.tobytes() == values[name][0][idx].tobytes(), (name, idx)
+                assert coupling.tobytes() == values[name][1][idx].tobytes(), (name, idx)
+
+
 class TestSplitBudget:
     def test_even_split(self):
         assert _split_budget(100, 5) == [20, 20, 20, 20, 20]

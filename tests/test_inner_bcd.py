@@ -386,9 +386,12 @@ class TestColorClassSweep:
     # Gradient calls: sampling the curvature bounds takes one per sign,
     # coordinate (3), sample (5) and class (2); each class then takes one
     # for its step and, with certificates, one at the moved class.  Value
-    # calls: per checked class, one at the snapshot and one for the step.
+    # calls: per checked class, one at the snapshot and one for the step;
+    # with certificates, the Lagrangian takes one over all agents before
+    # and after the sweep, and the first class's snapshot values come from
+    # the one before.
     @pytest.mark.parametrize("case, grad_calls, value_calls", [
-        ("certificates", 2 * 3 * 5 * 2 + 2 + 2, 2 + 2),
+        ("certificates", 2 * 3 * 5 * 2 + 2 + 2, 1 + 1 + 2 + 1),
         ("band", 2 * 3 * 5 * 2 + 2, 2 + 2),
         ("polytope", 2, 0),
     ], ids=["certificates", "band", "polytope"])
@@ -435,11 +438,17 @@ class TestColorClassSweep:
         doublings = np.log2(c_hook / C_FLOOR)  # exact: powers of two
         assert doublings.min() >= 1
         # per class: the step's gradient and the snapshot's values, then per
-        # attempt the values and the gradient of the rows still failing
-        assert [i.tolist() for i in grads] == [i.tolist() for i in values]
+        # attempt the values and the gradient of the rows still failing; the
+        # Lagrangian's values over all agents come first and last, and the
+        # first class takes its snapshot's values from the first of them
+        everyone = list(range(6))
+        assert ([i.tolist() for i in values]
+                == [everyone] + [i.tolist() for i in grads][1:] + [everyone])
         for color in (0, 1):
             members = np.flatnonzero(colors == color).tolist()
             calls = [i.tolist() for i in values if set(i.tolist()) <= set(members)]
+            if color == 0:
+                calls.insert(0, members)  # taken from the Lagrangian's call
             assert calls[:2] == [members, members]
             for prev, cur in zip(calls[1:], calls[2:]):
                 assert set(cur) <= set(prev)
@@ -456,6 +465,77 @@ class TestColorClassSweep:
         assert len(result.certificates) == len(ref.certificates) > 0
         for cert, cert_ref in zip(result.certificates, ref.certificates):
             assert_same_certificates(cert, cert_ref)
+
+
+class TestHandOn:
+    """``run_inner`` hands the evaluations at the point between two sweeps
+    on: the residual's gradients and the Lagrangian's terms serve the next
+    sweep's first class."""
+
+    def certified_run(self, monkeypatch, problem, z0, mu, cfg):
+        """A certified, residual-stopped ``run_inner`` whose sweeps mark the
+        hook calls made so far; returns the result and the marks."""
+        counted, grads, values = counting(problem)
+        marks = []
+        sweep = inner_bcd.bcd_sweep
+
+        def marked(*args, **kwargs):
+            marks.append((len(grads), len(values)))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(inner_bcd, "bcd_sweep", marked)
+        result = run_inner(counted, z0, mu, 1.0, cfg, eps_target=1e-14)
+        marks.append((len(grads), len(values)))
+        return result, marks
+
+    def test_per_sweep_hook_calls(self, monkeypatch):
+        # Per sweep, the gradients: the first class's step (handed on), its
+        # moved class, the second class's step and moved class, and the
+        # residual at the end point.  The values: the first class's
+        # snapshot (handed on), its step, the second class's snapshot and
+        # step, and the Lagrangian at the end point.  Before the first
+        # sweep: curvature sampling (sign x coordinate x sample x class),
+        # the residual at the start, then the Lagrangian there.
+        _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
+        cfg = InnerConfig(max_sweeps=6)
+        result, marks = self.certified_run(monkeypatch, problem, z0, mu, cfg)
+        assert result.sweeps == 6 and not result.achieved_target
+        assert marks[0] == (2 * 3 * 5 * 2 + 1, 0)
+        per_sweep = [(g1 - g0, v1 - v0) for (g0, v0), (g1, v1) in zip(marks, marks[1:])]
+        assert per_sweep == [(4, 1 + 4)] + [(4, 4)] * 5
+
+    @pytest.mark.parametrize("cfg", [InnerConfig(max_sweeps=6),
+                                     InnerConfig(b_strategy=HessianBand(), max_sweeps=6)],
+                             ids=["fixed", "band"])
+    def test_equals_sweeps_that_evaluate_everything(self, monkeypatch, cfg):
+        _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
+        result, _ = self.certified_run(monkeypatch, problem, z0, mu, cfg)
+        monkeypatch.undo()
+        colors = color_interaction_graph(problem.coupling, 40)
+        c_bounds = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, 1.0)
+        z = z0
+        for k, cert in enumerate(result.certificates):
+            z, cert_ref = bcd_sweep(problem, z, mu, 1.0, cfg, colors, c_bounds=c_bounds,
+                                    sweep_index=k)
+            assert_same_certificates(cert, cert_ref)
+        assert z.flat.tobytes() == result.z.flat.tobytes()
+
+    def test_colours_once_per_problem(self, monkeypatch):
+        calls = []
+        colour = inner_bcd.color_interaction_graph
+
+        def counted(*args):
+            calls.append(args)
+            return colour(*args)
+
+        monkeypatch.setattr(inner_bcd, "color_interaction_graph", counted)
+        _, problem, z0, mu0 = toy_setup(n_agents=8, seed=3)
+        outer = OuterConfig(rho0=0.1, beta=100.0, eps0=1e-2, eta=0.0, max_outer=3)
+        inner = InnerConfig(b_strategy=HessianBand(), max_sweeps=4)
+        run_outer(problem, outer, inner, z0, mu0)
+        assert len(calls) == 1
+        run_outer(dataclasses.replace(problem), outer, inner, z0, mu0)
+        assert len(calls) == 2
 
 
 class TestCertificates:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,29 @@ class TestAugLagrangian:
         lhs = (eval_aug_lagrangian(problem, z, mu_shift, rho)
                - eval_aug_lagrangian(problem, z, mu, rho))
         assert lhs == pytest.approx(float(np.asarray(delta) @ h), abs=1e-10, rel=1e-10)
+
+    @pytest.mark.parametrize("hooks", [True, False], ids=["hooks", "per_agent"])
+    @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
+    def test_sum_of_local_and_coupling_terms(self, hooks, rho):
+        # one definition: the exactly rounded sum of the per-agent local
+        # terms and the coupling term, whichever path evaluates them
+        params = ToyParams(n_agents=7, block_dim=3, scale=2.0, seed=21)
+        problem = generate_toy(params)
+        if not hooks:
+            problem = dataclasses.replace(problem, block_gradients=None,
+                                          block_values=None)
+        z, mu = toy_initial_guess(params, problem)
+        cases = [(problem, z, mu), (site_problem(), zvec([0.1, 0.2], [0.3, -0.4],
+                                                         [-0.5, 0.6]),
+                                    mu_like(site_problem(), [0.5, -1.0, 2.0, 0.25]))]
+        for prob, point, mult in cases:
+            blocks = point.blocks
+            terms = [model._agent_local_value(
+                prob, blocks[i], mult.part(i) if a.constraint is not None else None,
+                rho, i) for i, a in enumerate(prob.agents)]
+            terms.append(model._coupling_value(prob, list(blocks), mult.coupling_part,
+                                               rho))
+            assert eval_aug_lagrangian(prob, point, mult, rho) == math.fsum(terms)
 
     def test_nonfinite_cost_carries_agent_index(self):
         bad = NlpProblem(agents=(
@@ -379,16 +403,15 @@ class TestMultiplier:
 
 NAN = float("nan")
 
-#: Per evaluator: the public call that reaches it, a wrongly shaped output
-#: (``None`` for costs, which are converted by ``float``), a non-finite
-#: output and the agent its ``EvaluationError`` names (``None`` for the
-#: coupling's values).  See ``conftest.site_problem``.
+#: Per evaluator: the public call that reaches it, a wrongly shaped output,
+#: a non-finite output and the agent its ``EvaluationError`` names (``None``
+#: for the coupling's values).  See ``conftest.site_problem``.
 EVALUATOR_SITES = {
-    "cost": ("lagrangian", None, NAN, 1),
+    "cost": ("lagrangian", np.zeros(1), NAN, 1),
     "cost_grad": ("gradient", np.zeros(3), np.array([NAN, 0.0]), 1),
     "constraint": ("constraints", np.zeros(2), np.array([NAN]), 1),
     "constraint_jac": ("gradient", np.zeros((1, 1)), np.full((1, 2), NAN), 1),
-    "coupling.cost": ("lagrangian", None, NAN, None),
+    "coupling.cost": ("lagrangian", np.zeros(2), NAN, None),
     "coupling.cost_block_grad": ("gradient", np.zeros(3), np.array([0.0, NAN]), 1),
     "coupling.constraint": ("constraints", np.zeros(2), np.array([NAN]), None),
     "coupling.constraint_block_jac": ("gradient", np.zeros((1, 1)),
@@ -449,8 +472,7 @@ class TestEvaluatorOutputChecks:
         for call in ("lagrangian", "constraints", "gradient"):
             assert np.all(np.isfinite(evaluate_site(problem, call)))
 
-    @pytest.mark.parametrize("site", [s for s, v in EVALUATOR_SITES.items()
-                                      if v[1] is not None])
+    @pytest.mark.parametrize("site", list(EVALUATOR_SITES))
     def test_wrong_shape_is_structural(self, site):
         call, wrong, _, _ = EVALUATOR_SITES[site]
         with pytest.raises(StructureError):
