@@ -18,7 +18,8 @@ from .outer_mm import (IterTrace, OuterConfig, OuterState, default_start,
                        dual_update, run_outer)
 from .subqp import ProxQp, solve_prox_qp
 from .verify import (KktReport, brute_force_min, criticality_residual,
-                     fd_gradient_check, kkt_report, regularity_check)
+                     enumerate_projection, fd_gradient_check, kkt_report,
+                     regularity_check)
 
 __version__ = "0.1.0"
 
@@ -31,9 +32,9 @@ __all__ = [
     "RunStats", "Sampled", "StructureError", "SweepCertificate", "ToyParams",
     "bcd_sweep", "brute_force_min", "color_interaction_graph",
     "criticality_residual", "default_start", "dual_update",
-    "estimate_hessian_bound", "eval_aug_lagrangian", "eval_block_gradient",
-    "eval_constraints", "fd_gradient_check", "generate_toy", "kkt_report",
-    "regularity_check", "run_inner", "run_outer", "run_statistics",
-    "solve_prox_qp", "toy_definite_count", "toy_initial_guess",
-    "write_stats_csv",
+    "enumerate_projection", "estimate_hessian_bound", "eval_aug_lagrangian",
+    "eval_block_gradient", "eval_constraints", "fd_gradient_check",
+    "generate_toy", "kkt_report", "regularity_check", "run_inner",
+    "run_outer", "run_statistics", "solve_prox_qp", "toy_definite_count",
+    "toy_initial_guess", "write_stats_csv",
 ]

@@ -196,7 +196,8 @@ class Polytope:
         Raises
         ------
         PreconditionError
-            If ``start`` violates the polytope by more than :data:`FEAS_TOL`.
+            If ``start`` violates the polytope by more than :data:`FEAS_TOL`
+            or is not finite.
         ConvergenceError
             If the iteration cap is reached; carries the last iterate.
         """
@@ -213,9 +214,9 @@ class Polytope:
         a_mat, b_vec = self.a_mat, self.b_vec
         abs_a, row_norms, active_slack, b_max = self._row_scales
         slack = b_vec - a_mat @ x
-        if slack.min() < -FEAS_TOL:
-            raise PreconditionError(
-                f"projection start violates the polytope by {-slack.min():.3e}")
+        viol = -slack.min()
+        if not viol <= FEAS_TOL:
+            raise PreconditionError(f"projection start violates the polytope by {viol:.3e}")
         working = np.flatnonzero(slack <= active_slack)
         if working.size > 1:
             # keep the active rows that are independent of the earlier ones

@@ -213,9 +213,12 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
         h_inf = float(np.max(np.abs(h_val), initial=0.0))
         h_two = float(np.linalg.norm(h_val))
         certs_ok = all(c.passed for c in inner.certificates)
+        # the last certificate's Lagrangian is the value at inner.z
+        lagrangian = (inner.certificates[-1].lagrangian_after if inner.certificates
+                      else eval_aug_lagrangian(problem, state.z, state.mu, rho))
         state.trace.append(IterTrace(
             k=state.k, rho=rho, eps=eps, h_inf=h_inf, h_two=h_two,
-            lagrangian=eval_aug_lagrangian(problem, state.z, state.mu, rho),
+            lagrangian=lagrangian,
             residual=inner.final_residual, sweeps=inner.sweeps,
             cum_sweeps=cum_sweeps, certificates_ok=certs_ok,
             inner_achieved=inner.achieved_target,

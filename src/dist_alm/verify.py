@@ -11,19 +11,21 @@ tolerance.  The per-block distance and the active rows come from
 ``ACTIVE_TOL``: boxes use the per-coordinate closed form; general polytopes
 reconstruct inequality multipliers by nonnegative least squares on the
 active rows.  The remaining routines are deliberately simple, derivative-
-free or exhaustive, so they can serve as oracles for the solver itself.
+free or exhaustive, so they can serve as oracles for the solver itself;
+``enumerate_projection`` is the reference for ``Polytope.project``.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, RefusalError
-from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem,
+from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem, Polytope,
                     _agent_constraint, _agent_jacobian, _block_gradient,
                     _block_gradients, _box_cone_parts, _constraints,
                     _coupling_constraint, _coupling_jacobian, _objective,
@@ -33,12 +35,16 @@ __all__ = [
     "KktReport",
     "brute_force_min",
     "criticality_residual",
+    "enumerate_projection",
     "fd_gradient_check",
     "kkt_report",
     "regularity_check",
 ]
 
 log = logging.getLogger(__name__)
+
+#: Cap on the row sets ``enumerate_projection`` solves for.
+_MAX_KKT_SOLVES = 100_000
 
 
 @dataclass
@@ -297,3 +303,43 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
             "no grid point satisfies the coupling feasibility band"
         )
     return BlockVector(best_blocks), float(best_val)
+
+
+def enumerate_projection(poly: Polytope, v, m_mat=None):
+    """Point of ``poly`` nearest to ``v`` in the norm of ``M`` (default ``I``).
+
+    Exhaustive, and sharing no code with ``Polytope.project``: every set
+    ``S`` of at most ``dim`` rows gives one KKT solve of ``M x + A_S^T lam
+    = M v, A_S x = b_S``, stacked per set size; a set whose LU meets an
+    exactly zero pivot (where ``solve`` raises ``LinAlgError``) is skipped.
+    The solution that violates ``A x <= b`` and ``lam >= 0`` least is the
+    minimiser, so no tolerance decides between near-degenerate sets.
+    Raises ``RefusalError`` on more than ``_MAX_KKT_SOLVES`` sets, or when no
+    set comes within ``1e-9 (1 + max|v| + max|b|)`` of those conditions.
+    """
+    a_mat, b_vec, n, rows = poly.a_mat, poly.b_vec, poly.dim, poly.n_rows
+    v = np.asarray(v, dtype=float)
+    m_mat = np.eye(n) if m_mat is None else np.asarray(m_mat, dtype=float)
+    sizes = range(min(n, rows) + 1)
+    if sum(math.comb(rows, k) for k in sizes) > _MAX_KKT_SOLVES:
+        raise RefusalError(f"enumeration needs more than {_MAX_KKT_SOLVES} "
+                           f"KKT solves (cap)")
+    best, best_gap = None, np.inf
+    for k in sizes:
+        sets = np.array(list(itertools.combinations(range(rows), k)),
+                        dtype=int).reshape(math.comb(rows, k), k)
+        kkt = np.zeros((sets.shape[0], n + k, n + k))
+        kkt[:, :n, :n] = m_mat
+        kkt[:, n:, :n] = a_mat[sets]
+        kkt[:, :n, n:] = a_mat[sets].transpose(0, 2, 1)
+        rhs = np.hstack([np.tile(m_mat @ v, (sets.shape[0], 1)), b_vec[sets]])
+        solvable = np.linalg.det(kkt) != 0.0
+        sol = np.linalg.solve(kkt[solvable], rhs[solvable][:, :, None])[:, :, 0]
+        gap = np.maximum(np.max(sol[:, :n] @ a_mat.T - b_vec, axis=1),
+                         -np.min(sol[:, n:], axis=1, initial=0.0))
+        if gap.size and gap.min() < best_gap:
+            best, best_gap = sol[gap.argmin(), :n], float(gap.min())
+    if not best_gap <= 1e-9 * (1.0 + np.max(np.abs(v)) + np.max(np.abs(b_vec))):
+        raise RefusalError(f"no active set satisfies the KKT conditions "
+                           f"(least violation {best_gap:.3e})")
+    return best

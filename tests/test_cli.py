@@ -53,7 +53,7 @@ class TestVerify:
         assert run_cli(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4 and "[FAIL]" not in out
-        assert "[PASS] polytope projection vs QP at M=3e8 I" in out
+        assert "[PASS] polytope projection vs enumeration oracle at M=3e8 I" in out
 
 
 class TestConfigHandling:

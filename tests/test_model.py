@@ -306,7 +306,8 @@ class TestPolytope:
 
 
 class TestProjection:
-    """``Polytope.project``; its agreement with the QP is in test_subqp."""
+    """``Polytope.project``; its agreement with the enumeration oracle is in
+    test_verify."""
 
     def cut_polytope(self, seed=5):
         box = Polytope.box(-1.2 * np.ones(3), 1.2 * np.ones(3))
@@ -345,6 +346,13 @@ class TestProjection:
         start = poly.project(np.array([9.0, 0.0, 0.0]), poly.chebyshev_center())
         with pytest.raises(PreconditionError):
             poly.project(np.zeros(3), start + np.array([1e-9, 0.0, 0.0]))
+
+    def test_nan_start_rejected(self):
+        # x >= 0, y >= 0, x + y <= 1
+        tri = Polytope(a_mat=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                       b_vec=np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(PreconditionError, match="start violates"):
+            tri.project(np.array([2.0, 2.0]), np.array([np.nan, 0.2]))
 
     def test_start_within_tolerance_is_repaired(self):
         poly = self.cut_polytope()

@@ -97,6 +97,40 @@ class TestRunOuter:
         assert [t.k for t in state.trace] == list(range(state.k))
         assert state.trace[-1].cum_sweeps == sum(t.sweeps for t in state.trace)
 
+    @pytest.mark.parametrize("with_certificates", [True, False])
+    def test_trace_lagrangian_evaluated_once(self, monkeypatch, with_certificates):
+        # with certificates, the last one already holds the Lagrangian at
+        # the inner result; only a sweep-less inner call evaluates it again
+        from dist_alm import outer_mm
+
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=3)
+        problem = generate_toy(params)
+        z0, mu0 = toy_initial_guess(params, problem)
+        inners, evaluated = [], []
+        real_inner, real_eval = outer_mm.run_inner, outer_mm.eval_aug_lagrangian
+
+        def inner(*args, **kwargs):
+            inners.append(real_inner(*args, **kwargs))
+            return inners[-1]
+
+        def evaluate(problem, z, mu, rho):
+            evaluated.append(real_eval(problem, z, mu, rho))
+            return evaluated[-1]
+
+        monkeypatch.setattr(outer_mm, "run_inner", inner)
+        monkeypatch.setattr(outer_mm, "eval_aug_lagrangian", evaluate)
+        cfg = self.outer_cfg(rho0=0.1, beta=100.0, eps0=1e-2, eta=0.0, max_outer=3)
+        state, _ = run_outer(problem, cfg, self.inner_cfg(max_sweeps=5), z0, mu0,
+                             with_certificates=with_certificates)
+        mu = mu0
+        for t, res in zip(state.trace, inners):
+            assert t.lagrangian == real_eval(problem, res.z, mu, t.rho)
+            if res.certificates:
+                assert t.lagrangian == res.certificates[-1].lagrangian_after
+            mu = dual_update(mu, t.rho, eval_constraints(problem, res.z))
+        assert len(evaluated) == sum(not res.certificates for res in inners)
+        assert len(evaluated) == (0 if with_certificates else 3)
+
     def test_matches_manual_inner_dual_chain(self, one_agent):
         cfg = self.outer_cfg(eta=1e-30, max_outer=3)
         icfg = self.inner_cfg()

@@ -7,6 +7,7 @@ from dist_alm import (ConvergenceError, Polytope, PreconditionError, ProxQp,
                       StructureError, solve_prox_qp)
 from dist_alm.bench import stiff_polytope_qp
 from dist_alm.model import FEAS_TOL
+from dist_alm.verify import enumerate_projection
 from conftest import box_with_cuts
 
 
@@ -105,10 +106,16 @@ class TestValidation:
             ProxQp(g=np.zeros(2), m_mat=np.diag([1.0, -1.0]),
                    center=np.zeros(2), feasible_set=Polytope.box([-1, -1], [1, 1]))
 
-    def test_bad_tolerance(self):
-        qp = box_qp([1.0], [[1.0]], [0.0], [-1.0], [1.0])
-        with pytest.raises(PreconditionError):
-            solve_prox_qp(qp, tol=0.0)
+    @pytest.mark.parametrize("m_mat", [np.eye(2), [[2.0, 0.5], [0.5, 1.0]]])
+    def test_nan_center_rejected(self, m_mat):
+        # x >= 0, y >= 0, x + y <= 1
+        tri = Polytope(a_mat=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                       b_vec=np.array([0.0, 0.0, 1.0]))
+        for poly in (tri, Polytope.box([0.0, 0.0], [1.0, 1.0])):
+            qp = ProxQp(g=np.array([-1.0, -1.0]), m_mat=m_mat,
+                        center=np.array([np.nan, 0.2]), feasible_set=poly)
+            with pytest.raises(PreconditionError, match="center violates"):
+                solve_prox_qp(qp)
 
     def test_large_block_definiteness_via_factorization(self):
         n = 17  # beyond the eigenvalue-check threshold
@@ -120,14 +127,16 @@ class TestValidation:
         with pytest.raises(StructureError):
             box_qp(np.zeros(n), bad, np.zeros(n), [-1.0] * n, [1.0] * n)
 
-    def test_apg_cap_carries_best_iterate(self, monkeypatch):
-        from dist_alm import subqp as subqp_mod
+    def test_projection_cap_carries_last_iterate(self, monkeypatch):
+        # a non-diagonal M on a box is projected in Cholesky coordinates,
+        # where the box is a general polytope: its cap is the projection's
+        from dist_alm import model
 
-        monkeypatch.setattr(subqp_mod, "_MAX_APG_ITERS", 2)
+        monkeypatch.setattr(model, "_MAX_PROJECT_ITERS", 1)
         m_mat = np.array([[2.0, 0.3], [0.3, 1.0]])
-        qp = box_qp([1.0, -2.0], m_mat, [0.0, 0.0], [-1, -1], [1, 1])
+        qp = box_qp([10.0, -20.0], m_mat, [0.0, 0.0], [-1, -1], [1, 1])
         with pytest.raises(ConvergenceError) as err:
-            solve_prox_qp(qp, tol=1e-14)
+            solve_prox_qp(qp)
         assert err.value.best is not None
 
 
@@ -190,31 +199,38 @@ class TestPolytopePath:
         x, _, _ = solve_prox_qp(qp)
         assert tri.violation(x) <= 1e-15
 
-    def test_projection_agrees_with_qp_on_cut_polytopes(self):
-        rng = np.random.default_rng(11)
+    def test_general_m_agrees_with_oracle(self):
+        # the minimiser is the M-norm projection of center - M^{-1} g
+        rng = np.random.default_rng(17)
         box = Polytope.box(-1.2 * np.ones(3), 1.2 * np.ones(3))
         worst_gap = 0.0
-        for k in range(300):
-            poly = box_with_cuts(box, rng)
-            start = poly.chebyshev_center()
-            if k % 2:  # a start on the boundary seeds the working set
-                start = poly.project(start + rng.uniform(-5, 5, 3), start)
-            direction = rng.standard_normal(3)
-            v = start + 10.0 ** rng.uniform(-3, 3) * direction / np.linalg.norm(direction)
-            x = poly.project(v, start)
-            x_qp, _, _ = solve_prox_qp(ProxQp(g=start - v, m_mat=np.eye(3),
-                                              center=start, feasible_set=poly))
-            worst_gap = max(worst_gap, float(np.max(np.abs(x - x_qp))))
+        for k in range(100):
+            poly = box if k % 4 == 0 else box_with_cuts(box, rng)
+            center = np.zeros(3)  # inside: the cuts keep the origin interior
+            if k % 2:  # a center on the boundary
+                center = poly.project(rng.uniform(-5, 5, 3), center)
+            raw = rng.uniform(-1, 1, (3, 3))
+            m_mat = raw @ raw.T + 0.3 * np.eye(3)
+            g = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(3)
+            qp = ProxQp(g=g, m_mat=m_mat, center=center, feasible_set=poly)
+            x, res, _ = solve_prox_qp(qp)
+            x_oracle = enumerate_projection(poly, center - np.linalg.solve(m_mat, g),
+                                            m_mat)
+            worst_gap = max(worst_gap, float(np.max(np.abs(x - x_oracle))))
             assert poly.violation(x) <= FEAS_TOL
-            assert poly.normal_cone_distance(x, x - v)[0] <= 1e-20
+            assert res <= 1e-9 * (1.0 + float(np.max(np.abs(g))))
         assert worst_gap <= 1e-10
 
-    def test_row_cap_enforced(self):
+    def test_many_rows_solve(self):
+        # 34 rows: four box rows and 30 random cuts, redundant on the box
         rng = np.random.default_rng(1)
         a_mat = np.vstack([np.eye(2), -np.eye(2), rng.uniform(-1, 1, (30, 2))])
         b_vec = np.concatenate([np.ones(4), np.full(30, 5.0)])
         poly = Polytope(a_mat=a_mat, b_vec=b_vec)
-        qp = ProxQp(g=np.ones(2), m_mat=np.eye(2), center=np.zeros(2),
-                    feasible_set=poly)
-        with pytest.raises(StructureError):
-            solve_prox_qp(qp)
+        for g, m_mat in ((np.ones(2), np.eye(2)),
+                         (np.array([3.0, -40.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))):
+            qp = ProxQp(g=g, m_mat=m_mat, center=np.zeros(2), feasible_set=poly)
+            x, res, _ = solve_prox_qp(qp)
+            x_oracle = enumerate_projection(poly, -np.linalg.solve(m_mat, g), m_mat)
+            np.testing.assert_allclose(x, x_oracle, rtol=0.0, atol=1e-10)
+            assert res <= 1e-9 and poly.violation(x) <= FEAS_TOL

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from dist_alm import (AgentSpec, BlockVector, CouplingSpec, EvaluationError,
                       MultiplierEstimate, NlpProblem, Polytope, PreconditionError,
                       RefusalError, StructureError, ToyParams, brute_force_min,
-                      criticality_residual, fd_gradient_check, generate_toy,
-                      kkt_report, regularity_check)
-from conftest import (linear_agent, mu_like, one_agent_problem, quadratic_agent,
-                      site_problem, zvec)
+                      criticality_residual, enumerate_projection,
+                      fd_gradient_check, generate_toy, kkt_report,
+                      regularity_check, solve_prox_qp)
+from dist_alm.bench import stiff_polytope_qp
+from dist_alm.model import FEAS_TOL
+from conftest import (box_with_cuts, linear_agent, mu_like, one_agent_problem,
+                      quadratic_agent, site_problem, zvec)
 
 
 def gradient_probe_problem(c_vec, lo, hi):
@@ -327,3 +330,70 @@ class TestOracleOutputChecks:
         with pytest.raises(EvaluationError) as err:
             brute_force_min(problem, grid_step=0.5, feasibility_band=1e-2)
         assert err.value.agent is None
+
+
+class TestEnumerationOracle:
+    """``enumerate_projection`` is the reference for ``Polytope.project``."""
+
+    def triangle(self):
+        # x >= 0, y >= 0, x + y <= 1
+        return Polytope(a_mat=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                        b_vec=np.array([0.0, 0.0, 1.0]))
+
+    def test_hand_checked_projections(self):
+        tri = self.triangle()
+        np.testing.assert_allclose(enumerate_projection(tri, [2.0, 2.0]), [0.5, 0.5],
+                                   atol=1e-15)
+        np.testing.assert_allclose(enumerate_projection(tri, [-1.0, -3.0]), [0.0, 0.0],
+                                   atol=1e-15)
+        np.testing.assert_array_equal(enumerate_projection(tri, [0.2, 0.3]), [0.2, 0.3])
+        # in the norm of diag(1, 4) the point (1, 1) lands at (0.2, 0.8), not
+        # at the Euclidean (0.5, 0.5); the multiplier of x + y <= 1 is 0.8
+        np.testing.assert_allclose(
+            enumerate_projection(tri, [1.0, 1.0], np.diag([1.0, 4.0])), [0.2, 0.8],
+            atol=1e-15)
+
+    def test_refusals(self):
+        empty = Polytope(a_mat=np.array([[1.0], [-1.0]]), b_vec=np.array([-1.0, -1.0]))
+        with pytest.raises(RefusalError, match="KKT"):
+            enumerate_projection(empty, [0.0])
+        # 1 + 100 + 4,950 + 161,700 row sets of at most three rows
+        many = Polytope(a_mat=np.tile(np.eye(3), (34, 1))[:100], b_vec=np.ones(100))
+        with pytest.raises(RefusalError, match="cap"):
+            enumerate_projection(many, np.zeros(3))
+
+    def test_projection_agrees_on_cut_polytopes(self):
+        rng = np.random.default_rng(11)
+        box = Polytope.box(-1.2 * np.ones(3), 1.2 * np.ones(3))
+        worst_gap = 0.0
+        for k in range(300):
+            poly = box_with_cuts(box, rng)
+            start = poly.chebyshev_center()
+            if k % 2:  # a start on the boundary seeds the working set
+                start = poly.project(start + rng.uniform(-5, 5, 3), start)
+            direction = rng.standard_normal(3)
+            v = start + 10.0 ** rng.uniform(-3, 3) * direction / np.linalg.norm(direction)
+            x = poly.project(v, start)
+            gap = float(np.max(np.abs(x - enumerate_projection(poly, v))))
+            worst_gap = max(worst_gap, gap)
+            assert poly.violation(x) <= FEAS_TOL
+            assert poly.normal_cone_distance(x, x - v)[0] <= 1e-20
+        assert worst_gap <= 1e-10
+
+    def test_stiff_qp_is_a_far_point_projection(self):
+        # at M = 3e8 I the block QP is the projection of its Newton point,
+        # which lies past the face x_1 = 1.2; points further out on the same
+        # ray land on other faces
+        qp = stiff_polytope_qp()
+        poly = qp.feasible_set
+        step = -qp.g / qp.m_mat[0, 0]
+        x_qp, _, active = solve_prox_qp(qp)
+        np.testing.assert_array_equal(active, [1])
+        for scale in (1.0, 1e3, 1e6):
+            v = qp.center + scale * step
+            x_oracle = enumerate_projection(poly, v)
+            x = poly.project(v, qp.center)
+            np.testing.assert_allclose(x, x_oracle, rtol=0.0, atol=1e-10)
+            assert poly.violation(x) <= FEAS_TOL
+        np.testing.assert_allclose(x_qp, enumerate_projection(poly, qp.center + step),
+                                   rtol=0.0, atol=1e-10)
