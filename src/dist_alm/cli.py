@@ -238,7 +238,7 @@ def _cmd_verify(opts) -> int:
     qp = stiff_polytope_qp()
     poly = qp.feasible_set
     newton = qp.center - qp.g / qp.m_mat[0, 0]
-    x_proj = poly.project(newton, qp.center)
+    x_proj = poly.project(newton)
     gap = float(np.max(np.abs(x_proj - enumerate_projection(poly, newton))))
     viol = poly.violation(x_proj)
     report("polytope projection vs enumeration oracle at M=3e8 I",

@@ -11,10 +11,9 @@ over the agent's polytope, where ``g_i`` is the augmented-Lagrangian block
 gradient at the snapshot and ``B_i = b_i I`` is a scaled identity curvature
 surrogate.  The minimiser is the Euclidean projection of
 ``x_i - g_i / (b_i + alpha_i)`` onto the polytope: boxes clip, and other
-polytopes call :meth:`~dist_alm.model.Polytope.project` with ``x_i`` as its
-start, so the rows active at ``x_i`` (the previous sweep's active set) seed
-its working set.  Every block therefore stays inside its polytope up to
-rounding.
+polytopes call :meth:`~dist_alm.model.Polytope.project`, one least-distance
+problem solved by nonnegative least squares.  Every block therefore stays
+inside its polytope up to rounding.
 
 One kernel serves every configuration.  Classes are split by block
 dimension, so each holds ``(K, d)`` arrays.  Per class the kernel takes one
@@ -55,7 +54,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, PreconditionError
+from .errors import ConfigurationError, ConvergenceError
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
                     Polytope, _aug_lagrangian, _block_gradient, _block_gradients,
                     _block_values, _row_dots)
@@ -404,13 +403,11 @@ def _pick_alpha(cfg, i, sweep, a_lo, a_hi) -> float:
     return alpha
 
 
-def _project(poly, v, start, i, sweep):
+def _project(poly, v, i, sweep):
     try:
-        return poly.project(v, start)
+        return poly.project(v)
     except ConvergenceError as exc:
         raise ConvergenceError(f"agent {i}, sweep {sweep}: {exc}", best=exc.best) from exc
-    except PreconditionError as exc:
-        raise PreconditionError(f"agent {i}, sweep {sweep}: {exc}") from exc
 
 
 def _coloring(problem) -> np.ndarray:
@@ -455,15 +452,14 @@ def _solve_rows(problem, cls, rows, x_old, grad, m_diag, sweep):
     """Block minimisers of the agents ``cls[0][rows]`` from ``x_old``.
 
     Row ``k`` is the projection of ``x_old[k] - grad[k] / m_diag[k]`` onto
-    its agent's polytope: one clip for a class of boxes, else one
-    :meth:`~dist_alm.model.Polytope.project` started at ``x_old[k]``.
+    its agent's polytope: a clip for a class of boxes, else ``Polytope.project``.
     """
     idx, _, lower, upper = cls
     target = x_old - grad / m_diag[:, None]
     if lower is not None:
         return np.clip(target, lower[rows], upper[rows])
-    return np.array([_project(problem.agents[i].feasible_set, v, x, i, sweep)
-                     for i, v, x in zip(idx[rows].tolist(), target, x_old)])
+    return np.array([_project(problem.agents[i].feasible_set, v, i, sweep)
+                     for i, v in zip(idx[rows].tolist(), target)])
 
 
 def _check_class(problem, flat, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
@@ -555,10 +551,11 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     Blocks inside one color class read the same frozen snapshot (they do
     not interact) and are updated together: one batched gradient, one step
     size per agent, and one clip when the class's sets are boxes (else one
-    projection per agent).  With certificates, or with backtracking under a
-    banded surrogate, the class's steps are then checked against the
-    snapshot together.  Classes are applied in ascending color order, which
-    realises a Gauss-Seidel pass in the color-sorted agent order.
+    least-distance projection, by NNLS, per agent).  With certificates, or
+    with backtracking under a banded surrogate, the class's steps are then
+    checked against the snapshot together.  Classes are applied in
+    ascending color order, which realises a Gauss-Seidel pass in the
+    color-sorted agent order.
     ``c_bounds`` is updated in place when backtracking refines a curvature
     bound.
 

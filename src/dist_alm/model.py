@@ -63,8 +63,6 @@ FEAS_TOL = 1e-10
 #: when ``b_k - a_k @ x <= ACTIVE_TOL * (1 + |b_k|)``.
 ACTIVE_TOL = 1e-8
 
-_MAX_PROJECT_ITERS = 500
-
 
 def _as_float_vector(x, name="vector"):
     arr = np.asarray(x, dtype=float)
@@ -131,17 +129,21 @@ class Polytope:
 
     def violation(self, x) -> float:
         """Largest constraint violation ``max(A x - b)`` (<= 0 inside)."""
-        x = _as_float_vector(x, "point")
-        if x.shape[0] != self.dim:
-            raise StructureError(
-                f"point has dimension {x.shape[0]}, polytope expects {self.dim}"
-            )
+        x = self._point(x)
         if self.is_box:
             return float(
                 max(np.max(x - self.upper, initial=-np.inf),
                     np.max(self.lower - x, initial=-np.inf))
             )
         return float(np.max(self.a_mat @ x - self.b_vec, initial=-np.inf))
+
+    def _point(self, x) -> np.ndarray:
+        x = _as_float_vector(x, "point")
+        if x.shape[0] != self.dim:
+            raise StructureError(
+                f"point has dimension {x.shape[0]}, polytope expects {self.dim}"
+            )
+        return x
 
     def contains(self, x, slack: float = FEASIBILITY_SLACK) -> bool:
         return self.violation(x) <= slack
@@ -168,8 +170,7 @@ class Polytope:
             return float(res @ res), lam, np.flatnonzero(at)
         lam = np.zeros(self.n_rows)
         slack = self.b_vec - self.a_mat @ x
-        _, _, active_slack, _ = self._row_scales
-        active = np.flatnonzero(slack <= active_slack)
+        active = np.flatnonzero(slack <= ACTIVE_TOL * (1.0 + np.abs(self.b_vec)))
         if active.size == 0:
             return float(grad @ grad), lam, active
         from scipy.optimize import nnls
@@ -178,94 +179,52 @@ class Polytope:
         lam[active] = lam_act
         return float(rnorm) ** 2, lam, active
 
-    def project(self, v, start=None) -> np.ndarray:
+    def project(self, v) -> np.ndarray:
         """Euclidean projection of ``v`` onto the polytope.
 
-        Boxes clip and ignore ``start``.  Other polytopes run a primal
-        active-set method with identity Hessian from the feasible point
-        ``start`` (default: the Chebyshev centre), its working set ``W``
-        seeded from the rows active there (see :data:`ACTIVE_TOL`); a start
-        at the previous projection therefore hot-starts from the previous
-        active set.  Each step aims at the projection of ``v`` onto
-        ``{x : A_W x = b_W}`` and stops at the first row it would cross,
-        which joins ``W``; at the aim, the row with the smallest index
-        among those with a negative multiplier leaves ``W``.  A row that
-        ``start`` violates is in ``W`` from the outset and the first step
-        lands on it, so the result satisfies ``A x <= b`` up to rounding.
+        Boxes clip.  Other polytopes solve the least-distance problem by its
+        reduction to one nonnegative least-squares problem (Lawson & Hanson,
+        *Solving Least Squares Problems*, 1974, ch. 23): with
+        ``h = A v - b``, the ``u >= 0`` minimising
+        ``||[-A^T; h^T / max(h)] u - e_{d+1}||`` is positive on a set ``W``
+        of rows that hold with equality at the projection, which is then
+        the projection of ``v`` onto ``{x : A_W x = b_W}``, by one solve
+        with the Gram matrix of ``A_W``.  A point inside is returned
+        unchanged.
 
         Raises
         ------
         PreconditionError
-            If ``start`` violates the polytope by more than :data:`FEAS_TOL`
-            or is not finite.
+            If ``v`` is not finite, or the polytope is empty.
         ConvergenceError
-            If the iteration cap is reached; carries the last iterate.
+            If NNLS reaches its iteration cap (``best`` is ``None``).
         """
+        v = self._point(v)
+        if not np.all(np.isfinite(v)):
+            raise PreconditionError("projection target is not finite")
         if self.is_box:
-            return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
-        v = _as_float_vector(v, "point")
-        x = _as_float_vector(self.chebyshev_center() if start is None else start,
-                             "start")
-        if v.shape[0] != self.dim or x.shape[0] != self.dim:
-            raise StructureError(
-                f"point and start have dimensions {v.shape[0]} and {x.shape[0]}, "
-                f"polytope expects {self.dim}"
-            )
-        a_mat, b_vec = self.a_mat, self.b_vec
-        abs_a, row_norms, active_slack, b_max = self._row_scales
-        slack = b_vec - a_mat @ x
-        viol = -slack.min()
-        if not viol <= FEAS_TOL:
-            raise PreconditionError(f"projection start violates the polytope by {viol:.3e}")
-        working = np.flatnonzero(slack <= active_slack)
-        if working.size > 1:
-            # keep the active rows that are independent of the earlier ones
-            r_diag = np.abs(np.linalg.qr(a_mat[working].T, mode="r").diagonal())
-            working = working[:r_diag.size]
-            working = working[r_diag > ACTIVE_TOL * row_norms[working]]
-        working = working.tolist()
-        lam_tol = 1e-12 * (1.0 + np.abs(v).max() + b_max)
-        for _ in range(_MAX_PROJECT_ITERS):
-            if working:
-                a_w = a_mat[working]
-                gram, rhs = a_w @ a_w.T, a_w @ v - b_vec[working]
-                try:
-                    lam = np.linalg.solve(gram, rhs)
-                except np.linalg.LinAlgError:  # dependent working set
-                    lam = np.linalg.lstsq(gram, rhs)[0]
-                target = v - lam @ a_w
-            else:
-                target = v.copy()
-            slack_t = b_vec - a_mat @ target
-            slack_t[working] = 0.0
-            if slack_t.min() < 0.0:
-                # the aim lies outside a row of W's complement: ratio test,
-                # ignoring changes of a row below the rounding of ``A p``
-                p = target - x
-                a_p = a_mat @ p
-                moving = a_p > 1e-14 * (abs_a @ np.abs(p))
-                moving[working] = False
-                limit = np.divide(slack, a_p, out=np.full(a_p.shape, np.inf), where=moving)
-                block = int(limit.argmin())
-                if limit[block] < 1.0:
-                    x = x + max(limit[block], 0.0) * p
-                    slack = b_vec - a_mat @ x
-                    working.append(block)
-                    continue
-            x, slack = target, slack_t
-            if not working or lam.min() >= -lam_tol:
-                return x
-            working.remove(min(k for k, lk in zip(working, lam) if lk < -lam_tol))
-        raise ConvergenceError(
-            f"polytope projection did not converge in {_MAX_PROJECT_ITERS} iterations",
-            best=x)
+            return np.clip(v, self.lower, self.upper)
+        h = self.a_mat @ v - self.b_vec
+        if not np.any(h > 0.0):
+            return v.copy()
+        from scipy.optimize import nnls
 
-    @cached_property
-    def _row_scales(self):
-        """``|A|``, the row norms, the active-row slack and ``max |b|``."""
-        abs_b = np.abs(self.b_vec)
-        return (np.abs(self.a_mat), np.linalg.norm(self.a_mat, axis=1),
-                ACTIVE_TOL * (1.0 + abs_b), float(np.max(abs_b, initial=0.0)))
+        try:
+            u, rnorm = nnls(np.vstack([-self.a_mat.T, h / h.max()]),
+                            np.r_[np.zeros(self.dim), 1.0])
+        except RuntimeError as exc:
+            raise ConvergenceError(f"polytope projection: {exc}") from exc
+        # ||r||^2 is 1 / (1 + (||x - v|| / max h)^2), or 0 if there is no x
+        if 1.0 + rnorm * rnorm == 1.0:
+            raise PreconditionError("projection onto an empty polytope")
+        working = u > 0.0
+        a_w = self.a_mat[working]
+        gram, rhs = a_w @ a_w.T, h[working]
+        try:
+            lam = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:  # dependent working rows
+            lam = np.linalg.lstsq(gram, rhs)[0]
+        return v - lam @ a_w
 
     def chebyshev_center(self) -> np.ndarray:
         """Center of the largest inscribed ball (box midpoint for boxes)."""

@@ -7,11 +7,11 @@ The QP minimises
 over the agent's feasible set, with ``M`` symmetric positive definite.  Its
 minimiser is the projection of the Newton point ``center - M^{-1} g`` onto
 the set in the norm of ``M``, and :func:`solve_prox_qp` computes it with
-the package's one active-set kernel, ``Polytope.project``.  The inner
-loop's block updates have ``M = m I``; they call ``Polytope.project``
-directly and build no QP.  The exact check of that projection, in any
-``M``, is ``verify.enumerate_projection``.  The solve function is stateless
-and safe to call concurrently on distinct instances.
+the package's one projection kernel, ``Polytope.project`` (least distance
+by NNLS).  The inner loop's block updates have ``M = m I``; they call
+``Polytope.project`` directly and build no QP.  The exact check of that
+projection, in any ``M``, is ``verify.enumerate_projection``.  The solve
+function is stateless and safe to call concurrently on distinct instances.
 """
 
 from __future__ import annotations
@@ -78,19 +78,18 @@ def solve_prox_qp(qp: ProxQp):
     in the set up to ``FEAS_TOL``.
 
     A diagonal ``M`` on a box, or a multiple of the identity on any
-    polytope, gives a Euclidean projection: of ``center - g / diag(M)``,
-    started from ``center`` (on a box, a clip).  Any other ``M = L L^T`` is
-    projected in the coordinates ``y = L^T (x - center)``, onto
-    ``{y : A L^{-T} y <= b - A center}`` from ``y = 0``, and mapped back;
-    the shift keeps the start's slack the one the centre gate measured.
+    polytope, gives a Euclidean projection of ``center - g / diag(M)`` (on
+    a box, a clip).  Any other ``M = L L^T`` is projected in the
+    coordinates ``y = L^T (x - center)``, onto
+    ``{y : A L^{-T} y <= b - A center}``, and mapped back.
 
     Returns ``(minimizer, kkt_residual, active_set)``: the minimiser,
     feasible up to rounding; the distance of ``-grad q`` there to the
     normal cone; and the ascending indices of the active rows.  The last
     two come from ``Polytope.normal_cone_distance``.
 
-    Raises ``PreconditionError`` if the center is infeasible or not finite,
-    and ``ConvergenceError`` if the projection reaches its iteration cap.
+    Raises ``PreconditionError`` if the center is infeasible or it or ``g``
+    is not finite, and ``ConvergenceError`` at the NNLS iteration cap.
     """
     poly = qp.feasible_set
     viol = poly.violation(qp.center)
@@ -99,13 +98,13 @@ def solve_prox_qp(qp: ProxQp):
     m_mat = qp.m_mat
     diag = np.diag(m_mat)
     if np.array_equal(m_mat, np.diag(diag)) and (poly.is_box or np.all(diag == diag[0])):
-        x = poly.project(qp.center - qp.g / diag, qp.center)
+        x = poly.project(qp.center - qp.g / diag)
     else:
         chol = np.linalg.cholesky(m_mat)
         # rows of A L^{-T}, and the Newton point L^{-1} (-g) in y
         scaled = Polytope(np.linalg.solve(chol, poly.a_mat.T).T,
                           poly.b_vec - poly.a_mat @ qp.center)
-        y = scaled.project(-np.linalg.solve(chol, qp.g), np.zeros(poly.dim))
+        y = scaled.project(-np.linalg.solve(chol, qp.g))
         x = qp.center + np.linalg.solve(chol.T, y)
     dist_sq, _, active = poly.normal_cone_distance(x, qp.gradient(x))
     return x, float(np.sqrt(dist_sq)), active

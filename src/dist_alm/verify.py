@@ -12,7 +12,8 @@ tolerance.  The per-block distance and the active rows come from
 reconstruct inequality multipliers by nonnegative least squares on the
 active rows.  The remaining routines are deliberately simple, derivative-
 free or exhaustive, so they can serve as oracles for the solver itself;
-``enumerate_projection`` is the reference for ``Polytope.project``.
+``enumerate_projection`` is the reference for ``Polytope.project``, which
+solves one least-distance problem by nonnegative least squares.
 """
 
 from __future__ import annotations
@@ -312,7 +313,8 @@ def enumerate_projection(poly: Polytope, v, m_mat=None):
     ``S`` of at most ``dim`` rows gives one KKT solve of ``M x + A_S^T lam
     = M v, A_S x = b_S``, stacked per set size; a set whose LU meets an
     exactly zero pivot (where ``solve`` raises ``LinAlgError``) is skipped.
-    The solution that violates ``A x <= b`` and ``lam >= 0`` least is the
+    The solution that violates ``A x <= b``, ``lam >= 0`` and its own
+    equations (the stationarity rows divided by ``max|M|``) least is the
     minimiser, so no tolerance decides between near-degenerate sets.
     Raises ``RefusalError`` on more than ``_MAX_KKT_SOLVES`` sets, or when no
     set comes within ``1e-9 (1 + max|v| + max|b|)`` of those conditions.
@@ -334,9 +336,15 @@ def enumerate_projection(poly: Polytope, v, m_mat=None):
         kkt[:, :n, n:] = a_mat[sets].transpose(0, 2, 1)
         rhs = np.hstack([np.tile(m_mat @ v, (sets.shape[0], 1)), b_vec[sets]])
         solvable = np.linalg.det(kkt) != 0.0
-        sol = np.linalg.solve(kkt[solvable], rhs[solvable][:, :, None])[:, :, 0]
-        gap = np.maximum(np.max(sol[:, :n] @ a_mat.T - b_vec, axis=1),
-                         -np.min(sol[:, n:], axis=1, initial=0.0))
+        kkt, rhs = kkt[solvable], rhs[solvable]
+        sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+        # a nearly singular system can pass the pivot test with a solution
+        # that misses its own equations; the miss counts as a violation
+        miss = np.abs((kkt @ sol[:, :, None])[:, :, 0] - rhs)
+        miss[:, :n] /= np.max(np.abs(m_mat))
+        gap = np.maximum.reduce([np.max(sol[:, :n] @ a_mat.T - b_vec, axis=1),
+                                 -np.min(sol[:, n:], axis=1, initial=0.0),
+                                 np.max(miss, axis=1, initial=0.0)])
         if gap.size and gap.min() < best_gap:
             best, best_gap = sol[gap.argmin(), :n], float(gap.min())
     if not best_gap <= 1e-9 * (1.0 + np.max(np.abs(v)) + np.max(np.abs(b_vec))):

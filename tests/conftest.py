@@ -62,6 +62,18 @@ def cut_chain(seed, n_agents=6):
     return problem, default_start(problem), mu0
 
 
+def unit_simplex():
+    """``{x in R^3 : 0 <= x <= 1, x_1 + x_2 + x_3 <= 1}``: seven rows, with
+    four of them active at the vertex 0 and at each unit vector."""
+    return Polytope(np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))]),
+                    np.r_[np.ones(3), np.zeros(3), 1.0])
+
+
+def nnls_at_cap(*args, **kwargs):
+    """Stand-in for ``scipy.optimize.nnls`` that stops at its iteration cap."""
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
 @pytest.fixture
 def one_agent():
     return one_agent_problem()

@@ -10,12 +10,13 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
                       FixedScaled, HessianBand, Hint, InnerConfig,
                       MultiplierEstimate, NlpProblem, OuterConfig, Polytope,
                       ProxQp, Sampled, StructureError, ToyParams, bcd_sweep,
-                      color_interaction_graph, estimate_hessian_bound,
+                      color_interaction_graph, default_start, estimate_hessian_bound,
                       eval_aug_lagrangian, eval_block_gradient, generate_toy,
                       run_inner, run_outer, toy_initial_guess)
-from dist_alm import inner_bcd, model
+from dist_alm import inner_bcd
 from dist_alm.inner_bcd import C_FLOOR
-from conftest import cut_chain, mu_like, one_agent_problem, quadratic_agent, zvec
+from conftest import (cut_chain, linear_agent, mu_like, nnls_at_cap, one_agent_problem,
+                      quadratic_agent, zvec)
 
 
 def toy_setup(n_agents=6, seed=0, block_dim=3, scale=2.0):
@@ -246,20 +247,23 @@ class TestPolytopeUpdate:
         for i in np.flatnonzero(colors == 0):  # the first class reads z0
             g = eval_block_gradient(problem, z0, mu0, rho, i)
             x_old = z0.block(i)
-            expected = problem.agents[i].feasible_set.project(x_old - g / m_diag, x_old)
+            expected = problem.agents[i].feasible_set.project(x_old - g / m_diag)
             np.testing.assert_array_equal(z1.block(i), expected)
         _, cert = bcd_sweep(problem, z1, mu0, rho, cfg, colors)
         assert cert is not None
 
     def test_projection_failure_names_agent_and_sweep(self, monkeypatch):
-        monkeypatch.setattr(model, "_MAX_PROJECT_ITERS", 0)
-        problem, z0, mu0 = cut_chain(3)
-        colors = color_interaction_graph(problem.coupling, problem.n_agents)
+        # x >= 0, y >= 0, x + y <= 1, and a cost that pushes x out of it
+        tri = Polytope(a_mat=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                       b_vec=np.array([0.0, 0.0, 1.0]))
+        agent = dataclasses.replace(linear_agent([-1e3, 0.0], [0, 0], [1, 1]),
+                                    feasible_set=tri)
+        problem = NlpProblem(agents=(agent,))
+        monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
         with pytest.raises(ConvergenceError, match=r"^agent 0, sweep 4: ") as err:
-            bcd_sweep(problem, z0, mu0, 10.0, InnerConfig(), colors,
-                      sweep_index=4, with_certificates=False)
-        # with no iteration allowed the best point is the projection's start
-        np.testing.assert_array_equal(err.value.best, z0.block(0))
+            bcd_sweep(problem, default_start(problem), MultiplierEstimate.zeros(problem),
+                      10.0, InnerConfig(), [0], sweep_index=4, with_certificates=False)
+        assert err.value.best is None
 
 
 def with_hook(problem, hook):

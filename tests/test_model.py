@@ -15,8 +15,8 @@ from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
                       kkt_report, run_inner, run_outer, toy_initial_guess)
 from dist_alm import model
 from dist_alm.model import FEAS_TOL
-from conftest import (box_with_cuts, cut_chain, mu_like, quadratic_agent, site_problem,
-                      zvec)
+from conftest import (box_with_cuts, cut_chain, mu_like, nnls_at_cap, quadratic_agent,
+                      site_problem, unit_simplex, zvec)
 
 
 def two_agent_coupled():
@@ -320,59 +320,60 @@ class TestProjection:
         for _ in range(50):
             v = rng.uniform(-3, 3, 3)
             np.testing.assert_array_equal(box.project(v), np.clip(v, lo, hi))
-            np.testing.assert_array_equal(box.project(v, start=0.5 * (lo + hi)),
-                                          np.clip(v, lo, hi))
 
     def test_point_inside_returned_bitwise(self):
         poly = self.cut_polytope()
         centre = poly.chebyshev_center()
-        on_face = poly.project(centre + np.array([40.0, -3.0, 7.0]), centre)
         rng = np.random.default_rng(2)
         for _ in range(50):
             v = centre + rng.uniform(-0.05, 0.05, 3)
             assert poly.contains(v)
-            for start in (centre, on_face, None):
-                np.testing.assert_array_equal(poly.project(v, start), v)
+            np.testing.assert_array_equal(poly.project(v), v)
 
     def test_result_on_the_boundary_and_inside(self):
         poly = self.cut_polytope()
         centre = poly.chebyshev_center()
-        x = poly.project(centre + np.array([5.0, 5.0, -5.0]), centre)
+        x = poly.project(centre + np.array([5.0, 5.0, -5.0]))
         assert poly.violation(x) <= model.FEAS_TOL
         assert poly.violation(x) >= -model.FEAS_TOL  # on some row
 
-    def test_start_outside_rejected(self):
-        poly = self.cut_polytope()
-        start = poly.project(np.array([9.0, 0.0, 0.0]), poly.chebyshev_center())
-        with pytest.raises(PreconditionError):
-            poly.project(np.zeros(3), start + np.array([1e-9, 0.0, 0.0]))
+    @pytest.mark.parametrize("v, vertex", [
+        ([-3.277976802808726, -1.9734870086631202, -1.2850374423471935], [0, 0, 0]),
+        ([-0.06786015475441547, -5.431846499958461, 2.154603813511483], [0, 0, 1]),
+    ])
+    def test_degenerate_vertex(self, v, vertex):
+        # four of the seven rows are active at the vertex
+        x = unit_simplex().project(v)
+        np.testing.assert_allclose(x, vertex, rtol=0.0, atol=1e-15)
 
-    def test_nan_start_rejected(self):
+    def test_nan_target_rejected(self):
         # x >= 0, y >= 0, x + y <= 1
         tri = Polytope(a_mat=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
                        b_vec=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(PreconditionError, match="start violates"):
-            tri.project(np.array([2.0, 2.0]), np.array([np.nan, 0.2]))
+        for poly in (tri, Polytope.box([0.0, 0.0], [1.0, 1.0])):
+            with pytest.raises(PreconditionError, match="target is not finite"):
+                poly.project(np.array([np.nan, 2.0]))
 
-    def test_start_within_tolerance_is_repaired(self):
-        poly = self.cut_polytope()
-        start = poly.project(np.array([9.0, 0.0, 0.0]), poly.chebyshev_center())
-        start = start + np.array([5e-11, 0.0, 0.0])
-        assert 0.0 < poly.violation(start) <= model.FEAS_TOL
-        x = poly.project(start + np.array([1.0, 0.1, 0.0]), start)
-        assert poly.violation(x) <= 1e-15
+    def test_empty_polytope_rejected(self):
+        # x + y <= 0.1 and x + y >= 0.3
+        empty = Polytope(a_mat=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                         b_vec=np.array([0.1, -0.3]))
+        for v in ([0.2, 0.0], [5.0, 5.0], [-3.0, 1.0]):
+            with pytest.raises(PreconditionError, match="empty"):
+                empty.project(np.array(v))
 
-    def test_iteration_cap_raises_with_a_feasible_best(self, monkeypatch):
+    def test_nnls_cap_raises(self, monkeypatch):
         poly = self.cut_polytope()
-        monkeypatch.setattr(model, "_MAX_PROJECT_ITERS", 1)
-        with pytest.raises(ConvergenceError) as err:
-            poly.project(np.array([50.0, 50.0, 50.0]), poly.chebyshev_center())
-        assert poly.contains(err.value.best)
+        monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
+        with pytest.raises(ConvergenceError, match="iterations") as err:
+            poly.project(np.array([50.0, 50.0, 50.0]))
+        assert err.value.best is None
 
     def test_dimension_mismatch(self):
         poly = self.cut_polytope()
-        with pytest.raises(StructureError):
-            poly.project(np.zeros(2), np.zeros(3))
+        for p in (poly, Polytope.box(-np.ones(3), np.ones(3))):
+            with pytest.raises(StructureError):
+                p.project(np.zeros(2))
 
 
 class TestBatchedGradientHook:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from dist_alm import (ConfigurationError, InnerConfig,
                       eval_constraints, generate_toy, run_inner, run_outer,
                       toy_initial_guess)
 from dist_alm.model import FEAS_TOL
-from conftest import cut_chain, mu_like, zvec
+from conftest import cut_chain, mu_like, unit_simplex, zvec
 
 
 class TestDualUpdate:
@@ -236,3 +238,19 @@ class TestPolytopeChains:
                                  with_certificates=False, sweep_budgets=[20] * 5)
             for agent, block in zip(problem.agents, state.z.blocks):
                 assert agent.feasible_set.violation(block) <= FEAS_TOL, seed
+
+    def test_simplex_chain_with_degenerate_vertices(self):
+        # every block on the unit simplex, whose vertices each have four
+        # active rows; the blocks reach them within the first sweeps
+        params = ToyParams(8, 3, 0.5, seed=0)
+        chain = generate_toy(params)
+        problem = dataclasses.replace(chain, agents=tuple(
+            dataclasses.replace(a, feasible_set=unit_simplex()) for a in chain.agents))
+        _, mu0 = toy_initial_guess(params, chain)
+        outer = OuterConfig(rho0=1.0, beta=100.0, eps0=1e-2, eta=0.0, max_outer=4)
+        state, _ = run_outer(problem, outer, InnerConfig(tau=1e-12),
+                             default_start(problem), mu0, with_certificates=False,
+                             sweep_budgets=[30] * 4)
+        assert len(state.trace) == 4
+        for block in state.z.blocks:
+            assert unit_simplex().violation(block) <= FEAS_TOL

@@ -8,7 +8,7 @@ from dist_alm import (ConvergenceError, Polytope, PreconditionError, ProxQp,
 from dist_alm.bench import stiff_polytope_qp
 from dist_alm.model import FEAS_TOL
 from dist_alm.verify import enumerate_projection
-from conftest import box_with_cuts
+from conftest import box_with_cuts, nnls_at_cap, unit_simplex
 
 
 def box_qp(g, m_mat, center, lo, hi):
@@ -117,6 +117,17 @@ class TestValidation:
             with pytest.raises(PreconditionError, match="center violates"):
                 solve_prox_qp(qp)
 
+    @pytest.mark.parametrize("m_mat", [np.eye(2), [[2.0, 0.5], [0.5, 1.0]]])
+    def test_nan_gradient_rejected(self, m_mat):
+        # x >= 0, y >= 0, x + y <= 1
+        tri = Polytope(a_mat=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                       b_vec=np.array([0.0, 0.0, 1.0]))
+        for poly in (tri, Polytope.box([0.0, 0.0], [1.0, 1.0])):
+            qp = ProxQp(g=np.array([np.nan, 1.0]), m_mat=m_mat,
+                        center=np.array([0.2, 0.2]), feasible_set=poly)
+            with pytest.raises(PreconditionError, match="target is not finite"):
+                solve_prox_qp(qp)
+
     def test_large_block_definiteness_via_factorization(self):
         n = 17  # beyond the eigenvalue-check threshold
         ok = box_qp(np.zeros(n), np.eye(n), np.zeros(n), [-1.0] * n, [1.0] * n)
@@ -127,17 +138,15 @@ class TestValidation:
         with pytest.raises(StructureError):
             box_qp(np.zeros(n), bad, np.zeros(n), [-1.0] * n, [1.0] * n)
 
-    def test_projection_cap_carries_last_iterate(self, monkeypatch):
+    def test_projection_cap_raises(self, monkeypatch):
         # a non-diagonal M on a box is projected in Cholesky coordinates,
         # where the box is a general polytope: its cap is the projection's
-        from dist_alm import model
-
-        monkeypatch.setattr(model, "_MAX_PROJECT_ITERS", 1)
+        monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
         m_mat = np.array([[2.0, 0.3], [0.3, 1.0]])
         qp = box_qp([10.0, -20.0], m_mat, [0.0, 0.0], [-1, -1], [1, 1])
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match="iterations") as err:
             solve_prox_qp(qp)
-        assert err.value.best is not None
+        assert err.value.best is None
 
 
 class TestPolytopePath:
@@ -183,7 +192,7 @@ class TestPolytopePath:
         qp = stiff_polytope_qp()
         x, _, active = solve_prox_qp(qp)
         assert qp.feasible_set.violation(x) <= 1e-12
-        x_proj = qp.feasible_set.project(qp.center - qp.g / qp.m_mat[0, 0], qp.center)
+        x_proj = qp.feasible_set.project(qp.center - qp.g / qp.m_mat[0, 0])
         np.testing.assert_allclose(x, x_proj, rtol=1e-9, atol=0.0)
         np.testing.assert_array_equal(active, [1])
 
@@ -208,7 +217,7 @@ class TestPolytopePath:
             poly = box if k % 4 == 0 else box_with_cuts(box, rng)
             center = np.zeros(3)  # inside: the cuts keep the origin interior
             if k % 2:  # a center on the boundary
-                center = poly.project(rng.uniform(-5, 5, 3), center)
+                center = poly.project(rng.uniform(-5, 5, 3))
             raw = rng.uniform(-1, 1, (3, 3))
             m_mat = raw @ raw.T + 0.3 * np.eye(3)
             g = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(3)
@@ -220,6 +229,16 @@ class TestPolytopePath:
             assert poly.violation(x) <= FEAS_TOL
             assert res <= 1e-9 * (1.0 + float(np.max(np.abs(g))))
         assert worst_gap <= 1e-10
+
+    def test_center_at_a_degenerate_vertex(self):
+        # four of the simplex's seven rows are active at the centre 0 and
+        # at the minimiser e_2
+        v = np.array([-0.058030132611305074, 2.8324021131635666, 1.4855615281069916])
+        qp = ProxQp(g=-v, m_mat=np.eye(3), center=np.zeros(3), feasible_set=unit_simplex())
+        x, res, active = solve_prox_qp(qp)
+        np.testing.assert_allclose(x, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-15)
+        assert res <= 1e-15
+        np.testing.assert_array_equal(active, [1, 3, 5, 6])
 
     def test_many_rows_solve(self):
         # 34 rows: four box rows and 30 random cuts, redundant on the box

@@ -368,12 +368,12 @@ class TestEnumerationOracle:
         worst_gap = 0.0
         for k in range(300):
             poly = box_with_cuts(box, rng)
-            start = poly.chebyshev_center()
-            if k % 2:  # a start on the boundary seeds the working set
-                start = poly.project(start + rng.uniform(-5, 5, 3), start)
+            base = poly.chebyshev_center()
+            if k % 2:  # a base point on the boundary
+                base = poly.project(base + rng.uniform(-5, 5, 3))
             direction = rng.standard_normal(3)
-            v = start + 10.0 ** rng.uniform(-3, 3) * direction / np.linalg.norm(direction)
-            x = poly.project(v, start)
+            v = base + 10.0 ** rng.uniform(-3, 3) * direction / np.linalg.norm(direction)
+            x = poly.project(v)
             gap = float(np.max(np.abs(x - enumerate_projection(poly, v))))
             worst_gap = max(worst_gap, gap)
             assert poly.violation(x) <= FEAS_TOL
@@ -392,8 +392,44 @@ class TestEnumerationOracle:
         for scale in (1.0, 1e3, 1e6):
             v = qp.center + scale * step
             x_oracle = enumerate_projection(poly, v)
-            x = poly.project(v, qp.center)
+            x = poly.project(v)
             np.testing.assert_allclose(x, x_oracle, rtol=0.0, atol=1e-10)
             assert poly.violation(x) <= FEAS_TOL
         np.testing.assert_allclose(x_qp, enumerate_projection(poly, qp.center + step),
                                    rtol=0.0, atol=1e-10)
+
+    def test_projection_stress_at_degenerate_vertices(self):
+        # boxes in d = 2..5 with cuts through box vertices, a scaled copy
+        # and an exact copy of a row, and targets up to 1e6 away
+        rng = np.random.default_rng(23)
+        for k in range(400):
+            d = 2 + k % 4
+            box = Polytope.box(-np.ones(d), np.ones(d))
+            normals = rng.standard_normal((1 + k % 2, d))
+            normals /= np.linalg.norm(normals, axis=1)[:, None]
+            a_mat = np.vstack([box.a_mat, normals])
+            b_vec = np.concatenate([box.b_vec, np.abs(normals).sum(axis=1)])
+            rows = rng.integers(len(b_vec), size=2)
+            scale = np.array([10.0 ** rng.uniform(-3, 3), 1.0])
+            poly = Polytope(np.vstack([a_mat, scale[:, None] * a_mat[rows]]),
+                            np.concatenate([b_vec, scale * b_vec[rows]]))
+            direction = rng.standard_normal(d)
+            v = 10.0 ** rng.uniform(-3, 6) * direction / np.linalg.norm(direction)
+            x = poly.project(v)
+            bound = 1e-12 * (1.0 + np.max(np.abs(v)))
+            assert np.max(np.abs(x - enumerate_projection(poly, v))) <= bound, k
+            assert poly.violation(x) <= bound, k
+
+    def test_nearly_singular_sets_are_not_trusted(self):
+        # the rows x_1 <= 1 and 0.13 x_1 <= 0.13 are parallel: sets holding
+        # both have a singular KKT matrix whose computed LU pivots are not 0
+        cut = np.array([-0.8255303969310562, -0.5643576558733413])
+        scale = 0.13157086428085632
+        poly = Polytope(np.vstack([np.eye(2), -np.eye(2), cut, [scale, 0.0]]),
+                        np.r_[1.0, 1.0, 1.0, 1.0, 0.5 * np.abs(cut).sum(), scale])
+        v = np.array([-2.7544906358545376, -0.9197346877285661])
+        x = enumerate_projection(poly, v)
+        # on the edges x_1 = -1 and cut @ x = b_cut
+        np.testing.assert_allclose(poly.a_mat[[2, 4]] @ x, poly.b_vec[[2, 4]],
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(x, poly.project(v), rtol=0.0, atol=1e-15)
