@@ -9,8 +9,7 @@ from .errors import (ConfigurationError, ConvergenceError, EvaluationError,
                      PreconditionError, RefusalError, StructureError)
 from .inner_bcd import (Backtracking, FixedScaled, HessianBand, Hint,
                         InnerConfig, InnerResult, Sampled, SweepCertificate,
-                        bcd_sweep, color_interaction_graph,
-                        estimate_hessian_bound, run_inner)
+                        bcd_sweep, color_interaction_graph, run_inner)
 from .model import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
                     NlpProblem, Polytope, eval_aug_lagrangian,
                     eval_block_gradient, eval_constraints)
@@ -32,7 +31,7 @@ __all__ = [
     "RunStats", "Sampled", "StructureError", "SweepCertificate", "ToyParams",
     "bcd_sweep", "brute_force_min", "color_interaction_graph",
     "criticality_residual", "default_start", "dual_update",
-    "enumerate_projection", "estimate_hessian_bound", "eval_aug_lagrangian",
+    "enumerate_projection", "eval_aug_lagrangian",
     "eval_block_gradient", "eval_constraints", "fd_gradient_check",
     "generate_toy", "kkt_report", "regularity_check", "run_inner",
     "run_outer", "run_statistics", "solve_prox_qp", "toy_definite_count",

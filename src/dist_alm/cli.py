@@ -21,7 +21,6 @@ from .inner_bcd import FixedScaled, InnerConfig
 from .model import (FEAS_TOL, AgentSpec, BlockVector, MultiplierEstimate,
                     NlpProblem, Polytope)
 from .outer_mm import OuterConfig, run_outer
-from .subqp import ProxQp, solve_prox_qp
 from .verify import brute_force_min, enumerate_projection, fd_gradient_check
 
 # solve defaults to a small solvable demonstration instance; at scale 2 a
@@ -216,22 +215,18 @@ def _cmd_verify(opts) -> int:
     ok = status == "converged" and abs(abs(x) - 1.0) <= 1e-6 and abs(mu + 1.0) <= 1e-4
     report("one-agent KKT point", ok, f"x={x:.8f} mu={mu:.6f}")
 
-    # proximal QP against a brute-force grid
-    qp_problem = NlpProblem(agents=(
-        AgentSpec(
-            cost=lambda x: float(1.5 * x[0] ** 2 + 0.5 * x[1] ** 2 + 0.3 * x[0]),
-            cost_grad=lambda x: np.array([3.0 * x[0] + 0.3, x[1]]),
-            feasible_set=Polytope.box([-0.3, -0.3], [0.3, 0.3]),
-        ),
-    ))
-    _, grid_val = brute_force_min(qp_problem, grid_step=1e-3)
-    qp = ProxQp(g=np.array([0.3, 0.0]),
-                m_mat=np.array([[3.0, 0.0], [0.0, 1.0]]),
-                center=np.zeros(2),
-                feasible_set=Polytope.box([-0.3, -0.3], [0.3, 0.3]))
-    x_qp, _, _ = solve_prox_qp(qp)
-    report("QP vs grid oracle", abs(qp.objective(x_qp) - grid_val) <= 1e-3,
-           f"qp {qp.objective(x_qp):.6f} grid {grid_val:.6f}")
+    # the solver's box update against a brute-force grid: the Newton point
+    # -g / diag(M) of the diagonal quadratic, clipped by Polytope.project
+    box = Polytope.box([-0.3, -0.3], [0.3, 0.3])
+    agent = AgentSpec(
+        cost=lambda x: float(1.5 * x[0] ** 2 + 0.5 * x[1] ** 2 + 0.3 * x[0]),
+        cost_grad=lambda x: np.array([3.0 * x[0] + 0.3, x[1]]),
+        feasible_set=box,
+    )
+    _, grid_val = brute_force_min(NlpProblem(agents=(agent,)), grid_step=1e-3)
+    x_box = box.project(-agent.cost_grad(np.zeros(2)) / np.array([3.0, 1.0]))
+    report("QP vs grid oracle", abs(agent.cost(x_box) - grid_val) <= 1e-3,
+           f"qp {agent.cost(x_box):.6f} grid {grid_val:.6f}")
 
     # polytope projection (the block update) against the enumeration oracle
     # on a block QP at M = 3e8 I

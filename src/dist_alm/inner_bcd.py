@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
-                    Polytope, _aug_lagrangian, _block_gradient, _block_gradients,
-                    _block_values, _row_dots)
+                    Polytope, _aug_lagrangian, _block_gradients, _block_values,
+                    _row_dots)
 from .verify import _residual_and_gradients, criticality_residual
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "SweepCertificate",
     "bcd_sweep",
     "color_interaction_graph",
-    "estimate_hessian_bound",
     "run_inner",
 ]
 
@@ -237,80 +236,34 @@ def color_interaction_graph(coupling: CouplingSpec, n_agents: int) -> np.ndarray
 # Curvature bounds.
 # ---------------------------------------------------------------------------
 
-def _sample_in_polytope(poly: Polytope, rng) -> np.ndarray:
-    if poly.is_box:
-        return rng.uniform(poly.lower, poly.upper)
-    center = poly.chebyshev_center()
-    direction = rng.standard_normal(poly.dim)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        return center
-    direction /= norm
-    along = poly.a_mat @ direction
-    slack = poly.b_vec - poly.a_mat @ center
-    up, down = along > 1e-14, along < -1e-14
-    t_hi = np.min(slack[up] / along[up], initial=np.inf)
-    t_lo = np.max(slack[down] / along[down], initial=-np.inf)
-    t_hi, t_lo = (t if np.isfinite(t) else 0.0 for t in (t_hi, t_lo))
-    return center + direction * rng.uniform(0.95 * t_lo, 0.95 * t_hi)
-
-
-def _fd_block_hessian_norm(problem, blocks, mu, rho, i) -> float:
-    """Spectral norm of the central-difference Hessian of block ``i``."""
-    x = blocks[i]
-    n = x.shape[0]
-    hess = np.zeros((n, n))
-    for j in range(n):
-        step = 1e-5 * (1.0 + abs(x[j]))
-        hi, lo = list(blocks), list(blocks)
-        hi[i], lo[i] = np.array(x), np.array(x)
-        hi[i][j] += step
-        lo[i][j] -= step
-        hess[:, j] = (_block_gradient(problem, hi, mu, rho, i)
-                      - _block_gradient(problem, lo, mu, rho, i)) / (2.0 * step)
-    hess = 0.5 * (hess + hess.T)
-    if n == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(hess))))
-
-
 def _sample_rng(i: int):
     """Agent ``i``'s own stream of curvature sample points."""
     return np.random.default_rng(_SAMPLE_SEED + 7919 * (i + 1))
 
 
-def estimate_hessian_bound(problem: NlpProblem, z_region: Polytope, i: int,
-                           cfg: InnerConfig, rho: float, mu: MultiplierEstimate,
-                           background: Optional[Sequence[np.ndarray]] = None) -> float:
-    """Scalar bound on the curvature of agent ``i``'s local Lagrangian.
-
-    With the sampled source, finite-difference Hessians of the block
-    gradient are measured at interior points of ``z_region`` (other blocks
-    taken from ``background`` or drawn from their own sets) and the largest
-    spectral norm is inflated by 1.5.  The backtracking source returns its
-    sampled initialisation; it is refined during sweeps.  The hint source
-    requires ``hessian_bound_hint`` on the agent.
-    """
-    if not (0 <= i < problem.n_agents):
-        raise ConfigurationError(f"agent index {i} out of range")
-    source = cfg.c_source
-    if isinstance(source, Hint):
-        hint = problem.agents[i].hessian_bound_hint
-        if hint is None:
-            raise ConfigurationError(
-                f"agent {i} has no hessian_bound_hint but the hint source is set"
-            )
-        return max(float(hint), C_FLOOR)
-    rng = _sample_rng(i)
-    best = 0.0
-    for _ in range(_sample_count(source)):
-        if background is not None:
-            blocks = [np.array(b) for b in background]
-        else:
-            blocks = [_sample_in_polytope(a.feasible_set, rng) for a in problem.agents]
-        blocks[i] = _sample_in_polytope(z_region, rng)
-        best = max(best, _fd_block_hessian_norm(problem, blocks, mu, rho, i))
-    return max(1.5 * best, C_FLOOR)
+def _sample_in_polytope(poly: Polytope, rng, count: int) -> np.ndarray:
+    """``count`` points of ``poly`` from ``rng``: uniform on a box, else on
+    random chords through the Chebyshev centre (one LP), at most 95% of the
+    way to the boundary."""
+    if poly.is_box:
+        return rng.uniform(poly.lower, poly.upper, (count, poly.dim))
+    center = poly.chebyshev_center()
+    slack = poly.b_vec - poly.a_mat @ center
+    points = np.empty((count, poly.dim))
+    for k in range(count):
+        direction = rng.standard_normal(poly.dim)
+        norm = np.linalg.norm(direction)
+        if norm == 0.0:
+            points[k] = center
+            continue
+        direction /= norm
+        along = poly.a_mat @ direction
+        up, down = along > 1e-14, along < -1e-14
+        t_hi = np.min(slack[up] / along[up], initial=np.inf)
+        t_lo = np.max(slack[down] / along[down], initial=-np.inf)
+        t_hi, t_lo = (t if np.isfinite(t) else 0.0 for t in (t_hi, t_lo))
+        points[k] = center + direction * rng.uniform(0.95 * t_lo, 0.95 * t_hi)
+    return points
 
 
 def _sample_count(source) -> int:
@@ -318,45 +271,40 @@ def _sample_count(source) -> int:
 
 
 def _agent_samples(problem, samples: int) -> list:
-    """Per agent, its ``(samples, d_i)`` curvature sample points.
-
-    Agent ``i`` draws them from its own set and stream, in the order
-    :func:`estimate_hessian_bound` does with a background (a box takes
-    them in one draw, which fills them from the stream in the same
-    order).  They are drawn once per problem and sample count and kept
-    with the problem.
-    """
+    """Per agent, its ``(samples, d_i)`` curvature sample points, drawn from
+    its own set and stream (:func:`_sample_rng`).  They are drawn once per
+    problem and sample count and kept with the problem."""
     points = problem._sample_points.get(samples)
     if points is None:
-        points = []
-        for i, agent in enumerate(problem.agents):
-            rng, poly = _sample_rng(i), agent.feasible_set
-            if poly.is_box:
-                points.append(rng.uniform(poly.lower, poly.upper, (samples, poly.dim)))
-            else:
-                points.append(np.array([_sample_in_polytope(poly, rng)
-                                        for _ in range(samples)]))
+        points = [_sample_in_polytope(a.feasible_set, _sample_rng(i), samples)
+                  for i, a in enumerate(problem.agents)]
         problem._sample_points[samples] = points
     return points
 
 
 def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
-    """Every agent's :func:`estimate_hessian_bound` over its own set, with
-    the point ``flat`` as background, one colour class at a time.
+    """Every agent's curvature bound ``C_i``, at least ``C_FLOOR``.
+
+    The hint source takes ``hessian_bound_hint``; otherwise ``C_i`` is 1.5
+    times the largest spectral norm of the symmetrised central-difference
+    Hessian (step ``1e-5 (1 + |x_j|)``) of block ``i``'s gradient over its
+    sample points (:func:`_agent_samples`), the other blocks at ``flat``.
 
     Members of a colour class share no coupling edge, so each member's
     block gradient at a point where every member sits at its own sample
     (or its perturbation) equals the gradient with that member moved
     alone.  A class therefore takes one ``_block_gradients`` call per
-    sample, coordinate and sign, and one stacked ``eigvalsh`` per sample;
-    the values equal the per-agent estimates bitwise.
+    sample, coordinate and sign, and one stacked ``eigvalsh`` per sample.
     """
-    n = problem.n_agents
     if isinstance(cfg.c_source, Hint):
-        return np.array([estimate_hessian_bound(problem, a.feasible_set, i, cfg, rho, mu)
-                         for i, a in enumerate(problem.agents)])
+        missing = [i for i, a in enumerate(problem.agents) if a.hessian_bound_hint is None]
+        if missing:
+            raise ConfigurationError(
+                f"agent {missing[0]} has no hessian_bound_hint but the hint source is set"
+            )
+        return np.array([max(float(a.hessian_bound_hint), C_FLOOR) for a in problem.agents])
     points = _agent_samples(problem, _sample_count(cfg.c_source))
-    best = np.zeros(n)
+    best = np.zeros(problem.n_agents)
     for idx, pos, _, _ in _color_classes(problem, _coloring(problem)):
         k, d = pos.shape
         for x in np.stack([points[i] for i in idx.tolist()], axis=1):

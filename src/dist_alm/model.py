@@ -51,9 +51,6 @@ __all__ = [
     "eval_constraints",
 ]
 
-#: Default slack for polytope membership tests.
-FEASIBILITY_SLACK = 1e-12
-
 #: Tolerance of every feasibility gate of the solver and its oracles: start
 #: points, iterates and oracle inputs must satisfy ``max(A x - b) <= FEAS_TOL``
 #: on each polytope.
@@ -145,7 +142,7 @@ class Polytope:
             )
         return x
 
-    def contains(self, x, slack: float = FEASIBILITY_SLACK) -> bool:
+    def contains(self, x, slack: float = FEAS_TOL) -> bool:
         return self.violation(x) <= slack
 
     def normal_cone_distance(self, x, grad):
@@ -195,7 +192,10 @@ class Polytope:
         Raises
         ------
         PreconditionError
-            If ``v`` is not finite, or the polytope is empty.
+            If ``v`` is not finite, or the polytope is empty (NNLS finds no
+            point, or the result violates a row by more than ``FEAS_TOL +
+            1e-12 (1 + ||v||_inf)``; a gap between contradicting rows below
+            about ``1e-12 ||v||_inf`` cannot be detected).
         ConvergenceError
             If NNLS reaches its iteration cap (``best`` is ``None``).
         """
@@ -224,7 +224,12 @@ class Polytope:
             lam = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:  # dependent working rows
             lam = np.linalg.lstsq(gram, rhs)[0]
-        return v - lam @ a_w
+        x = v - lam @ a_w
+        # NNLS can miss an empty polytope whose gap is small next to v
+        tol = FEAS_TOL + 1e-12 * (1.0 + np.max(np.abs(v)))
+        if np.max(self.a_mat @ x - self.b_vec) > tol:
+            raise PreconditionError("projection onto an empty polytope")
+        return x
 
     def chebyshev_center(self) -> np.ndarray:
         """Center of the largest inscribed ball (box midpoint for boxes)."""
@@ -610,7 +615,7 @@ class NlpProblem:
             raise PreconditionError(
                 f"block {bad[0]} violates its polytope by {viol[bad[0]]:.3e}")
 
-    def feasible(self, z: BlockVector, slack: float = FEASIBILITY_SLACK) -> bool:
+    def feasible(self, z: BlockVector, slack: float = FEAS_TOL) -> bool:
         return bool(np.all(self._violations(z) <= slack))
 
 

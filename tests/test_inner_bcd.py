@@ -10,9 +10,9 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
                       FixedScaled, HessianBand, Hint, InnerConfig,
                       MultiplierEstimate, NlpProblem, OuterConfig, Polytope,
                       ProxQp, Sampled, StructureError, ToyParams, bcd_sweep,
-                      color_interaction_graph, default_start, estimate_hessian_bound,
-                      eval_aug_lagrangian, eval_block_gradient, generate_toy,
-                      run_inner, run_outer, toy_initial_guess)
+                      color_interaction_graph, default_start, eval_aug_lagrangian,
+                      eval_block_gradient, generate_toy, run_inner, run_outer,
+                      toy_initial_guess)
 from dist_alm import inner_bcd
 from dist_alm.inner_bcd import C_FLOOR
 from conftest import (cut_chain, linear_agent, mu_like, nnls_at_cap, one_agent_problem,
@@ -48,9 +48,33 @@ def unequal_blocks_problem():
 
 
 def per_agent_bounds(problem, cfg, z, mu, rho):
-    return np.array([estimate_hessian_bound(problem, a.feasible_set, i, cfg, rho, mu,
-                                            background=list(z.blocks))
-                     for i, a in enumerate(problem.agents)])
+    """Reference for ``inner_bcd._initial_c_bounds``, one agent at a time.
+
+    Per sample point ``x`` of agent ``i``, the central-difference Hessian
+    of the public block gradient at ``z`` with block ``i`` moved to
+    ``x +- step e_j``, symmetrised; ``C_i`` is 1.5 times the largest
+    spectral norm, floored at ``C_FLOOR``.
+    """
+    count = inner_bcd._sample_count(cfg.c_source)
+    bounds = []
+    for i, agent in enumerate(problem.agents):
+        samples = inner_bcd._sample_in_polytope(agent.feasible_set,
+                                                inner_bcd._sample_rng(i), count)
+        best = 0.0
+        for x in samples:
+            hess = np.zeros((agent.dim, agent.dim))
+            for j in range(agent.dim):
+                step = 1e-5 * (1.0 + abs(x[j]))
+                hi, lo = np.array(x), np.array(x)
+                hi[j] += step
+                lo[j] -= step
+                hess[:, j] = (eval_block_gradient(problem, z.with_block(i, hi), mu, rho, i)
+                              - eval_block_gradient(problem, z.with_block(i, lo), mu, rho, i)
+                              ) / (2.0 * step)
+            hess = 0.5 * (hess + hess.T)
+            best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(hess)), initial=0.0)))
+        bounds.append(max(1.5 * best, C_FLOOR))
+    return np.array(bounds)
 
 
 class TestColoring:
@@ -84,17 +108,15 @@ class TestHessianBound:
         p_mat = np.diag([4.0, 2.0])
         problem = NlpProblem(agents=(quadratic_agent(p_mat, [-1, -1], [1, 1]),))
         cfg = InnerConfig(c_source=Sampled(5))
-        c = estimate_hessian_bound(problem, problem.agents[0].feasible_set, 0,
-                                   cfg, rho=1.0, mu=MultiplierEstimate.zeros(problem))
+        c, = inner_bcd._initial_c_bounds(problem, cfg, np.zeros(2), rho=1.0,
+                                         mu=MultiplierEstimate.zeros(problem))
         assert 4.0 <= c <= 6.0 * (1 + 1e-9)
 
     def test_linear_cost_floors_at_machine_scale(self):
-        from conftest import linear_agent
-
         problem = NlpProblem(agents=(linear_agent([1.0, 2.0], [-1, -1], [1, 1]),))
         cfg = InnerConfig(c_source=Sampled(3))
-        c = estimate_hessian_bound(problem, problem.agents[0].feasible_set, 0,
-                                   cfg, rho=1.0, mu=MultiplierEstimate.zeros(problem))
+        c, = inner_bcd._initial_c_bounds(problem, cfg, np.zeros(2), rho=1.0,
+                                         mu=MultiplierEstimate.zeros(problem))
         assert c <= 1e-8  # zero curvature collapses to the floor
         assert c >= 1e-12
 
@@ -102,10 +124,8 @@ class TestHessianBound:
         params, problem, z0, _ = toy_setup(n_agents=4, seed=2)
         cfg = InnerConfig(c_source=Sampled(5))
         mu = MultiplierEstimate.zeros(problem)
-        c_lo = estimate_hessian_bound(problem, problem.agents[1].feasible_set, 1,
-                                      cfg, rho=1.0, mu=mu, background=list(z0.blocks))
-        c_hi = estimate_hessian_bound(problem, problem.agents[1].feasible_set, 1,
-                                      cfg, rho=10.0, mu=mu, background=list(z0.blocks))
+        c_lo = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, rho=1.0)[1]
+        c_hi = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, rho=10.0)[1]
         assert 5.0 < c_hi / c_lo < 15.0
 
     def test_hint_source(self):
@@ -115,8 +135,8 @@ class TestHessianBound:
         )
         problem = NlpProblem(agents=(agent,))
         cfg = InnerConfig(c_source=Hint())
-        c = estimate_hessian_bound(problem, agent.feasible_set, 0, cfg,
-                                   rho=1.0, mu=MultiplierEstimate.zeros(problem))
+        c, = inner_bcd._initial_c_bounds(problem, cfg, np.zeros(1), rho=1.0,
+                                         mu=MultiplierEstimate.zeros(problem))
         assert c == 7.5
 
     @pytest.mark.parametrize("n_agents", [2, 7, 40])
@@ -157,10 +177,28 @@ class TestHessianBound:
     def test_missing_hint_is_a_configuration_error(self):
         problem = one_agent_problem()
         cfg = InnerConfig(c_source=Hint())
-        with pytest.raises(ConfigurationError):
-            estimate_hessian_bound(problem, problem.agents[0].feasible_set, 0,
-                                   cfg, rho=1.0,
-                                   mu=MultiplierEstimate.zeros(problem))
+        with pytest.raises(ConfigurationError, match="^agent 0 has no hessian_bound_hint"):
+            inner_bcd._initial_c_bounds(problem, cfg, np.zeros(1), rho=1.0,
+                                        mu=MultiplierEstimate.zeros(problem))
+        hinted = dataclasses.replace(problem.agents[0], hessian_bound_hint=2.0)
+        partly = NlpProblem(agents=(hinted, problem.agents[0], problem.agents[0]))
+        with pytest.raises(ConfigurationError, match="^agent 1 has no hessian_bound_hint"):
+            inner_bcd._initial_c_bounds(partly, cfg, np.zeros(3), rho=1.0,
+                                        mu=MultiplierEstimate.zeros(partly))
+
+    def test_one_chebyshev_lp_per_agent(self, monkeypatch):
+        problem, z0, mu = cut_chain(3)
+        calls = []
+        centre = Polytope.chebyshev_center
+
+        def counted(poly):
+            calls.append(poly)
+            return centre(poly)
+
+        monkeypatch.setattr(Polytope, "chebyshev_center", counted)
+        inner_bcd._initial_c_bounds(problem, InnerConfig(c_source=Backtracking()),
+                                    z0.flat, mu, 1.0)
+        assert len(calls) == problem.n_agents
 
 
 class TestSweep:
@@ -227,7 +265,7 @@ class TestSweep:
         banded = InnerConfig(b_strategy=HessianBand(), max_sweeps=10)
         result = run_inner(problem, z0, mu, rho, banded)
         assert result.certificates and all(c.passed for c in result.certificates)
-        assert problem.feasible(result.z)
+        assert problem.feasible(result.z, slack=1e-12)
 
 
 class TestPolytopeUpdate:
