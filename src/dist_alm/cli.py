@@ -111,7 +111,8 @@ def _load_config(path):
 
 
 def _resolve(args, config, defaults):
-    """Flag > config file > default, with key validation."""
+    """Flag > config file > default; a file value must have its flag's type
+    (a float flag also takes an integer, a ``None`` default a string)."""
     unknown = set(config) - set(defaults) - {"mode"}
     if unknown:
         raise ConfigurationError(
@@ -119,8 +120,13 @@ def _resolve(args, config, defaults):
         )
     merged = {}
     for key, fallback in defaults.items():
+        value = config.get(key, fallback)
+        kinds = ((str, type(None)) if fallback is None else
+                 (int, float) if type(fallback) is float else (type(fallback),))
+        if type(value) not in kinds:
+            raise ConfigurationError(f"config key {key} has the wrong type: {value!r}")
         flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else config.get(key, fallback)
+        merged[key] = flag if flag is not None else value
     return merged
 
 def _parse_float_list(text, key):

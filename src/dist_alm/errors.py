@@ -26,14 +26,7 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative subroutine hit its iteration cap above tolerance.
-
-    ``best`` holds the best iterate found so far.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iterative subroutine hit its iteration cap above tolerance."""
 
 
 class RefusalError(ValueError):

@@ -5,14 +5,15 @@ same color do not interact through the coupling, so a whole color class is
 updated from one frozen snapshot.  Each visit minimises the local quadratic
 model
 
-    g_i @ (x - x_i) + 0.5 * (x - x_i) @ (B_i + alpha_i I) @ (x - x_i)
+    g_i @ (x - x_i) + 0.5 * (x - x_i) @ (B_i + alpha I) @ (x - x_i)
 
 over the agent's polytope, where ``g_i`` is the augmented-Lagrangian block
-gradient at the snapshot and ``B_i = b_i I`` is a scaled identity curvature
-surrogate.  The minimiser is the Euclidean projection of
-``x_i - g_i / (b_i + alpha_i)`` onto the polytope: boxes clip, and other
-polytopes call :meth:`~dist_alm.model.Polytope.project`, one least-distance
-problem solved by nonnegative least squares.  Every block therefore stays
+gradient at the snapshot, ``B_i = b_i I`` is a scaled identity curvature
+surrogate and ``alpha`` is the proximal weight ``alpha_min``.  The
+minimiser is the Euclidean projection of ``x_i - g_i / (b_i + alpha)``
+onto the polytope: boxes clip, and other polytopes call
+:meth:`~dist_alm.model.Polytope.project`, one least-distance problem
+solved by nonnegative least squares.  Every block therefore stays
 inside its polytope up to rounding.
 
 One kernel serves every configuration.  Classes are split by block
@@ -49,8 +50,9 @@ results are the same.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -131,41 +133,29 @@ CSource = Union[Hint, Sampled, Backtracking]
 class InnerConfig:
     """Settings of the block-coordinate descent loop.
 
-    ``alpha_min``/``alpha_max`` bound the proximal weights and may be
-    scalars or per-agent sequences; ``alpha_schedule(i, sweep)`` may vary
-    the weight inside those bounds (default: constantly ``alpha_min``).
+    Every agent takes the proximal weight ``alpha_min`` on every sweep;
+    ``alpha_max`` (scalars, ``0 < alpha_min < alpha_max``) enters the
+    relative-error bound ``(3 C_i + alpha_max) ||step||``.
     """
 
     tau: float = 1e-8
-    alpha_min: Union[float, Sequence[float]] = 1e-3
-    alpha_max: Union[float, Sequence[float]] = 1.0
-    alpha_schedule: Optional[Callable[[int, int], float]] = None
+    alpha_min: float = 1e-3
+    alpha_max: float = 1.0
     b_strategy: BStrategy = field(default_factory=FixedScaled)
     c_source: CSource = field(default_factory=Backtracking)
     max_sweeps: int = 500
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
-        if self.max_sweeps < 0:
+        if not self.max_sweeps >= 0:
             raise ConfigurationError("max_sweeps must be nonnegative")
-        lo = np.atleast_1d(np.asarray(self.alpha_min, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.alpha_max, dtype=float))
-        if np.any(lo <= 0) or np.any(hi <= lo):
+        if not (isinstance(self.alpha_min, numbers.Real)
+                and isinstance(self.alpha_max, numbers.Real)
+                and 0 < self.alpha_min < self.alpha_max):
             raise ConfigurationError(
-                "regularisation bounds need 0 < alpha_min < alpha_max"
+                "regularisation bounds need scalars 0 < alpha_min < alpha_max"
             )
-
-    def alpha_bounds(self, n_agents: int):
-        lo, hi = np.empty(n_agents), np.empty(n_agents)
-        try:
-            lo[...] = self.alpha_min
-            hi[...] = self.alpha_max
-        except ValueError:
-            raise ConfigurationError(
-                f"alpha bounds must be scalars or length-{n_agents} sequences"
-            ) from None
-        return lo, hi
 
 
 @dataclass
@@ -175,7 +165,8 @@ class SweepCertificate:
     ``decrease_lhs <= decrease_rhs + DECREASE_SLACK`` is the sufficient
     decrease inequality (proximal term included on the left);
     ``rel_err_lhs <= rel_err_bound + REL_ERR_SLACK`` is the relative error
-    bound with coefficient ``3 C_i + alpha_max``.
+    bound with coefficient ``3 C_i + alpha_max``.  ``alpha_used`` holds the
+    proximal weight, ``alpha_min``, of every agent.
     """
 
     sweep: int
@@ -273,13 +264,13 @@ def _sample_count(source) -> int:
 def _agent_samples(problem, samples: int) -> list:
     """Per agent, its ``(samples, d_i)`` curvature sample points, drawn from
     its own set and stream (:func:`_sample_rng`).  They are drawn once per
-    problem and sample count and kept with the problem."""
-    points = problem._sample_points.get(samples)
-    if points is None:
-        points = [_sample_in_polytope(a.feasible_set, _sample_rng(i), samples)
-                  for i, a in enumerate(problem.agents)]
-        problem._sample_points[samples] = points
-    return points
+    problem and sample count and kept in the problem's cache."""
+    cache = problem._sweep_cache
+    if ("samples", samples) not in cache:
+        cache["samples", samples] = [
+            _sample_in_polytope(a.feasible_set, _sample_rng(i), samples)
+            for i, a in enumerate(problem.agents)]
+    return cache["samples", samples]
 
 
 def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
@@ -328,34 +319,25 @@ def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
 
 
 def _b_scales(strategy: BStrategy, rho: float, c_bounds, idx):
-    """Multiples of the identity used as curvature surrogate by agents ``idx``."""
+    """Multiples of the identity used as curvature surrogate by agents
+    ``idx``, one per agent."""
     base = strategy.scale * rho
     if isinstance(strategy, HessianBand):
         c = c_bounds[idx]
         return np.minimum(np.maximum(base, c * (1.0 + strategy.margin)),
                           2.0 * c * (1.0 - strategy.margin))
-    return base
+    return np.full(len(idx), base)
 
 
 # ---------------------------------------------------------------------------
 # Sweeps and the inner loop.
 # ---------------------------------------------------------------------------
 
-def _pick_alpha(cfg, i, sweep, a_lo, a_hi) -> float:
-    alpha = float(cfg.alpha_schedule(i, sweep))
-    if not (a_lo[i] <= alpha <= a_hi[i]):
-        raise ConfigurationError(
-            f"alpha schedule returned {alpha} outside "
-            f"[{a_lo[i]}, {a_hi[i]}] for agent {i}"
-        )
-    return alpha
-
-
 def _project(poly, v, i, sweep):
     try:
         return poly.project(v)
     except ConvergenceError as exc:
-        raise ConvergenceError(f"agent {i}, sweep {sweep}: {exc}", best=exc.best) from exc
+        raise ConvergenceError(f"agent {i}, sweep {sweep}: {exc}") from exc
 
 
 def _coloring(problem) -> np.ndarray:
@@ -410,8 +392,8 @@ def _solve_rows(problem, cls, rows, x_old, grad, m_diag, sweep):
                      for i, v in zip(idx[rows].tolist(), target)])
 
 
-def _check_class(problem, flat, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
-                 c_bounds, a_hi, sweep, cert, value_old=None):
+def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
+                 c_bounds, sweep, cert, value_old=None):
     """Certificate values and curvature backtracking for one colour class.
 
     ``flat`` is the read-only class snapshot, ``x_old`` the class's blocks
@@ -443,7 +425,7 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
     for attempt in range(_MAX_BACKTRACK + 1):
         if attempt == 0 or band:
             rows = np.flatnonzero(pending)
-            m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + alpha[rows]
+            m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + cfg.alpha_min
             if attempt:
                 x_new[rows] = _solve_rows(problem, cls, rows, x_old[rows], grad[rows],
                                           m_diag, sweep)
@@ -461,8 +443,8 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
                 resid = g_new - grad[rows] - m_diag[:, None] * step[rows]
                 re_lhs[rows] = np.sqrt(_row_dots(resid, resid))
         c = c_bounds[idx]
-        re_bound = (3.0 * c + a_hi[idx]) * snorm
-        dec_lhs = value_new + 0.5 * alpha * snorm_sq
+        re_bound = (3.0 * c + cfg.alpha_max) * snorm
+        dec_lhs = value_new + 0.5 * cfg.alpha_min * snorm_sq
         ok = value_new <= (value_old + _row_dots(grad, step)
                            + 0.5 * c * snorm_sq) + DECREASE_SLACK
         if band:
@@ -476,7 +458,7 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
     if cert is not None:
         cert.decrease_lhs[idx], cert.decrease_rhs[idx] = dec_lhs, value_old
         cert.rel_err_lhs[idx], cert.rel_err_bound[idx] = re_lhs, re_bound
-        cert.step_norms[idx], cert.alpha_used[idx] = snorm, alpha
+        cert.step_norms[idx] = snorm
 
 
 @dataclass
@@ -520,7 +502,6 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     coloring = np.asarray(coloring, dtype=int)
     if coloring.shape != (n,):
         raise ConfigurationError(f"coloring must assign each of the {n} agents")
-    a_lo, a_hi = cfg.alpha_bounds(n)
     band = isinstance(cfg.b_strategy, HessianBand)
     check = with_certificates or (band and isinstance(cfg.c_source, Backtracking))
     if c_bounds is None and (with_certificates or band):
@@ -536,7 +517,8 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
         if at.terms is None:
             at.lagrangian, at.terms = _aug_lagrangian(problem, view, mu, rho)
         cert = SweepCertificate(sweep_index, *(np.full(n, math.nan) for _ in range(4)),
-                                step_norms=np.zeros(n), c_used=None, alpha_used=np.zeros(n),
+                                step_norms=np.zeros(n), c_used=None,
+                                alpha_used=np.full(n, cfg.alpha_min, dtype=float),
                                 lagrangian_before=at.lagrangian,
                                 lagrangian_after=math.nan)
 
@@ -545,17 +527,12 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
         idx, pos = cls[0], cls[1]
         grad = np.asarray(_block_gradients(problem, view, mu, rho, idx) if grads is None
                           else [grads[i] for i in idx.tolist()])
-        if cfg.alpha_schedule is None:
-            alpha = a_lo[idx]
-        else:
-            alpha = np.array([_pick_alpha(cfg, i, sweep_index, a_lo, a_hi)
-                              for i in idx.tolist()])
-        m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + alpha
+        m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + cfg.alpha_min
         x_old = flat[pos]
         x_new = _solve_rows(problem, cls, slice(None), x_old, grad, m_diag, sweep_index)
         if check:
-            _check_class(problem, view, mu, rho, cfg, cls, grad, alpha, x_old, x_new,
-                         c_bounds, a_hi, sweep_index, cert,
+            _check_class(problem, view, mu, rho, cfg, cls, grad, x_old, x_new,
+                         c_bounds, sweep_index, cert,
                          None if terms is None else terms[idx])
         flat[pos] = x_new
         grads = terms = None

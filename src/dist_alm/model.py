@@ -197,7 +197,7 @@ class Polytope:
             1e-12 (1 + ||v||_inf)``; a gap between contradicting rows below
             about ``1e-12 ||v||_inf`` cannot be detected).
         ConvergenceError
-            If NNLS reaches its iteration cap (``best`` is ``None``).
+            If NNLS reaches its iteration cap.
         """
         v = self._point(v)
         if not np.all(np.isfinite(v)):
@@ -523,12 +523,10 @@ class NlpProblem:
     coupling: CouplingSpec = field(default_factory=CouplingSpec.none)
     block_gradients: Optional[Callable] = None
     block_values: Optional[Callable] = None
-    # layouts the inner loop derives from the problem, filled on first use
+    # what the inner loop derives from the problem (colouring, colour
+    # classes, curvature sample points), filled on first use
     _sweep_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
-    # curvature sample points per sample count, drawn on first use
-    _sample_points: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         agents = tuple(self.agents)

@@ -4,7 +4,7 @@ Each outer iteration drives the criticality residual of the inner problem
 below the current tolerance ``eps`` (warm-started at the previous point),
 then applies the first-order dual update ``mu <- mu + rho H(z)``, divides
 the tolerance by the pre-growth penalty and multiplies the penalty by
-``beta``.  The loop stops once the chosen norm of ``H(z)`` reaches ``eta``.
+``beta``.  The loop stops once the sup norm of ``H(z)`` reaches ``eta``.
 
 The penalty / tolerance schedule is maintained in closed form,
 
@@ -47,10 +47,9 @@ class OuterConfig:
     """Outer-loop settings.
 
     ``eta`` is the final tolerance on the equality constraints, measured
-    in ``constraint_norm`` (sup norm by default; both norms are recorded
-    in the trace regardless).  Setting ``eta = 0`` disables the
-    feasibility stop, which the benchmark harness uses to run a fixed
-    number of outer iterations.
+    in the sup norm (the trace records the 2-norm too).  Setting
+    ``eta = 0`` disables the feasibility stop, which the benchmark harness
+    uses to run a fixed number of outer iterations.
     """
 
     rho0: float
@@ -58,23 +57,18 @@ class OuterConfig:
     eps0: float
     eta: float
     max_outer: int = 30
-    constraint_norm: str = "inf"
 
     def __post_init__(self):
-        if self.rho0 <= 0:
+        if not self.rho0 > 0:
             raise ConfigurationError(f"rho0 must be positive, got {self.rho0}")
-        if self.beta <= 1:
+        if not self.beta > 1:
             raise ConfigurationError(f"beta must exceed 1, got {self.beta}")
-        if self.eps0 <= 0:
+        if not self.eps0 > 0:
             raise ConfigurationError(f"eps0 must be positive, got {self.eps0}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ConfigurationError(f"eta must be nonnegative, got {self.eta}")
-        if self.max_outer < 1:
+        if not self.max_outer >= 1:
             raise ConfigurationError("max_outer must be at least 1")
-        if self.constraint_norm not in ("inf", "two"):
-            raise ConfigurationError(
-                f"constraint_norm must be 'inf' or 'two', got {self.constraint_norm!r}"
-            )
 
     def schedule(self, k: int):
         """Closed-form ``(rho_k, eps_k)`` after ``k`` completed iterations."""
@@ -174,7 +168,7 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
     -------
     (OuterState, str)
         Final state (with per-iteration trace) and a status string:
-        ``"converged"`` once the constraint norm reaches ``eta``; else
+        ``"converged"`` once the constraints' sup norm reaches ``eta``; else
         ``"inner_failure"`` if any inner call missed its target (see
         ``IterTrace.inner_achieved``) and ``"iteration_cap"`` if every
         one met it.
@@ -226,7 +220,6 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
         state.mu = dual_update(state.mu, rho, h_val)
         state.k += 1
         state.rho, state.eps = cfg.schedule(state.k)
-        h_norm = h_inf if cfg.constraint_norm == "inf" else h_two
-        if cfg.eta > 0.0 and h_norm <= cfg.eta:
+        if cfg.eta > 0.0 and h_inf <= cfg.eta:
             return state, STATUS_CONVERGED
     return state, (STATUS_ITERATION_CAP if all_achieved else STATUS_INNER_FAILURE)

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from dist_alm.cli import main
 
 
@@ -82,6 +84,24 @@ class TestConfigHandling:
         cfg.write_text("{\n  broken\n}")
         assert run_cli(["solve", "--config", str(cfg)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, values", [
+        ("solve", {"eta": "1e-6"}),
+        ("solve", {"n": True}),
+        ("solve", {"max_sweeps": 2.5}),
+        ("solve", {"out": 3}),
+        ("bench", {"instances": 2.5}),
+        ("bench", {"budgets": [10, 25]}),
+        ("verify", {"seed": None}),
+    ], ids=["eta-str", "n-bool", "max_sweeps-float", "out-int", "instances-float",
+            "budgets-list", "seed-null"])
+    def test_config_value_of_the_wrong_type_exits_two(self, tmp_path, capsys, mode,
+                                                      values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        assert run_cli([mode, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"config key {next(iter(values))} " in err
 
     def test_unknown_flag_exits_two(self, capsys):
         assert run_cli(["solve", "--nope"]) == 2

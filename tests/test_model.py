@@ -367,9 +367,8 @@ class TestProjection:
     def test_nnls_cap_raises(self, monkeypatch):
         poly = self.cut_polytope()
         monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
-        with pytest.raises(ConvergenceError, match="iterations") as err:
+        with pytest.raises(ConvergenceError, match="iterations"):
             poly.project(np.array([50.0, 50.0, 50.0]))
-        assert err.value.best is None
 
     def test_dimension_mismatch(self):
         poly = self.cut_polytope()

@@ -59,9 +59,10 @@ class TestSchedule:
             OuterConfig(rho0=0.0, beta=10.0, eps0=1.0, eta=1e-6)
         with pytest.raises(ConfigurationError):
             OuterConfig(rho0=1.0, beta=1.0, eps0=1.0, eta=1e-6)
-        with pytest.raises(ConfigurationError):
-            OuterConfig(rho0=1.0, beta=2.0, eps0=1.0, eta=1e-6,
-                        constraint_norm="three")
+        base = dict(rho0=1.0, beta=2.0, eps0=1.0, eta=1e-6)
+        for key in ("rho0", "beta", "eps0", "eta", "max_outer"):
+            with pytest.raises(ConfigurationError):
+                OuterConfig(**dict(base, **{key: float("nan")}))
 
 
 class TestRunOuter:
@@ -162,6 +163,21 @@ class TestRunOuter:
             dists.append(abs(mu.flatten()[0] + 1.0))
         for prev, cur in zip(dists[2:], dists[3:]):
             assert cur <= prev + 1e-12
+
+    def test_stops_on_the_sup_norm(self):
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=3)
+        problem = generate_toy(params)
+        z0, mu0 = toy_initial_guess(params, problem)
+        cfg = self.outer_cfg(rho0=0.1, beta=100.0, eps0=1e-2, eta=0.0, max_outer=2)
+        kwargs = dict(with_certificates=False)
+        state, _ = run_outer(problem, cfg, self.inner_cfg(), z0, mu0, **kwargs)
+        first = state.trace[0]
+        assert first.h_two > first.h_inf > 0.0
+        # eta at the first sup norm stops there; the 2-norm would not
+        state, status = run_outer(problem, dataclasses.replace(cfg, eta=first.h_inf),
+                                  self.inner_cfg(), z0, mu0, **kwargs)
+        assert status == "converged" and state.k == 1
+        assert state.trace[0] == first
 
     def test_iteration_cap_status(self, one_agent):
         state, status = run_outer(one_agent, self.outer_cfg(max_outer=1, eta=1e-12),

@@ -144,9 +144,8 @@ class TestValidation:
         monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
         m_mat = np.array([[2.0, 0.3], [0.3, 1.0]])
         qp = box_qp([10.0, -20.0], m_mat, [0.0, 0.0], [-1, -1], [1, 1])
-        with pytest.raises(ConvergenceError, match="iterations") as err:
+        with pytest.raises(ConvergenceError, match="iterations"):
             solve_prox_qp(qp)
-        assert err.value.best is None
 
 
 class TestPolytopePath:
