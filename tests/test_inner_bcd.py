@@ -342,12 +342,14 @@ class TestColorClassSweep:
     @pytest.mark.parametrize("n_agents", [2, 3, 20, 21])
     @pytest.mark.parametrize("block_dim", [1, 3])
     @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
-    def test_equals_per_agent_sweeps(self, n_agents, block_dim, rho):
+    @pytest.mark.parametrize("alpha_min", [InnerConfig.alpha_min, 1e-2],
+                             ids=["alpha_min", "larger_alpha_min"])
+    def test_equals_per_agent_sweeps(self, n_agents, block_dim, rho, alpha_min):
         _, problem, z0, mu = toy_setup(n_agents=n_agents, seed=n_agents,
                                        block_dim=block_dim)
         batched, calls, _ = counting(problem)
         reference = with_hook(problem, None)
-        cfg = InnerConfig()
+        cfg = InnerConfig(alpha_min=alpha_min)
         colors = color_interaction_graph(problem.coupling, n_agents)
         z, z_ref = z0, z0
         for sweep in range(50):
