@@ -49,40 +49,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     solve = sub.add_parser("solve", help="solve one builtin chain instance")
-    solve.add_argument("--config", type=str, default=None,
-                       help="JSON file with flag defaults")
+    bench = sub.add_parser("bench", help="run the feasibility statistics")
+    for mode in (solve, bench):
+        mode.add_argument("--config", type=str, default=None,
+                          help="JSON file with flag defaults")
+        mode.add_argument("--n", type=int, default=None, help="number of agents")
+        mode.add_argument("--d", type=int, default=None, help="block dimension")
+        mode.add_argument("--r", type=float, default=None, help="instance scale R")
+        mode.add_argument("--seed", type=int, default=None)
+        mode.add_argument("--rho0", type=float, default=None)
+        mode.add_argument("--beta", type=float, default=None)
+        mode.add_argument("--b-scale", type=float, default=None, dest="b_scale")
     solve.add_argument("--toy", action="store_true", default=None,
                        help="use the builtin random chain family (default)")
-    solve.add_argument("--n", type=int, default=None, help="number of agents")
-    solve.add_argument("--d", type=int, default=None, help="block dimension")
-    solve.add_argument("--r", type=float, default=None, help="instance scale R")
-    solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--rho0", type=float, default=None)
-    solve.add_argument("--beta", type=float, default=None)
     solve.add_argument("--eps0", type=float, default=None)
     solve.add_argument("--eta", type=float, default=None)
     solve.add_argument("--max-outer", type=int, default=None, dest="max_outer")
     solve.add_argument("--tau", type=float, default=None)
     solve.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
-    solve.add_argument("--b-scale", type=float, default=None, dest="b_scale")
     solve.add_argument("--out", type=str, default=None,
                        help="write the outer-iteration trace as JSON lines")
 
-    bench = sub.add_parser("bench", help="run the feasibility statistics")
-    bench.add_argument("--config", type=str, default=None)
-    bench.add_argument("--n", type=int, default=None)
-    bench.add_argument("--d", type=int, default=None)
-    bench.add_argument("--r", type=float, default=None)
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--rho0", type=float, default=None)
-    bench.add_argument("--beta", type=float, default=None)
     bench.add_argument("--instances", type=int, default=None)
     bench.add_argument("--outer-iters", type=int, default=None, dest="outer_iters")
     bench.add_argument("--budgets", type=str, default=None,
                        help="comma-separated total sweep budgets")
     bench.add_argument("--tolerances", type=str, default=None,
                        help="comma-separated feasibility tolerances")
-    bench.add_argument("--b-scale", type=float, default=None, dest="b_scale")
     bench.add_argument("--out", type=str, default=None, help="CSV output path")
     bench.add_argument("--trace", type=str, default=None,
                        help="per-run trace JSON-lines path")
@@ -168,15 +161,17 @@ def _cmd_solve(opts) -> int:
 def _cmd_bench(opts) -> int:
     params = ToyParams(n_agents=opts["n"], block_dim=opts["d"],
                        scale=opts["r"], seed=opts["seed"])
-    budgets = [int(b) for b in _parse_float_list(opts["budgets"], "budgets")]
+    budgets = _parse_float_list(opts["budgets"], "budgets")
+    if not all(b >= 1 and b.is_integer() for b in budgets):
+        raise ConfigurationError(f"budgets must be positive integers: {opts['budgets']}")
     tolerances = _parse_float_list(opts["tolerances"], "tolerances")
     outer_iters = int(opts["outer_iters"])
     outer_cfg = OuterConfig(rho0=opts["rho0"], beta=opts["beta"], eps0=1e-2,
                             eta=0.0, max_outer=outer_iters)
     inner_cfg = InnerConfig(tau=1e-12, max_sweeps=10 ** 9,
                             b_strategy=FixedScaled(opts["b_scale"]))
-    stats = run_statistics(params, int(opts["instances"]), budgets, tolerances,
-                           outer_cfg=outer_cfg, inner_cfg=inner_cfg,
+    stats = run_statistics(params, int(opts["instances"]), [int(b) for b in budgets],
+                           tolerances, outer_cfg=outer_cfg, inner_cfg=inner_cfg,
                            outer_iters=outer_iters, trace_path=opts["trace"])
     write_stats_csv(stats, opts["out"])
     print(f"stats written to {opts['out']} "

@@ -232,20 +232,9 @@ class Polytope:
         return x
 
     def chebyshev_center(self) -> np.ndarray:
-        """Center of the largest inscribed ball (box midpoint for boxes)."""
-        if self.is_box:
-            return 0.5 * (self.lower + self.upper)
-        from scipy.optimize import linprog
-
-        norms = np.linalg.norm(self.a_mat, axis=1)
-        a_ub = np.hstack([self.a_mat, norms[:, None]])
-        c = np.zeros(self.dim + 1)
-        c[-1] = -1.0
-        res = linprog(c, A_ub=a_ub, b_ub=self.b_vec,
-                      bounds=[(None, None)] * self.dim + [(0, None)])
-        if not res.success:
-            raise StructureError(f"could not locate an interior point: {res.message}")
-        return np.asarray(res.x[:-1], dtype=float)
+        """A centre of the largest inscribed ball (box midpoint for boxes), by
+        one LP; ``default_start`` solves one LP for all sets of a problem."""
+        return _chebyshev_centers([self])[0]
 
     def is_bounded(self) -> bool:
         """Check boundedness (finite extent along every coordinate)."""
@@ -268,6 +257,35 @@ class Polytope:
                 if res.status == 3:  # unbounded
                     return False
         return True
+
+
+def _chebyshev_centers(polytopes) -> list:
+    """A centre of the largest inscribed ball of each polytope, by one LP.
+
+    Boxes take their midpoints.  The other sets ``i`` share the LP
+    ``max sum_i r_i`` s.t. ``A_i x_i + ||a_ij|| r_i <= b_i``, ``r_i >= 0``,
+    whose ``A_ub`` is sparse and block-diagonal; the objective is separable,
+    so each ``r_i`` is maximal.  Where a centre is not unique, the LP picks
+    one.  If the LP fails (a set is empty), this raises ``StructureError``.
+    """
+    rest, centres = [p for p in polytopes if not p.is_box], iter(())
+    if rest:
+        from scipy.optimize import linprog
+        from scipy.sparse import block_diag
+
+        ends = np.cumsum([p.dim + 1 for p in rest])
+        c = np.zeros(ends[-1])
+        c[ends - 1] = -1.0
+        a_ub = block_diag([np.hstack([p.a_mat, np.linalg.norm(p.a_mat, axis=1)[:, None]])
+                           for p in rest])
+        bounds = [b for p in rest for b in [(None, None)] * p.dim + [(0, None)]]
+        res = linprog(c, A_ub=a_ub, b_ub=np.concatenate([p.b_vec for p in rest]),
+                      bounds=bounds)
+        if not res.success:
+            raise StructureError(f"could not locate an interior point: {res.message}")
+        centres = iter(np.split(res.x, ends))
+    return [0.5 * (p.lower + p.upper) if p.is_box else next(centres)[:-1]
+            for p in polytopes]
 
 
 def _box_cone_parts(x, grad, lower, upper):
@@ -301,6 +319,11 @@ def _partition(dims: tuple) -> tuple:
     return dims, (0, *accumulate(dims))
 
 
+def _cut(flat: np.ndarray, offsets: tuple) -> tuple:
+    """The views of ``flat`` between consecutive ``offsets``."""
+    return tuple(flat[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1))
+
+
 class _FlatParts:
     """One read-only flat float64 array cut into consecutive read-only views.
 
@@ -331,10 +354,6 @@ class _FlatParts:
 
     def _view(self, i: int) -> np.ndarray:
         return self._flat[self._offsets[i]:self._offsets[i + 1]]
-
-    def _split(self) -> tuple:
-        flat, offs = self._flat, self._offsets
-        return tuple(flat[offs[i]:offs[i + 1]] for i in range(len(self._dims)))
 
     @property
     def flat(self) -> np.ndarray:
@@ -379,7 +398,7 @@ class BlockVector(_FlatParts):
 
     @property
     def blocks(self) -> tuple:
-        return self._split()
+        return _cut(self._flat, self._offsets)
 
     @property
     def n_blocks(self) -> int:
@@ -646,7 +665,7 @@ class MultiplierEstimate(_FlatParts):
 
     @property
     def parts(self) -> tuple:
-        return self._split()
+        return _cut(self._flat, self._offsets)
 
     @property
     def coupling_part(self) -> np.ndarray:
@@ -790,7 +809,7 @@ def _block_gradients(problem, flat, mu, rho, idx):
     """
     hook = problem.block_gradients
     if hook is None:
-        blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
+        blocks = _cut(flat, _partition(problem.block_dims)[1])
         return [_block_gradient(problem, blocks, mu, rho, i) for i in idx.tolist()]
     x = flat.reshape(problem.n_agents, -1)
     return _checked(hook(x, mu.flat, rho, idx), (idx.shape[0], x.shape[1]),
@@ -811,7 +830,7 @@ def _block_values(problem, flat, mu, rho, idx, trial=None):
     hook = problem.block_values
     k = idx.shape[0]
     if hook is None:
-        blocks = np.split(flat, np.cumsum(problem.block_dims[:-1]))
+        blocks = _cut(flat, _partition(problem.block_dims)[1])
         local, coupling = np.empty(k), np.empty(k)
         if trial is None:
             coupling[:] = _coupling_value(problem, blocks, mu.coupling_part, rho)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigurationError, StructureError
 from .inner_bcd import InnerConfig, run_inner
-from .model import (BlockVector, MultiplierEstimate, NlpProblem, eval_aug_lagrangian,
-                    eval_constraints)
+from .model import (BlockVector, MultiplierEstimate, NlpProblem, _chebyshev_centers,
+                    eval_aug_lagrangian, eval_constraints)
 
 __all__ = [
     "IterTrace",
@@ -134,8 +134,19 @@ def dual_update(mu: MultiplierEstimate, rho: float, h_val) -> MultiplierEstimate
 
 
 def default_start(problem: NlpProblem) -> BlockVector:
-    """Deterministic primal start: per-block Chebyshev / box centers."""
-    return BlockVector([a.feasible_set.chebyshev_center() for a in problem.agents])
+    """Deterministic primal start: each block at a Chebyshev centre of its set
+    (the midpoint of a box), all from one LP per problem; where a centre is not
+    unique, the LP picks one (see ``model._chebyshev_centers``)."""
+    sets = [a.feasible_set for a in problem.agents]
+    try:
+        return BlockVector(_chebyshev_centers(sets))
+    except StructureError:
+        for i, poly in enumerate(sets):  # the first set that fails alone
+            try:
+                poly.chebyshev_center()
+            except StructureError as exc:
+                raise StructureError(f"agent {i}: {exc}") from None
+        raise
 
 
 def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,

@@ -49,6 +49,19 @@ class TestBench:
         assert code == 0
         assert out.read_text().startswith("budget,tolerance,fraction,instances\n")
 
+    @pytest.mark.parametrize("budgets", ["10.7,20", "0.5", "0", "inf", "nan"])
+    def test_budget_not_a_positive_integer_exits_two(self, tmp_path, capsys, budgets):
+        code = run_cli(["bench", "--n", "2", "--d", "1", "--instances", "1",
+                        "--budgets", budgets, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "config error: budgets must be positive integers" in capsys.readouterr().err
+
+    def test_budget_in_exponent_form(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run_cli(["bench", "--n", "2", "--d", "1", "--instances", "1",
+                        "--budgets", "1e1", "--tolerances", "1e-2", "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].startswith("10,")
+
 
 class TestVerify:
     def test_fresh_checkout_passes(self, capsys):

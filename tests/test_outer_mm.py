@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dist_alm import (ConfigurationError, InnerConfig,
-                      MultiplierEstimate, OuterConfig, PreconditionError,
+from dist_alm import (ConfigurationError, InnerConfig, MultiplierEstimate,
+                      NlpProblem, OuterConfig, Polytope, PreconditionError,
                       StructureError, ToyParams, default_start, dual_update,
                       eval_constraints, generate_toy, run_inner, run_outer,
                       toy_initial_guess)
 from dist_alm.model import FEAS_TOL
-from conftest import cut_chain, mu_like, unit_simplex, zvec
+from conftest import (box_with_cuts, cut_chain, mu_like, quadratic_agent, unit_simplex,
+                      zvec)
 
 
 class TestDualUpdate:
@@ -237,6 +238,67 @@ class TestRunOuter:
         last = state.trace[-1]
         assert last.h_inf <= self.outer_cfg().eta
         assert last.residual <= last.eps and last.inner_achieved
+
+
+def inscribed_radius(poly, x):
+    return float(np.min((poly.b_vec - poly.a_mat @ x) / np.linalg.norm(poly.a_mat, axis=1)))
+
+
+class TestDefaultStart:
+    """Box midpoints, and one LP per problem for every other set."""
+
+    @pytest.fixture
+    def linprog_calls(self, monkeypatch):
+        import scipy.optimize
+
+        calls, linprog = [], scipy.optimize.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        return calls
+
+    def test_one_linear_program_per_problem(self, linprog_calls):
+        problem, _, _ = cut_chain(6)
+        linprog_calls.clear()  # cut_chain solved its own start
+        default_start(problem)
+        assert len(linprog_calls) == 1
+
+    def test_no_linear_program_on_boxes(self, linprog_calls):
+        default_start(generate_toy(ToyParams(n_agents=5, block_dim=3, scale=2.0, seed=4)))
+        assert linprog_calls == []
+
+    def test_mixed_sets_and_dimensions(self):
+        rng = np.random.default_rng(3)
+        boxes = [Polytope.box(-np.ones(d), np.ones(d)) for d in (3, 4, 2)]
+        sets = [Polytope.box([-1.0, 0.5], [2.0, 3.0]), box_with_cuts(boxes[0], rng),
+                unit_simplex(), Polytope.box([-4.0], [-1.0]),
+                box_with_cuts(boxes[1], rng), box_with_cuts(boxes[2], rng)]
+        problem = NlpProblem(agents=tuple(
+            dataclasses.replace(quadratic_agent(np.eye(s.dim), -np.ones(s.dim),
+                                                np.ones(s.dim)), feasible_set=s)
+            for s in sets))
+        for poly, block in zip(sets, default_start(problem).blocks):
+            if poly.is_box:
+                np.testing.assert_array_equal(block, 0.5 * (poly.lower + poly.upper))
+                continue
+            assert poly.violation(block) < 0.0
+            alone = inscribed_radius(poly, poly.chebyshev_center())
+            assert abs(inscribed_radius(poly, block) - alone) <= 1e-12
+
+    def test_empty_set_names_its_agent(self):
+        box = Polytope.box(-np.ones(2), np.ones(2))
+        empty = Polytope(np.vstack([box.a_mat, [[1.0, 0.0]]]), np.r_[box.b_vec, -2.0])
+        rng = np.random.default_rng(0)
+        sets = [box_with_cuts(box, rng), empty, empty, box_with_cuts(box, rng)]
+        agent = quadratic_agent(np.eye(2), -np.ones(2), np.ones(2))
+        problem = NlpProblem(agents=tuple(dataclasses.replace(agent, feasible_set=s)
+                                          for s in sets))
+        with pytest.raises(StructureError,
+                           match="^agent 1: could not locate an interior point"):
+            default_start(problem)
 
 
 class TestPolytopeChains:
