@@ -143,7 +143,8 @@ def _chain_block_gradients(h_mats, w_mats, radius_sq):
     layouts (``W_{i-1}.T`` stays a transposed view) and every row keeps the
     per-agent summation order
     ``(2 H x + 2 x (mu + rho F)) + (W_{i-1}.T x_{i-1} + W_i x_{i+1})``.
-    The chain ends take a zero matrix for their missing neighbour.  The
+    The chain ends take a zero matrix for their missing neighbour.  A
+    ``(P, N, d)`` stack of points broadcasts the same products.  The
     gathered matrices are kept per index set (see :func:`_per_index_set`).
     """
     h = np.array(h_mats)
@@ -158,12 +159,12 @@ def _chain_block_gradients(h_mats, w_mats, radius_sq):
 
     def block_gradients(x, mu, rho, idx):
         h_idx, wt_prev, prev, w_nxt, nxt = plan(idx)
-        xi = x[idx]
-        sphere = (xi[:, None, :] @ xi[:, :, None])[:, 0, 0] - radius_sq
-        local = 2.0 * (h_idx @ xi[:, :, None])[:, :, 0] \
-            + (2.0 * xi) * (mu[idx] + rho * sphere)[:, None]
-        coupling = (wt_prev @ x[prev][:, :, None])[:, :, 0] \
-            + (w_nxt @ x[nxt][:, :, None])[:, :, 0]
+        xi = x[..., idx, :]
+        sphere = (xi[..., None, :] @ xi[..., :, None])[..., 0, 0] - radius_sq
+        local = 2.0 * (h_idx @ xi[..., :, None])[..., 0] \
+            + (2.0 * xi) * (mu[idx] + rho * sphere)[..., None]
+        coupling = (wt_prev @ x[..., prev, :, None])[..., 0] \
+            + (w_nxt @ x[..., nxt, :, None])[..., 0]
         return local + coupling
 
     return block_gradients

@@ -41,8 +41,8 @@ terms serve the next sweep's first class, whose snapshot that point is.
 supplied as a hint, estimated by finite-difference sampling, or maintained
 by backtracking (doubled whenever a descent or certificate check fails,
 with the block re-projected when the curvature surrogate depends on it).
-Sampling perturbs every member of a class at once, one coordinate and sign
-per gradient call, and the sample points are drawn once per problem.
+Sampling takes one gradient call per class, on a stack that covers every
+sample, coordinate and sign; the sample points are drawn once per problem.
 Without the hooks every value comes from the per-agent evaluators; the
 results are the same.
 """
@@ -87,22 +87,41 @@ _MAX_BACKTRACK = 60
 _SAMPLE_SEED = 0x5EED
 
 
+def _check_scale(scale):
+    if not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
+        raise ConfigurationError(f"scale must be finite and positive, got {scale!r}")
+
+
+def _check_samples(count, name):
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {count!r}")
+
+
 @dataclass(frozen=True)
 class FixedScaled:
     """Curvature surrogate ``B_i = scale * rho * I`` (experiment default)."""
 
     scale: float = 30.0
 
+    def __post_init__(self):
+        _check_scale(self.scale)
+
 
 @dataclass(frozen=True)
 class HessianBand:
     """Clip ``scale * rho`` into the open band ``(C_i, 2 C_i)``.
 
-    ``margin`` keeps the clipped value strictly inside the band.
+    ``margin`` keeps the clipped value strictly inside the band, in
+    ``(C_i (1 + margin), 2 C_i (1 - margin))``, empty from ``margin = 1/3``.
     """
 
     scale: float = 30.0
     margin: float = 1e-3
+
+    def __post_init__(self):
+        _check_scale(self.scale)
+        if not (isinstance(self.margin, numbers.Real) and 0 < self.margin < 1 / 3):
+            raise ConfigurationError(f"margin must lie in (0, 1/3), got {self.margin!r}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +136,18 @@ class Sampled:
 
     samples: int = 5
 
+    def __post_init__(self):
+        _check_samples(self.samples, "samples")
+
 
 @dataclass(frozen=True)
 class Backtracking:
     """Running curvature bound, seeded by sampling and doubled on failures."""
 
     init_samples: int = 5
+
+    def __post_init__(self):
+        _check_samples(self.init_samples, "init_samples")
 
 
 BStrategy = Union[FixedScaled, HessianBand]
@@ -258,7 +283,7 @@ def _sample_in_polytope(poly: Polytope, rng, count: int) -> np.ndarray:
 
 
 def _sample_count(source) -> int:
-    return max(1, source.samples if isinstance(source, Sampled) else source.init_samples)
+    return source.samples if isinstance(source, Sampled) else source.init_samples
 
 
 def _agent_samples(problem, samples: int) -> list:
@@ -284,8 +309,9 @@ def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
     Members of a colour class share no coupling edge, so each member's
     block gradient at a point where every member sits at its own sample
     (or its perturbation) equals the gradient with that member moved
-    alone.  A class therefore takes one ``_block_gradients`` call per
-    sample, coordinate and sign, and one stacked ``eigvalsh`` per sample.
+    alone.  A class therefore takes one ``_block_gradients`` call on the
+    stack of its points, one per sample, coordinate and sign, and one
+    ``eigvalsh`` on the stack of its Hessians, one per sample and member.
     """
     if isinstance(cfg.c_source, Hint):
         missing = [i for i, a in enumerate(problem.agents) if a.hessian_bound_hint is None]
@@ -298,23 +324,20 @@ def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
     best = np.zeros(problem.n_agents)
     for idx, pos, _, _ in _color_classes(problem, _coloring(problem)):
         k, d = pos.shape
-        for x in np.stack([points[i] for i in idx.tolist()], axis=1):
-            at = np.array(flat)
-            at[pos] = x
-            step = 1e-5 * (1.0 + np.abs(x))
-            hess = np.empty((k, d, d))
-            for j in range(d):
-                hi, lo = np.array(at), np.array(at)
-                hi[pos[:, j]] += step[:, j]
-                lo[pos[:, j]] -= step[:, j]
-                hi.setflags(write=False)
-                lo.setflags(write=False)
-                g_hi = np.asarray(_block_gradients(problem, hi, mu, rho, idx))
-                g_lo = np.asarray(_block_gradients(problem, lo, mu, rho, idx))
-                hess[:, :, j] = (g_hi - g_lo) / (2.0 * step[:, j, None])
-            hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-            norms = np.max(np.abs(np.linalg.eigvalsh(hess)), axis=1, initial=0.0)
-            best[idx] = np.maximum(best[idx], norms)
+        x = np.stack([points[i] for i in idx.tolist()], axis=1)  # (samples, k, d)
+        step = 1e-5 * (1.0 + np.abs(x))
+        # axes: sample, perturbed coordinate, sign (+, -), flat point
+        at = np.tile(flat, (x.shape[0], d, 2, 1))
+        at[..., pos] = x[:, None, None]
+        for j in range(d):
+            at[:, j, 0, pos[:, j]] += step[:, :, j]
+            at[:, j, 1, pos[:, j]] -= step[:, :, j]
+        at.setflags(write=False)
+        g = _block_gradients(problem, at.reshape(-1, flat.size), mu, rho, idx)
+        g = g.reshape(*at.shape[:3], k, d)
+        hess = (g[:, :, 0] - g[:, :, 1]).transpose(0, 2, 3, 1) / (2.0 * step[:, :, None])
+        hess = 0.5 * (hess + hess.swapaxes(-1, -2))
+        best[idx] = np.max(np.abs(np.linalg.eigvalsh(hess)), axis=(0, 2), initial=0.0)
     return np.maximum(1.5 * best, C_FLOOR)
 
 

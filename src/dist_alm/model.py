@@ -209,9 +209,10 @@ class Polytope:
             return v.copy()
         from scipy.optimize import nnls
 
+        e_last = np.zeros(self.dim + 1)
+        e_last[-1] = 1.0
         try:
-            u, rnorm = nnls(np.vstack([-self.a_mat.T, h / h.max()]),
-                            np.r_[np.zeros(self.dim), 1.0])
+            u, rnorm = nnls(np.vstack([-self.a_mat.T, h / h.max()]), e_last)
         except RuntimeError as exc:
             raise ConvergenceError(f"polytope projection: {exc}") from exc
         # ||r||^2 is 1 / (1 + (||x - v|| / max h)^2), or 0 if there is no x
@@ -510,7 +511,9 @@ class NlpProblem:
     multiplier vector (length ``r``), ``rho`` the penalty and ``idx`` an
     integer array of agent indices.  It returns the ``(len(idx), d)`` array
     whose row ``k`` equals :func:`eval_block_gradient` for agent
-    ``idx[k]``.
+    ``idx[k]``.  A stack of ``P`` points, ``x`` of shape ``(P, N, d)``,
+    gives ``(P, len(idx), d)``, whose row ``[p, k]`` depends only on
+    ``x[p]`` and ``idx[k]`` (curvature sampling takes such stacks).
 
     ``block_values(x, mu, rho, idx, trial)`` is the optional batched form
     of the values that certify a block step, under the same conditions.
@@ -689,9 +692,9 @@ def _checked(raw, shape, what, agent=None, rows=None):
     ``shape=()`` takes a 0-d cost through ``float``.  An evaluator's vector is
     taken flattened and its matrix through ``np.atleast_2d``; a hook's
     array (``rows`` given) is taken as returned, and its row ``k`` belongs
-    to agent ``rows[k]``.  A wrong shape raises ``StructureError`` and a
-    non-finite entry ``EvaluationError`` naming ``agent``, or the agent of
-    the first non-finite row.
+    to agent ``rows[k]`` (at every point of a ``(P, len(rows), d)`` stack).
+    A wrong shape raises ``StructureError`` and a non-finite entry
+    ``EvaluationError`` naming ``agent``, or that of the first non-finite row.
     """
     if shape == ():
         if not isinstance(raw, float) and np.ndim(raw) != 0:
@@ -709,7 +712,7 @@ def _checked(raw, shape, what, agent=None, rows=None):
         if finite.all():
             return val
         if rows is not None:
-            agent = int(rows[np.argmin(finite.reshape(shape[0], -1).all(axis=1))])
+            agent = int(rows[np.argwhere(~finite)[0, -2 if len(shape) > 1 else 0]])
             what = f"agent {agent}: {what}"
     raise EvaluationError(f"{what} returned a non-finite value", agent=agent)
 
@@ -805,14 +808,17 @@ def _block_gradients(problem, flat, mu, rho, idx):
     ``block_gradients`` hook this is one call on ``flat`` seen as the
     ``(N, d)`` array of blocks, returning its checked ``(len(idx), d)``
     array (a non-finite row names its agent); without it, a list of one
-    :func:`_block_gradient` per agent.
+    :func:`_block_gradient` per agent.  A stack of points, ``(P, n)``,
+    gives the ``(P, len(idx), d)`` array, by one call or point by point.
     """
     hook = problem.block_gradients
     if hook is None:
+        if flat.ndim == 2:
+            return np.array([_block_gradients(problem, f, mu, rho, idx) for f in flat])
         blocks = _cut(flat, _partition(problem.block_dims)[1])
         return [_block_gradient(problem, blocks, mu, rho, i) for i in idx.tolist()]
-    x = flat.reshape(problem.n_agents, -1)
-    return _checked(hook(x, mu.flat, rho, idx), (idx.shape[0], x.shape[1]),
+    x = flat.reshape(*flat.shape[:-1], problem.n_agents, -1)
+    return _checked(hook(x, mu.flat, rho, idx), (*x.shape[:-2], idx.shape[0], x.shape[-1]),
                     "block_gradients", rows=idx)
 
 

@@ -114,6 +114,22 @@ class TestChainHooks:
                 assert local.tobytes() == values[name][0][idx].tobytes(), (name, idx)
                 assert coupling.tobytes() == values[name][1][idx].tobytes(), (name, idx)
 
+    @pytest.mark.parametrize("n_agents", [2, 7, 40, 320])
+    def test_stacked_points_equal_single_point_calls(self, n_agents):
+        params = ToyParams(n_agents=n_agents, block_dim=3, scale=2.0, seed=n_agents)
+        problem = generate_toy(params)
+        z, mu = toy_initial_guess(params, problem)
+        x = z.flat.reshape(n_agents, 3)
+        rng = np.random.default_rng(n_agents)
+        stack = np.clip(x + rng.uniform(-0.1, 0.1, (5,) + x.shape), -1.2, 1.2)
+        everyone = np.arange(n_agents)
+        for idx in (everyone[0::2], everyone[1::2], everyone):
+            got = problem.block_gradients(stack, mu.flat, 10.0, idx)
+            assert got.shape == (5, idx.shape[0], 3)
+            for p, point in enumerate(stack):
+                single = problem.block_gradients(point, mu.flat, 10.0, idx)
+                assert got[p].tobytes() == single.tobytes(), (idx, p)
+
 
 class TestSplitBudget:
     def test_even_split(self):

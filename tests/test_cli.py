@@ -119,6 +119,15 @@ class TestConfigHandling:
     def test_unknown_flag_exits_two(self, capsys):
         assert run_cli(["solve", "--nope"]) == 2
 
+    @pytest.mark.parametrize("mode", ["solve", "bench"])
+    @pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf"])
+    def test_invalid_curvature_scale_exits_two(self, capsys, tmp_path, mode, scale):
+        args = ["--n", "2", "--d", "1", f"--b-scale={scale}"]
+        if mode == "bench":
+            args += ["--instances", "1", "--out", str(tmp_path / "s.csv")]
+        assert run_cli([mode, *args]) == 2
+        assert "config error: scale must be finite and positive" in capsys.readouterr().err
+
     def test_invalid_numeric_field_exits_two(self, capsys):
         assert run_cli(["solve", "--toy", "--beta", "0.5"]) == 2
         assert "config error" in capsys.readouterr().err

@@ -398,6 +398,26 @@ class TestColorClassSweep:
             bcd_sweep(short, z0, mu, 1.0, InnerConfig(), colors,
                       with_certificates=False)
 
+    def test_stacked_sampling_rows_checked_at_the_boundary(self):
+        # curvature sampling takes a class's gradients in one call on a
+        # stack of points; a non-finite row of one point names its agent
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=5)
+        hook = problem.block_gradients
+
+        def poisoned(x, mu_flat, rho, idx):
+            grad = hook(x, mu_flat, rho, idx)
+            if grad.ndim == 3:
+                grad[0, idx == 2, 1] = np.nan
+            return grad
+
+        with pytest.raises(EvaluationError, match="^agent 2: block_gradients") as err:
+            inner_bcd._initial_c_bounds(with_hook(problem, poisoned), InnerConfig(),
+                                        z0.flat, mu, 1.0)
+        assert err.value.agent == 2
+        short = with_hook(problem, lambda *args: hook(*args)[..., :-1])
+        with pytest.raises(StructureError, match="block_gradients returned shape"):
+            inner_bcd._initial_c_bounds(short, InnerConfig(), z0.flat, mu, 1.0)
+
     def test_block_values_checked_at_the_boundary(self):
         _, problem, z0, mu = toy_setup(n_agents=6, seed=5)
         values = problem.block_values
@@ -417,16 +437,16 @@ class TestColorClassSweep:
         with pytest.raises(StructureError):
             bcd_sweep(short, z0, mu, 1.0, InnerConfig(), colors)
 
-    # Gradient calls: sampling the curvature bounds takes one per sign,
-    # coordinate (3), sample (5) and class (2); each class then takes one
-    # for its step and, with certificates, one at the moved class.  Value
-    # calls: per checked class, one at the snapshot and one for the step;
-    # with certificates, the Lagrangian takes one over all agents before
-    # and after the sweep, and the first class's snapshot values come from
-    # the one before.
+    # Gradient calls: sampling the curvature bounds takes one per class
+    # (2), on the stack of every sign, coordinate and sample; each class
+    # then takes one for its step and, with certificates, one at the moved
+    # class.  Value calls: per checked class, one at the snapshot and one
+    # for the step; with certificates, the Lagrangian takes one over all
+    # agents before and after the sweep, and the first class's snapshot
+    # values come from the one before.
     @pytest.mark.parametrize("case, grad_calls, value_calls", [
-        ("certificates", 2 * 3 * 5 * 2 + 2 + 2, 1 + 1 + 2 + 1),
-        ("band", 2 * 3 * 5 * 2 + 2, 2 + 2),
+        ("certificates", 2 + 2 + 2, 1 + 1 + 2 + 1),
+        ("band", 2 + 2, 2 + 2),
         ("polytope", 2, 0),
     ], ids=["certificates", "band", "polytope"])
     def test_hook_equals_per_agent_path(self, case, grad_calls, value_calls):
@@ -528,13 +548,14 @@ class TestHandOn:
         # residual at the end point.  The values: the first class's
         # snapshot (handed on), its step, the second class's snapshot and
         # step, and the Lagrangian at the end point.  Before the first
-        # sweep: curvature sampling (sign x coordinate x sample x class),
-        # the residual at the start, then the Lagrangian there.
+        # sweep: curvature sampling (one call per class, on the stack of
+        # every sign, coordinate and sample), the residual at the start,
+        # then the Lagrangian there.
         _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
         cfg = InnerConfig(max_sweeps=6)
         result, marks = self.certified_run(monkeypatch, problem, z0, mu, cfg)
         assert result.sweeps == 6 and not result.achieved_target
-        assert marks[0] == (2 * 3 * 5 * 2 + 1, 0)
+        assert marks[0] == (2 + 1, 0)
         per_sweep = [(g1 - g0, v1 - v0) for (g0, v0), (g1, v1) in zip(marks, marks[1:])]
         assert per_sweep == [(4, 1 + 4)] + [(4, 4)] * 5
 
@@ -757,3 +778,27 @@ class TestRunInner:
         for key in ("tau", "alpha_min", "alpha_max", "max_sweeps"):
             with pytest.raises(ConfigurationError):
                 InnerConfig(**{key: np.nan})
+
+    @pytest.mark.parametrize("make", [
+        lambda v: FixedScaled(scale=v), lambda v: HessianBand(scale=v)],
+        ids=["fixed", "band"])
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0, 0.0, "30"])
+    def test_invalid_surrogate_scale(self, make, scale):
+        with pytest.raises(ConfigurationError, match="^scale must be finite and positive"):
+            make(scale)
+
+    @pytest.mark.parametrize("margin", [2.0, 1 / 3, 0.0, -1e-3, np.nan])
+    def test_band_margin_keeps_the_band_nonempty(self, margin):
+        with pytest.raises(ConfigurationError, match=r"^margin must lie in \(0, 1/3\)"):
+            HessianBand(margin=margin)
+        assert HessianBand(margin=0.33).margin == 0.33
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: Sampled(samples=v), "samples"),
+        (lambda v: Backtracking(init_samples=v), "init_samples")],
+        ids=["sampled", "backtracking"])
+    @pytest.mark.parametrize("count", [2.5, -3, 0, np.nan, "5"])
+    def test_sample_count_is_a_positive_integer(self, make, name, count):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer >= 1"):
+            make(count)
+        assert inner_bcd._sample_count(make(np.int64(2))) == 2
