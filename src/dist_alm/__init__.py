@@ -7,9 +7,9 @@ from .bench import (RunStats, ToyParams, generate_toy, run_statistics,
                     toy_definite_count, toy_initial_guess, write_stats_csv)
 from .errors import (ConfigurationError, ConvergenceError, EvaluationError,
                      PreconditionError, RefusalError, StructureError)
-from .inner_bcd import (Backtracking, FixedScaled, HessianBand, Hint,
-                        InnerConfig, InnerResult, Sampled, SweepCertificate,
-                        bcd_sweep, color_interaction_graph, run_inner)
+from .inner_bcd import (Backtracking, FixedScaled, HessianBand, InnerConfig,
+                        InnerResult, SweepCertificate, bcd_sweep,
+                        color_interaction_graph, run_inner)
 from .model import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
                     NlpProblem, Polytope, eval_aug_lagrangian,
                     eval_block_gradient, eval_constraints)
@@ -25,10 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentSpec", "Backtracking", "BlockVector", "ConfigurationError",
     "ConvergenceError", "CouplingSpec", "EvaluationError", "FixedScaled",
-    "HessianBand", "Hint", "InnerConfig", "InnerResult", "IterTrace",
+    "HessianBand", "InnerConfig", "InnerResult", "IterTrace",
     "KktReport", "MultiplierEstimate", "NlpProblem", "OuterConfig",
     "OuterState", "Polytope", "PreconditionError", "ProxQp", "RefusalError",
-    "RunStats", "Sampled", "StructureError", "SweepCertificate", "ToyParams",
+    "RunStats", "StructureError", "SweepCertificate", "ToyParams",
     "bcd_sweep", "brute_force_min", "color_interaction_graph",
     "criticality_residual", "default_start", "dual_update",
     "enumerate_projection", "eval_aug_lagrangian",

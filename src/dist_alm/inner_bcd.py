@@ -37,12 +37,12 @@ own block moved, one gradient call at the moved class gives the new
 gradients, and the agents that fail are re-solved together.  Between two
 sweeps of :func:`run_inner`, the residual's gradients and the Lagrangian's
 terms serve the next sweep's first class, whose snapshot that point is.
-``C_i`` is a bound on the curvature of the local Lagrangian; it can be
-supplied as a hint, estimated by finite-difference sampling, or maintained
-by backtracking (doubled whenever a descent or certificate check fails,
-with the block re-projected when the curvature surrogate depends on it).
-Sampling takes one gradient call per class, on a stack that covers every
-sample, coordinate and sign; the sample points are drawn once per problem.
+``C_i`` is a bound on the curvature of the local Lagrangian, maintained
+by backtracking: seeded by finite-difference sampling and doubled whenever
+a descent or certificate check fails, with the block re-projected when the
+curvature surrogate depends on it.  Sampling takes one gradient call per
+class, on a stack that covers every sample, coordinate and sign; the sample
+points are drawn once per problem.
 Without the hooks every value comes from the per-agent evaluators; the
 results are the same.
 """
@@ -66,10 +66,8 @@ __all__ = [
     "Backtracking",
     "FixedScaled",
     "HessianBand",
-    "Hint",
     "InnerConfig",
     "InnerResult",
-    "Sampled",
     "SweepCertificate",
     "bcd_sweep",
     "color_interaction_graph",
@@ -82,6 +80,8 @@ DECREASE_SLACK = 1e-10
 REL_ERR_SLACK = 1e-8
 #: Floor on curvature bounds (zero-curvature blocks).
 C_FLOOR = 1e-12
+#: Relative margin that keeps a banded surrogate strictly inside its band.
+BAND_MARGIN = 1e-3
 
 _MAX_BACKTRACK = 60
 _SAMPLE_SEED = 0x5EED
@@ -92,9 +92,9 @@ def _check_scale(scale):
         raise ConfigurationError(f"scale must be finite and positive, got {scale!r}")
 
 
-def _check_samples(count, name):
-    if not (isinstance(count, numbers.Integral) and count >= 1):
-        raise ConfigurationError(f"{name} must be an integer >= 1, got {count!r}")
+def _check_count(count, name, least):
+    if not (isinstance(count, numbers.Integral) and count >= least):
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -109,49 +109,28 @@ class FixedScaled:
 
 @dataclass(frozen=True)
 class HessianBand:
-    """Clip ``scale * rho`` into the open band ``(C_i, 2 C_i)``.
-
-    ``margin`` keeps the clipped value strictly inside the band, in
-    ``(C_i (1 + margin), 2 C_i (1 - margin))``, empty from ``margin = 1/3``.
+    """Clip ``scale * rho`` into the open band ``(C_i, 2 C_i)``, strictly
+    inside it: into ``(C_i (1 + m), 2 C_i (1 - m))`` with ``m = BAND_MARGIN``.
     """
 
     scale: float = 30.0
-    margin: float = 1e-3
 
     def __post_init__(self):
         _check_scale(self.scale)
-        if not (isinstance(self.margin, numbers.Real) and 0 < self.margin < 1 / 3):
-            raise ConfigurationError(f"margin must lie in (0, 1/3), got {self.margin!r}")
-
-
-@dataclass(frozen=True)
-class Hint:
-    """Take ``C_i`` from the agent's ``hessian_bound_hint``."""
-
-
-@dataclass(frozen=True)
-class Sampled:
-    """Max finite-difference Hessian norm over ``samples`` interior points,
-    inflated by a 1.5 safety factor."""
-
-    samples: int = 5
-
-    def __post_init__(self):
-        _check_samples(self.samples, "samples")
 
 
 @dataclass(frozen=True)
 class Backtracking:
-    """Running curvature bound, seeded by sampling and doubled on failures."""
+    """Running curvature bound, seeded by sampling ``init_samples`` points
+    per agent and doubled on failures."""
 
     init_samples: int = 5
 
     def __post_init__(self):
-        _check_samples(self.init_samples, "init_samples")
+        _check_count(self.init_samples, "init_samples", 1)
 
 
 BStrategy = Union[FixedScaled, HessianBand]
-CSource = Union[Hint, Sampled, Backtracking]
 
 
 @dataclass(frozen=True)
@@ -160,21 +139,24 @@ class InnerConfig:
 
     Every agent takes the proximal weight ``alpha_min`` on every sweep;
     ``alpha_max`` (scalars, ``0 < alpha_min < alpha_max``) enters the
-    relative-error bound ``(3 C_i + alpha_max) ||step||``.
+    relative-error bound ``(3 C_i + alpha_max) ||step||``; ``c_source``
+    gives the curvature bounds ``C_i`` (see :class:`Backtracking`).
     """
 
     tau: float = 1e-8
     alpha_min: float = 1e-3
     alpha_max: float = 1.0
     b_strategy: BStrategy = field(default_factory=FixedScaled)
-    c_source: CSource = field(default_factory=Backtracking)
+    c_source: Backtracking = field(default_factory=Backtracking)
     max_sweeps: int = 500
 
     def __post_init__(self):
         if not self.tau > 0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
-        if not self.max_sweeps >= 0:
-            raise ConfigurationError("max_sweeps must be nonnegative")
+        _check_count(self.max_sweeps, "max_sweeps", 0)
+        for name, kind in (("b_strategy", BStrategy), ("c_source", Backtracking)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ConfigurationError(f"{name} has the wrong type: {value!r}")
         if not (isinstance(self.alpha_min, numbers.Real)
                 and isinstance(self.alpha_max, numbers.Real)
                 and 0 < self.alpha_min < self.alpha_max):
@@ -282,10 +264,6 @@ def _sample_in_polytope(poly: Polytope, rng, count: int) -> np.ndarray:
     return points
 
 
-def _sample_count(source) -> int:
-    return source.samples if isinstance(source, Sampled) else source.init_samples
-
-
 def _agent_samples(problem, samples: int) -> list:
     """Per agent, its ``(samples, d_i)`` curvature sample points, drawn from
     its own set and stream (:func:`_sample_rng`).  They are drawn once per
@@ -301,10 +279,10 @@ def _agent_samples(problem, samples: int) -> list:
 def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
     """Every agent's curvature bound ``C_i``, at least ``C_FLOOR``.
 
-    The hint source takes ``hessian_bound_hint``; otherwise ``C_i`` is 1.5
-    times the largest spectral norm of the symmetrised central-difference
-    Hessian (step ``1e-5 (1 + |x_j|)``) of block ``i``'s gradient over its
-    sample points (:func:`_agent_samples`), the other blocks at ``flat``.
+    ``C_i`` is 1.5 times the largest spectral norm of the symmetrised
+    central-difference Hessian (step ``1e-5 (1 + |x_j|)``) of block ``i``'s
+    gradient over its ``cfg.c_source.init_samples`` sample points
+    (:func:`_agent_samples`), the other blocks at ``flat``.
 
     Members of a colour class share no coupling edge, so each member's
     block gradient at a point where every member sits at its own sample
@@ -313,14 +291,7 @@ def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
     stack of its points, one per sample, coordinate and sign, and one
     ``eigvalsh`` on the stack of its Hessians, one per sample and member.
     """
-    if isinstance(cfg.c_source, Hint):
-        missing = [i for i, a in enumerate(problem.agents) if a.hessian_bound_hint is None]
-        if missing:
-            raise ConfigurationError(
-                f"agent {missing[0]} has no hessian_bound_hint but the hint source is set"
-            )
-        return np.array([max(float(a.hessian_bound_hint), C_FLOOR) for a in problem.agents])
-    points = _agent_samples(problem, _sample_count(cfg.c_source))
+    points = _agent_samples(problem, cfg.c_source.init_samples)
     best = np.zeros(problem.n_agents)
     for idx, pos, _, _ in _color_classes(problem, _coloring(problem)):
         k, d = pos.shape
@@ -347,8 +318,8 @@ def _b_scales(strategy: BStrategy, rho: float, c_bounds, idx):
     base = strategy.scale * rho
     if isinstance(strategy, HessianBand):
         c = c_bounds[idx]
-        return np.minimum(np.maximum(base, c * (1.0 + strategy.margin)),
-                          2.0 * c * (1.0 - strategy.margin))
+        return np.minimum(np.maximum(base, c * (1.0 + BAND_MARGIN)),
+                          2.0 * c * (1.0 - BAND_MARGIN))
     return np.full(len(idx), base)
 
 
@@ -435,7 +406,6 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
     """
     idx, pos = cls[0], cls[1]
     band = isinstance(cfg.b_strategy, HessianBand)
-    backtracking = isinstance(cfg.c_source, Backtracking)
     if value_old is None:
         value_old = np.add(*_block_values(problem, flat, mu, rho, idx))
     moved = np.array(flat)
@@ -475,7 +445,7 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
         if cert is not None:
             ok &= re_lhs <= re_bound + REL_ERR_SLACK
         pending &= ~ok
-        if not pending.any() or not backtracking or attempt == _MAX_BACKTRACK:
+        if not pending.any() or attempt == _MAX_BACKTRACK:
             break
         c_bounds[idx[pending]] = 2.0 * c[pending]
     if cert is not None:
@@ -505,12 +475,11 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     not interact) and are updated together: one batched gradient, one step
     size per agent, and one clip when the class's sets are boxes (else one
     least-distance projection, by NNLS, per agent).  With certificates, or
-    with backtracking under a banded surrogate, the class's steps are then
-    checked against the snapshot together.  Classes are applied in
-    ascending color order, which realises a Gauss-Seidel pass in the
-    color-sorted agent order.
-    ``c_bounds`` is updated in place when backtracking refines a curvature
-    bound.
+    under a banded surrogate, the class's steps are then checked against
+    the snapshot together, which needs the curvature bounds.  Classes are
+    applied in ascending color order, which realises a Gauss-Seidel pass
+    in the color-sorted agent order.  ``c_bounds`` is updated in place
+    when backtracking refines a curvature bound.
 
     ``boundary`` is for :func:`run_inner`: the first class, whose snapshot
     is ``z``, takes the evaluations it holds (at ``z``) in place of its own.
@@ -525,9 +494,8 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     coloring = np.asarray(coloring, dtype=int)
     if coloring.shape != (n,):
         raise ConfigurationError(f"coloring must assign each of the {n} agents")
-    band = isinstance(cfg.b_strategy, HessianBand)
-    check = with_certificates or (band and isinstance(cfg.c_source, Backtracking))
-    if c_bounds is None and (with_certificates or band):
+    check = with_certificates or isinstance(cfg.b_strategy, HessianBand)
+    if c_bounds is None and check:
         c_bounds = _initial_c_bounds(problem, cfg, z.flat, mu, rho)
     classes = _color_classes(problem, coloring)
 

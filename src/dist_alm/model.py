@@ -142,8 +142,9 @@ class Polytope:
             )
         return x
 
-    def contains(self, x, slack: float = FEAS_TOL) -> bool:
-        return self.violation(x) <= slack
+    def contains(self, x) -> bool:
+        """Whether ``x`` violates no row by more than :data:`FEAS_TOL`."""
+        return self.violation(x) <= FEAS_TOL
 
     def normal_cone_distance(self, x, grad):
         """Squared distance of ``-grad`` to the normal cone at ``x``.
@@ -437,9 +438,7 @@ class AgentSpec:
     ``cost`` maps a block to a scalar and ``cost_grad`` to its gradient.
     ``constraint`` maps a block to a vector of length ``constraint_dim``
     with Jacobian ``constraint_jac`` (rows = constraints); both are ``None``
-    for unconstrained agents.  ``hessian_bound_hint`` optionally supplies a
-    curvature bound used when the inner loop is configured with the hint
-    source.
+    for unconstrained agents.
     """
 
     cost: Callable[[np.ndarray], float]
@@ -448,7 +447,6 @@ class AgentSpec:
     constraint: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constraint_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constraint_dim: int = 0
-    hessian_bound_hint: Optional[float] = None
 
     def __post_init__(self):
         if self.constraint_dim < 0:
@@ -635,8 +633,9 @@ class NlpProblem:
             raise PreconditionError(
                 f"block {bad[0]} violates its polytope by {viol[bad[0]]:.3e}")
 
-    def feasible(self, z: BlockVector, slack: float = FEAS_TOL) -> bool:
-        return bool(np.all(self._violations(z) <= slack))
+    def feasible(self, z: BlockVector) -> bool:
+        """Whether every block of ``z`` lies in its polytope up to :data:`FEAS_TOL`."""
+        return bool(np.all(self._violations(z) <= FEAS_TOL))
 
 
 class MultiplierEstimate(_FlatParts):

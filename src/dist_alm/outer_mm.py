@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, StructureError
-from .inner_bcd import InnerConfig, run_inner
+from .inner_bcd import InnerConfig, _check_count, run_inner
 from .model import (BlockVector, MultiplierEstimate, NlpProblem, _chebyshev_centers,
                     eval_aug_lagrangian, eval_constraints)
 
@@ -59,16 +59,15 @@ class OuterConfig:
     max_outer: int = 30
 
     def __post_init__(self):
-        if not self.rho0 > 0:
-            raise ConfigurationError(f"rho0 must be positive, got {self.rho0}")
-        if not self.beta > 1:
-            raise ConfigurationError(f"beta must exceed 1, got {self.beta}")
+        if not 0 < self.rho0 < math.inf:
+            raise ConfigurationError(f"rho0 must be positive and finite, got {self.rho0}")
+        if not 1 < self.beta < math.inf:
+            raise ConfigurationError(f"beta must exceed 1 and be finite, got {self.beta}")
         if not self.eps0 > 0:
             raise ConfigurationError(f"eps0 must be positive, got {self.eps0}")
         if not self.eta >= 0:
             raise ConfigurationError(f"eta must be nonnegative, got {self.eta}")
-        if not self.max_outer >= 1:
-            raise ConfigurationError("max_outer must be at least 1")
+        _check_count(self.max_outer, "max_outer", 1)
 
     def schedule(self, k: int):
         """Closed-form ``(rho_k, eps_k)`` after ``k`` completed iterations."""
@@ -170,7 +169,8 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
         Ignored: the inner loop updates a color class as one batch on
         the calling thread.  Kept so that existing callers keep working.
     sweep_budgets
-        Optional per-outer-iteration sweep caps (benchmark mode).
+        Optional per-outer-iteration sweep caps, integers >= 0 (benchmark
+        mode).
     inner_eps_stop
         When ``False``, the inner loop ignores the ``eps`` target and runs
         to its own stopping rule or budget (benchmark mode).
@@ -194,10 +194,12 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
     mu = MultiplierEstimate.zeros(problem) if mu0 is None else mu0
     problem.check_membership(z)
     problem.check_multiplier(mu)
-    if sweep_budgets is not None and len(sweep_budgets) < cfg.max_outer:
-        raise ConfigurationError(
-            f"need {cfg.max_outer} sweep budgets, got {len(sweep_budgets)}"
-        )
+    if sweep_budgets is not None:
+        if len(sweep_budgets) < cfg.max_outer:
+            raise ConfigurationError(
+                f"need {cfg.max_outer} sweep budgets, got {len(sweep_budgets)}")
+        for budget in sweep_budgets:
+            _check_count(budget, "a sweep budget", 0)
 
     state = OuterState(z=z, mu=mu, rho=cfg.rho0, eps=cfg.eps0, k=0)
     cum_sweeps = 0
@@ -205,7 +207,7 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
     while state.k < cfg.max_outer:
         rho, eps = cfg.schedule(state.k)
         state.rho, state.eps = rho, eps
-        budget = None if sweep_budgets is None else int(sweep_budgets[state.k])
+        budget = None if sweep_budgets is None else sweep_budgets[state.k]
         inner = run_inner(
             problem, state.z, state.mu, rho, inner_cfg,
             eps_target=eps if inner_eps_stop else None,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, RefusalError
-from .model import (FEAS_TOL, BlockVector, MultiplierEstimate, NlpProblem, Polytope,
+from .model import (BlockVector, MultiplierEstimate, NlpProblem, Polytope,
                     _agent_constraint, _agent_jacobian, _block_gradient,
                     _block_gradients, _box_cone_parts, _constraints,
                     _coupling_constraint, _coupling_jacobian, _objective,
@@ -157,7 +157,7 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
             hi[i], lo[i] = np.array(blocks[i]), np.array(blocks[i])
             hi[i][j] += step
             lo[i][j] -= step
-            if not all(agent.feasible_set.contains(pt, slack=FEAS_TOL)
+            if not all(agent.feasible_set.contains(pt)
                        for pt in (hi[i], lo[i])):
                 raise PreconditionError(
                     f"block {i} is closer than {step:.1e} to its boundary "

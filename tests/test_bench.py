@@ -67,7 +67,7 @@ class TestToyFamily:
         z2, mu2 = toy_initial_guess(params, problem)
         np.testing.assert_array_equal(z1.flatten(), z2.flatten())
         np.testing.assert_array_equal(mu1.flatten(), mu2.flatten())
-        assert problem.feasible(z1, slack=1e-12)
+        assert np.max(problem._violations(z1)) <= 1e-12
         assert mu1.total_dim == problem.r
 
     def test_parameter_validation(self):

@@ -128,6 +128,11 @@ class TestConfigHandling:
         assert run_cli([mode, *args]) == 2
         assert "config error: scale must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--rho0", "--beta"])
+    def test_infinite_penalty_schedule_exits_two(self, capsys, flag):
+        assert run_cli(["solve", "--n", "2", "--d", "1", flag, "inf"]) == 2
+        assert f"config error: {flag[2:]} must " in capsys.readouterr().err
+
     def test_invalid_numeric_field_exits_two(self, capsys):
         assert run_cli(["solve", "--toy", "--beta", "0.5"]) == 2
         assert "config error" in capsys.readouterr().err

@@ -327,7 +327,7 @@ class TestProjection:
         rng = np.random.default_rng(2)
         for _ in range(50):
             v = centre + rng.uniform(-0.05, 0.05, 3)
-            assert poly.contains(v, slack=1e-12)
+            assert poly.violation(v) <= 1e-12
             np.testing.assert_array_equal(poly.project(v), v)
 
     def test_result_on_the_boundary_and_inside(self):
@@ -568,5 +568,6 @@ class TestMembershipGate:
     @pytest.mark.parametrize("kind", ["box", "cuts"])
     def test_feasible_reads_the_same_violations(self, kind):
         problem, z, _ = gate_chain(kind, 1e-6)
-        assert problem.feasible(z, slack=2e-6)
-        assert not problem.feasible(z, slack=FEAS_TOL)
+        assert np.max(problem._violations(z)) <= 2e-6
+        assert not problem.feasible(z)
+        assert problem.feasible(gate_chain(kind, FEAS_TOL / 2)[1])

@@ -65,6 +65,22 @@ class TestSchedule:
             with pytest.raises(ConfigurationError):
                 OuterConfig(**dict(base, **{key: float("nan")}))
 
+    @pytest.mark.parametrize("key", ["rho0", "beta"])
+    def test_infinite_penalty_schedule_rejected(self, key):
+        base = dict(rho0=1.0, beta=2.0, eps0=1.0, eta=1e-6)
+        with pytest.raises(ConfigurationError, match=f"^{key} must "):
+            OuterConfig(**dict(base, **{key: float("inf")}))
+        # an infinite tolerance means "stop at once" and stays allowed
+        OuterConfig(**dict(base, eps0=float("inf"), eta=float("inf")))
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, 0, "3"])
+    def test_max_outer_is_a_positive_integer(self, count):
+        base = dict(rho0=1.0, beta=2.0, eps0=1.0, eta=1e-6)
+        with pytest.raises(ConfigurationError, match="^max_outer must be an integer >= 1"):
+            OuterConfig(**dict(base, max_outer=count))
+        for count in (10 ** 9, np.int64(3)):
+            assert OuterConfig(**dict(base, max_outer=count)).max_outer == count
+
 
 class TestRunOuter:
     def outer_cfg(self, **kw):
@@ -204,6 +220,17 @@ class TestRunOuter:
         assert [t.inner_achieved for t in state.trace] == [False, True]
         assert status == "inner_failure"
 
+    @pytest.mark.parametrize("budgets", [[2.7, 1], [1, -1], [np.nan, 1], ["1", 1]])
+    def test_sweep_budgets_are_nonnegative_integers(self, one_agent, budgets):
+        with pytest.raises(ConfigurationError,
+                           match="^a sweep budget must be an integer >= 0"):
+            run_outer(one_agent, self.outer_cfg(max_outer=2, eta=1e-12),
+                      self.inner_cfg(), zvec([2.0]), sweep_budgets=budgets)
+        state, _ = run_outer(one_agent, self.outer_cfg(max_outer=2, eta=1e-12),
+                             self.inner_cfg(), zvec([2.0]),
+                             sweep_budgets=np.array([2, 0]))
+        assert [t.sweeps for t in state.trace] == [2, 0]
+
     def test_default_start_is_box_midpoint(self, one_agent):
         z = default_start(one_agent)
         np.testing.assert_array_equal(z.block(0), [0.0])
@@ -227,7 +254,7 @@ class TestRunOuter:
                                   with_certificates=False)
         assert status == "converged"
         assert state.trace[-1].h_inf <= 1e-6
-        assert problem.feasible(state.z, slack=1e-10)
+        assert np.max(problem._violations(state.z)) <= FEAS_TOL
 
     def test_converged_oracle_is_approximately_kkt(self, one_agent):
         # on the one-agent problem the eps schedule stays reachable, so the
