@@ -68,8 +68,8 @@ class ToyParams:
             raise ConfigurationError("need at least 2 agents")
         if self.block_dim < 1:
             raise ConfigurationError("block dimension must be at least 1")
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ConfigurationError(f"scale R must be finite and > 0: {self.scale!r}")
 
     @property
     def sphere_radius_sq(self) -> float:
@@ -367,8 +367,8 @@ def run_statistics(params_base: ToyParams, instances: int,
     Instance ``i`` uses seed ``params_base.seed + i``; for each total
     budget the solver restarts from the instance's seeded initial point
     with the budget split evenly over ``outer_iters`` outer iterations.
-    Success at tolerance ``tol`` means the final iterate satisfies
-    ``max_i |  ||x_i||^2 - a^2 | <= tol``.  Identical inputs give
+    Success at tolerance ``tol`` (finite, >= 0) means the final iterate
+    satisfies ``max_i |  ||x_i||^2 - a^2 | <= tol``.  Identical inputs give
     identical statistics.  ``threads`` is ignored: instances are solved one
     after another on the calling thread.  It is kept so that existing
     callers keep working.
@@ -379,6 +379,8 @@ def run_statistics(params_base: ToyParams, instances: int,
         raise ConfigurationError("need at least one budget")
     if any(b < 0 for b in budgets):
         raise ConfigurationError("budgets must be nonnegative")
+    if not all(0 <= tol < np.inf for tol in tolerances):
+        raise ConfigurationError(f"tolerances must be finite and >= 0: {list(tolerances)}")
     outer_cfg = _default_outer(outer_iters) if outer_cfg is None else outer_cfg
     if outer_cfg.max_outer != outer_iters:
         raise ConfigurationError(

@@ -56,7 +56,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError
+from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
                     Polytope, _aug_lagrangian, _block_gradients, _block_values,
                     _row_dots)
@@ -329,7 +329,7 @@ def _b_scales(strategy: BStrategy, rho: float, c_bounds, idx):
 
 def _project(poly, v, i, sweep):
     try:
-        return poly.project(v)
+        return poly._project(v)
     except ConvergenceError as exc:
         raise ConvergenceError(f"agent {i}, sweep {sweep}: {exc}") from exc
 
@@ -376,12 +376,14 @@ def _solve_rows(problem, cls, rows, x_old, grad, m_diag, sweep):
     """Block minimisers of the agents ``cls[0][rows]`` from ``x_old``.
 
     Row ``k`` is the projection of ``x_old[k] - grad[k] / m_diag[k]`` onto
-    its agent's polytope: a clip for a class of boxes, else ``Polytope.project``.
+    its agent's polytope: a clip for a class of boxes, else a projection.
     """
     idx, _, lower, upper = cls
     target = x_old - grad / m_diag[:, None]
     if lower is not None:
         return np.clip(target, lower[rows], upper[rows])
+    if not np.isfinite(target).all():
+        raise PreconditionError("projection target is not finite")
     return np.array([_project(problem.agents[i].feasible_set, v, i, sweep)
                      for i, v in zip(idx[rows].tolist(), target)])
 

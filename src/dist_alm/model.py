@@ -203,17 +203,21 @@ class Polytope:
         v = self._point(v)
         if not np.all(np.isfinite(v)):
             raise PreconditionError("projection target is not finite")
+        return self._project(v)
+
+    def _project(self, v) -> np.ndarray:
+        """:meth:`project` of a finite float vector ``v`` of the set's dimension."""
         if self.is_box:
             return np.clip(v, self.lower, self.upper)
         h = self.a_mat @ v - self.b_vec
-        if not np.any(h > 0.0):
+        if not (h > 0.0).any():
             return v.copy()
         from scipy.optimize import nnls
 
         e_last = np.zeros(self.dim + 1)
         e_last[-1] = 1.0
         try:
-            u, rnorm = nnls(np.vstack([-self.a_mat.T, h / h.max()]), e_last)
+            u, rnorm = nnls(np.concatenate([-self.a_mat.T, (h / h.max())[None]]), e_last)
         except RuntimeError as exc:
             raise ConvergenceError(f"polytope projection: {exc}") from exc
         # ||r||^2 is 1 / (1 + (||x - v|| / max h)^2), or 0 if there is no x
@@ -228,8 +232,8 @@ class Polytope:
             lam = np.linalg.lstsq(gram, rhs)[0]
         x = v - lam @ a_w
         # NNLS can miss an empty polytope whose gap is small next to v
-        tol = FEAS_TOL + 1e-12 * (1.0 + np.max(np.abs(v)))
-        if np.max(self.a_mat @ x - self.b_vec) > tol:
+        tol = FEAS_TOL + 1e-12 * (1.0 + np.abs(v).max())
+        if (self.a_mat @ x - self.b_vec).max() > tol:
             raise PreconditionError("projection onto an empty polytope")
         return x
 
@@ -533,8 +537,8 @@ class NlpProblem:
 
     Every evaluator and hook output is checked where the solver and the
     oracles read it, by ``_checked`` in this module: a wrong shape raises
-    ``StructureError`` and a non-finite entry ``EvaluationError`` naming
-    the agent (``None`` for the coupling's values).
+    ``StructureError`` and a non-finite entry ``EvaluationError`` naming the
+    agent of a call's first bad output (``None`` for the coupling's values).
     :meth:`check_membership` is the one polytope-membership gate of the
     solver and the oracles.
     """
@@ -612,17 +616,26 @@ class NlpProblem:
             raise StructureError(
                 f"multiplier has dimension {mu.total_dim}, expected r={self.r}")
 
+    @cached_property
+    def _stacked_rows(self):
+        """``(N, m, d)`` rows and ``(N, m)`` offsets of non-box sets of one shape."""
+        sets = [a.feasible_set for a in self.agents]
+        if not any(s.is_box for s in sets) and len({s.a_mat.shape for s in sets}) == 1:
+            return np.array([s.a_mat for s in sets]), np.array([s.b_vec for s in sets])
+
     def _violations(self, z: BlockVector) -> np.ndarray:
-        """Every block's :meth:`Polytope.violation`, in one stacked form when
-        every set is a box of one dimension."""
+        """Every block's :meth:`Polytope.violation`, stacked (and bitwise the same)
+        when the sets are boxes of one dimension or non-box sets of one shape."""
         self.check_block_structure(z)
-        if self._stacked_boxes is None:
+        boxes, rows = self._stacked_boxes, self._stacked_rows
+        if boxes is None and rows is None:
             return np.array([a.feasible_set.violation(b)
                              for a, b in zip(self.agents, z.blocks)])
-        lower, upper = self._stacked_boxes
         x = z.flat.reshape(self.n_agents, -1)
-        return np.maximum(np.max(x - upper, axis=1, initial=-np.inf),
-                          np.max(lower - x, axis=1, initial=-np.inf))
+        if boxes is None:
+            return np.max((rows[0] @ x[..., None])[..., 0] - rows[1], 1, initial=-np.inf)
+        return np.maximum(np.max(x - boxes[1], axis=1, initial=-np.inf),
+                          np.max(boxes[0] - x, axis=1, initial=-np.inf))
 
     def check_membership(self, z: BlockVector):
         """Raise ``PreconditionError`` naming the first block of ``z`` that
@@ -685,119 +698,141 @@ class MultiplierEstimate(_FlatParts):
 # Evaluation helpers working on plain block lists (hot path for the sweeps).
 # ---------------------------------------------------------------------------
 
-def _checked(raw, shape, what, agent=None, rows=None):
+def _checked(raw, shape, what, agent=None, outputs=None, rows=None):
     """One evaluator or hook output, checked: a finite float or float array.
 
-    ``shape=()`` takes a 0-d cost through ``float``.  An evaluator's vector is
-    taken flattened and its matrix through ``np.atleast_2d``; a hook's
-    array (``rows`` given) is taken as returned, and its row ``k`` belongs
-    to agent ``rows[k]`` (at every point of a ``(P, len(rows), d)`` stack).
-    A wrong shape raises ``StructureError`` and a non-finite entry
-    ``EvaluationError`` naming ``agent``, or that of the first non-finite row.
+    ``shape=()`` takes a 0-d cost through ``float``, an evaluator's vector is
+    flattened and its matrix taken through ``np.atleast_2d``; a hook's array
+    (``rows`` given: row ``k`` is agent ``rows[k]``'s, at every point of a
+    stack) is taken as returned.  A wrong shape raises ``StructureError``, a
+    non-finite entry ``EvaluationError`` naming ``agent`` (or the first bad
+    row's) and ``what.format(agent)``; with ``outputs``, the list of a call,
+    that check waits for the call's one :func:`_check_finite`.
     """
-    if shape == ():
-        if not isinstance(raw, float) and np.ndim(raw) != 0:
-            raise StructureError(f"{what} returned shape {np.shape(raw)}, expected ()")
+    if shape == () and (isinstance(raw, float) or np.ndim(raw) == 0):
         val = float(raw)
-        if math.isfinite(val):
-            return val
     else:
         val = np.asarray(raw, dtype=float)
-        if rows is None:
+        if rows is None and shape:
             val = val.reshape(-1) if len(shape) == 1 else np.atleast_2d(val)
         if val.shape != shape:
-            raise StructureError(f"{what} returned shape {val.shape}, expected {shape}")
-        finite = np.isfinite(val)
-        if finite.all():
-            return val
+            raise StructureError(f"{what.format(agent)} returned shape {val.shape}, "
+                                 f"expected {shape}")
+    if outputs is not None:
+        outputs.append((val, what, agent))
+    elif not (finite := np.isfinite(val)).all():
         if rows is not None:
             agent = int(rows[np.argwhere(~finite)[0, -2 if len(shape) > 1 else 0]])
             what = f"agent {agent}: {what}"
-    raise EvaluationError(f"{what} returned a non-finite value", agent=agent)
+        raise EvaluationError(f"{what.format(agent)} returned a non-finite value",
+                              agent=agent)
+    return val
 
 
-def _agent_constraint(problem, x_i, i):
+def _check_finite(outputs):
+    """One finiteness check over a call's ``outputs``, naming the first bad one."""
+    if outputs and not np.isfinite(np.concatenate([o[0] for o in outputs], None)).all():
+        for val, what, agent in outputs:
+            _checked(val, np.shape(val), what, agent)
+
+
+def _agent_constraint(problem, x_i, i, outputs=None):
     agent = problem.agents[i]
-    if agent.constraint is None:
-        return np.zeros(0)
-    return _checked(agent.constraint(x_i), (agent.constraint_dim,),
-                    f"agent {i} constraint", i)
+    if agent.constraint is not None:
+        return _checked(agent.constraint(x_i), (agent.constraint_dim,),
+                        "agent {} constraint", i, outputs)
 
 
-def _coupling_constraint(problem, blocks):
+def _coupling_constraint(problem, blocks, outputs=None):
     coup = problem.coupling
-    if coup.constraint is None:
-        return np.zeros(0)
-    return _checked(coup.constraint(blocks), (coup.constraint_dim,),
-                    "coupling constraint", None)
+    if coup.constraint is not None:
+        return _checked(coup.constraint(blocks), (coup.constraint_dim,),
+                        "coupling constraint", None, outputs)
 
 
-def _agent_jacobian(problem, x_i, i):
+def _agent_jacobian(problem, x_i, i, outputs=None):
     agent = problem.agents[i]
-    return _checked(agent.constraint_jac(x_i), (agent.constraint_dim, agent.dim),
-                    f"agent {i} constraint Jacobian", i)
+    if agent.constraint is not None:
+        return _checked(agent.constraint_jac(x_i), (agent.constraint_dim, agent.dim),
+                        "agent {} constraint Jacobian", i, outputs)
 
 
-def _coupling_jacobian(problem, blocks, i):
+def _coupling_jacobian(problem, blocks, i, outputs=None):
     coup = problem.coupling
-    return _checked(coup.constraint_block_jac(blocks, i),
-                    (coup.constraint_dim, problem.agents[i].dim),
-                    f"coupling constraint Jacobian of block {i}", i)
+    if coup.constraint is not None:
+        return _checked(coup.constraint_block_jac(blocks, i),
+                        (coup.constraint_dim, problem.agents[i].dim),
+                        "coupling constraint Jacobian of block {}", i, outputs)
 
 
 def _constraints(problem, blocks):
-    pieces = [_agent_constraint(problem, blocks[i], i) for i in range(problem.n_agents)]
-    pieces.append(_coupling_constraint(problem, blocks))
-    return np.concatenate(pieces)
+    outputs = []
+    for i, x_i in enumerate(blocks):
+        _agent_constraint(problem, x_i, i, outputs)
+    _coupling_constraint(problem, blocks, outputs)
+    _check_finite(outputs)
+    return np.concatenate([np.zeros(0), *(val for val, _, _ in outputs)])
 
 
 def _objective(problem, blocks):
     total = 0.0
     for i, agent in enumerate(problem.agents):
-        total += _checked(agent.cost(blocks[i]), (), f"agent {i} cost", i)
+        total += _checked(agent.cost(blocks[i]), (), "agent {} cost", i)
     if problem.coupling.cost is not None:
-        total += _checked(problem.coupling.cost(blocks), (), "coupling cost", None)
+        total += _checked(problem.coupling.cost(blocks), (), "coupling cost")
     return total
+
+
+def _values(problem, terms, rho):
+    """Local terms for ``(i, x_i, mu_i)``, coupling terms for ``(None, blocks, mu_G)``."""
+    coup, outputs, parts = problem.coupling, [], []
+    for i, at, _ in terms:
+        if i is None:
+            val = 0.0 if coup.cost is None else _checked(coup.cost(at), (), "coupling cost",
+                                                         None, outputs)
+            parts.append((0.0 + val, _coupling_constraint(problem, at, outputs)))
+        else:
+            val = _checked(problem.agents[i].cost(at), (), "agent {} cost", i, outputs)
+            parts.append((val, _agent_constraint(problem, at, i, outputs)))
+    _check_finite(outputs)
+    return [value if h is None else value + (float(mult @ h) + 0.5 * rho * float(h @ h))
+            for (value, h), (_, _, mult) in zip(parts, terms)]
 
 
 def _agent_local_value(problem, x_i, mu_i, rho, i):
     """J_i + mu_i @ F_i + (rho/2) ||F_i||^2 at one block value."""
-    agent = problem.agents[i]
-    val = _checked(agent.cost(x_i), (), f"agent {i} cost", i)
-    if agent.constraint is not None:
-        f_val = _agent_constraint(problem, x_i, i)
-        val += float(mu_i @ f_val) + 0.5 * rho * float(f_val @ f_val)
-    return val
+    return _values(problem, [(i, x_i, mu_i)], rho)[0]
 
 
 def _coupling_value(problem, blocks, mu_g, rho):
     """Q + mu_G @ G + (rho/2) ||G||^2 at the given partial point."""
-    coup = problem.coupling
-    val = 0.0
-    if coup.cost is not None:
-        val += _checked(coup.cost(blocks), (), "coupling cost", None)
-    if coup.constraint is not None:
-        g_val = _coupling_constraint(problem, blocks)
-        val += float(mu_g @ g_val) + 0.5 * rho * float(g_val @ g_val)
-    return val
+    return _values(problem, [(None, blocks, mu_g)], rho)[0]
 
 
-def _block_gradient(problem, blocks, mu, rho, i):
-    agent = problem.agents[i]
-    x_i = blocks[i]
-    grad = _checked(agent.cost_grad(x_i), (agent.dim,), f"agent {i} cost gradient",
-                    i).copy()
-    if agent.constraint is not None:
-        f_val = _agent_constraint(problem, x_i, i)
-        grad += _agent_jacobian(problem, x_i, i).T @ (mu.part(i) + rho * f_val)
-    coup = problem.coupling
-    if coup.cost is not None:
-        grad += _checked(coup.cost_block_grad(blocks, i), (agent.dim,),
-                         f"coupling cost gradient of block {i}", i)
-    if coup.constraint is not None:
-        g_val = _coupling_constraint(problem, blocks)
-        grad += _coupling_jacobian(problem, blocks, i).T @ (mu.coupling_part + rho * g_val)
-    return grad
+def _block_gradient(problem, blocks, mu, rho, idx):
+    """:func:`eval_block_gradient` of each agent of the list ``idx``, ``G`` taken once."""
+    coup, outputs, parts = problem.coupling, [], []
+    g_val = _coupling_constraint(problem, blocks, outputs)
+    for i in idx:
+        x_i, d = blocks[i], problem.agents[i].dim
+        parts.append((
+            _checked(problem.agents[i].cost_grad(x_i), (d,), "agent {} cost gradient", i,
+                     outputs).copy(),
+            _agent_constraint(problem, x_i, i, outputs),
+            _agent_jacobian(problem, x_i, i, outputs),
+            None if coup.cost is None else _checked(coup.cost_block_grad(blocks, i), (d,),
+                                                    "coupling cost gradient of block {}", i,
+                                                    outputs),
+            _coupling_jacobian(problem, blocks, i, outputs)))
+    _check_finite(outputs)
+    for i, (grad, f_val, f_jac, q_grad, g_jac) in zip(idx, parts):
+        if f_val is not None:
+            grad += f_jac.T @ (mu.part(i) + rho * f_val)
+        if q_grad is not None:
+            grad += q_grad
+        if g_jac is not None:
+            grad += g_jac.T @ (mu.coupling_part + rho * g_val)
+    return [grad for grad, *_ in parts]
 
 
 def _block_gradients(problem, flat, mu, rho, idx):
@@ -806,16 +841,16 @@ def _block_gradients(problem, flat, mu, rho, idx):
     Item ``k`` is the gradient of agent ``idx[k]``.  With the
     ``block_gradients`` hook this is one call on ``flat`` seen as the
     ``(N, d)`` array of blocks, returning its checked ``(len(idx), d)``
-    array (a non-finite row names its agent); without it, a list of one
-    :func:`_block_gradient` per agent.  A stack of points, ``(P, n)``,
-    gives the ``(P, len(idx), d)`` array, by one call or point by point.
+    array (a non-finite row names its agent); without it, the list that
+    :func:`_block_gradient` gives.  A stack of points, ``(P, n)``, gives
+    the ``(P, len(idx), d)`` array, by one call or point by point.
     """
     hook = problem.block_gradients
     if hook is None:
         if flat.ndim == 2:
             return np.array([_block_gradients(problem, f, mu, rho, idx) for f in flat])
         blocks = _cut(flat, _partition(problem.block_dims)[1])
-        return [_block_gradient(problem, blocks, mu, rho, i) for i in idx.tolist()]
+        return _block_gradient(problem, blocks, mu, rho, idx.tolist())
     x = flat.reshape(*flat.shape[:-1], problem.n_agents, -1)
     return _checked(hook(x, mu.flat, rho, idx), (*x.shape[:-2], idx.shape[0], x.shape[-1]),
                     "block_gradients", rows=idx)
@@ -829,23 +864,23 @@ def _block_values(problem, flat, mu, rho, idx, trial=None):
     ``flat`` with only block ``idx[k]`` replaced by ``trial[k]`` (see
     ``NlpProblem.block_values``).  ``trial=None`` takes every agent's own
     block of ``flat``.  With the ``block_values`` hook this is one checked
-    call; without it, one :func:`_agent_local_value` per agent and one
-    :func:`_coupling_value` per trial block (one in all for ``None``).
+    call; without it, one :func:`_values` call gives every local term and
+    one coupling term per trial block (one in all for ``None``).
     """
     hook = problem.block_values
     k = idx.shape[0]
     if hook is None:
         blocks = _cut(flat, _partition(problem.block_dims)[1])
-        local, coupling = np.empty(k), np.empty(k)
-        if trial is None:
-            coupling[:] = _coupling_value(problem, blocks, mu.coupling_part, rho)
+        terms = [] if trial is not None else [(None, blocks, mu.coupling_part)]
         for row, i in enumerate(idx.tolist()):
             x_i = blocks[i] if trial is None else trial[row]
-            local[row] = _agent_local_value(problem, x_i, mu.part(i), rho, i)
+            terms.append((i, x_i, mu.part(i)))
             if trial is not None:
-                moved = [*blocks[:i], x_i, *blocks[i + 1:]]
-                coupling[row] = _coupling_value(problem, moved, mu.coupling_part, rho)
-        return local, coupling
+                terms.append((None, [*blocks[:i], x_i, *blocks[i + 1:]], mu.coupling_part))
+        values = _values(problem, terms, rho)
+        if trial is None:
+            return np.array(values[1:]), np.full(k, values[0])
+        return np.array(values[0::2]), np.array(values[1::2])
     x = flat.reshape(problem.n_agents, -1)
     local, coupling = hook(x, mu.flat, rho, idx, x[idx] if trial is None else trial)
     return (_checked(local, (k,), "block_values local terms", rows=idx),
@@ -908,7 +943,7 @@ def eval_block_gradient(problem: NlpProblem, z: BlockVector,
     if not (0 <= i < problem.n_agents):
         raise StructureError(f"agent index {i} out of range [0, {problem.n_agents})")
     problem.check_multiplier(mu)
-    return _block_gradient(problem, list(z.blocks), mu, rho, i)
+    return _block_gradient(problem, list(z.blocks), mu, rho, [i])[0]
 
 
 def _require_positive_rho(rho):

@@ -149,7 +149,7 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
     blocks = list(z.blocks)
     worst = 0.0
     for i, agent in enumerate(problem.agents):
-        grad = _block_gradient(problem, blocks, mu, rho, i)
+        grad = _block_gradient(problem, blocks, mu, rho, [i])[0]
         fd = np.zeros_like(grad)
         for j in range(agent.dim):
             step = h * (1.0 + abs(blocks[i][j]))

@@ -123,3 +123,86 @@ def site_problem(site=None, bad=None):
     elif site is not None:
         agents[1] = dataclasses.replace(agents[1], **{site: lambda x: bad})
     return NlpProblem(agents=tuple(agents), coupling=coupling)
+
+
+# The per-agent evaluation written out plainly, one evaluator output at a
+# time: the reference that the solver's per-agent path must equal bitwise.
+
+def _as_vector(raw):
+    return np.asarray(raw, dtype=float).reshape(-1)
+
+
+def _as_matrix(raw):
+    return np.atleast_2d(np.asarray(raw, dtype=float))
+
+
+def reference_gradients(problem, flat, mu, rho, idx):
+    """``grad J_i + Jac F_i.T (mu_i + rho F_i) + grad_i Q + Jac_i G.T (mu_G +
+    rho G)`` for each agent of ``idx`` at ``flat`` (or at each row of it)."""
+    if flat.ndim == 2:
+        return np.array([reference_gradients(problem, f, mu, rho, idx) for f in flat])
+    blocks = list(BlockVector.from_flat(flat, problem.block_dims).blocks)
+    coup, grads = problem.coupling, []
+    for i in idx.tolist():
+        agent, x_i = problem.agents[i], blocks[i]
+        grad = _as_vector(agent.cost_grad(x_i)).copy()
+        if agent.constraint is not None:
+            f_val = _as_vector(agent.constraint(x_i))
+            grad += _as_matrix(agent.constraint_jac(x_i)).T @ (mu.part(i) + rho * f_val)
+        if coup.cost is not None:
+            grad += _as_vector(coup.cost_block_grad(blocks, i))
+        if coup.constraint is not None:
+            g_val = _as_vector(coup.constraint(blocks))
+            grad += (_as_matrix(coup.constraint_block_jac(blocks, i)).T
+                     @ (mu.coupling_part + rho * g_val))
+        grads.append(grad)
+    return grads
+
+
+def reference_values(problem, flat, mu, rho, idx, trial=None):
+    """Per agent of ``idx``, its local term at its trial block and the
+    coupling term with only that block moved (see ``NlpProblem``)."""
+    blocks = list(BlockVector.from_flat(flat, problem.block_dims).blocks)
+    coup, local, coupling = problem.coupling, [], []
+    for row, i in enumerate(idx.tolist()):
+        agent = problem.agents[i]
+        x_i = blocks[i] if trial is None else trial[row]
+        value = float(agent.cost(x_i))
+        if agent.constraint is not None:
+            f_val = _as_vector(agent.constraint(x_i))
+            value += float(mu.part(i) @ f_val) + 0.5 * rho * float(f_val @ f_val)
+        local.append(value)
+        moved = [*blocks[:i], x_i, *blocks[i + 1:]]
+        value = 0.0
+        if coup.cost is not None:
+            value += float(coup.cost(moved))
+        if coup.constraint is not None:
+            g_val = _as_vector(coup.constraint(moved))
+            value += float(mu.coupling_part @ g_val) + 0.5 * rho * float(g_val @ g_val)
+        coupling.append(value)
+    return np.array(local), np.array(coupling)
+
+
+def reference_constraints(problem, z):
+    """``(F_0, ..., F_{N-1}, G)`` at ``z``."""
+    blocks = list(z.blocks)
+    pieces = [_as_vector(a.constraint(x)) for a, x in zip(problem.agents, blocks)
+              if a.constraint is not None]
+    if problem.coupling.constraint is not None:
+        pieces.append(_as_vector(problem.coupling.constraint(blocks)))
+    return np.concatenate([np.zeros(0), *pieces])
+
+
+def mixed_class_chain(seed=9):
+    """A six-agent toy chain without hooks whose agents 1 and 2 carry cut
+    boxes, so that each colour class holds boxes and cut boxes."""
+    params = ToyParams(n_agents=6, block_dim=3, scale=2.0, seed=seed)
+    chain = generate_toy(params)
+    rng = np.random.default_rng(seed)
+    agents = list(chain.agents)
+    for i in (1, 2):
+        agents[i] = dataclasses.replace(agents[i], feasible_set=box_with_cuts(
+            agents[i].feasible_set, rng))
+    problem = NlpProblem(agents=tuple(agents), coupling=chain.coupling)
+    _, mu0 = toy_initial_guess(params, chain)
+    return problem, default_start(problem), mu0

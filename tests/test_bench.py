@@ -76,6 +76,11 @@ class TestToyFamily:
         with pytest.raises(ConfigurationError):
             ToyParams(scale=-1.0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ConfigurationError, match="^scale R must be finite and > 0"):
+            ToyParams(scale=scale)
+
     def test_definite_draw_diagnostic(self):
         from dist_alm import toy_definite_count
 
@@ -208,6 +213,15 @@ class TestRunStatistics:
             run_statistics(params, instances=1, budgets=[], tolerances=[1e-3])
         with pytest.raises(ConfigurationError):
             run_statistics(params, instances=1, budgets=[-5], tolerances=[1e-3])
+
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -np.inf])
+    def test_tolerances_must_be_finite_and_nonnegative(self, tol):
+        # an infinite tolerance would count failed instances (feasibility
+        # inf) as successes
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=0)
+        with pytest.raises(ConfigurationError, match="^tolerances must be finite"):
+            run_statistics(params, instances=1, budgets=[10], tolerances=[1e-3, tol])
 
 
 class TestInstanceFailures:

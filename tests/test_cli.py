@@ -128,6 +128,24 @@ class TestConfigHandling:
         assert run_cli([mode, *args]) == 2
         assert "config error: scale must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["solve", "bench"])
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_instance_scale_exits_two(self, capsys, tmp_path, mode, scale):
+        args = ["--n", "2", "--d", "1", "--r", scale]
+        if mode == "bench":
+            args += ["--instances", "1", "--out", str(tmp_path / "s.csv")]
+        assert run_cli([mode, *args]) == 2
+        assert ("config error: scale R must be finite and > 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("tolerances", ["nan", "-1", "inf", "1e-3,nan"])
+    def test_invalid_tolerance_exits_two(self, capsys, tmp_path, tolerances):
+        out = tmp_path / "s.csv"
+        assert run_cli(["bench", "--n", "2", "--d", "1", "--instances", "1",
+                        f"--tolerances={tolerances}", "--out", str(out)]) == 2
+        assert "config error: tolerances must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--rho0", "--beta"])
     def test_infinite_penalty_schedule_exits_two(self, capsys, flag):
         assert run_cli(["solve", "--n", "2", "--d", "1", flag, "inf"]) == 2

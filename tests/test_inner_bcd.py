@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
                       ConvergenceError, CouplingSpec, EvaluationError,
                       FixedScaled, HessianBand, InnerConfig,
                       MultiplierEstimate, NlpProblem, OuterConfig, Polytope,
-                      ProxQp, StructureError, ToyParams, bcd_sweep,
+                      PreconditionError, ProxQp, StructureError, ToyParams, bcd_sweep,
                       color_interaction_graph, default_start, eval_aug_lagrangian,
-                      eval_block_gradient, generate_toy, run_inner, run_outer,
-                      toy_initial_guess)
-from dist_alm import inner_bcd
+                      eval_block_gradient, eval_constraints, generate_toy, run_inner,
+                      run_outer, toy_initial_guess)
+from dist_alm import inner_bcd, model, verify
 from dist_alm.inner_bcd import BAND_MARGIN, C_FLOOR
 from dist_alm.model import FEAS_TOL
-from conftest import (cut_chain, linear_agent, mu_like, nnls_at_cap, one_agent_problem,
-                      quadratic_agent, zvec)
+from conftest import (cut_chain, linear_agent, mixed_class_chain, mu_like, nnls_at_cap,
+                      one_agent_problem, quadratic_agent, reference_constraints,
+                      reference_gradients, reference_values, site_problem, zvec)
 
 
 def toy_setup(n_agents=6, seed=0, block_dim=3, scale=2.0):
@@ -783,3 +785,95 @@ class TestRunInner:
         with pytest.raises(ConfigurationError, match="^init_samples must be an integer >= 1"):
             Backtracking(init_samples=count)
         assert Backtracking(init_samples=np.int64(2)).init_samples == 2
+
+
+def parity_case(name):
+    """A problem without hooks, a start inside its sets and multipliers."""
+    if name == "cut_chain":
+        return cut_chain(seed=4)
+    if name == "mixed_class":
+        return mixed_class_chain()
+    if name == "unequal_blocks":
+        problem, z0 = unequal_blocks_problem()
+        return problem, z0, MultiplierEstimate.zeros(problem)
+    problem = site_problem()
+    return (problem, zvec([0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]),
+            mu_like(problem, [0.5, -1.0, 2.0, 0.25]))
+
+
+class TestPerAgentPath:
+    """Without hooks, every evaluator output of a call is checked at once;
+    the values are those of the plain per-agent formulas, bitwise."""
+
+    @pytest.mark.parametrize("case", ["cut_chain", "mixed_class", "unequal_blocks",
+                                      "site_problem"])
+    @pytest.mark.parametrize("cfg, certified", [
+        (InnerConfig(max_sweeps=5), False), (InnerConfig(max_sweeps=5), True),
+        (InnerConfig(b_strategy=HessianBand(), max_sweeps=5), True)],
+        ids=["uncertified", "certified", "band"])
+    def test_equals_the_plain_formulas(self, monkeypatch, case, cfg, certified):
+        problem, z0, mu = parity_case(case)
+
+        def solve():
+            result = run_inner(problem, z0, mu, 10.0, cfg, eps_target=1e-14,
+                               with_certificates=certified)
+            return (result, eval_constraints(problem, result.z),
+                    eval_aug_lagrangian(problem, result.z, mu, 10.0))
+
+        result, h_val, value = solve()
+        for module in (inner_bcd, verify):
+            monkeypatch.setattr(module, "_block_gradients", reference_gradients)
+        for module in (inner_bcd, model):
+            monkeypatch.setattr(module, "_block_values", reference_values)
+        ref, _, ref_value = solve()
+        assert result.sweeps == ref.sweeps == 5
+        assert result.z.flat.tobytes() == ref.z.flat.tobytes()
+        assert result.final_residual == ref.final_residual
+        assert len(result.certificates) == len(ref.certificates) == 5 * certified
+        for cert, cert_ref in zip(result.certificates, ref.certificates):
+            assert_same_certificates(cert, cert_ref)
+        assert h_val.tobytes() == reference_constraints(problem, result.z).tobytes()
+        assert value == ref_value
+
+    def test_coupling_constraint_taken_once_per_gradient_call(self, monkeypatch):
+        base, z0, mu = parity_case("site_problem")
+        g_calls, grad_calls = [], []
+        constraint = base.coupling.constraint
+        problem = dataclasses.replace(base, coupling=dataclasses.replace(
+            base.coupling, constraint=lambda b: g_calls.append(1) or constraint(b)))
+        gradients = inner_bcd._block_gradients
+
+        def counted(*args):
+            grad_calls.append(1)
+            return gradients(*args)
+
+        monkeypatch.setattr(inner_bcd, "_block_gradients", counted)
+        colors = color_interaction_graph(problem.coupling, 3)
+        z = z0
+        for sweep in range(3):
+            z, _ = bcd_sweep(problem, z, mu, 1.0, InnerConfig(), colors,
+                             sweep_index=sweep, with_certificates=False)
+        assert len(grad_calls) == 3 * 2  # one per colour class
+        assert len(g_calls) == len(grad_calls)
+
+    @pytest.mark.parametrize("case", ["cut_chain", "mixed_class", "site_problem"])
+    def test_valid_sweeps_emit_no_warning(self, case):
+        problem, z0, mu = parity_case(case)
+        colors = color_interaction_graph(problem.coupling, problem.n_agents)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for certified in (False, True):
+                bcd_sweep(problem, z0, mu, 10.0, InnerConfig(), colors,
+                          with_certificates=certified)
+
+    def test_non_finite_projection_target_rejected(self):
+        problem, z0, mu = parity_case("mixed_class")
+        cls = inner_bcd._color_classes(problem, inner_bcd._coloring(problem))[0]
+        assert cls[2] is None  # a class of boxes and cut boxes
+        x_old = z0.flat[cls[1]]
+        grad = np.zeros_like(x_old)
+        grad[-1, 0] = np.nan
+        with pytest.raises(PreconditionError, match="^projection target is not finite"):
+            inner_bcd._solve_rows(problem, cls, slice(None), x_old, grad,
+                                  np.ones(len(cls[0])), 0)
+

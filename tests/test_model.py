@@ -495,6 +495,29 @@ class TestEvaluatorOutputChecks:
             evaluate_site(site_problem(site, nan), call)
         assert err.value.agent == agent
 
+    @pytest.mark.parametrize("site", list(EVALUATOR_SITES))
+    @pytest.mark.parametrize("kind", ["shape", "nan"])
+    def test_sweep_and_residual_raise_as_the_direct_call(self, site, kind):
+        # without hooks a sweep and the residual take every output of a call
+        # first and check them at once; the error is the one a direct call
+        # raises (the residual reads no cost)
+        call, wrong, nan, _ = EVALUATOR_SITES[site]
+        problem = site_problem(site, wrong if kind == "shape" else nan)
+        with pytest.raises((StructureError, EvaluationError)) as direct:
+            evaluate_site(problem, call)
+        z = zvec([0.1, 0.2], [0.3, -0.4], [-0.5, 0.6])
+        mu = MultiplierEstimate.zeros(problem)
+        paths = [lambda: bcd_sweep(problem, z, mu, 1.0, InnerConfig(),
+                                   color_interaction_graph(problem.coupling, 3))]
+        if call != "lagrangian":
+            paths.append(lambda: criticality_residual(problem, z, mu, 1.0))
+        for path in paths:
+            with pytest.raises(type(direct.value)) as err:
+                path()
+            assert type(err.value) is type(direct.value)
+            assert str(err.value) == str(direct.value)
+            assert getattr(err.value, "agent", None) == getattr(direct.value, "agent", None)
+
     @pytest.mark.parametrize("name", ["block_gradients", "block_values"])
     def test_hook_wrong_shape_is_structural(self, name):
         problem = generate_toy(ToyParams(n_agents=6, block_dim=3, scale=2.0, seed=5))
@@ -564,6 +587,19 @@ class TestMembershipGate:
     def test_drift_within_the_tolerance_passes(self, kind, call):
         problem, z, mu = gate_chain(kind, FEAS_TOL / 2)
         GATED_CALLS[call](problem, z, mu)
+
+    def test_stacked_violations_equal_the_per_set_values(self):
+        # non-box sets of one shape take one stacked matmul per call
+        for seed in range(6):
+            problem, z0, _ = cut_chain(seed)
+            assert problem._stacked_rows is not None
+            rng = np.random.default_rng(seed)
+            for scale in (0.1, 1.0, 3.0, 1e3):
+                for _ in range(100):
+                    z = BlockVector.from_flat(scale * rng.standard_normal(z0.total_dim),
+                                              problem.block_dims)
+                    assert problem._violations(z).tolist() == [
+                        a.feasible_set.violation(x) for a, x in zip(problem.agents, z.blocks)]
 
     @pytest.mark.parametrize("kind", ["box", "cuts"])
     def test_feasible_reads_the_same_violations(self, kind):
