@@ -11,9 +11,10 @@ over the agent's polytope, where ``g_i`` is the augmented-Lagrangian block
 gradient at the snapshot, ``B_i = b_i I`` is a scaled identity curvature
 surrogate and ``alpha`` is the proximal weight ``alpha_min``.  The
 minimiser is the Euclidean projection of ``x_i - g_i / (b_i + alpha)``
-onto the polytope: boxes clip, and other polytopes call
-:meth:`~dist_alm.model.Polytope.project`, one least-distance problem
-solved by nonnegative least squares.  Every block therefore stays
+onto the polytope: boxes clip; other polytopes take the rows active at
+``x_i`` as working set when the projection's KKT conditions hold on it,
+else solve one least-distance problem by nonnegative least squares
+(:meth:`~dist_alm.model.Polytope.project`).  Every block therefore stays
 inside its polytope up to rounding.
 
 One kernel serves every configuration.  Classes are split by block
@@ -314,25 +315,18 @@ def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
 
 def _b_scales(strategy: BStrategy, rho: float, c_bounds, idx):
     """Multiples of the identity used as curvature surrogate by agents
-    ``idx``, one per agent."""
+    ``idx``: one scalar if fixed, else a ``(len(idx), 1)`` column."""
     base = strategy.scale * rho
     if isinstance(strategy, HessianBand):
-        c = c_bounds[idx]
+        c = c_bounds[idx, None]
         return np.minimum(np.maximum(base, c * (1.0 + BAND_MARGIN)),
                           2.0 * c * (1.0 - BAND_MARGIN))
-    return np.full(len(idx), base)
+    return base
 
 
 # ---------------------------------------------------------------------------
 # Sweeps and the inner loop.
 # ---------------------------------------------------------------------------
-
-def _project(poly, v, i, sweep):
-    try:
-        return poly._project(v)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"agent {i}, sweep {sweep}: {exc}") from exc
-
 
 def _coloring(problem) -> np.ndarray:
     """The problem's :func:`color_interaction_graph`, kept with the problem."""
@@ -375,17 +369,22 @@ def _color_classes(problem, coloring) -> tuple:
 def _solve_rows(problem, cls, rows, x_old, grad, m_diag, sweep):
     """Block minimisers of the agents ``cls[0][rows]`` from ``x_old``.
 
-    Row ``k`` is the projection of ``x_old[k] - grad[k] / m_diag[k]`` onto
-    its agent's polytope: a clip for a class of boxes, else a projection.
+    Row ``k`` is the projection of ``x_old[k] - grad[k] / m_diag`` (see
+    :func:`_b_scales`) onto its agent's polytope: a clip for a class of
+    boxes, else a projection warm-started from ``x_old[k]``.
     """
     idx, _, lower, upper = cls
-    target = x_old - grad / m_diag[:, None]
+    target = x_old - grad / m_diag
     if lower is not None:
-        return np.clip(target, lower[rows], upper[rows])
+        return target.clip(lower[rows], upper[rows])
     if not np.isfinite(target).all():
         raise PreconditionError("projection target is not finite")
-    return np.array([_project(problem.agents[i].feasible_set, v, i, sweep)
-                     for i, v in zip(idx[rows].tolist(), target)])
+    for k, i in enumerate(idx[rows].tolist()):
+        try:
+            target[k] = problem.agents[i].feasible_set._project(target[k], x_old[k])
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"agent {i}, sweep {sweep}: {exc}") from exc
+    return target
 
 
 def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
@@ -435,7 +434,7 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
                 moved[pos[rows]] = x_new[rows]
                 g_new = np.asarray(_block_gradients(problem, moved_view, mu, rho,
                                                     idx[rows]))
-                resid = g_new - grad[rows] - m_diag[:, None] * step[rows]
+                resid = g_new - grad[rows] - m_diag * step[rows]
                 re_lhs[rows] = np.sqrt(_row_dots(resid, resid))
         c = c_bounds[idx]
         re_bound = (3.0 * c + cfg.alpha_max) * snorm
@@ -476,7 +475,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     Blocks inside one color class read the same frozen snapshot (they do
     not interact) and are updated together: one batched gradient, one step
     size per agent, and one clip when the class's sets are boxes (else one
-    least-distance projection, by NNLS, per agent).  With certificates, or
+    projection per agent, warm-started from its block).  With certificates, or
     under a banded surrogate, the class's steps are then checked against
     the snapshot together, which needs the curvature bounds.  Classes are
     applied in ascending color order, which realises a Gauss-Seidel pass

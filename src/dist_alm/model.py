@@ -90,6 +90,8 @@ class Polytope:
             raise StructureError(
                 f"polytope has {a.shape[0]} rows but {b.shape[0]} offsets"
             )
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise StructureError("polytope rows and offsets must be finite")
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "b_vec", b)
 
@@ -99,12 +101,9 @@ class Polytope:
         hi = _as_float_vector(upper, "upper")
         if lo.shape != hi.shape:
             raise StructureError("box bounds must have equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise StructureError("box bounds must be finite (bounded sets only)")
         if np.any(lo > hi):
             raise StructureError("box has lower > upper")
-        n = lo.shape[0]
-        eye = np.eye(n)
+        eye = np.eye(lo.shape[0])
         return cls(
             a_mat=np.vstack([eye, -eye]),
             b_vec=np.concatenate([hi, -lo]),
@@ -146,6 +145,11 @@ class Polytope:
         """Whether ``x`` violates no row by more than :data:`FEAS_TOL`."""
         return self.violation(x) <= FEAS_TOL
 
+    @cached_property
+    def _active_tol(self) -> np.ndarray:
+        """Per row, the largest slack of an active row (:data:`ACTIVE_TOL`)."""
+        return ACTIVE_TOL * (1.0 + np.abs(self.b_vec))
+
     def normal_cone_distance(self, x, grad):
         """Squared distance of ``-grad`` to the normal cone at ``x``.
 
@@ -153,8 +157,8 @@ class Polytope:
         ``min_{v in N(x)} ||grad + v||^2``, one multiplier per row (zero on
         inactive rows) and the ascending indices of the active rows (see
         :data:`ACTIVE_TOL`).  Boxes use the per-coordinate closed form;
-        other polytopes solve nonnegative least squares on the active rows.
-        ``x`` is taken to be feasible.
+        other polytopes solve nonnegative least squares on the active rows
+        (:func:`_cone_distance`).  ``x`` is taken to be feasible.
         """
         x = np.asarray(x, dtype=float)
         grad = np.asarray(grad, dtype=float)
@@ -167,15 +171,11 @@ class Polytope:
             lam = np.where(at & (push > 0), push, 0.0)
             return float(res @ res), lam, np.flatnonzero(at)
         lam = np.zeros(self.n_rows)
-        slack = self.b_vec - self.a_mat @ x
-        active = np.flatnonzero(slack <= ACTIVE_TOL * (1.0 + np.abs(self.b_vec)))
+        active = np.flatnonzero(self.b_vec - self.a_mat @ x <= self._active_tol)
         if active.size == 0:
             return float(grad @ grad), lam, active
-        from scipy.optimize import nnls
-
-        lam_act, rnorm = nnls(self.a_mat[active].T, -grad)
-        lam[active] = lam_act
-        return float(rnorm) ** 2, lam, active
+        dist_sq, lam[active] = _cone_distance(self.a_mat[active], grad)
+        return dist_sq, lam, active
 
     def project(self, v) -> np.ndarray:
         """Euclidean projection of ``v`` onto the polytope.
@@ -188,7 +188,8 @@ class Polytope:
         of rows that hold with equality at the projection, which is then
         the projection of ``v`` onto ``{x : A_W x = b_W}``, by one solve
         with the Gram matrix of ``A_W``.  A point inside is returned
-        unchanged.
+        unchanged.  In a sweep, the block's previous value first proposes
+        ``W`` (see :meth:`_project`).
 
         Raises
         ------
@@ -205,13 +206,19 @@ class Polytope:
             raise PreconditionError("projection target is not finite")
         return self._project(v)
 
-    def _project(self, v) -> np.ndarray:
-        """:meth:`project` of a finite float vector ``v`` of the set's dimension."""
+    def _project(self, v, near=None) -> np.ndarray:
+        """:meth:`project` of a finite float vector ``v`` of the set's dimension,
+        warm-started (Ferreau, Bock & Diehl, 2008) from ``near``, a point of the
+        set: NNLS runs only if its active rows fail as ``W`` (:meth:`_gram_step`)."""
         if self.is_box:
-            return np.clip(v, self.lower, self.upper)
+            return v.clip(self.lower, self.upper)
         h = self.a_mat @ v - self.b_vec
         if not (h > 0.0).any():
             return v.copy()
+        if near is not None:
+            guess = self.b_vec - self.a_mat @ near <= self._active_tol
+            if guess.any() and (x := self._gram_step(v, h, guess, True)) is not None:
+                return x
         from scipy.optimize import nnls
 
         e_last = np.zeros(self.dim + 1)
@@ -223,18 +230,33 @@ class Polytope:
         # ||r||^2 is 1 / (1 + (||x - v|| / max h)^2), or 0 if there is no x
         if 1.0 + rnorm * rnorm == 1.0:
             raise PreconditionError("projection onto an empty polytope")
-        working = u > 0.0
+        x = self._gram_step(v, h, u > 0.0, False)
+        # NNLS can miss an empty polytope whose gap is small next to v
+        tol = FEAS_TOL + 1e-12 * (1.0 + np.abs(v).max())
+        if (self.a_mat @ x - self.b_vec).max() > tol:
+            raise PreconditionError("projection onto an empty polytope")
+        return x
+
+    def _gram_step(self, v, h, working, guessed):
+        """``x = v - lam @ A_W``, ``W = working``, with ``lam`` from the Gram
+        matrix of ``A_W`` (``h = A v - b``; dependent rows by least squares).
+        A ``guessed`` ``W`` gives ``None`` (also for dependent rows) unless ``x``
+        meets the projection's KKT conditions: ``lam > 0``, and ``A x <= b`` and
+        ``A_W x = b_W`` within :data:`FEAS_TOL`."""
         a_w = self.a_mat[working]
         gram, rhs = a_w @ a_w.T, h[working]
         try:
             lam = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:  # dependent working rows
+            if guessed:
+                return None
             lam = np.linalg.lstsq(gram, rhs)[0]
         x = v - lam @ a_w
-        # NNLS can miss an empty polytope whose gap is small next to v
-        tol = FEAS_TOL + 1e-12 * (1.0 + np.abs(v).max())
-        if (self.a_mat @ x - self.b_vec).max() > tol:
-            raise PreconditionError("projection onto an empty polytope")
+        if guessed:
+            gap = self.a_mat @ x - self.b_vec
+            if not ((lam > 0.0).all() and gap.max() <= FEAS_TOL
+                    and np.abs(gap[working]).max() <= FEAS_TOL):
+                return None
         return x
 
     def chebyshev_center(self) -> np.ndarray:
@@ -244,24 +266,19 @@ class Polytope:
 
     def is_bounded(self) -> bool:
         """Check boundedness (finite extent along every coordinate)."""
-        if self.is_box:
-            return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
+        if self.is_box:  # finite bounds, by construction
+            return True
         # rows that bound one coordinate: a positive multiple of +e_j or -e_j
-        axis_rows = self.a_mat[(np.count_nonzero(self.a_mat, axis=1) == 1)
-                               & np.isfinite(self.b_vec)]
+        axis_rows = self.a_mat[np.count_nonzero(self.a_mat, axis=1) == 1]
         if np.all(np.any(axis_rows > 0, axis=0)) and np.all(np.any(axis_rows < 0, axis=0)):
             return True
         from scipy.optimize import linprog
 
-        for j in range(self.dim):
-            for sign in (1.0, -1.0):
-                c = np.zeros(self.dim)
-                c[j] = sign
-                res = linprog(c, A_ub=self.a_mat, b_ub=self.b_vec,
-                              bounds=[(None, None)] * self.dim)
-
-                if res.status == 3:  # unbounded
-                    return False
+        for c in np.vstack([np.eye(self.dim), -np.eye(self.dim)]):
+            res = linprog(c, A_ub=self.a_mat, b_ub=self.b_vec,
+                          bounds=[(None, None)] * self.dim)
+            if res.status == 3:  # unbounded
+                return False
         return True
 
 
@@ -308,6 +325,19 @@ def _box_cone_parts(x, grad, lower, upper):
     # nonnegative one, a coordinate at both bounds any gradient
     res = np.where((at_hi & (grad <= 0)) | (at_lo & (grad >= 0)), 0.0, grad)
     return at_hi, at_lo, res
+
+
+def _cone_distance(a_act, grad):
+    """Squared distance of ``-grad`` to the cone of the active rows ``a_act``
+    and the multipliers ``lam >= 0`` attaining it, by the one NNLS of every
+    normal-cone distance; ``ConvergenceError`` at the NNLS iteration cap."""
+    from scipy.optimize import nnls
+
+    try:
+        lam, rnorm = nnls(a_act.T, -grad)
+    except RuntimeError as exc:
+        raise ConvergenceError(f"normal-cone distance: {exc}") from exc
+    return float(rnorm) ** 2, lam
 
 
 def _row_dots(a, b) -> np.ndarray:
@@ -429,7 +459,7 @@ class BlockVector(_FlatParts):
         """Sup-norm distance, the inner loop's termination metric."""
         if self._dims != other._dims:
             raise StructureError("block layouts differ")
-        return float(np.max(np.abs(self._flat - other._flat), initial=0.0))
+        return float(np.abs(self._flat - other._flat).max(initial=0.0))
 
     def __repr__(self):
         return f"BlockVector(dims={self.block_dims})"
@@ -618,10 +648,12 @@ class NlpProblem:
 
     @cached_property
     def _stacked_rows(self):
-        """``(N, m, d)`` rows and ``(N, m)`` offsets of non-box sets of one shape."""
+        """``(N, m, d)`` rows, ``(N, m)`` offsets and ``(N, m)`` active-row
+        thresholds (:data:`ACTIVE_TOL`) of non-box sets of one shape."""
         sets = [a.feasible_set for a in self.agents]
         if not any(s.is_box for s in sets) and len({s.a_mat.shape for s in sets}) == 1:
-            return np.array([s.a_mat for s in sets]), np.array([s.b_vec for s in sets])
+            return (np.array([s.a_mat for s in sets]), np.array([s.b_vec for s in sets]),
+                    np.array([s._active_tol for s in sets]))
 
     def _violations(self, z: BlockVector) -> np.ndarray:
         """Every block's :meth:`Polytope.violation`, stacked (and bitwise the same)
@@ -713,7 +745,7 @@ def _checked(raw, shape, what, agent=None, outputs=None, rows=None):
         val = float(raw)
     else:
         val = np.asarray(raw, dtype=float)
-        if rows is None and shape:
+        if rows is None and shape and val.shape != shape:
             val = val.reshape(-1) if len(shape) == 1 else np.atleast_2d(val)
         if val.shape != shape:
             raise StructureError(f"{what.format(agent)} returned shape {val.shape}, "
@@ -748,21 +780,6 @@ def _coupling_constraint(problem, blocks, outputs=None):
     if coup.constraint is not None:
         return _checked(coup.constraint(blocks), (coup.constraint_dim,),
                         "coupling constraint", None, outputs)
-
-
-def _agent_jacobian(problem, x_i, i, outputs=None):
-    agent = problem.agents[i]
-    if agent.constraint is not None:
-        return _checked(agent.constraint_jac(x_i), (agent.constraint_dim, agent.dim),
-                        "agent {} constraint Jacobian", i, outputs)
-
-
-def _coupling_jacobian(problem, blocks, i, outputs=None):
-    coup = problem.coupling
-    if coup.constraint is not None:
-        return _checked(coup.constraint_block_jac(blocks, i),
-                        (coup.constraint_dim, problem.agents[i].dim),
-                        "coupling constraint Jacobian of block {}", i, outputs)
 
 
 def _constraints(problem, blocks):
@@ -814,25 +831,32 @@ def _block_gradient(problem, blocks, mu, rho, idx):
     coup, outputs, parts = problem.coupling, [], []
     g_val = _coupling_constraint(problem, blocks, outputs)
     for i in idx:
-        x_i, d = blocks[i], problem.agents[i].dim
+        agent, x_i, d = problem.agents[i], blocks[i], problem.block_dims[i]
+        m_i = agent.constraint_dim
         parts.append((
-            _checked(problem.agents[i].cost_grad(x_i), (d,), "agent {} cost gradient", i,
-                     outputs).copy(),
-            _agent_constraint(problem, x_i, i, outputs),
-            _agent_jacobian(problem, x_i, i, outputs),
-            None if coup.cost is None else _checked(coup.cost_block_grad(blocks, i), (d,),
-                                                    "coupling cost gradient of block {}", i,
-                                                    outputs),
-            _coupling_jacobian(problem, blocks, i, outputs)))
+            _checked(agent.cost_grad(x_i), (d,), "agent {} cost gradient", i, outputs),
+            None if agent.constraint is None else (
+                _checked(agent.constraint(x_i), (m_i,), "agent {} constraint", i, outputs),
+                _checked(agent.constraint_jac(x_i), (m_i, d),
+                         "agent {} constraint Jacobian", i, outputs)),
+            None if coup.cost is None else _checked(
+                coup.cost_block_grad(blocks, i), (d,), "coupling cost gradient of block {}",
+                i, outputs),
+            None if g_val is None else _checked(
+                coup.constraint_block_jac(blocks, i), (coup.constraint_dim, d),
+                "coupling constraint Jacobian of block {}", i, outputs)))
     _check_finite(outputs)
-    for i, (grad, f_val, f_jac, q_grad, g_jac) in zip(idx, parts):
-        if f_val is not None:
-            grad += f_jac.T @ (mu.part(i) + rho * f_val)
+    grads = []
+    for i, (grad, f_parts, q_grad, g_jac) in zip(idx, parts):
+        # out of place: the evaluator may own its output
+        if f_parts is not None:
+            grad = grad + f_parts[1].T @ (mu.part(i) + rho * f_parts[0])
         if q_grad is not None:
-            grad += q_grad
+            grad = grad + q_grad
         if g_jac is not None:
-            grad += g_jac.T @ (mu.coupling_part + rho * g_val)
-    return [grad for grad, *_ in parts]
+            grad = grad + g_jac.T @ (mu.coupling_part + rho * g_val)
+        grads.append(grad)
+    return grads
 
 
 def _block_gradients(problem, flat, mu, rho, idx):

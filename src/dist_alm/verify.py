@@ -6,11 +6,11 @@ gradient to the negative normal cone of the feasible polytope,
     d(0, grad L_rho(z, mu) + N_Z(z)),
 
 which is the inexactness the inner loop must drive below the outer loop's
-tolerance.  The per-block distance and the active rows come from
-``Polytope.normal_cone_distance``, which holds the active-row tolerance
-``ACTIVE_TOL``: boxes use the per-coordinate closed form; general polytopes
+tolerance.  Boxes use the per-coordinate closed form; general polytopes
 reconstruct inequality multipliers by nonnegative least squares on the
-active rows.  The remaining routines are deliberately simple, derivative-
+rows active by ``ACTIVE_TOL``, in one helper (``model._cone_distance``)
+for ``Polytope.normal_cone_distance`` and the residual's stacked pass.
+The remaining routines are deliberately simple, derivative-
 free or exhaustive, so they can serve as oracles for the solver itself;
 ``enumerate_projection`` is the reference for ``Polytope.project``, which
 solves one least-distance problem by nonnegative least squares.
@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError, RefusalError
+from .errors import ConfigurationError, ConvergenceError, PreconditionError, RefusalError
 from .model import (BlockVector, MultiplierEstimate, NlpProblem, Polytope,
-                    _agent_constraint, _agent_jacobian, _block_gradient,
-                    _block_gradients, _box_cone_parts, _constraints,
-                    _coupling_constraint, _coupling_jacobian, _objective,
-                    _row_dots)
+                    _agent_constraint, _block_gradient, _block_gradients,
+                    _box_cone_parts, _checked, _cone_distance, _constraints,
+                    _coupling_constraint, _objective, _row_dots)
 
 __all__ = [
     "KktReport",
@@ -83,19 +82,33 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
 
 def _residual_and_gradients(problem, z, mu, rho):
     """:func:`criticality_residual` and the gradients of every block it was
-    taken from (one ``_block_gradients`` call).  When every set is a box of
-    one dimension, the squared distances are the box closed form over the
-    ``(N, d)`` stack, each equal to the per-block value bitwise."""
+    taken from (one ``_block_gradients`` call).  Sets of one shape, all boxes
+    or none, are taken as one stack: boxes by the closed form, polytopes by one
+    product for every slack, then ``g @ g`` for a block without active rows,
+    else one NNLS (``_cone_distance``).  Each distance equals the per-block
+    ``normal_cone_distance`` bitwise; an NNLS failure names its agent."""
     problem.check_membership(z)
     grads = _block_gradients(problem, z.flat, mu, rho, np.arange(problem.n_agents))
-    boxes = problem._stacked_boxes
-    if boxes is None:
-        dists = [a.feasible_set.normal_cone_distance(x, g)[0]
-                 for a, x, g in zip(problem.agents, z.blocks, grads)]
-    else:
-        x = z.flat.reshape(problem.n_agents, -1)
-        _, _, res = _box_cone_parts(x, np.asarray(grads), *boxes)
-        dists = _row_dots(res, res).tolist()
+    boxes, rows = problem._stacked_boxes, problem._stacked_rows
+    try:
+        if boxes is not None:
+            x = z.flat.reshape(problem.n_agents, -1)
+            _, _, res = _box_cone_parts(x, np.asarray(grads), *boxes)
+            dists = _row_dots(res, res).tolist()
+        elif rows is not None:
+            a_mat, b_vec, active_tol = rows
+            x = z.flat.reshape(problem.n_agents, -1, 1)
+            active = b_vec - (a_mat @ x)[..., 0] <= active_tol
+            g = np.asarray(grads)
+            dists = _row_dots(g, g).tolist()
+            for i in np.flatnonzero(active.any(axis=1)).tolist():
+                dists[i] = _cone_distance(a_mat[i][active[i]], g[i])[0]
+        else:
+            dists = []
+            for i, (a, x, g) in enumerate(zip(problem.agents, z.blocks, grads)):
+                dists.append(a.feasible_set.normal_cone_distance(x, g)[0])
+    except ConvergenceError as exc:  # from the NNLS of agent i
+        raise ConvergenceError(f"agent {i}: {exc}") from exc
     total = 0.0
     for dist_sq in dists:  # in agent order
         total += dist_sq
@@ -188,14 +201,17 @@ def regularity_check(problem: NlpProblem, z: BlockVector,
     row = col = 0
     for i, agent in enumerate(problem.agents):
         if agent.constraint is not None:
-            jac[row:row + agent.constraint_dim, col:col + agent.dim] = \
-                _agent_jacobian(problem, blocks[i], i)
+            jac[row:row + agent.constraint_dim, col:col + agent.dim] = _checked(
+                agent.constraint_jac(blocks[i]), (agent.constraint_dim, agent.dim),
+                "agent {} constraint Jacobian", i)
             row += agent.constraint_dim
         col += agent.dim
     if problem.coupling.constraint is not None:
         col = 0
         for i, agent in enumerate(problem.agents):
-            jac[row:, col:col + agent.dim] = _coupling_jacobian(problem, blocks, i)
+            jac[row:, col:col + agent.dim] = _checked(
+                problem.coupling.constraint_block_jac(blocks, i), (problem.p, agent.dim),
+                "coupling constraint Jacobian of block {}", i)
             col += agent.dim
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:

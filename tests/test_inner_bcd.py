@@ -282,6 +282,34 @@ class TestPolytopeUpdate:
             bcd_sweep(problem, default_start(problem), MultiplierEstimate.zeros(problem),
                       10.0, InnerConfig(), [0], sweep_index=4, with_certificates=False)
 
+    def test_warm_sweeps_rarely_call_nnls(self, monkeypatch):
+        # each projection first guesses its working set from the block's
+        # previous value; only a failed guess runs NNLS
+        import scipy.optimize
+        nnls, project = scipy.optimize.nnls, Polytope._project
+        count = {"nnls": 0, "outside": 0}
+
+        def counting_nnls(*args):
+            count["nnls"] += 1
+            return nnls(*args)
+
+        def counting_project(self, v, near=None):
+            count["outside"] += bool((self.a_mat @ v > self.b_vec).any())
+            return project(self, v, near)
+
+        for seed in (1, 2, 3):
+            problem, z, mu = cut_chain(seed)
+            colors = color_interaction_graph(problem.coupling, problem.n_agents)
+            for sweep in range(22):
+                if sweep == 2:  # past the start at the Chebyshev centres
+                    monkeypatch.setattr("scipy.optimize.nnls", counting_nnls)
+                    monkeypatch.setattr(Polytope, "_project", counting_project)
+                z, _ = bcd_sweep(problem, z, mu, 0.1, InnerConfig(), colors,
+                                 sweep_index=sweep, with_certificates=False)
+            monkeypatch.undo()
+        assert count["outside"] >= 100
+        assert count["nnls"] < 0.25 * count["outside"]
+
 
 def with_hook(problem, hook):
     return dataclasses.replace(problem, block_gradients=hook)

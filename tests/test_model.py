@@ -296,6 +296,21 @@ class TestPolytope:
         np.testing.assert_array_equal(lam, [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(grad + box.a_mat.T @ lam, 0.0)
 
+    @pytest.mark.parametrize("bad", ["a nan", "b nan", "b inf", "b -inf"])
+    def test_non_finite_rows_rejected(self, bad):
+        # unchecked, a NaN row would pass is_bounded's axis-row shortcut and
+        # a non-finite offset would fail inside linprog
+        a_mat, b_vec = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+        where, value = bad.split()
+        (a_mat if where == "a" else b_vec)[1] = float(value)
+        with pytest.raises(StructureError, match="finite"):
+            Polytope(a_mat, b_vec)
+
+    def test_cone_distance_at_the_nnls_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
+        with pytest.raises(ConvergenceError, match="^normal-cone distance: Maximum"):
+            unit_simplex().normal_cone_distance(np.zeros(3), np.ones(3))
+
     def test_unbounded_polytope_rejected_in_problem(self):
         half_plane = Polytope(a_mat=np.array([[1.0, 0.0]]), b_vec=np.array([1.0]))
         with pytest.raises(StructureError):
@@ -369,6 +384,27 @@ class TestProjection:
         monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
         with pytest.raises(ConvergenceError, match="iterations"):
             poly.project(np.array([50.0, 50.0, 50.0]))
+
+    def test_dependent_guessed_rows_fall_back_to_nnls(self, monkeypatch):
+        # the row x_1 <= 1 of a square, twice: both copies are active at
+        # on_face and at cold, so the guessed Gram matrix is singular and
+        # NNLS takes over
+        square = Polytope.box(-np.ones(2), np.ones(2))
+        poly = Polytope(np.vstack([square.a_mat, square.a_mat[0]]),
+                        np.r_[square.b_vec, 1.0])
+        on_face, v = np.array([1.0, 0.0]), np.array([3.0, 0.5])
+        a_w = poly.a_mat[[0, 4]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a_w @ a_w.T, np.ones(2))
+        cold = poly._project(v)
+        import scipy.optimize
+        nnls, calls = scipy.optimize.nnls, []
+        monkeypatch.setattr("scipy.optimize.nnls",
+                            lambda *args: calls.append(1) or nnls(*args))
+        for near in (on_face, cold):
+            np.testing.assert_array_equal(poly._project(v, near), cold)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(cold, [1.0, 0.5])
 
     def test_dimension_mismatch(self):
         poly = self.cut_polytope()

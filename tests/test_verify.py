@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dist_alm import (AgentSpec, BlockVector, CouplingSpec, EvaluationError,
-                      MultiplierEstimate, NlpProblem, Polytope, PreconditionError,
-                      RefusalError, StructureError, ToyParams, brute_force_min,
-                      criticality_residual, enumerate_projection,
+from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
+                      EvaluationError, MultiplierEstimate, NlpProblem, Polytope,
+                      PreconditionError, RefusalError, StructureError, ToyParams,
+                      brute_force_min, criticality_residual, enumerate_projection,
                       fd_gradient_check, generate_toy, kkt_report,
                       regularity_check, solve_prox_qp)
 from dist_alm.bench import stiff_polytope_qp
+from dist_alm import verify
 from dist_alm.model import FEAS_TOL
-from conftest import (box_with_cuts, linear_agent, mu_like, one_agent_problem,
-                      quadratic_agent, site_problem, zvec)
+from conftest import (box_with_cuts, cut_chain, linear_agent, mu_like, nnls_at_cap,
+                      one_agent_problem, quadratic_agent, site_problem, zvec)
 
 
 def gradient_probe_problem(c_vec, lo, hi):
@@ -433,3 +434,133 @@ class TestEnumerationOracle:
         np.testing.assert_allclose(poly.a_mat[[2, 4]] @ x, poly.b_vec[[2, 4]],
                                    rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(x, poly.project(v), rtol=0.0, atol=1e-15)
+
+
+def enumeration_cases():
+    """``(poly, v, bound)`` of the two stress tests of ``TestEnumerationOracle``,
+    drawn as they draw them: 300 cut polytopes (their oracle bound 1e-10),
+    then 400 degenerate vertices (``1e-12 (1 + |v|)``)."""
+    rng = np.random.default_rng(11)
+    box = Polytope.box(-1.2 * np.ones(3), 1.2 * np.ones(3))
+    for k in range(300):
+        poly = box_with_cuts(box, rng)
+        base = poly.chebyshev_center()
+        if k % 2:
+            base = poly.project(base + rng.uniform(-5, 5, 3))
+        direction = rng.standard_normal(3)
+        v = base + 10.0 ** rng.uniform(-3, 3) * direction / np.linalg.norm(direction)
+        yield poly, v, 1e-10
+    rng = np.random.default_rng(23)
+    for k in range(400):
+        d = 2 + k % 4
+        box = Polytope.box(-np.ones(d), np.ones(d))
+        normals = rng.standard_normal((1 + k % 2, d))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        a_mat = np.vstack([box.a_mat, normals])
+        b_vec = np.concatenate([box.b_vec, np.abs(normals).sum(axis=1)])
+        rows = rng.integers(len(b_vec), size=2)
+        scale = np.array([10.0 ** rng.uniform(-3, 3), 1.0])
+        poly = Polytope(np.vstack([a_mat, scale[:, None] * a_mat[rows]]),
+                        np.concatenate([b_vec, scale * b_vec[rows]]))
+        direction = rng.standard_normal(d)
+        v = 10.0 ** rng.uniform(-3, 6) * direction / np.linalg.norm(direction)
+        yield poly, v, 1e-12 * (1.0 + np.max(np.abs(v)))
+
+
+class TestWarmStartedProjection:
+    """``Polytope._project(v, near)``: the working set guessed from ``near``."""
+
+    def test_agrees_with_the_oracle_and_the_cold_projection(self, monkeypatch):
+        calls = []  # (working rows, guessed, accepted) of each Gram step
+        gram_step = Polytope._gram_step
+
+        def recording(self, v, h, working, guessed):
+            x = gram_step(self, v, h, working, guessed)
+            calls.append((working, guessed, x is not None))
+            return x
+
+        monkeypatch.setattr(Polytope, "_gram_step", recording)
+        rng = np.random.default_rng(3)
+        outside = accepted = same_rows = 0
+        for poly, v, bound in enumeration_cases():
+            calls.clear()
+            cold = poly._project(v)
+            if not calls:  # v inside
+                continue
+            outside += 1
+            cold_rows = calls[-1][0]
+            oracle = enumerate_projection(poly, v)
+            # boundary points: the projection itself and that of a far point
+            far = rng.standard_normal(poly.dim)
+            for near in (cold, poly.project(10.0 * far / np.linalg.norm(far))):
+                calls.clear()
+                x = poly._project(v, near)
+                assert np.max(np.abs(x - oracle)) <= bound
+                assert poly.violation(x) <= max(bound, FEAS_TOL)
+                accepted += calls[0][1] and calls[0][2]
+                if np.array_equal(calls[-1][0], cold_rows):
+                    same_rows += 1
+                    np.testing.assert_array_equal(x, cold)
+                else:
+                    assert np.max(np.abs(x - cold)) <= 1e-12 * (1.0 + np.max(np.abs(v)))
+        # 471 targets outside; 318 first guesses kept; 937 of 942 equal bitwise
+        assert outside > 400
+        assert accepted > 0.5 * outside and same_rows > 1.9 * outside
+
+
+class TestStackedConePass:
+    """The criticality residual of cut chains: one stacked product for every
+    slack, NNLS only for agents with active rows."""
+
+    @staticmethod
+    def points(problem, rng):
+        """Per agent, the Chebyshev centre or the projection of a point
+        around it, on a face, edge or vertex, or moved from there towards
+        the centre by a slack within or beyond ``ACTIVE_TOL``; with each
+        block's number of active rows."""
+        blocks, counts = [], []
+        for agent in problem.agents:
+            poly = agent.feasible_set
+            x = centre = poly.chebyshev_center()
+            if rng.random() < 0.75:
+                direction = rng.standard_normal(3)
+                x = poly.project(x + 10.0 ** rng.uniform(-0.5, 1.5) * direction)
+                x = x + rng.choice([0.0, 1e-10, 1e-6]) * (centre - x)
+            blocks.append(x)
+            counts.append(poly.normal_cone_distance(x, np.zeros(3))[2].size)
+        return BlockVector(blocks), counts
+
+    def test_equals_the_per_agent_distances_bitwise(self):
+        seen = set()
+        for seed in range(1, 5):
+            problem, _, _ = cut_chain(seed)
+            assert problem._stacked_rows is not None
+            rng = np.random.default_rng(seed)
+            for _ in range(10):
+                z, counts = self.points(problem, rng)
+                mu = mu_like(problem, rng.standard_normal(problem.r))
+                rho = 10.0 ** rng.uniform(-1, 2)
+                residual, grads = verify._residual_and_gradients(problem, z, mu, rho)
+                total = 0.0
+                for agent, x, g in zip(problem.agents, z.blocks, grads):
+                    total += agent.feasible_set.normal_cone_distance(x, g)[0]
+                assert residual == float(np.sqrt(total))
+                seen.update(min(c, 3) for c in counts)
+        assert seen == {0, 1, 2, 3}  # interior, face, edge, vertex
+
+    def test_nnls_cap_names_the_agent(self, monkeypatch):
+        problem, z0, mu0 = cut_chain(2)
+        blocks = list(z0.blocks)
+        poly = problem.agents[3].feasible_set
+        blocks[3] = poly.project(blocks[3] + 10.0)
+        z = BlockVector(blocks)
+        # the stacked pass, then the per-agent one of a mixed problem
+        box = dataclasses.replace(problem.agents[0], feasible_set=Polytope.box(
+            -10.0 * np.ones(3), 10.0 * np.ones(3)))
+        mixed = NlpProblem(agents=(box, *problem.agents[1:]), coupling=problem.coupling)
+        assert mixed._stacked_rows is None
+        monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
+        for p in (problem, mixed):
+            with pytest.raises(ConvergenceError,
+                               match="^agent 3: normal-cone distance: Maximum"):
+                criticality_residual(p, z, mu0, 1.0)
