@@ -17,14 +17,15 @@ else solve one least-distance problem by nonnegative least squares
 (:meth:`~dist_alm.model.Polytope.project`).  Every block therefore stays
 inside its polytope up to rounding.
 
-One kernel serves every configuration.  Classes are split by block
-dimension, so each holds ``(K, d)`` arrays.  Per class the kernel takes one
-batched gradient (one call of the problem's ``block_gradients`` hook when
-there is one, see :class:`~dist_alm.model.NlpProblem`), one step size per
-agent, and one clip when the class's sets are boxes, else one projection
-per agent.  The hooks must agree with the problem's ``agents`` and
-``coupling``; ``dataclasses.replace(problem, agents=...)`` keeps the old
-hooks.
+One kernel serves every configuration.  A colour class is the members of
+one colour in one set group of the problem (boxes of one dimension, or
+other polytopes of one row shape), so each holds ``(K, d)`` arrays.  Per
+class the kernel takes one batched gradient (one call of the problem's
+``block_gradients`` hook when there is one, see
+:class:`~dist_alm.model.NlpProblem`), one step size per agent, and one clip
+for a class of boxes, else one projection per agent.  The hooks must agree
+with the problem's ``agents`` and ``coupling``;
+``dataclasses.replace(problem, agents=...)`` keeps the old hooks.
 
 Every sweep can emit a certificate with, per agent, the two sides of the
 sufficient-decrease inequality and of the relative-error bound
@@ -294,7 +295,7 @@ def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
     """
     points = _agent_samples(problem, cfg.c_source.init_samples)
     best = np.zeros(problem.n_agents)
-    for idx, pos, _, _ in _color_classes(problem, _coloring(problem)):
+    for idx, pos, *_ in _color_classes(problem, _coloring(problem)):
         k, d = pos.shape
         x = np.stack([points[i] for i in idx.tolist()], axis=1)  # (samples, k, d)
         step = 1e-5 * (1.0 + np.abs(x))
@@ -337,49 +338,35 @@ def _coloring(problem) -> np.ndarray:
 
 
 def _color_classes(problem, coloring) -> tuple:
-    """Colour classes, each split by block dimension, with stacked box bounds.
-
-    Each class is ``(idx, pos, lower, upper)``: its agent indices in
-    ascending order, the ``(len(idx), d)`` positions of their blocks in the
-    flat point and, when the class's sets are boxes, their stacked bounds
-    (else ``None``); classes in ascending colour, then dimension.  Built on
-    first use and kept with the problem for the last coloring seen.
+    """Colour classes: per colour, ascending, its members in each set group
+    of the problem (``NlpProblem._set_groups``, in their order), each class
+    a ``model._SetGroup`` (agents ascending, block positions, stacked box
+    bounds or rows).  Built on first use and kept with the problem for the
+    last coloring seen.
     """
     key = coloring.tobytes()
     seen, classes = problem._sweep_cache.get("classes", (None, None))
     if seen != key:
-        dims = np.array(problem.block_dims)
-        starts = np.concatenate([[0], np.cumsum(dims[:-1])])
-        classes = []
-        for color in np.unique(coloring):
-            for d in np.unique(dims[coloring == color]):
-                idx = np.flatnonzero((coloring == color) & (dims == d))
-                pos = starts[idx][:, None] + np.arange(d)
-                sets = [problem.agents[i].feasible_set for i in idx]
-                if all(s.is_box for s in sets):
-                    classes.append((idx, pos, np.array([s.lower for s in sets]),
-                                    np.array([s.upper for s in sets])))
-                else:
-                    classes.append((idx, pos, None, None))
-        classes = tuple(classes)
+        classes = tuple(group.take(members)
+                        for color in np.unique(coloring) for group in problem._set_groups
+                        if (members := coloring[group.idx] == color).any())
         problem._sweep_cache["classes"] = (key, classes)
     return classes
 
 
 def _solve_rows(problem, cls, rows, x_old, grad, m_diag, sweep):
-    """Block minimisers of the agents ``cls[0][rows]`` from ``x_old``.
+    """Block minimisers of the agents ``cls.idx[rows]`` from ``x_old``.
 
     Row ``k`` is the projection of ``x_old[k] - grad[k] / m_diag`` (see
     :func:`_b_scales`) onto its agent's polytope: a clip for a class of
     boxes, else a projection warm-started from ``x_old[k]``.
     """
-    idx, _, lower, upper = cls
     target = x_old - grad / m_diag
-    if lower is not None:
-        return target.clip(lower[rows], upper[rows])
+    if cls.lower is not None:
+        return target.clip(cls.lower[rows], cls.upper[rows])
     if not np.isfinite(target).all():
         raise PreconditionError("projection target is not finite")
-    for k, i in enumerate(idx[rows].tolist()):
+    for k, i in enumerate(cls.idx[rows].tolist()):
         try:
             target[k] = problem.agents[i].feasible_set._project(target[k], x_old[k])
         except ConvergenceError as exc:
@@ -405,7 +392,7 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
     ``_block_gradients`` call at the snapshot with the members moved.
     ``cert`` (or ``None``) receives the per-agent certificate values.
     """
-    idx, pos = cls[0], cls[1]
+    idx, pos = cls.idx, cls.pos
     band = isinstance(cfg.b_strategy, HessianBand)
     if value_old is None:
         value_old = np.add(*_block_values(problem, flat, mu, rho, idx))
@@ -474,8 +461,8 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
 
     Blocks inside one color class read the same frozen snapshot (they do
     not interact) and are updated together: one batched gradient, one step
-    size per agent, and one clip when the class's sets are boxes (else one
-    projection per agent, warm-started from its block).  With certificates, or
+    size per agent, and one clip for a class of boxes (else one projection
+    per agent, warm-started from its block).  With certificates, or
     under a banded surrogate, the class's steps are then checked against
     the snapshot together, which needs the curvature bounds.  Classes are
     applied in ascending color order, which realises a Gauss-Seidel pass
@@ -516,7 +503,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
 
     grads, terms = at.grads, at.terms  # at z: the first class's snapshot
     for cls in classes:
-        idx, pos = cls[0], cls[1]
+        idx, pos = cls.idx, cls.pos
         grad = np.asarray(_block_gradients(problem, view, mu, rho, idx) if grads is None
                           else [grads[i] for i in idx.tolist()])
         m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + cfg.alpha_min
@@ -562,7 +549,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     residual = math.nan
     boundary = _Boundary()
     if eps_target is not None:
-        residual, boundary.grads = _residual_and_gradients(problem, z, mu, rho)
+        residual, boundary.grads, _ = _residual_and_gradients(problem, z, mu, rho)
         if residual <= eps_target:
             return InnerResult(z, 0, [], True, False, residual, 0.0)
 
@@ -581,7 +568,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
         if cert is not None:
             certificates.append(cert)
         if eps_target is not None:
-            residual, boundary.grads = _residual_and_gradients(problem, z, mu, rho)
+            residual, boundary.grads, _ = _residual_and_gradients(problem, z, mu, rho)
             if residual <= eps_target:
                 achieved = True
                 break

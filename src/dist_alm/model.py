@@ -18,7 +18,10 @@ coupling term ``Q + mu_G @ G + (rho/2) ||G||^2``, which the inner loop's
 block certificates telescope; the oracles in ``verify`` keep the form above.
 
 Only the equality constraints are penalised; the polytopes stay as hard
-constraints on every subproblem.  Agent indices are 0-based throughout.
+constraints on every subproblem.  Membership and normal-cone distances take
+one stacked kernel call per group of sets of one kind and shape
+(``_SetGroup``), for one set as for all blocks.  Agent indices are 0-based
+throughout.
 
 Evaluators are plain callables returning values and first derivatives; they
 must be pure functions of their inputs.  Problem objects are immutable after
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -125,19 +128,13 @@ class Polytope:
 
     def violation(self, x) -> float:
         """Largest constraint violation ``max(A x - b)`` (<= 0 inside)."""
-        x = self._point(x)
-        if self.is_box:
-            return float(
-                max(np.max(x - self.upper, initial=-np.inf),
-                    np.max(self.lower - x, initial=-np.inf))
-            )
-        return float(np.max(self.a_mat @ x - self.b_vec, initial=-np.inf))
+        return float(self._group.violations(self._point(x)[None])[0])
 
-    def _point(self, x) -> np.ndarray:
-        x = _as_float_vector(x, "point")
+    def _point(self, x, name="point") -> np.ndarray:
+        x = _as_float_vector(x, name)
         if x.shape[0] != self.dim:
             raise StructureError(
-                f"point has dimension {x.shape[0]}, polytope expects {self.dim}"
+                f"{name} has dimension {x.shape[0]}, polytope expects {self.dim}"
             )
         return x
 
@@ -146,9 +143,9 @@ class Polytope:
         return self.violation(x) <= FEAS_TOL
 
     @cached_property
-    def _active_tol(self) -> np.ndarray:
-        """Per row, the largest slack of an active row (:data:`ACTIVE_TOL`)."""
-        return ACTIVE_TOL * (1.0 + np.abs(self.b_vec))
+    def _group(self) -> "_SetGroup":
+        """The set alone, a group of one (for :meth:`normal_cone_distance` too)."""
+        return _SetGroup.of([self])
 
     def normal_cone_distance(self, x, grad):
         """Squared distance of ``-grad`` to the normal cone at ``x``.
@@ -156,26 +153,13 @@ class Polytope:
         Returns ``(dist_sq, row_multipliers, active_rows)``: the value of
         ``min_{v in N(x)} ||grad + v||^2``, one multiplier per row (zero on
         inactive rows) and the ascending indices of the active rows (see
-        :data:`ACTIVE_TOL`).  Boxes use the per-coordinate closed form;
-        other polytopes solve nonnegative least squares on the active rows
-        (:func:`_cone_distance`).  ``x`` is taken to be feasible.
+        :data:`ACTIVE_TOL`), from :meth:`_SetGroup.cone_parts`.  ``x`` is
+        taken to be feasible; ``x`` and ``grad`` of another length than the
+        set's dimension raise ``StructureError``.
         """
-        x = np.asarray(x, dtype=float)
-        grad = np.asarray(grad, dtype=float)
-        if self.is_box:
-            at_hi, at_lo, res = _box_cone_parts(x, grad, self.lower, self.upper)
-            # the active row whose multiplier cancels grad takes it (rows j and
-            # dim + j are the upper and lower bound of coordinate j)
-            push = np.concatenate([-grad, grad])
-            at = np.concatenate([at_hi, at_lo])
-            lam = np.where(at & (push > 0), push, 0.0)
-            return float(res @ res), lam, np.flatnonzero(at)
-        lam = np.zeros(self.n_rows)
-        active = np.flatnonzero(self.b_vec - self.a_mat @ x <= self._active_tol)
-        if active.size == 0:
-            return float(grad @ grad), lam, active
-        dist_sq, lam[active] = _cone_distance(self.a_mat[active], grad)
-        return dist_sq, lam, active
+        dist_sq, lam, active = self._group.cone_parts(self._point(x)[None],
+                                                      self._point(grad, "gradient")[None])
+        return float(dist_sq[0]), lam[0], np.flatnonzero(active[0])
 
     def project(self, v) -> np.ndarray:
         """Euclidean projection of ``v`` onto the polytope.
@@ -216,7 +200,7 @@ class Polytope:
         if not (h > 0.0).any():
             return v.copy()
         if near is not None:
-            guess = self.b_vec - self.a_mat @ near <= self._active_tol
+            guess = self.b_vec - self.a_mat @ near <= self._group.active_tol[0]
             if guess.any() and (x := self._gram_step(v, h, guess, True)) is not None:
                 return x
         from scipy.optimize import nnls
@@ -311,33 +295,86 @@ def _chebyshev_centers(polytopes) -> list:
             for p in polytopes]
 
 
-def _box_cone_parts(x, grad, lower, upper):
-    """Elementwise box closed form of :meth:`Polytope.normal_cone_distance`.
+class _SetGroup(NamedTuple):
+    """``k`` polytopes of one kind and shape, stacked, with the two kernels
+    of every membership and normal-cone question about them.
 
-    Returns the masks of coordinates at their upper and at their lower
-    bound (see :data:`ACTIVE_TOL`) and the residual ``grad + v`` of the
-    nearest ``v`` in the normal cone.  The arrays may hold one block or a
-    stack of blocks, with bounds of the same shape.
+    Every group keeps its ``(k, m)`` offsets ``b_vec`` and active-row
+    slacks ``active_tol`` (:data:`ACTIVE_TOL`).  Boxes of one dimension
+    ``d`` (``m = 2 d``) also keep their ``(k, d)`` bounds ``lower`` and
+    ``upper``, other sets of one row shape ``(m, d)`` their rows ``a_mat``.
+    ``idx`` are the members' agents, ascending, and ``pos`` the ``(k, d)``
+    positions of their blocks in the flat point (both ``None`` for a set
+    alone, :attr:`Polytope._group`).  Row ``k`` of a kernel's output is
+    member ``k``'s, bitwise that of its group of one.
     """
-    at_hi = x >= upper - ACTIVE_TOL * (1.0 + np.abs(upper))
-    at_lo = x <= lower + ACTIVE_TOL * (1.0 + np.abs(lower))
-    # an upper bound absorbs a nonpositive gradient, a lower bound a
-    # nonnegative one, a coordinate at both bounds any gradient
-    res = np.where((at_hi & (grad <= 0)) | (at_lo & (grad >= 0)), 0.0, grad)
-    return at_hi, at_lo, res
 
+    idx: Optional[np.ndarray]
+    pos: Optional[np.ndarray]
+    lower: Optional[np.ndarray]
+    upper: Optional[np.ndarray]
+    a_mat: Optional[np.ndarray]
+    b_vec: np.ndarray
+    active_tol: np.ndarray
 
-def _cone_distance(a_act, grad):
-    """Squared distance of ``-grad`` to the cone of the active rows ``a_act``
-    and the multipliers ``lam >= 0`` attaining it, by the one NNLS of every
-    normal-cone distance; ``ConvergenceError`` at the NNLS iteration cap."""
-    from scipy.optimize import nnls
+    @classmethod
+    def of(cls, sets, idx=None, pos=None) -> "_SetGroup":
+        """The group of ``sets``, all boxes of one dimension or none of one shape."""
+        b_vec = np.array([s.b_vec for s in sets])
+        rows = ((np.array([s.lower for s in sets]), np.array([s.upper for s in sets]), None)
+                if sets[0].is_box else (None, None, np.array([s.a_mat for s in sets])))
+        return cls(idx, pos, *rows, b_vec, ACTIVE_TOL * (1.0 + np.abs(b_vec)))
 
-    try:
-        lam, rnorm = nnls(a_act.T, -grad)
-    except RuntimeError as exc:
-        raise ConvergenceError(f"normal-cone distance: {exc}") from exc
-    return float(rnorm) ** 2, lam
+    def take(self, rows) -> "_SetGroup":
+        """The group of the members ``rows`` (a mask or an index array)."""
+        return _SetGroup(*(None if v is None else v[rows] for v in self))
+
+    def _ax(self, x) -> np.ndarray:
+        """``A x`` of every member at its row of ``x``; exactly ``[x, -x]`` on boxes."""
+        if self.a_mat is None:
+            return np.concatenate([x, -x], axis=1)
+        return (self.a_mat @ x[..., None])[..., 0]
+
+    def violations(self, x) -> np.ndarray:
+        """Every member's ``max(A x - b)`` at its row of the ``(k, d)`` ``x``."""
+        return np.max(self._ax(x) - self.b_vec, axis=1, initial=-np.inf)
+
+    def cone_parts(self, x, grad):
+        """Every member's squared distance of ``-grad`` to the normal cone at
+        ``x`` (rows of ``(k, d)`` arrays, ``x`` feasible), ``(k,)``, the row
+        multipliers attaining it and the mask of active rows, ``(k, m)``.
+
+        Boxes take the closed form (rows ``j`` and ``d + j`` bound
+        coordinate ``j`` above and below).  Other sets take every slack from
+        one product; a member without active rows has distance ``g @ g``,
+        the others one NNLS on their active rows, which raises
+        ``ConvergenceError`` naming the agent at its iteration cap.
+        """
+        if self.a_mat is None:
+            d = x.shape[1]
+            # the bound moved inwards, not the slack test: box residuals keep their bits
+            active = self._ax(x) >= self.b_vec - self.active_tol
+            # an active bound absorbs a gradient that pushes against it (a
+            # coordinate at both bounds any gradient), and its multiplier
+            # cancels that gradient
+            push = np.concatenate([-grad, grad], axis=1)
+            takes = active & (push >= 0)
+            res = np.where(takes[:, :d] | takes[:, d:], 0.0, grad)
+            return _row_dots(res, res), np.where(active & (push > 0), push, 0.0), active
+        from scipy.optimize import nnls
+
+        active = self.b_vec - self._ax(x) <= self.active_tol
+        dist_sq, lam, solved = _row_dots(grad, grad), np.zeros(active.shape), []
+        for k in np.flatnonzero(active.any(axis=1)).tolist():
+            try:
+                lam_k, rnorm = nnls(self.a_mat[k][active[k]].T, -grad[k])
+            except RuntimeError as exc:
+                who = "" if self.idx is None else f"agent {self.idx[k]}: "
+                raise ConvergenceError(f"{who}normal-cone distance: {exc}") from exc
+            dist_sq[k] = float(rnorm) ** 2
+            solved.append(lam_k)
+        lam[active] = np.concatenate([np.zeros(0), *solved])  # row-major, as solved
+        return dist_sq, lam, active
 
 
 def _row_dots(a, b) -> np.ndarray:
@@ -610,15 +647,6 @@ class NlpProblem:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
-    @cached_property
-    def _stacked_boxes(self):
-        """``(N, d)`` lower and upper bounds when every set is a box of one
-        dimension ``d``, else ``None``."""
-        sets = [a.feasible_set for a in self.agents]
-        if len(set(self.block_dims)) != 1 or not all(s.is_box for s in sets):
-            return None
-        return np.array([s.lower for s in sets]), np.array([s.upper for s in sets])
-
     @property
     def constraint_dims(self) -> tuple:
         return tuple(a.constraint_dim for a in self.agents)
@@ -647,27 +675,25 @@ class NlpProblem:
                 f"multiplier has dimension {mu.total_dim}, expected r={self.r}")
 
     @cached_property
-    def _stacked_rows(self):
-        """``(N, m, d)`` rows, ``(N, m)`` offsets and ``(N, m)`` active-row
-        thresholds (:data:`ACTIVE_TOL`) of non-box sets of one shape."""
-        sets = [a.feasible_set for a in self.agents]
-        if not any(s.is_box for s in sets) and len({s.a_mat.shape for s in sets}) == 1:
-            return (np.array([s.a_mat for s in sets]), np.array([s.b_vec for s in sets]),
-                    np.array([s._active_tol for s in sets]))
+    def _set_groups(self) -> tuple:
+        """The agents' sets as :class:`_SetGroup` s: boxes of one dimension,
+        or other polytopes of one row shape, in the order of their first agent."""
+        members = {}
+        for i, agent in enumerate(self.agents):
+            s = agent.feasible_set
+            members.setdefault((s.is_box, s.a_mat.shape), []).append(i)
+        starts = np.array(_partition(self.block_dims)[1])
+        return tuple(_SetGroup.of([self.agents[i].feasible_set for i in idx], np.array(idx),
+                                  starts[idx][:, None] + np.arange(self.block_dims[idx[0]]))
+                     for idx in members.values())
 
     def _violations(self, z: BlockVector) -> np.ndarray:
-        """Every block's :meth:`Polytope.violation`, stacked (and bitwise the same)
-        when the sets are boxes of one dimension or non-box sets of one shape."""
+        """Every block's :meth:`Polytope.violation`, one kernel call per set group."""
         self.check_block_structure(z)
-        boxes, rows = self._stacked_boxes, self._stacked_rows
-        if boxes is None and rows is None:
-            return np.array([a.feasible_set.violation(b)
-                             for a, b in zip(self.agents, z.blocks)])
-        x = z.flat.reshape(self.n_agents, -1)
-        if boxes is None:
-            return np.max((rows[0] @ x[..., None])[..., 0] - rows[1], 1, initial=-np.inf)
-        return np.maximum(np.max(x - boxes[1], axis=1, initial=-np.inf),
-                          np.max(boxes[0] - x, axis=1, initial=-np.inf))
+        viol = np.empty(self.n_agents)
+        for group in self._set_groups:
+            viol[group.idx] = group.violations(z.flat[group.pos])
+        return viol
 
     def check_membership(self, z: BlockVector):
         """Raise ``PreconditionError`` naming the first block of ``z`` that

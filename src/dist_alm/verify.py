@@ -6,10 +6,12 @@ gradient to the negative normal cone of the feasible polytope,
     d(0, grad L_rho(z, mu) + N_Z(z)),
 
 which is the inexactness the inner loop must drive below the outer loop's
-tolerance.  Boxes use the per-coordinate closed form; general polytopes
-reconstruct inequality multipliers by nonnegative least squares on the
-rows active by ``ACTIVE_TOL``, in one helper (``model._cone_distance``)
-for ``Polytope.normal_cone_distance`` and the residual's stacked pass.
+tolerance.  It is taken by one kernel call per set group of the problem
+(sets of one kind and shape, ``model._SetGroup``), the kernel that
+``Polytope.normal_cone_distance`` runs on a group of one: boxes use the
+per-coordinate closed form, other polytopes reconstruct the inequality
+multipliers by nonnegative least squares on the rows active by
+``ACTIVE_TOL``.  ``kkt_report`` reads its multipliers from the same pass.
 The remaining routines are deliberately simple, derivative-
 free or exhaustive, so they can serve as oracles for the solver itself;
 ``enumerate_projection`` is the reference for ``Polytope.project``, which
@@ -25,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, PreconditionError, RefusalError
+from .errors import ConfigurationError, PreconditionError, RefusalError
 from .model import (BlockVector, MultiplierEstimate, NlpProblem, Polytope,
-                    _agent_constraint, _block_gradient, _block_gradients,
-                    _box_cone_parts, _checked, _cone_distance, _constraints,
-                    _coupling_constraint, _objective, _row_dots)
+                    _agent_constraint, _block_gradient, _block_gradients, _checked,
+                    _constraints, _coupling_constraint, _objective)
 
 __all__ = [
     "KktReport",
@@ -81,60 +82,43 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
 
 
 def _residual_and_gradients(problem, z, mu, rho):
-    """:func:`criticality_residual` and the gradients of every block it was
-    taken from (one ``_block_gradients`` call).  Sets of one shape, all boxes
-    or none, are taken as one stack: boxes by the closed form, polytopes by one
-    product for every slack, then ``g @ g`` for a block without active rows,
-    else one NNLS (``_cone_distance``).  Each distance equals the per-block
-    ``normal_cone_distance`` bitwise; an NNLS failure names its agent."""
+    """:func:`criticality_residual`, the gradients of every block it was taken
+    from (one ``_block_gradients`` call) and, per set group of the problem
+    (``NlpProblem._set_groups``), the row multipliers and active-row masks
+    of ``_SetGroup.cone_parts``, which gives every distance."""
     problem.check_membership(z)
     grads = _block_gradients(problem, z.flat, mu, rho, np.arange(problem.n_agents))
-    boxes, rows = problem._stacked_boxes, problem._stacked_rows
-    try:
-        if boxes is not None:
-            x = z.flat.reshape(problem.n_agents, -1)
-            _, _, res = _box_cone_parts(x, np.asarray(grads), *boxes)
-            dists = _row_dots(res, res).tolist()
-        elif rows is not None:
-            a_mat, b_vec, active_tol = rows
-            x = z.flat.reshape(problem.n_agents, -1, 1)
-            active = b_vec - (a_mat @ x)[..., 0] <= active_tol
-            g = np.asarray(grads)
-            dists = _row_dots(g, g).tolist()
-            for i in np.flatnonzero(active.any(axis=1)).tolist():
-                dists[i] = _cone_distance(a_mat[i][active[i]], g[i])[0]
-        else:
-            dists = []
-            for i, (a, x, g) in enumerate(zip(problem.agents, z.blocks, grads)):
-                dists.append(a.feasible_set.normal_cone_distance(x, g)[0])
-    except ConvergenceError as exc:  # from the NNLS of agent i
-        raise ConvergenceError(f"agent {i}: {exc}") from exc
+    dists, cones = np.empty(problem.n_agents), []
+    for group in problem._set_groups:
+        g = (grads[group.idx] if isinstance(grads, np.ndarray)  # from the hook
+             else np.array([grads[i] for i in group.idx.tolist()]))
+        dist_sq, lam, active = group.cone_parts(z.flat[group.pos], g)
+        dists[group.idx] = dist_sq
+        cones.append((lam, active))
     total = 0.0
-    for dist_sq in dists:  # in agent order
+    for dist_sq in dists.tolist():  # in agent order
         total += dist_sq
-    return float(np.sqrt(total)), grads
+    return float(np.sqrt(total)), grads, cones
 
 
 def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
                rho: float, rank_tol: float = 1e-8) -> KktReport:
     """Assemble stationarity, feasibility, multipliers and regularity.
 
-    ``stationarity`` equals :func:`criticality_residual`; ``z`` must lie in
-    the polytope up to ``model.FEAS_TOL``.
+    ``stationarity`` equals :func:`criticality_residual`, and the
+    multipliers and active rows come from the same normal-cone pass; ``z``
+    must lie in the polytope up to ``model.FEAS_TOL``.
     """
-    stationarity, grads = _residual_and_gradients(problem, z, mu, rho)
-    lams, actives = [], []
-    offset = 0
-    for agent, x, grad in zip(problem.agents, z.blocks, grads):
-        _, lam, active = agent.feasible_set.normal_cone_distance(x, grad)
-        lams.append(lam)
-        actives.append(offset + active)
-        offset += lam.shape[0]
+    stationarity, _, cones = _residual_and_gradients(problem, z, mu, rho)
+    lams, masks = [None] * problem.n_agents, [None] * problem.n_agents  # agent order
+    for group, (lam, active) in zip(problem._set_groups, cones):
+        for k, i in enumerate(group.idx.tolist()):
+            lams[i], masks[i] = lam[k], active[k]
     h_val = _constraints(problem, list(z.blocks))
     return KktReport(
         stationarity=stationarity,
         feasibility_inf=float(np.max(np.abs(h_val), initial=0.0)),
-        active_rows=np.concatenate(actives),
+        active_rows=np.flatnonzero(np.concatenate(masks)),
         multipliers=np.concatenate(lams),
         regular=regularity_check(problem, z, rank_tol),
     )
@@ -152,13 +136,14 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
                       h: float = 1e-6) -> float:
     """Worst relative error of the block gradients vs central differences.
 
-    The step is scaled per coordinate as ``h * (1 + |z_j|)``; every
-    perturbed point must stay inside the polytope, otherwise the interior
-    margin precondition is violated (membership up to ``model.FEAS_TOL``).
+    The step ``h`` (finite, positive) is scaled per coordinate as ``h * (1 +
+    |z_j|)``; every perturbed point must stay inside the polytope, otherwise
+    the interior margin precondition is violated (membership up to
+    ``model.FEAS_TOL``).
     """
     problem.check_block_structure(z)
-    if h <= 0:
-        raise PreconditionError("step must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise PreconditionError(f"step must be finite and positive, got {h}")
     blocks = list(z.blocks)
     worst = 0.0
     for i, agent in enumerate(problem.agents):
@@ -263,8 +248,8 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
         raise RefusalError(
             f"brute force is limited to 4 variables, problem has {problem.total_dim}"
         )
-    if grid_step <= 0:
-        raise PreconditionError("grid step must be positive")
+    if not (grid_step > 0 and math.isfinite(grid_step)):
+        raise PreconditionError(f"grid step must be finite and positive, got {grid_step}")
     lagrangian_mode = mu is not None or rho is not None
     if lagrangian_mode and (mu is None or rho is None):
         raise ConfigurationError("augmented-Lagrangian mode needs both mu and rho")

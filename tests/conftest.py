@@ -62,6 +62,28 @@ def cut_chain(seed, n_agents=6):
     return problem, default_start(problem), mu0
 
 
+def mixed_sets_problem(seed):
+    """Seven agents without coupling whose sets form four groups, interleaved:
+    boxes of dimension 3 (agents 0 and 4) and 2 (agents 2 and 6), 3-D boxes
+    with four cuts (agents 1 and 5) and, alone, a 2-D box with two cuts
+    (agent 3).  Bounds, cuts and the costs ``0.5 x.T P x + c @ x`` come from
+    ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for kind, d in (("box", 3), ("cut", 3), ("box", 2), ("cut", 2), ("box", 3),
+                    ("cut", 3), ("box", 2)):
+        bound = rng.uniform(0.5, 2.0, d)
+        root, c_vec = rng.standard_normal((d, d)), rng.standard_normal(d)
+        p_mat = root @ root.T
+        poly = Polytope.box(-bound, bound)
+        if kind == "cut":
+            poly = box_with_cuts(poly, rng, cuts=4 if d == 3 else 2)
+        agents.append(AgentSpec(
+            cost=lambda x, p=p_mat, c=c_vec: float(0.5 * x @ p @ x + c @ x),
+            cost_grad=lambda x, p=p_mat, c=c_vec: p @ x + c, feasible_set=poly))
+    return NlpProblem(agents=tuple(agents))
+
+
 def unit_simplex():
     """``{x in R^3 : 0 <= x <= 1, x_1 + x_2 + x_3 <= 1}``: seven rows, with
     four of them active at the vertex 0 and at each unit vector."""
@@ -92,8 +114,9 @@ def _chain_neighbours_sum(blocks, i):
 
 
 def site_problem(site=None, bad=None):
-    """Three agents with 2-D boxes, one constraint each, and a chain coupling
-    with a cost and one constraint row.
+    """Three agents with 2-D boxes, one constraint each, and a coupling with
+    a chain cost and one constraint row over all three blocks, so that every
+    pair of agents shares an edge.
 
     With ``site`` (an ``AgentSpec`` or ``CouplingSpec`` field, the latter
     prefixed ``coupling.``), that evaluator returns ``bad``: for agent 1
@@ -111,7 +134,7 @@ def site_problem(site=None, bad=None):
         cost_block_grad=_chain_neighbours_sum,
         constraint=lambda b: np.array([b[0][0] + b[1][0] + b[2][0]]),
         constraint_block_jac=lambda b, i: np.array([[1.0, 0.0]]),
-        constraint_dim=1, edges={(0, 1), (1, 2)})
+        constraint_dim=1, edges={(0, 1), (1, 2), (0, 2)})
     if site is not None and site.startswith("coupling."):
         name = site.split(".")[1]
         good = getattr(coupling, name)

@@ -451,11 +451,12 @@ class TestColorClassSweep:
     # class.  Value calls: per checked class, one at the snapshot and one
     # for the step; with certificates, the Lagrangian takes one over all
     # agents before and after the sweep, and the first class's snapshot
-    # values come from the one before.
+    # values come from the one before.  In "polytope", agent 2's set is no
+    # box, so its colour forms two classes: the boxes and agent 2.
     @pytest.mark.parametrize("case, grad_calls, value_calls", [
         ("certificates", 2 + 2 + 2, 1 + 1 + 2 + 1),
         ("band", 2 + 2, 2 + 2),
-        ("polytope", 2, 0),
+        ("polytope", 3, 0),
     ], ids=["certificates", "band", "polytope"])
     def test_hook_equals_per_agent_path(self, case, grad_calls, value_calls):
         _, problem, z0, mu = toy_setup(n_agents=6, seed=8)
@@ -881,7 +882,7 @@ class TestPerAgentPath:
         for sweep in range(3):
             z, _ = bcd_sweep(problem, z, mu, 1.0, InnerConfig(), colors,
                              sweep_index=sweep, with_certificates=False)
-        assert len(grad_calls) == 3 * 2  # one per colour class
+        assert len(grad_calls) == 3 * 3  # one per colour class
         assert len(g_calls) == len(grad_calls)
 
     @pytest.mark.parametrize("case", ["cut_chain", "mixed_class", "site_problem"])
@@ -896,12 +897,12 @@ class TestPerAgentPath:
 
     def test_non_finite_projection_target_rejected(self):
         problem, z0, mu = parity_case("mixed_class")
-        cls = inner_bcd._color_classes(problem, inner_bcd._coloring(problem))[0]
-        assert cls[2] is None  # a class of boxes and cut boxes
-        x_old = z0.flat[cls[1]]
+        classes = inner_bcd._color_classes(problem, inner_bcd._coloring(problem))
+        cls = next(c for c in classes if c.lower is None)  # a class of cut boxes
+        x_old = z0.flat[cls.pos]
         grad = np.zeros_like(x_old)
         grad[-1, 0] = np.nan
         with pytest.raises(PreconditionError, match="^projection target is not finite"):
             inner_bcd._solve_rows(problem, cls, slice(None), x_old, grad,
-                                  np.ones(len(cls[0])), 0)
+                                  np.ones(len(cls.idx)), 0)
 

@@ -15,8 +15,8 @@ from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
                       kkt_report, run_inner, run_outer, toy_initial_guess)
 from dist_alm import model
 from dist_alm.model import FEAS_TOL
-from conftest import (box_with_cuts, cut_chain, mu_like, nnls_at_cap, quadratic_agent,
-                      site_problem, unit_simplex, zvec)
+from conftest import (box_with_cuts, cut_chain, mixed_sets_problem, mu_like, nnls_at_cap,
+                      quadratic_agent, site_problem, unit_simplex, zvec)
 
 
 def two_agent_coupled():
@@ -295,6 +295,19 @@ class TestPolytope:
         np.testing.assert_array_equal(active, [0, 2])
         np.testing.assert_array_equal(lam, [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(grad + box.a_mat.T @ lam, 0.0)
+
+    @pytest.mark.parametrize("x, grad", [
+        ([0.5, 0.5], [3.0]), ([0.5, 0.5], [3.0, 1.0, 0.0]), ([0.5], [3.0, 1.0]),
+        ([[0.5, 0.5]], [3.0, 1.0]), ([0.5, 0.5], [[3.0, 1.0]])])
+    @pytest.mark.parametrize("kind", ["box", "cut"])
+    def test_cone_distance_checks_its_inputs(self, kind, x, grad):
+        # the cut set once took the gradient [3.0] as (3, 3) and returned 9.0
+        poly = Polytope.box([0.0, 0.0], [1.0, 1.0])
+        if kind == "cut":
+            poly = Polytope(np.vstack([poly.a_mat, [[1.0, 1.0]]]),
+                            np.append(poly.b_vec, 1.5))
+        with pytest.raises(StructureError, match="(point|gradient)"):
+            poly.normal_cone_distance(x, grad)
 
     @pytest.mark.parametrize("bad", ["a nan", "b nan", "b inf", "b -inf"])
     def test_non_finite_rows_rejected(self, bad):
@@ -625,17 +638,24 @@ class TestMembershipGate:
         GATED_CALLS[call](problem, z, mu)
 
     def test_stacked_violations_equal_the_per_set_values(self):
-        # non-box sets of one shape take one stacked matmul per call
+        # one stacked kernel call per group of sets of one kind and shape: one
+        # group of cut sets, or the four groups of the mixed problem
         for seed in range(6):
-            problem, z0, _ = cut_chain(seed)
-            assert problem._stacked_rows is not None
-            rng = np.random.default_rng(seed)
-            for scale in (0.1, 1.0, 3.0, 1e3):
-                for _ in range(100):
-                    z = BlockVector.from_flat(scale * rng.standard_normal(z0.total_dim),
-                                              problem.block_dims)
-                    assert problem._violations(z).tolist() == [
-                        a.feasible_set.violation(x) for a, x in zip(problem.agents, z.blocks)]
+            for problem in (cut_chain(seed)[0], mixed_sets_problem(seed)):
+                sizes = sorted(len(g.idx) for g in problem._set_groups)
+                assert sizes in ([6], [1, 2, 2, 2])  # one group; four, one of them alone
+                rng = np.random.default_rng(seed)
+                for scale in (0.1, 1.0, 3.0, 1e3):
+                    for _ in range(100):
+                        z = BlockVector.from_flat(
+                            scale * rng.standard_normal(problem.total_dim),
+                            problem.block_dims)
+                        per_set = [a.feasible_set.violation(x)
+                                   for a, x in zip(problem.agents, z.blocks)]
+                        assert problem._violations(z).tolist() == per_set
+                        assert per_set == [float(np.max(a.feasible_set.a_mat @ x
+                                                        - a.feasible_set.b_vec))
+                                           for a, x in zip(problem.agents, z.blocks)]
 
     @pytest.mark.parametrize("kind", ["box", "cuts"])
     def test_feasible_reads_the_same_violations(self, kind):

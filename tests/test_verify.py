@@ -14,8 +14,8 @@ from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
 from dist_alm.bench import stiff_polytope_qp
 from dist_alm import verify
 from dist_alm.model import FEAS_TOL
-from conftest import (box_with_cuts, cut_chain, linear_agent, mu_like, nnls_at_cap,
-                      one_agent_problem, quadratic_agent, site_problem, zvec)
+from conftest import (box_with_cuts, cut_chain, linear_agent, mixed_sets_problem, mu_like,
+                      nnls_at_cap, one_agent_problem, quadratic_agent, site_problem, zvec)
 
 
 def gradient_probe_problem(c_vec, lo, hi):
@@ -132,6 +132,14 @@ class TestFdGradientCheck:
             fd_gradient_check(problem, zvec([1.0]),
                               MultiplierEstimate.zeros(problem), 1.0)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-6, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        # nan once passed to the boundary check ("closer than nan")
+        problem = gradient_probe_problem([1.0], [-1.0], [1.0])
+        with pytest.raises(PreconditionError, match="^step must be finite and positive"):
+            fd_gradient_check(problem, zvec([0.0]), MultiplierEstimate.zeros(problem),
+                              1.0, h=h)
+
 
 class TestBruteForce:
     def test_one_agent_analytic_optimum(self):
@@ -188,6 +196,13 @@ class TestBruteForce:
         params = ToyParams(n_agents=2, block_dim=1, scale=2.0, seed=0)
         with pytest.raises(RefusalError):
             brute_force_min(generate_toy(params), 1e-3, feasibility_band=1e-2)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+    def test_grid_step_must_be_finite_and_positive(self, step):
+        # nan once failed in int(nan), inf in the grid's evaluation
+        with pytest.raises(PreconditionError,
+                           match="^grid step must be finite and positive"):
+            brute_force_min(one_agent_problem(), step, feasibility_band=1e-2)
 
     def test_band_required_with_constraints(self):
         from dist_alm import ConfigurationError
@@ -271,7 +286,7 @@ class TestKktReport:
         flat[rng.random(flat.shape[0]) < 0.4] = b  # push coordinates onto bounds
         z = BlockVector.from_flat(flat, problem.block_dims)
         mu = mu_like(problem, rng.uniform(-1.0, 1.0, problem.r))
-        assert problem._stacked_boxes is not None  # the stacked closed form
+        assert [g.lower is not None for g in problem._set_groups] == [True]  # one box stack
         hookless = dataclasses.replace(problem, block_gradients=None, block_values=None)
         for rho in (0.1, 10.0, 1e3):
             per_block = kkt_report(problem, z, mu, rho).stationarity
@@ -509,8 +524,9 @@ class TestWarmStartedProjection:
 
 
 class TestStackedConePass:
-    """The criticality residual of cut chains: one stacked product for every
-    slack, NNLS only for agents with active rows."""
+    """The criticality residual of cut chains and of a problem that mixes set
+    kinds and shapes: per set group one stacked product for every slack, NNLS
+    only for agents with active rows; ``kkt_report`` reads the same pass."""
 
     @staticmethod
     def points(problem, rng):
@@ -523,30 +539,39 @@ class TestStackedConePass:
             poly = agent.feasible_set
             x = centre = poly.chebyshev_center()
             if rng.random() < 0.75:
-                direction = rng.standard_normal(3)
+                direction = rng.standard_normal(poly.dim)
                 x = poly.project(x + 10.0 ** rng.uniform(-0.5, 1.5) * direction)
                 x = x + rng.choice([0.0, 1e-10, 1e-6]) * (centre - x)
             blocks.append(x)
-            counts.append(poly.normal_cone_distance(x, np.zeros(3))[2].size)
+            counts.append(poly.normal_cone_distance(x, np.zeros(poly.dim))[2].size)
         return BlockVector(blocks), counts
 
     def test_equals_the_per_agent_distances_bitwise(self):
-        seen = set()
-        for seed in range(1, 5):
-            problem, _, _ = cut_chain(seed)
-            assert problem._stacked_rows is not None
-            rng = np.random.default_rng(seed)
-            for _ in range(10):
-                z, counts = self.points(problem, rng)
-                mu = mu_like(problem, rng.standard_normal(problem.r))
-                rho = 10.0 ** rng.uniform(-1, 2)
-                residual, grads = verify._residual_and_gradients(problem, z, mu, rho)
-                total = 0.0
-                for agent, x, g in zip(problem.agents, z.blocks, grads):
-                    total += agent.feasible_set.normal_cone_distance(x, g)[0]
-                assert residual == float(np.sqrt(total))
-                seen.update(min(c, 3) for c in counts)
-        assert seen == {0, 1, 2, 3}  # interior, face, edge, vertex
+        for problems in ([cut_chain(seed)[0] for seed in range(1, 5)],
+                         [mixed_sets_problem(seed) for seed in range(1, 5)]):
+            seen = set()
+            for seed, problem in enumerate(problems, 1):
+                sizes = sorted(len(g.idx) for g in problem._set_groups)
+                assert sizes in ([6], [1, 2, 2, 2])  # one group; four, one of them alone
+                rng = np.random.default_rng(seed)
+                for _ in range(10):
+                    z, counts = self.points(problem, rng)
+                    mu = mu_like(problem, rng.standard_normal(problem.r))
+                    rho = 10.0 ** rng.uniform(-1, 2)
+                    residual, grads, _ = verify._residual_and_gradients(problem, z, mu, rho)
+                    report = kkt_report(problem, z, mu, rho)
+                    total, lams, actives, offset = 0.0, [], [], 0
+                    for agent, x, g in zip(problem.agents, z.blocks, grads):
+                        dist_sq, lam, active = agent.feasible_set.normal_cone_distance(x, g)
+                        total += dist_sq
+                        lams.append(lam)
+                        actives.append(offset + active)
+                        offset += lam.size
+                    assert residual == report.stationarity == float(np.sqrt(total))
+                    assert report.multipliers.tobytes() == np.concatenate(lams).tobytes()
+                    assert report.active_rows.tolist() == np.concatenate(actives).tolist()
+                    seen.update(min(c, 3) for c in counts)
+            assert seen == {0, 1, 2, 3}  # interior, face, edge, vertex
 
     def test_nnls_cap_names_the_agent(self, monkeypatch):
         problem, z0, mu0 = cut_chain(2)
@@ -554,11 +579,11 @@ class TestStackedConePass:
         poly = problem.agents[3].feasible_set
         blocks[3] = poly.project(blocks[3] + 10.0)
         z = BlockVector(blocks)
-        # the stacked pass, then the per-agent one of a mixed problem
+        # one group of cut sets, then a problem whose box forms a second group
         box = dataclasses.replace(problem.agents[0], feasible_set=Polytope.box(
             -10.0 * np.ones(3), 10.0 * np.ones(3)))
         mixed = NlpProblem(agents=(box, *problem.agents[1:]), coupling=problem.coupling)
-        assert mixed._stacked_rows is None
+        assert len(mixed._set_groups) == 2
         monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
         for p in (problem, mixed):
             with pytest.raises(ConvergenceError,
