@@ -157,9 +157,10 @@ class Polytope:
         taken to be feasible; ``x`` and ``grad`` of another length than the
         set's dimension raise ``StructureError``.
         """
-        dist_sq, lam, active = self._group.cone_parts(self._point(x)[None],
-                                                      self._point(grad, "gradient")[None])
-        return float(dist_sq[0]), lam[0], np.flatnonzero(active[0])
+        dist_sq, active, parts = self._group.cone_parts(self._point(x)[None],
+                                                        self._point(grad, "gradient")[None])
+        return (float(dist_sq[0]), self._group.multipliers(active, parts)[0],
+                np.flatnonzero(active[0]))
 
     def project(self, v) -> np.ndarray:
         """Euclidean projection of ``v`` onto the polytope.
@@ -171,17 +172,22 @@ class Polytope:
         ``||[-A^T; h^T / max(h)] u - e_{d+1}||`` is positive on a set ``W``
         of rows that hold with equality at the projection, which is then
         the projection of ``v`` onto ``{x : A_W x = b_W}``, by one solve
-        with the Gram matrix of ``A_W``.  A point inside is returned
-        unchanged.  In a sweep, the block's previous value first proposes
-        ``W`` (see :meth:`_project`).
+        with the Gram matrix of ``A_W``.  Where that point violates a row
+        by more than ``FEAS_TOL + 1e-12 (1 + ||v||_inf)`` (``W`` holds one
+        of two nearly parallel rows where the projection needs the other),
+        the violated rows join ``W`` and one row of ``W`` at a time leaves
+        it, until a set meets the projection's KKT conditions (see
+        :meth:`_gram_step`).  A point inside is returned unchanged.  In a
+        sweep, the block's previous value first proposes ``W`` (see
+        :meth:`_project`).
 
         Raises
         ------
         PreconditionError
             If ``v`` is not finite, or the polytope is empty (NNLS finds no
-            point, or the result violates a row by more than ``FEAS_TOL +
-            1e-12 (1 + ||v||_inf)``; a gap between contradicting rows below
-            about ``1e-12 ||v||_inf`` cannot be detected).
+            point, or no exchanged set meets the KKT conditions; a gap
+            between contradicting rows below about ``1e-12 ||v||_inf``
+            cannot be detected).
         ConvergenceError
             If NNLS reaches its iteration cap.
         """
@@ -214,12 +220,20 @@ class Polytope:
         # ||r||^2 is 1 / (1 + (||x - v|| / max h)^2), or 0 if there is no x
         if 1.0 + rnorm * rnorm == 1.0:
             raise PreconditionError("projection onto an empty polytope")
-        x = self._gram_step(v, h, u > 0.0, False)
+        working = u > 0.0
+        x = self._gram_step(v, h, working, False)
+        broken = self.a_mat @ x - self.b_vec > FEAS_TOL + 1e-12 * (1.0 + np.abs(v).max())
+        if not broken.any():
+            return x
+        # NNLS can hold one of two nearly parallel rows where the projection
+        # needs the other: add the rows it broke, then drop one working row at
+        # a time, until a set meets the KKT conditions
+        for drop in [-1, *np.flatnonzero(working).tolist()]:
+            trial = (working | broken) & (np.arange(self.n_rows) != drop)
+            if (x := self._gram_step(v, h, trial, True)) is not None:
+                return x
         # NNLS can miss an empty polytope whose gap is small next to v
-        tol = FEAS_TOL + 1e-12 * (1.0 + np.abs(v).max())
-        if (self.a_mat @ x - self.b_vec).max() > tol:
-            raise PreconditionError("projection onto an empty polytope")
-        return x
+        raise PreconditionError("projection onto an empty polytope")
 
     def _gram_step(self, v, h, working, guessed):
         """``x = v - lam @ A_W``, ``W = working``, with ``lam`` from the Gram
@@ -341,8 +355,9 @@ class _SetGroup(NamedTuple):
 
     def cone_parts(self, x, grad):
         """Every member's squared distance of ``-grad`` to the normal cone at
-        ``x`` (rows of ``(k, d)`` arrays, ``x`` feasible), ``(k,)``, the row
-        multipliers attaining it and the mask of active rows, ``(k, m)``.
+        ``x`` (rows of ``(k, d)`` arrays, ``x`` feasible), ``(k,)``, the mask
+        of active rows, ``(k, m)``, and the parts :meth:`multipliers` builds
+        the row multipliers attaining the distances from.
 
         Boxes take the closed form (rows ``j`` and ``d + j`` bound
         coordinate ``j`` above and below).  Other sets take every slack from
@@ -355,16 +370,15 @@ class _SetGroup(NamedTuple):
             # the bound moved inwards, not the slack test: box residuals keep their bits
             active = self._ax(x) >= self.b_vec - self.active_tol
             # an active bound absorbs a gradient that pushes against it (a
-            # coordinate at both bounds any gradient), and its multiplier
-            # cancels that gradient
+            # coordinate at both bounds any gradient)
             push = np.concatenate([-grad, grad], axis=1)
             takes = active & (push >= 0)
             res = np.where(takes[:, :d] | takes[:, d:], 0.0, grad)
-            return _row_dots(res, res), np.where(active & (push > 0), push, 0.0), active
+            return _row_dots(res, res), active, push
         from scipy.optimize import nnls
 
         active = self.b_vec - self._ax(x) <= self.active_tol
-        dist_sq, lam, solved = _row_dots(grad, grad), np.zeros(active.shape), []
+        dist_sq, solved = _row_dots(grad, grad), []
         for k in np.flatnonzero(active.any(axis=1)).tolist():
             try:
                 lam_k, rnorm = nnls(self.a_mat[k][active[k]].T, -grad[k])
@@ -373,8 +387,18 @@ class _SetGroup(NamedTuple):
                 raise ConvergenceError(f"{who}normal-cone distance: {exc}") from exc
             dist_sq[k] = float(rnorm) ** 2
             solved.append(lam_k)
-        lam[active] = np.concatenate([np.zeros(0), *solved])  # row-major, as solved
-        return dist_sq, lam, active
+        return dist_sq, active, solved
+
+    def multipliers(self, active, parts) -> np.ndarray:
+        """The ``(k, m)`` row multipliers, zero on inactive rows, from the
+        last two outputs of :meth:`cone_parts`: on boxes the push against
+        each active bound (it cancels that gradient), else the members'
+        NNLS solutions on their active rows."""
+        if self.a_mat is None:
+            return np.where(active & (parts > 0), parts, 0.0)
+        lam = np.zeros(active.shape)
+        lam[active] = np.concatenate([np.zeros(0), *parts])  # row-major, as solved
+        return lam
 
 
 def _row_dots(a, b) -> np.ndarray:

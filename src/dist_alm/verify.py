@@ -92,13 +92,19 @@ def _residual_and_gradients(problem, z, mu, rho):
     for group in problem._set_groups:
         g = (grads[group.idx] if isinstance(grads, np.ndarray)  # from the hook
              else np.array([grads[i] for i in group.idx.tolist()]))
-        dist_sq, lam, active = group.cone_parts(z.flat[group.pos], g)
+        dist_sq, *cone = group.cone_parts(z.flat[group.pos], g)
         dists[group.idx] = dist_sq
-        cones.append((lam, active))
+        cones.append(cone)
+    return _root_of_sum(dists), grads, cones
+
+
+def _root_of_sum(dists) -> float:
+    """The square root of the squared distances ``dists`` added one by one,
+    in their order (agent order for the residual)."""
     total = 0.0
-    for dist_sq in dists.tolist():  # in agent order
+    for dist_sq in dists.tolist():
         total += dist_sq
-    return float(np.sqrt(total)), grads, cones
+    return float(np.sqrt(total))
 
 
 def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
@@ -111,7 +117,8 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     """
     stationarity, _, cones = _residual_and_gradients(problem, z, mu, rho)
     lams, masks = [None] * problem.n_agents, [None] * problem.n_agents  # agent order
-    for group, (lam, active) in zip(problem._set_groups, cones):
+    for group, (active, parts) in zip(problem._set_groups, cones):
+        lam = group.multipliers(active, parts)
         for k, i in enumerate(group.idx.tolist()):
             lams[i], masks[i] = lam[k], active[k]
     h_val = _constraints(problem, list(z.blocks))

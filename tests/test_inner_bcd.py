@@ -17,9 +17,10 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
 from dist_alm import inner_bcd, model, verify
 from dist_alm.inner_bcd import BAND_MARGIN, C_FLOOR
 from dist_alm.model import FEAS_TOL
-from conftest import (cut_chain, linear_agent, mixed_class_chain, mu_like, nnls_at_cap,
-                      one_agent_problem, quadratic_agent, reference_constraints,
-                      reference_gradients, reference_values, site_problem, zvec)
+from conftest import (cut_chain, linear_agent, mixed_class_chain, mixed_sets_problem,
+                      mu_like, nnls_at_cap, one_agent_problem, quadratic_agent,
+                      reference_constraints, reference_gradients, reference_values,
+                      site_problem, zvec)
 
 
 def toy_setup(n_agents=6, seed=0, block_dim=3, scale=2.0):
@@ -814,6 +815,129 @@ class TestRunInner:
         with pytest.raises(ConfigurationError, match="^init_samples must be an integer >= 1"):
             Backtracking(init_samples=count)
         assert Backtracking(init_samples=np.int64(2)).init_samples == 2
+
+
+def stop_case(name):
+    """A problem, a start, multipliers, a penalty and whether to certify; the
+    residual after five sweeps is below that after fewer."""
+    if name == "cut_chain":
+        return (*cut_chain(seed=3), 0.1, False)
+    if name == "mixed_sets":
+        problem = mixed_sets_problem(3)
+        return problem, default_start(problem), MultiplierEstimate.zeros(problem), 1.0, False
+    _, problem, z0, mu0 = toy_setup(n_agents=6, seed=5)
+    return problem, z0, mu0, 1.0, True
+
+
+class TestFirstClassStop:
+    """``run_inner`` decides its residual target from the first colour class
+    where that part of the residual already exceeds it, and takes the full
+    residual otherwise; the results are those of the full residual after
+    every sweep, bitwise."""
+
+    @pytest.mark.parametrize("case", ["cut_chain", "mixed_sets", "certified_toy"])
+    @pytest.mark.parametrize("target", ["start", "mid", "never", "tau"])
+    @pytest.mark.parametrize("cap", [0, 1, 8])
+    def test_equals_the_full_residual_after_every_sweep(self, monkeypatch, case,
+                                                        target, cap):
+        problem, z0, mu, rho, certified = stop_case(case)
+        cfg = InnerConfig(tau=1e-14, max_sweeps=8)
+        five = run_inner(problem, z0, mu, rho, cfg, sweep_cap=5, with_certificates=certified)
+        eps = {"start": verify.criticality_residual(problem, z0, mu, rho),
+               "mid": five.final_residual}.get(target, 0.0)
+        if target == "tau":  # the step stops the loop, by the fifth sweep
+            cfg = InnerConfig(tau=five.final_step, max_sweeps=8)
+        full = verify._residual_and_gradients
+        calls = {"full": 0}
+
+        def counted_full(*args):
+            calls["full"] += 1
+            return full(*args)
+
+        def never_decides(problem, cls, z, mu, rho):
+            return -np.inf, np.asarray(inner_bcd._block_gradients(problem, z.flat, mu,
+                                                                  rho, cls.idx))
+
+        def solve():
+            return run_inner(problem, z0, mu, rho, cfg, eps_target=eps, sweep_cap=cap,
+                             with_certificates=certified)
+
+        monkeypatch.setattr(inner_bcd, "_residual_and_gradients", counted_full)
+        result = solve()
+        fast_calls = dict(calls)
+        monkeypatch.setattr(inner_bcd, "_first_class_bound", never_decides)
+        ref = solve()
+        checks = ref.sweeps + 1
+        assert calls["full"] - fast_calls["full"] == checks  # the reference's
+        assert result.z.flat.tobytes() == ref.z.flat.tobytes()
+        assert (result.sweeps, result.achieved_target, result.hit_sweep_cap) == \
+            (ref.sweeps, ref.achieved_target, ref.hit_sweep_cap)
+        assert result.final_residual == ref.final_residual
+        assert result.final_step == ref.final_step
+        assert len(result.certificates) == len(ref.certificates) == certified * ref.sweeps
+        for cert, cert_ref in zip(result.certificates, ref.certificates):
+            assert_same_certificates(cert, cert_ref)
+        if cap == 8:
+            assert {"start": ref.sweeps == 0 and ref.achieved_target,
+                    "mid": ref.sweeps == 5 and ref.achieved_target,
+                    "never": ref.sweeps == 8 and ref.hit_sweep_cap,
+                    "tau": 0 < ref.sweeps <= 5 and not (ref.achieved_target
+                                                        or ref.hit_sweep_cap)}[target]
+        if target in ("never", "tau"):  # every check before the last is decided early
+            assert fast_calls["full"] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(5e-324, 2.2250738585072014e-308),
+                  st.floats(1e-300, 1e300)),
+        st.booleans()), min_size=1, max_size=40))
+    def test_agent_order_partial_sum_never_exceeds_the_full_sum(self, terms):
+        # subnormals, zeros and terms from 1e-300 to 1e300: rounded addition
+        # of nonnegative terms is monotone, so leaving terms out (as 0.0)
+        # never increases the sum, nor its square root
+        dists = np.array([d for d, _ in terms])
+        kept = np.array([keep for _, keep in terms])
+        partial = verify._root_of_sum(np.where(kept, dists, 0.0))
+        assert partial <= verify._root_of_sum(dists)
+        assert partial == verify._root_of_sum(dists[kept])  # 0.0 changes no sum
+
+    def test_second_class_rarely_evaluated_by_the_stop_test(self, monkeypatch):
+        # on a cut chain the first class is agents 0, 2 and 4; the stop test
+        # evaluates agents 1, 3 and 5 only where it takes the full residual
+        problem, z0, mu = cut_chain(seed=1)
+        classes = inner_bcd._color_classes(problem, inner_bcd._coloring(problem))
+        assert classes[0].idx.tolist() == [0, 2, 4]
+        second = classes[1].idx.tolist()
+        calls = {"stop test": False, "second": 0}
+
+        def counted(grad):
+            def wrapped(x):
+                calls["second"] += calls["stop test"]
+                return grad(x)
+            return wrapped
+
+        problem = dataclasses.replace(problem, agents=tuple(
+            dataclasses.replace(a, cost_grad=counted(a.cost_grad)) if i in second else a
+            for i, a in enumerate(problem.agents)))
+
+        def in_stop_test(check):
+            def wrapped(*args):
+                calls["stop test"] = True
+                try:
+                    return check(*args)
+                finally:
+                    calls["stop test"] = False
+            return wrapped
+
+        for name in ("_first_class_bound", "_residual_and_gradients"):
+            monkeypatch.setattr(inner_bcd, name, in_stop_test(getattr(inner_bcd, name)))
+        result = run_inner(problem, z0, mu, 10.0, InnerConfig(max_sweeps=20),
+                           eps_target=1e-6, with_certificates=False)
+        assert result.sweeps == 20 and result.hit_sweep_cap
+        # one check before the first sweep and one after each; taking the
+        # full residual at every check would make this share 1
+        share = calls["second"] / ((result.sweeps + 1) * len(second))
+        assert 0 < share < 0.1  # the last check alone: 1 of 21
 
 
 def parity_case(name):

@@ -450,6 +450,35 @@ class TestEnumerationOracle:
                                    rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(x, poly.project(v), rtol=0.0, atol=1e-15)
 
+    def test_nearly_parallel_rows_are_exchanged(self):
+        # a unit cut and a copy scaled by 1e-3..1e3 and turned by 1e-16..1e-8:
+        # NNLS's working set can hold the copy where the projection needs the
+        # cut (draw 1314 once raised "projection onto an empty polytope")
+        rng = np.random.default_rng(2024)
+        for k in range(3000):
+            d = rng.integers(2, 4)
+            box = Polytope.box(-np.ones(d), np.ones(d))
+            a = rng.standard_normal(d)
+            a /= np.linalg.norm(a)
+            c = rng.uniform(0.1, 0.9)
+            turn = 10.0 ** rng.uniform(-16, -8)
+            a2 = a + turn * rng.standard_normal(d)
+            s = 10.0 ** rng.uniform(-3, 3)
+            poly = Polytope(np.vstack([box.a_mat, a, s * a2]), np.r_[box.b_vec, c, s * c])
+            v = rng.standard_normal(d) * 10.0 ** rng.uniform(0, 2.5)
+            x = poly.project(v)
+            scale = 1.0 + np.max(np.abs(v))
+            assert np.max(np.abs(x - enumerate_projection(poly, v))) <= 1e-11 * scale, k
+            assert poly.violation(x) <= FEAS_TOL + 1e-12 * scale, k
+            if k == 1314:
+                np.testing.assert_allclose(x, enumerate_projection(poly, v),
+                                           rtol=0.0, atol=1e-15)
+                # the same rows a gap of 1e-6 apart: the set is empty
+                empty = Polytope(np.vstack([box.a_mat, a, -s * a2]),
+                                 np.r_[box.b_vec, c, -s * (c + 1e-6)])
+                with pytest.raises(PreconditionError, match="empty polytope"):
+                    empty.project(v)
+
 
 def enumeration_cases():
     """``(poly, v, bound)`` of the two stress tests of ``TestEnumerationOracle``,

@@ -16,10 +16,19 @@ checkout's ``src/`` and the workload generators from its ``perfbench/``
   ``certified`` chains, with the iterates around it.
 
 Two checkouts whose lines agree give the same outputs bit for bit.
+
+    python3 tools/output_digest.py --against FILE
+
+compares the lines with a listing saved from an earlier run (its standard
+output) instead of printing them: it prints each line that differs, as
+``- saved`` and ``+ now``, a line missing on either side included, then a
+count, and exits with status 1 on any difference and 0 when every line
+matches.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import logging
@@ -101,12 +110,43 @@ def certificates():
         yield f"certified certificates chain {p.seed}", digest(seen.sweeps, _state(state))
 
 
-def main():
-    logging.basicConfig(level=logging.CRITICAL)
+def lines():
     for part in (criterion_7, rounds, certificates):
         for label, value in part():
-            print(f"{label:40s} {value}", flush=True)
+            yield f"{label:40s} {value}"
+
+
+def compare(saved: list, now: list) -> int:
+    """Print the lines of ``saved`` and ``now`` that differ, matched by
+    label, and a count; the number of labels that differ."""
+    by_label = {line.rsplit(" ", 1)[0].rstrip(): line for line in saved if line.strip()}
+    differ = 0
+    for line in now:
+        old = by_label.pop(line.rsplit(" ", 1)[0].rstrip(), None)
+        if old != line:
+            differ += 1
+            print(*([f"- {old}"] if old is not None else []), f"+ {line}", sep="\n")
+    for old in by_label.values():
+        differ += 1
+        print(f"- {old}")
+    print(f"{differ} of {len(now) + len(by_label)} lines differ" if differ
+          else f"all {len(now)} lines match")
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with a saved listing; exit 1 on any difference")
+    args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.CRITICAL)
+    if args.against is None:
+        for line in lines():
+            print(line, flush=True)
+        return 0
+    saved = Path(args.against).read_text().splitlines()
+    return 1 if compare(saved, list(lines())) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
