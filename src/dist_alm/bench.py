@@ -26,11 +26,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, EvaluationError
-from .inner_bcd import FixedScaled, InnerConfig
+from .inner_bcd import FixedScaled, InnerConfig, _check_count
 from .model import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
                     NlpProblem, Polytope)
 from .outer_mm import OuterConfig, run_outer
-from .subqp import ProxQp
 
 __all__ = [
     "RunStats",
@@ -38,7 +37,6 @@ __all__ = [
     "generate_toy",
     "one_agent_problem",
     "run_statistics",
-    "stiff_polytope_qp",
     "toy_definite_count",
     "toy_initial_guess",
     "write_stats_csv",
@@ -55,7 +53,7 @@ class ToyParams:
     """Shape of one random chain instance.
 
     ``scale`` is the parameter R: the sphere radius is ``sqrt(R)`` and the
-    box half-width ``0.6 R`` exactly.
+    box half-width ``0.6 R`` exactly.  The counts and the seed are integers.
     """
 
     n_agents: int = 20
@@ -64,10 +62,9 @@ class ToyParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_agents < 2:
-            raise ConfigurationError("need at least 2 agents")
-        if self.block_dim < 1:
-            raise ConfigurationError("block dimension must be at least 1")
+        _check_count(self.n_agents, "n_agents", 2)
+        _check_count(self.block_dim, "block_dim", 1)
+        _check_count(self.seed, "seed", 0)
         if not 0 < self.scale < np.inf:
             raise ConfigurationError(f"scale R must be finite and > 0: {self.scale!r}")
 
@@ -279,23 +276,6 @@ def one_agent_problem() -> NlpProblem:
     ))
 
 
-def stiff_polytope_qp() -> ProxQp:
-    """A block QP at the scale of rho = 1e7 on the full benchmark schedule.
-
-    ``M = 3e8 I`` over the box [-1.2, 1.2]^3 given as a general polytope
-    (its six rows), centred on the face ``x_1 = 1.2`` with a gradient that
-    pushes through it.  The minimiser lies on that face: it is the
-    projection of ``center - g / 3e8 = (0.6005, 1.201, -0.4003)``.  A KKT
-    solve with a relative rank cutoff drops the face row here and
-    overshoots the face by 1e-3.
-    """
-    eye = np.eye(3)
-    m = 3e8
-    return ProxQp(g=m * np.array([-5e-4, -1e-3, 3e-4]), m_mat=m * eye,
-                  center=np.array([0.6, 1.2, -0.4]),
-                  feasible_set=Polytope(np.vstack([eye, -eye]), np.full(6, 1.2)))
-
-
 @dataclass
 class RunStats:
     """Aggregated success fractions of the statistics experiment.
@@ -364,21 +344,21 @@ def run_statistics(params_base: ToyParams, instances: int,
                    threads: int = 0) -> RunStats:
     """Feasibility statistics over seeded random instances.
 
-    Instance ``i`` uses seed ``params_base.seed + i``; for each total
-    budget the solver restarts from the instance's seeded initial point
-    with the budget split evenly over ``outer_iters`` outer iterations.
+    Instance ``i`` of ``instances`` (an integer >= 1) uses seed
+    ``params_base.seed + i``; for each total budget (an integer >= 0) the
+    solver restarts from the instance's seeded initial point with the
+    budget split evenly over ``outer_iters`` outer iterations.
     Success at tolerance ``tol`` (finite, >= 0) means the final iterate
     satisfies ``max_i |  ||x_i||^2 - a^2 | <= tol``.  Identical inputs give
     identical statistics.  ``threads`` is ignored: instances are solved one
     after another on the calling thread.  It is kept so that existing
     callers keep working.
     """
-    if instances < 1:
-        raise ConfigurationError("need at least one instance")
+    _check_count(instances, "instances", 1)
     if not budgets:
         raise ConfigurationError("need at least one budget")
-    if any(b < 0 for b in budgets):
-        raise ConfigurationError("budgets must be nonnegative")
+    for budget in budgets:
+        _check_count(budget, "a budget", 0)
     if not all(0 <= tol < np.inf for tol in tolerances):
         raise ConfigurationError(f"tolerances must be finite and >= 0: {list(tolerances)}")
     outer_cfg = _default_outer(outer_iters) if outer_cfg is None else outer_cfg

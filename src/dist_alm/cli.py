@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bench import ToyParams, generate_toy, one_agent_problem, run_statistics, \
-    stiff_polytope_qp, toy_initial_guess, write_stats_csv
+    toy_initial_guess, write_stats_csv
 from .errors import ConfigurationError, RefusalError
 from .inner_bcd import FixedScaled, InnerConfig
 from .model import (FEAS_TOL, AgentSpec, BlockVector, MultiplierEstimate,
@@ -230,10 +230,12 @@ def _cmd_verify(opts) -> int:
            f"qp {agent.cost(x_box):.6f} grid {grid_val:.6f}")
 
     # polytope projection (the block update) against the enumeration oracle
-    # on a block QP at M = 3e8 I
-    qp = stiff_polytope_qp()
-    poly = qp.feasible_set
-    newton = qp.center - qp.g / qp.m_mat[0, 0]
+    # on a block QP at M = 3e8 I over the box [-1.2, 1.2]^3 as six rows,
+    # centred on the face x_1 = 1.2 with a gradient that pushes through it
+    eye = np.eye(3)
+    poly = Polytope(np.vstack([eye, -eye]), np.full(6, 1.2))
+    g = 3e8 * np.array([-5e-4, -1e-3, 3e-4])
+    newton = np.array([0.6, 1.2, -0.4]) - g / 3e8
     x_proj = poly.project(newton)
     gap = float(np.max(np.abs(x_proj - enumerate_projection(poly, newton))))
     viol = poly.violation(x_proj)

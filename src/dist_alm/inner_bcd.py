@@ -39,9 +39,8 @@ own block moved, one gradient call at the moved class gives the new
 gradients, and the agents that fail are re-solved together.  Between two
 sweeps of :func:`run_inner`, the first class's gradients and the
 Lagrangian's terms serve the next sweep's first class, whose snapshot that
-point is.  :func:`run_inner` tests its residual target on the first class's
-part of the residual first, a bound that rules out most checks; the full
-residual runs only where the target may be met and after the last sweep.
+point is.  :func:`run_inner` takes the residual for its target class by
+class, and the first class's part alone rules out most checks.
 ``C_i`` is a bound on the curvature of the local Lagrangian, maintained
 by backtracking: seeded by finite-difference sampling and doubled whenever
 a descent or certificate check fails, with the block re-projected when the
@@ -65,7 +64,7 @@ from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
                     Polytope, _aug_lagrangian, _block_gradients, _block_values,
                     _row_dots)
-from .verify import _residual_and_gradients, _root_of_sum, criticality_residual
+from .verify import _residual_and_gradients, criticality_residual
 
 __all__ = [
     "Backtracking",
@@ -422,8 +421,7 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
                                                     x_new[rows]))
             if cert is not None:
                 moved[pos[rows]] = x_new[rows]
-                g_new = np.asarray(_block_gradients(problem, moved_view, mu, rho,
-                                                    idx[rows]))
+                g_new = _block_gradients(problem, moved_view, mu, rho, idx[rows])
                 resid = g_new - grad[rows] - m_diag * step[rows]
                 re_lhs[rows] = np.sqrt(_row_dots(resid, resid))
         c = c_bounds[idx]
@@ -508,8 +506,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     grads, terms = at.grads, at.terms  # at z: the first class's snapshot
     for cls in classes:
         idx, pos = cls.idx, cls.pos
-        grad = (np.asarray(_block_gradients(problem, view, mu, rho, idx)) if grads is None
-                else grads)
+        grad = _block_gradients(problem, view, mu, rho, idx) if grads is None else grads
         m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + cfg.alpha_min
         x_old = flat[pos]
         x_new = _solve_rows(problem, cls, slice(None), x_old, grad, m_diag, sweep_index)
@@ -528,23 +525,6 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     return z._with_flat(flat), cert
 
 
-def _first_class_bound(problem, cls, z, mu, rho):
-    """A lower bound on :func:`~dist_alm.verify.criticality_residual` at
-    ``z`` from the colour class ``cls`` alone, and the class's block
-    gradients at ``z``.
-
-    The bound is the square root of the members' squared normal-cone
-    distances (``_SetGroup.cone_parts``) summed in agent order: the
-    residual's own sum with ``0.0``, which changes no nonnegative sum, for
-    every other agent.  Rounded addition of nonnegative terms and the
-    square root are monotone, so the bound never exceeds the residual, bit
-    for bit.  ``z`` passes the residual's membership gate.
-    """
-    problem.check_membership(z)
-    grads = np.asarray(_block_gradients(problem, z.flat, mu, rho, cls.idx))
-    return _root_of_sum(cls.cone_parts(z.flat[cls.pos], grads)[0]), grads
-
-
 def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
               rho: float, cfg: InnerConfig, eps_target: Optional[float] = None,
               sweep_cap: Optional[int] = None,
@@ -555,12 +535,12 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     ``cfg.tau`` in the sup norm (at least one sweep is performed).  With a
     target, the criticality residual is checked first and after every
     sweep; reaching it counts as achieving the target, while stopping on
-    ``tau`` alone does not.  The check starts from the first colour class
-    alone, whose gradients the next sweep takes (:func:`_first_class_bound`):
-    where that part of the residual already exceeds the target, the loop
-    sweeps on.  The full residual is taken only where the target may be
-    met, and after the last sweep (the budget spent or the step at most
-    ``tau``), so ``final_residual`` is the residual at the returned point.
+    ``tau`` alone does not.  A check takes the residual colour class by
+    colour class and stops at the first class after which the part taken
+    already exceeds the target; the next sweep's first class takes the
+    first class's gradients.  After the last sweep (the budget spent or the
+    step at most ``tau``) the check takes every class, so
+    ``final_residual`` is the residual at the returned point.
     Exhausting the sweep budget raises no error: the result carries a
     soft-failure flag instead.  Every block of ``z0`` must lie in its
     polytope up to ``model.FEAS_TOL``.
@@ -572,7 +552,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
         c_bounds = _initial_c_bounds(problem, cfg, z0.flat, mu, rho)
 
     cap = cfg.max_sweeps if sweep_cap is None else min(cfg.max_sweeps, sweep_cap)
-    first = _color_classes(problem, coloring)[0]
+    classes = _color_classes(problem, coloring)
     z = z0
     residual = math.nan
     boundary = _Boundary()
@@ -584,11 +564,10 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
         last = sweeps >= cap or step <= cfg.tau
         if eps_target is not None:
             # the first class's part of the residual rules out most checks
-            if not last:
-                bound, boundary.grads = _first_class_bound(problem, first, z, mu, rho)
-            if last or not bound > eps_target:
-                residual = _residual_and_gradients(problem, z, mu, rho)[0]
-                achieved = residual <= eps_target
+            residual, grads, _ = _residual_and_gradients(
+                problem, z, mu, rho, classes, None if last else eps_target)
+            boundary.grads = grads[0]
+            achieved = residual <= eps_target
         if achieved or last:
             break
         z_next, cert = bcd_sweep(problem, z, mu, rho, cfg, coloring,

@@ -173,21 +173,22 @@ class Polytope:
         of rows that hold with equality at the projection, which is then
         the projection of ``v`` onto ``{x : A_W x = b_W}``, by one solve
         with the Gram matrix of ``A_W``.  Where that point violates a row
-        by more than ``FEAS_TOL + 1e-12 (1 + ||v||_inf)`` (``W`` holds one
-        of two nearly parallel rows where the projection needs the other),
-        the violated rows join ``W`` and one row of ``W`` at a time leaves
-        it, until a set meets the projection's KKT conditions (see
-        :meth:`_gram_step`).  A point inside is returned unchanged.  In a
-        sweep, the block's previous value first proposes ``W`` (see
-        :meth:`_project`).
+        by more than ``FEAS_TOL`` (``W`` holds one of two nearly parallel
+        rows where the projection needs the other), the violated rows join
+        ``W`` and one row of ``W`` at a time leaves it, until a set meets
+        the projection's KKT conditions (see :meth:`_gram_step`); if none
+        does, the point is kept where it violates no row by more than
+        ``FEAS_TOL + 1e-12 (1 + ||v||_inf)``.  A point inside is returned
+        unchanged.  In a sweep, the block's previous value first proposes
+        ``W`` (see :meth:`_project`).
 
         Raises
         ------
         PreconditionError
             If ``v`` is not finite, or the polytope is empty (NNLS finds no
-            point, or no exchanged set meets the KKT conditions; a gap
-            between contradicting rows below about ``1e-12 ||v||_inf``
-            cannot be detected).
+            point, or no exchanged set meets the KKT conditions and NNLS's
+            point is not kept; a gap between contradicting rows below about
+            ``1e-12 ||v||_inf`` cannot be detected).
         ConvergenceError
             If NNLS reaches its iteration cap.
         """
@@ -221,10 +222,11 @@ class Polytope:
         if 1.0 + rnorm * rnorm == 1.0:
             raise PreconditionError("projection onto an empty polytope")
         working = u > 0.0
-        x = self._gram_step(v, h, working, False)
-        broken = self.a_mat @ x - self.b_vec > FEAS_TOL + 1e-12 * (1.0 + np.abs(v).max())
+        gram_x = self._gram_step(v, h, working, False)
+        gap = self.a_mat @ gram_x - self.b_vec
+        broken = gap > FEAS_TOL
         if not broken.any():
-            return x
+            return gram_x
         # NNLS can hold one of two nearly parallel rows where the projection
         # needs the other: add the rows it broke, then drop one working row at
         # a time, until a set meets the KKT conditions
@@ -233,7 +235,9 @@ class Polytope:
             if (x := self._gram_step(v, h, trial, True)) is not None:
                 return x
         # NNLS can miss an empty polytope whose gap is small next to v
-        raise PreconditionError("projection onto an empty polytope")
+        if gap.max() > FEAS_TOL + 1e-12 * (1.0 + np.abs(v).max()):
+            raise PreconditionError("projection onto an empty polytope")
+        return gram_x
 
     def _gram_step(self, v, h, working, guessed):
         """``x = v - lam @ A_W``, ``W = working``, with ``lam`` from the Gram
@@ -910,12 +914,11 @@ def _block_gradient(problem, blocks, mu, rho, idx):
 
 
 def _block_gradients(problem, flat, mu, rho, idx):
-    """Block gradients of the agents ``idx`` at the read-only point ``flat``.
-
-    Item ``k`` is the gradient of agent ``idx[k]``.  With the
-    ``block_gradients`` hook this is one call on ``flat`` seen as the
-    ``(N, d)`` array of blocks, returning its checked ``(len(idx), d)``
-    array (a non-finite row names its agent); without it, the list that
+    """Block gradients of the agents ``idx``, whose blocks share one dimension
+    ``d``, at the read-only point ``flat``: the ``(len(idx), d)`` array whose
+    row ``k`` is agent ``idx[k]``'s.  With the ``block_gradients`` hook this
+    is one call on ``flat`` seen as the ``(N, d)`` array of blocks, checked
+    (a non-finite row names its agent); without it, the rows that
     :func:`_block_gradient` gives.  A stack of points, ``(P, n)``, gives
     the ``(P, len(idx), d)`` array, by one call or point by point.
     """
@@ -924,7 +927,7 @@ def _block_gradients(problem, flat, mu, rho, idx):
         if flat.ndim == 2:
             return np.array([_block_gradients(problem, f, mu, rho, idx) for f in flat])
         blocks = _cut(flat, _partition(problem.block_dims)[1])
-        return _block_gradient(problem, blocks, mu, rho, idx.tolist())
+        return np.array(_block_gradient(problem, blocks, mu, rho, idx.tolist()))
     x = flat.reshape(*flat.shape[:-1], problem.n_agents, -1)
     return _checked(hook(x, mu.flat, rho, idx), (*x.shape[:-2], idx.shape[0], x.shape[-1]),
                     "block_gradients", rows=idx)

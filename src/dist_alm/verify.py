@@ -6,11 +6,13 @@ gradient to the negative normal cone of the feasible polytope,
     d(0, grad L_rho(z, mu) + N_Z(z)),
 
 which is the inexactness the inner loop must drive below the outer loop's
-tolerance.  It is taken by one kernel call per set group of the problem
-(sets of one kind and shape, ``model._SetGroup``), the kernel that
-``Polytope.normal_cone_distance`` runs on a group of one: boxes use the
-per-coordinate closed form, other polytopes reconstruct the inequality
-multipliers by nonnegative least squares on the rows active by
+tolerance.  One pass computes it, part by part: one gradient call and one
+kernel call per set group of the problem (sets of one kind and shape,
+``model._SetGroup``), or per colour class for the inner loop's stop test,
+which may stop after the first part that already exceeds its target.  The
+kernel is the one ``Polytope.normal_cone_distance`` runs on a group of one:
+boxes use the per-coordinate closed form, other polytopes reconstruct the
+inequality multipliers by nonnegative least squares on the rows active by
 ``ACTIVE_TOL``.  ``kkt_report`` reads its multipliers from the same pass.
 The remaining routines are deliberately simple, derivative-
 free or exhaustive, so they can serve as oracles for the solver itself;
@@ -81,20 +83,29 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
     return _residual_and_gradients(problem, z, mu, rho)[0]
 
 
-def _residual_and_gradients(problem, z, mu, rho):
-    """:func:`criticality_residual`, the gradients of every block it was taken
-    from (one ``_block_gradients`` call) and, per set group of the problem
-    (``NlpProblem._set_groups``), the row multipliers and active-row masks
-    of ``_SetGroup.cone_parts``, which gives every distance."""
+def _residual_and_gradients(problem, z, mu, rho, parts=None, above=None):
+    """:func:`criticality_residual` taken part by part, and per part visited
+    its ``(k, d)`` block gradients (one ``_block_gradients`` call) and the
+    active-row masks and multiplier parts of its ``_SetGroup.cone_parts``.
+
+    ``parts`` are ``_SetGroup`` s that cover every agent once: the problem's
+    set groups by default, or :mod:`~dist_alm.inner_bcd`'s colour classes
+    (each distance is bitwise that of its agent's set group).  With
+    ``above``, the pass stops after the first part where the root of the
+    squared distances so far, summed in agent order with ``0.0`` for every
+    agent not yet visited, exceeds ``above``.  Rounded addition of
+    nonnegative terms and the square root are monotone, so that value never
+    exceeds the residual, bit for bit, and it proves ``residual > above``.
+    """
     problem.check_membership(z)
-    grads = _block_gradients(problem, z.flat, mu, rho, np.arange(problem.n_agents))
-    dists, cones = np.empty(problem.n_agents), []
-    for group in problem._set_groups:
-        g = (grads[group.idx] if isinstance(grads, np.ndarray)  # from the hook
-             else np.array([grads[i] for i in group.idx.tolist()]))
-        dist_sq, *cone = group.cone_parts(z.flat[group.pos], g)
-        dists[group.idx] = dist_sq
+    dists, grads, cones = np.zeros(problem.n_agents), [], []
+    for part in problem._set_groups if parts is None else parts:
+        grads.append(_block_gradients(problem, z.flat, mu, rho, part.idx))
+        dist_sq, *cone = part.cone_parts(z.flat[part.pos], grads[-1])
+        dists[part.idx] = dist_sq
         cones.append(cone)
+        if above is not None and (value := _root_of_sum(dists)) > above:
+            return value, grads, cones
     return _root_of_sum(dists), grads, cones
 
 

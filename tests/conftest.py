@@ -4,7 +4,7 @@ import pytest
 import dataclasses
 
 from dist_alm import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
-                      NlpProblem, Polytope, ToyParams, default_start, generate_toy,
+                      NlpProblem, Polytope, ProxQp, ToyParams, default_start, generate_toy,
                       toy_initial_guess)
 from dist_alm.bench import one_agent_problem
 
@@ -91,6 +91,23 @@ def unit_simplex():
                     np.r_[np.ones(3), np.zeros(3), 1.0])
 
 
+def stiff_qp():
+    """A block QP at the scale of rho = 1e7 on the full benchmark schedule.
+
+    ``M = 3e8 I`` over the box [-1.2, 1.2]^3 given as a general polytope
+    (its six rows), centred on the face ``x_1 = 1.2`` with a gradient that
+    pushes through it.  The minimiser lies on that face: it is the
+    projection of ``center - g / 3e8 = (0.6005, 1.201, -0.4003)``.  A KKT
+    solve with a relative rank cutoff drops the face row here and
+    overshoots the face by 1e-3.  ``dist-alm verify`` checks the same
+    projection.
+    """
+    eye = np.eye(3)
+    return ProxQp(g=3e8 * np.array([-5e-4, -1e-3, 3e-4]), m_mat=3e8 * eye,
+                  center=np.array([0.6, 1.2, -0.4]),
+                  feasible_set=Polytope(np.vstack([eye, -eye]), np.full(6, 1.2)))
+
+
 def nnls_at_cap(*args, **kwargs):
     """Stand-in for ``scipy.optimize.nnls`` that stops at its iteration cap."""
     raise RuntimeError("Maximum number of iterations reached.")
@@ -161,7 +178,8 @@ def _as_matrix(raw):
 
 def reference_gradients(problem, flat, mu, rho, idx):
     """``grad J_i + Jac F_i.T (mu_i + rho F_i) + grad_i Q + Jac_i G.T (mu_G +
-    rho G)`` for each agent of ``idx`` at ``flat`` (or at each row of it)."""
+    rho G)`` for each agent of ``idx`` at ``flat`` (or at each row of it),
+    one row per agent."""
     if flat.ndim == 2:
         return np.array([reference_gradients(problem, f, mu, rho, idx) for f in flat])
     blocks = list(BlockVector.from_flat(flat, problem.block_dims).blocks)
@@ -179,7 +197,7 @@ def reference_gradients(problem, flat, mu, rho, idx):
             grad += (_as_matrix(coup.constraint_block_jac(blocks, i)).T
                      @ (mu.coupling_part + rho * g_val))
         grads.append(grad)
-    return grads
+    return np.array(grads)
 
 
 def reference_values(problem, flat, mu, rho, idx, trial=None):

@@ -76,6 +76,14 @@ class TestToyFamily:
         with pytest.raises(ConfigurationError):
             ToyParams(scale=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_agents", 2.5), ("n_agents", 1), ("n_agents", "3"), ("block_dim", 1.5),
+        ("block_dim", 0), ("seed", 0.5), ("seed", -1), ("seed", np.nan)])
+    def test_counts_and_seed_are_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer >= "):
+            ToyParams(**{field: value})
+        assert ToyParams(n_agents=np.int64(2), block_dim=np.int64(1), seed=np.int64(3)).seed == 3
+
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0])
     def test_scale_must_be_finite_and_positive(self, scale):
         with pytest.raises(ConfigurationError, match="^scale R must be finite and > 0"):
@@ -214,6 +222,16 @@ class TestRunStatistics:
         with pytest.raises(ConfigurationError):
             run_statistics(params, instances=1, budgets=[-5], tolerances=[1e-3])
 
+
+    @pytest.mark.parametrize("instances, budget, name", [
+        (1, 10.5, "a budget"), (1, np.nan, "a budget"), (1, np.inf, "a budget"),
+        (1, -1, "a budget"), (1.5, 10, "instances"), (np.nan, 10, "instances")])
+    def test_counts_are_integers(self, instances, budget, name):
+        # a budget of 10.5 once ran 10 sweeps and reported 10.5
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=0)
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer >= "):
+            run_statistics(params, instances=instances, budgets=[10, budget],
+                           tolerances=[1e-3])
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -np.inf])
     def test_tolerances_must_be_finite_and_nonnegative(self, tol):

@@ -151,6 +151,14 @@ class TestConfigHandling:
         assert run_cli(["solve", "--n", "2", "--d", "1", flag, "inf"]) == 2
         assert f"config error: {flag[2:]} must " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["solve", "bench"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, mode):
+        extra = ["--instances", "1"] if mode == "bench" else []
+        code = run_cli([mode, "--seed", "-3", "--n", "2", "--d", "1",
+                        "--out", str(tmp_path / "out"), *extra])
+        assert code == 2
+        assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
+
     def test_invalid_numeric_field_exits_two(self, capsys):
         assert run_cli(["solve", "--toy", "--beta", "0.5"]) == 2
         assert "config error" in capsys.readouterr().err

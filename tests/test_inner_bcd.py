@@ -12,8 +12,8 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
                       MultiplierEstimate, NlpProblem, OuterConfig, Polytope,
                       PreconditionError, ProxQp, StructureError, ToyParams, bcd_sweep,
                       color_interaction_graph, default_start, eval_aug_lagrangian,
-                      eval_block_gradient, eval_constraints, generate_toy, run_inner,
-                      run_outer, toy_initial_guess)
+                      eval_block_gradient, eval_constraints, generate_toy, kkt_report,
+                      run_inner, run_outer, toy_initial_guess)
 from dist_alm import inner_bcd, model, verify
 from dist_alm.inner_bcd import BAND_MARGIN, C_FLOOR
 from dist_alm.model import FEAS_TOL
@@ -555,19 +555,20 @@ class TestHandOn:
     def test_per_sweep_hook_calls(self, monkeypatch):
         # Per sweep, the gradients: the first class's step (handed on), its
         # moved class, the second class's step and moved class, and the
-        # residual at the end point.  The values: the first class's
-        # snapshot (handed on), its step, the second class's snapshot and
-        # step, and the Lagrangian at the end point.  Before the first
-        # sweep: curvature sampling (one call per class, on the stack of
-        # every sign, coordinate and sample), the residual at the start,
-        # then the Lagrangian there.
+        # residual at the end point (its first class, which rules the
+        # target out; both classes after the last sweep).  The values: the
+        # first class's snapshot (handed on), its step, the second class's
+        # snapshot and step, and the Lagrangian at the end point.  Before
+        # the first sweep: curvature sampling (one call per class, on the
+        # stack of every sign, coordinate and sample), the residual at the
+        # start (its first class), then the Lagrangian there.
         _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
         cfg = InnerConfig(max_sweeps=6)
         result, marks = self.certified_run(monkeypatch, problem, z0, mu, cfg)
         assert result.sweeps == 6 and not result.achieved_target
         assert marks[0] == (2 + 1, 0)
         per_sweep = [(g1 - g0, v1 - v0) for (g0, v0), (g1, v1) in zip(marks, marks[1:])]
-        assert per_sweep == [(4, 1 + 4)] + [(4, 4)] * 5
+        assert per_sweep == [(4, 1 + 4)] + [(4, 4)] * 4 + [(4 + 1, 4)]
 
     @pytest.mark.parametrize("cfg", [InnerConfig(max_sweeps=6),
                                      InnerConfig(b_strategy=HessianBand(), max_sweeps=6)],
@@ -830,10 +831,10 @@ def stop_case(name):
 
 
 class TestFirstClassStop:
-    """``run_inner`` decides its residual target from the first colour class
-    where that part of the residual already exceeds it, and takes the full
-    residual otherwise; the results are those of the full residual after
-    every sweep, bitwise."""
+    """``run_inner`` takes its residual target class by class and stops at
+    the first colour class after which that part of the residual already
+    exceeds it; the results are those of the full residual after every
+    sweep, bitwise."""
 
     @pytest.mark.parametrize("case", ["cut_chain", "mixed_sets", "certified_toy"])
     @pytest.mark.parametrize("target", ["start", "mid", "never", "tau"])
@@ -847,25 +848,25 @@ class TestFirstClassStop:
                "mid": five.final_residual}.get(target, 0.0)
         if target == "tau":  # the step stops the loop, by the fifth sweep
             cfg = InnerConfig(tau=five.final_step, max_sweeps=8)
-        full = verify._residual_and_gradients
+        residual = verify._residual_and_gradients
         calls = {"full": 0}
 
-        def counted_full(*args):
-            calls["full"] += 1
-            return full(*args)
+        def counted(problem, z, mu, rho, parts, above):
+            value, grads, cones = residual(problem, z, mu, rho, parts, above)
+            calls["full"] += len(grads) == len(parts)  # every class taken
+            return value, grads, cones
 
-        def never_decides(problem, cls, z, mu, rho):
-            return -np.inf, np.asarray(inner_bcd._block_gradients(problem, z.flat, mu,
-                                                                  rho, cls.idx))
+        def never_decides(problem, z, mu, rho, parts, above):
+            return counted(problem, z, mu, rho, parts, None)
 
         def solve():
             return run_inner(problem, z0, mu, rho, cfg, eps_target=eps, sweep_cap=cap,
                              with_certificates=certified)
 
-        monkeypatch.setattr(inner_bcd, "_residual_and_gradients", counted_full)
+        monkeypatch.setattr(inner_bcd, "_residual_and_gradients", counted)
         result = solve()
         fast_calls = dict(calls)
-        monkeypatch.setattr(inner_bcd, "_first_class_bound", never_decides)
+        monkeypatch.setattr(inner_bcd, "_residual_and_gradients", never_decides)
         ref = solve()
         checks = ref.sweeps + 1
         assert calls["full"] - fast_calls["full"] == checks  # the reference's
@@ -929,8 +930,8 @@ class TestFirstClassStop:
                     calls["stop test"] = False
             return wrapped
 
-        for name in ("_first_class_bound", "_residual_and_gradients"):
-            monkeypatch.setattr(inner_bcd, name, in_stop_test(getattr(inner_bcd, name)))
+        monkeypatch.setattr(inner_bcd, "_residual_and_gradients",
+                            in_stop_test(inner_bcd._residual_and_gradients))
         result = run_inner(problem, z0, mu, 10.0, InnerConfig(max_sweeps=20),
                            eps_target=1e-6, with_certificates=False)
         assert result.sweeps == 20 and result.hit_sweep_cap
@@ -938,6 +939,79 @@ class TestFirstClassStop:
         # full residual at every check would make this share 1
         share = calls["second"] / ((result.sweeps + 1) * len(second))
         assert 0 < share < 0.1  # the last check alone: 1 of 21
+
+
+class TestResidualByClass:
+    """The residual taken by colour class is the residual taken by set group,
+    bitwise, and stopped early it is a lower bound that exceeds ``above``."""
+
+    @pytest.mark.parametrize("case", ["cut_chain", "mixed_sets", "certified_toy",
+                                      "unequal_blocks"])
+    def test_classes_and_set_groups_give_the_same_bits(self, case):
+        # the certified toy chain has the hooks
+        problem, z, mu = (parity_case(case) if case == "unequal_blocks"
+                          else stop_case(case)[:3])
+        coloring = inner_bcd._coloring(problem)
+        classes = inner_bcd._color_classes(problem, coloring)
+
+        def by_agent(parts, rows):
+            return {i: row.tobytes() for part, part_rows in zip(parts, rows)
+                    for i, row in zip(part.idx.tolist(), part_rows)}
+
+        stopped = 0
+        for sweep in range(5):
+            full, grads, _ = verify._residual_and_gradients(problem, z, mu, 10.0)
+            value, class_grads, cones = verify._residual_and_gradients(problem, z, mu, 10.0,
+                                                                       classes)
+            assert value == full
+            assert by_agent(classes, class_grads) == by_agent(problem._set_groups, grads)
+            lams = {i: lam for cls, (active, parts) in zip(classes, cones)
+                    for i, lam in zip(cls.idx.tolist(), cls.multipliers(active, parts))}
+            assert (np.concatenate([lams[i] for i in range(problem.n_agents)]).tobytes()
+                    == kkt_report(problem, z, mu, 10.0).multipliers.tobytes())
+            for above in (0.0, 0.5 * full, np.nextafter(full, 0.0), full, np.inf):
+                value, class_grads, _ = verify._residual_and_gradients(
+                    problem, z, mu, 10.0, classes, above)
+                assert value == full or above < value <= full
+                stopped += len(class_grads) < len(classes)
+            z = bcd_sweep(problem, z, mu, 10.0, InnerConfig(), coloring,
+                          sweep_index=sweep, with_certificates=False)[0]
+        assert stopped > 0
+
+    def test_no_check_evaluates_an_agent_twice(self, monkeypatch):
+        # a check that meets the target takes every class, the first once
+        problem, z0, mu = cut_chain(seed=1)
+        calls, checks = [], []
+
+        def counted(i, grad):
+            def wrapped(x):
+                calls.append(i)
+                return grad(x)
+            return wrapped
+
+        problem = dataclasses.replace(problem, agents=tuple(
+            dataclasses.replace(a, cost_grad=counted(i, a.cost_grad))
+            for i, a in enumerate(problem.agents)))
+        sweep = inner_bcd.bcd_sweep
+
+        def marked(*args, **kwargs):
+            checks.append(list(calls))  # the evaluations since the last sweep
+            calls.clear()
+            try:
+                return sweep(*args, **kwargs)
+            finally:
+                calls.clear()
+
+        cfg = InnerConfig(max_sweeps=20)
+        five = run_inner(problem, z0, mu, 10.0, cfg, sweep_cap=5, with_certificates=False)
+        calls.clear()
+        monkeypatch.setattr(inner_bcd, "bcd_sweep", marked)
+        result = run_inner(problem, z0, mu, 10.0, cfg, eps_target=five.final_residual,
+                           with_certificates=False)
+        checks.append(calls)
+        assert result.achieved_target and len(checks) == result.sweeps + 1
+        assert all(len(c) == len(set(c)) for c in checks)
+        assert sorted(checks[-1]) == list(range(problem.n_agents))
 
 
 def parity_case(name):

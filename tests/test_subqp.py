@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from dist_alm import (ConvergenceError, Polytope, PreconditionError, ProxQp,
                       StructureError, solve_prox_qp)
-from dist_alm.bench import stiff_polytope_qp
 from dist_alm.model import FEAS_TOL
 from dist_alm.verify import enumerate_projection
-from conftest import box_with_cuts, nnls_at_cap, unit_simplex
+from conftest import box_with_cuts, nnls_at_cap, stiff_qp, unit_simplex
 
 
 def box_qp(g, m_mat, center, lo, hi):
@@ -188,7 +187,7 @@ class TestPolytopePath:
     def test_stiff_qp_stays_on_its_face(self):
         # M = 3e8 I: the KKT matrix's smallest singular value is below any
         # relative rank cutoff, yet the working set is independent
-        qp = stiff_polytope_qp()
+        qp = stiff_qp()
         x, _, active = solve_prox_qp(qp)
         assert qp.feasible_set.violation(x) <= 1e-12
         x_proj = qp.feasible_set.project(qp.center - qp.g / qp.m_mat[0, 0])
