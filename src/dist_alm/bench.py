@@ -81,9 +81,7 @@ class ToyParams:
         return 0.6 * self.scale
 
 
-def _quadratic_agent(h_mat: np.ndarray, radius_sq: float, box: float) -> AgentSpec:
-    d = h_mat.shape[0]
-
+def _quadratic_agent(h_mat: np.ndarray, radius_sq: float, box: Polytope) -> AgentSpec:
     def cost(x, _h=h_mat):
         return float(x @ _h @ x)
 
@@ -97,14 +95,14 @@ def _quadratic_agent(h_mat: np.ndarray, radius_sq: float, box: float) -> AgentSp
         return 2.0 * x[None, :]
 
     return AgentSpec(
-        cost=cost, cost_grad=cost_grad,
-        feasible_set=Polytope.box(-box * np.ones(d), box * np.ones(d)),
+        cost=cost, cost_grad=cost_grad, feasible_set=box,
         constraint=constraint, constraint_jac=constraint_jac, constraint_dim=1,
     )
 
 
-def _chain_coupling(w_mats) -> CouplingSpec:
-    n = len(w_mats) + 1
+def _chain_coupling(w: np.ndarray) -> CouplingSpec:
+    n = w.shape[0] + 1
+    w_mats = tuple(w)  # row views: a tuple indexes faster per call than the stack
 
     def cost(blocks, _w=w_mats):
         return float(sum(blocks[i] @ _w[i] @ blocks[i + 1]
@@ -132,7 +130,7 @@ def _per_index_set(gather):
     return lambda idx: cached(idx.tobytes(), idx.dtype)
 
 
-def _chain_block_gradients(h_mats, w_mats, radius_sq):
+def _chain_block_gradients(h, w, radius_sq):
     """Batched block gradients of the chain instance.
 
     Equal bitwise to the per-agent evaluators (up to the sign of an exact
@@ -144,8 +142,6 @@ def _chain_block_gradients(h_mats, w_mats, radius_sq):
     ``(P, N, d)`` stack of points broadcasts the same products.  The
     gathered matrices are kept per index set (see :func:`_per_index_set`).
     """
-    h = np.array(h_mats)
-    w = np.array(w_mats)
     zero = np.zeros((1,) + h.shape[1:])
     w_prev = np.concatenate([zero, w])  # row i: W_{i-1}
     w_next = np.concatenate([w, zero])  # row i: W_i
@@ -167,7 +163,7 @@ def _chain_block_gradients(h_mats, w_mats, radius_sq):
     return block_gradients
 
 
-def _chain_block_values(h_mats, w_mats, radius_sq):
+def _chain_block_values(h, w, radius_sq):
     """Batched local and coupling terms of the chain instance.
 
     Equal bitwise to the per-agent evaluators: the products are stacked
@@ -178,8 +174,6 @@ def _chain_block_values(h_mats, w_mats, radius_sq):
     edge terms replaced.  The gathers are kept per index set (see
     :func:`_per_index_set`).
     """
-    h = np.array(h_mats)
-    w = np.array(w_mats)
     last = h.shape[0] - 1
 
     @_per_index_set
@@ -205,29 +199,33 @@ def _chain_block_values(h_mats, w_mats, radius_sq):
     return block_values
 
 
+def _toy_matrices(params: ToyParams):
+    """The ``(N, d, d)`` diagonal and ``(N - 1, d, d)`` chain matrices of the
+    instance, in :func:`generate_toy`'s draw order."""
+    rng = np.random.default_rng(params.seed)
+    n, d = params.n_agents, params.block_dim
+    raw = rng.uniform(-1.0, 1.0, (n, d, d))
+    return 0.5 * (raw + raw.transpose(0, 2, 1)), rng.uniform(-1.0, 1.0, (n - 1, d, d))
+
+
 def generate_toy(params: ToyParams) -> NlpProblem:
     """Build one seeded chain instance (PCG64 stream ``default_rng(seed)``).
 
     The draw order is fixed: the N symmetric diagonal matrices first (each
     symmetrised as ``(A + A.T) / 2``), then the N - 1 chain matrices,
-    unsymmetrised.  The same seed reproduces the matrices bitwise.
+    unsymmetrised.  Each kind is one stacked draw, which takes the same
+    numbers as one ``(d, d)`` draw per matrix in that order.  The same seed
+    reproduces the matrices bitwise.  Every agent holds the same box
+    :class:`Polytope` object.
     """
-    rng = np.random.default_rng(params.seed)
-    d = params.block_dim
-    h_mats = []
-    for _ in range(params.n_agents):
-        raw = rng.uniform(-1.0, 1.0, (d, d))
-        h_mats.append(0.5 * (raw + raw.T))
-    w_mats = [rng.uniform(-1.0, 1.0, (d, d)) for _ in range(params.n_agents - 1)]
-    agents = tuple(
-        _quadratic_agent(h, params.sphere_radius_sq, params.box_bound)
-        for h in h_mats
-    )
+    h, w = _toy_matrices(params)
+    bound = params.box_bound * np.ones(params.block_dim)
+    box = Polytope.box(-bound, bound)
+    agents = tuple(_quadratic_agent(h_i, params.sphere_radius_sq, box) for h_i in h)
     return NlpProblem(
-        agents=agents, coupling=_chain_coupling(w_mats),
-        block_gradients=_chain_block_gradients(h_mats, w_mats,
-                                               params.sphere_radius_sq),
-        block_values=_chain_block_values(h_mats, w_mats, params.sphere_radius_sq))
+        agents=agents, coupling=_chain_coupling(w),
+        block_gradients=_chain_block_gradients(h, w, params.sphere_radius_sq),
+        block_values=_chain_block_values(h, w, params.sphere_radius_sq))
 
 
 def toy_definite_count(params: ToyParams) -> int:
@@ -237,29 +235,23 @@ def toy_definite_count(params: ToyParams) -> int:
     probability at moderate dimension; definite draws are not rejected
     (rejection would bias the ensemble) but can be counted here.
     """
-    rng = np.random.default_rng(params.seed)
-    d = params.block_dim
-    count = 0
-    for _ in range(params.n_agents):
-        raw = rng.uniform(-1.0, 1.0, (d, d))
-        eigs = np.linalg.eigvalsh(0.5 * (raw + raw.T))
-        if np.all(eigs > 0) or np.all(eigs < 0):
-            count += 1
-    return count
+    eigs = np.linalg.eigvalsh(_toy_matrices(params)[0])
+    return int(np.count_nonzero((eigs > 0).all(axis=1) | (eigs < 0).all(axis=1)))
 
 
 def toy_initial_guess(params: ToyParams, problem: NlpProblem):
     """Seeded random start: primal uniform in the box, duals in U[-1, 1].
 
     Drawn from an independent stream (``default_rng(seed + _INIT_STREAM)``)
-    so that problem data and starts can be reproduced separately.
+    so that problem data and starts can be reproduced separately: the N
+    blocks first, as one stacked draw, then the multipliers.
     """
     rng = np.random.default_rng(params.seed + _INIT_STREAM)
     b = params.box_bound
-    blocks = [rng.uniform(-b, b, params.block_dim)
-              for _ in range(params.n_agents)]
+    n, d = params.n_agents, params.block_dim
+    z0 = BlockVector.from_flat(rng.uniform(-b, b, n * d), (d,) * n)
     flat_mu = rng.uniform(-1.0, 1.0, problem.r)
-    return BlockVector(blocks), MultiplierEstimate.from_flat(problem, flat_mu)
+    return z0, MultiplierEstimate.from_flat(problem, flat_mu)
 
 
 def one_agent_problem() -> NlpProblem:
@@ -311,12 +303,13 @@ def _default_inner() -> InnerConfig:
 
 
 def _run_instance(params_base: ToyParams, index: int, budgets, outer_cfg,
-                  inner_cfg, outer_iters: int):
+                  inner_cfg, outer_iters: int, rows):
+    """The instance's final violation per budget; its trace rows are appended
+    to ``rows`` unless that is ``None``."""
     params = replace(params_base, seed=params_base.seed + index)
     problem = generate_toy(params)
     z0, mu0 = toy_initial_guess(params, problem)
     feas = np.full(len(budgets), np.inf)
-    rows = []
     for b_idx, total in enumerate(budgets):
         try:
             state, _ = run_outer(
@@ -329,11 +322,12 @@ def _run_instance(params_base: ToyParams, index: int, budgets, outer_cfg,
             log.exception("instance %d failed under budget %d", index, total)
             continue
         feas[b_idx] = state.trace[-1].h_inf
-        for t in state.trace:
-            row = {"instance": index, "seed": params.seed, "budget": int(total)}
-            row.update(t.as_dict())
-            rows.append(row)
-    return feas, rows
+        if rows is not None:
+            for t in state.trace:
+                row = {"instance": index, "seed": params.seed, "budget": int(total)}
+                row.update(t.as_dict())
+                rows.append(row)
+    return feas
 
 
 def run_statistics(params_base: ToyParams, instances: int,
@@ -371,11 +365,10 @@ def run_statistics(params_base: ToyParams, instances: int,
              toy_definite_count(params_base), params_base.n_agents)
 
     feasibility = np.full((instances, len(budgets)), np.inf)
-    all_rows = []
+    rows = None if trace_path is None else []
     for idx in range(instances):
-        feasibility[idx], rows = _run_instance(params_base, idx, budgets, outer_cfg,
-                                               inner_cfg, outer_iters)
-        all_rows.extend(rows)
+        feasibility[idx] = _run_instance(params_base, idx, budgets, outer_cfg,
+                                         inner_cfg, outer_iters, rows)
 
     fractions = np.zeros((len(budgets), len(tolerances)))
     for b_idx in range(len(budgets)):
@@ -385,7 +378,7 @@ def run_statistics(params_base: ToyParams, instances: int,
 
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
-            for row in all_rows:
+            for row in rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
 
     return RunStats(budgets=list(budgets), tolerances=list(tolerances),

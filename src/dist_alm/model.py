@@ -177,18 +177,19 @@ class Polytope:
         rows where the projection needs the other), the violated rows join
         ``W`` and one row of ``W`` at a time leaves it, until a set meets
         the projection's KKT conditions (see :meth:`_gram_step`); if none
-        does, the point is kept where it violates no row by more than
-        ``FEAS_TOL + 1e-12 (1 + ||v||_inf)``.  A point inside is returned
-        unchanged.  In a sweep, the block's previous value first proposes
-        ``W`` (see :meth:`_project`).
+        does (far from ``v`` the Gram point loses about
+        ``eps ||v||_inf`` to cancellation), one least-squares solve moves
+        the point back onto ``A_W x = b_W``, and it is kept if it then
+        violates no row by more than ``FEAS_TOL``.  A point inside is
+        returned unchanged.  In a sweep, the block's previous value first
+        proposes ``W`` (see :meth:`_project`).
 
         Raises
         ------
         PreconditionError
             If ``v`` is not finite, or the polytope is empty (NNLS finds no
-            point, or no exchanged set meets the KKT conditions and NNLS's
-            point is not kept; a gap between contradicting rows below about
-            ``1e-12 ||v||_inf`` cannot be detected).
+            point, or no exchanged set meets the KKT conditions and the
+            corrected point breaks a row by more than ``FEAS_TOL``).
         ConvergenceError
             If NNLS reaches its iteration cap.
         """
@@ -234,10 +235,13 @@ class Polytope:
             trial = (working | broken) & (np.arange(self.n_rows) != drop)
             if (x := self._gram_step(v, h, trial, True)) is not None:
                 return x
-        # NNLS can miss an empty polytope whose gap is small next to v
-        if gap.max() > FEAS_TOL + 1e-12 * (1.0 + np.abs(v).max()):
-            raise PreconditionError("projection onto an empty polytope")
-        return gram_x
+        # far from v, the Gram point loses about eps ||v||_inf to cancellation:
+        # one least-squares correction back onto A_W x = b_W, from the point
+        a_w = self.a_mat[working]
+        x = gram_x - np.linalg.lstsq(a_w @ a_w.T, gap[working])[0] @ a_w
+        if (self.a_mat @ x - self.b_vec).max() <= FEAS_TOL:
+            return x
+        raise PreconditionError("projection onto an empty polytope")
 
     def _gram_step(self, v, h, working, guessed):
         """``x = v - lam @ A_W``, ``W = working``, with ``lam`` from the Gram

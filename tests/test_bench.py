@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 
@@ -6,7 +7,7 @@ import pytest
 
 from dist_alm import bench
 from dist_alm import (ConfigurationError, ConvergenceError, EvaluationError,
-                      ToyParams, brute_force_min,
+                      NlpProblem, Polytope, ToyParams, brute_force_min,
                       eval_constraints, generate_toy, run_statistics,
                       toy_initial_guess, write_stats_csv)
 from dist_alm.bench import _split_budget
@@ -97,6 +98,69 @@ class TestToyFamily:
         assert 0 <= count <= 30
         # the symmetric uniform ensemble is almost never definite at d=3
         assert count <= 3
+
+
+class TestToyDraws:
+    """The instance, its start and its definite count take their numbers in
+    the order the docstrings give, pinned against one draw per matrix and
+    per block."""
+
+    @pytest.mark.parametrize("n, d, seed", [(2, 1, 3), (7, 2, 0), (40, 3, 6)])
+    def test_equal_to_one_draw_per_matrix(self, n, d, seed):
+        params = ToyParams(n_agents=n, block_dim=d, scale=2.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        h_ref = []
+        for _ in range(n):
+            raw = rng.uniform(-1.0, 1.0, (d, d))
+            h_ref.append(0.5 * (raw + raw.T))
+        w_ref = [rng.uniform(-1.0, 1.0, (d, d)) for _ in range(n - 1)]
+        problem = generate_toy(params)
+        eye = np.eye(d)
+        for i, agent in enumerate(problem.agents):
+            # 2 H e_j / 2 and W_i e_j are exact: column j of each matrix
+            h_i = np.column_stack([agent.cost_grad(e) / 2.0 for e in eye])
+            assert h_i.tobytes() == h_ref[i].tobytes(), i
+        for i in range(n - 1):
+            blocks = [np.zeros(d) for _ in range(n)]
+            w_i = []
+            for e in eye:
+                blocks[i + 1] = e
+                w_i.append(problem.coupling.cost_block_grad(blocks, i))
+            assert np.column_stack(w_i).tobytes() == w_ref[i].tobytes(), i
+
+        rng = np.random.default_rng(seed + bench._INIT_STREAM)
+        b = params.box_bound
+        z_ref = [rng.uniform(-b, b, d) for _ in range(n)]
+        mu_ref = rng.uniform(-1.0, 1.0, problem.r)
+        z0, mu0 = toy_initial_guess(params, problem)
+        assert z0.block_dims == (d,) * n
+        assert z0.flat.tobytes() == np.concatenate(z_ref).tobytes()
+        assert mu0.flat.tobytes() == mu_ref.tobytes()
+
+        definite = 0
+        for h in h_ref:
+            eigs = np.linalg.eigvalsh(h)
+            definite += bool(np.all(eigs > 0) or np.all(eigs < 0))
+        assert bench.toy_definite_count(params) == definite
+
+    def test_agents_share_one_box(self):
+        params = ToyParams(n_agents=5, block_dim=3, scale=2.0, seed=4)
+        problem = generate_toy(params)
+        box = problem.agents[0].feasible_set
+        assert all(agent.feasible_set is box for agent in problem.agents)
+        assert len(problem._set_groups) == 1
+        rows = (box.a_mat.copy(), box.b_vec.copy(), box.lower.copy(), box.upper.copy())
+        # one agent's set replaced, as the cut chains do
+        cut = Polytope(np.vstack([box.a_mat, np.ones((1, 3))]), np.r_[box.b_vec, 1.0])
+        agents = list(problem.agents)
+        agents[2] = dataclasses.replace(agents[2], feasible_set=cut)
+        cut_problem = NlpProblem(agents=tuple(agents), coupling=problem.coupling)
+        assert [a.feasible_set is box for a in cut_problem.agents] == \
+            [True, True, False, True, True]
+        assert all(agent.feasible_set is box for agent in problem.agents)
+        for now, before in zip((box.a_mat, box.b_vec, box.lower, box.upper), rows):
+            assert now.tobytes() == before.tobytes()
+        assert [g.idx.tolist() for g in cut_problem._set_groups] == [[0, 1, 3, 4], [2]]
 
 
 class TestChainHooks:

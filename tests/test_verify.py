@@ -435,6 +435,19 @@ class TestEnumerationOracle:
             bound = 1e-12 * (1.0 + np.max(np.abs(v)))
             assert np.max(np.abs(x - enumerate_projection(poly, v))) <= bound, k
             assert poly.violation(x) <= bound, k
+            assert poly.contains(x), k
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_far_targets_land_inside_the_gate(self, seed):
+        # the degenerate vertices above with targets up to 1e9 away: the Gram
+        # point on NNLS's working set loses about eps ||v||_inf, and a
+        # least-squares correction brings it back inside (each seed once
+        # returned a point outside the membership gate)
+        for k, (poly, v) in enumerate(degenerate_vertex_cases(seed, 400, 9.0)):
+            x = poly.project(v)
+            bound = 1e-12 * (1.0 + np.max(np.abs(v)))
+            assert np.max(np.abs(x - enumerate_projection(poly, v))) <= bound, k
+            assert poly.contains(x), k
 
     def test_nearly_singular_sets_are_not_trusted(self):
         # the rows x_1 <= 1 and 0.13 x_1 <= 0.13 are parallel: sets holding
@@ -481,6 +494,26 @@ class TestEnumerationOracle:
                     empty.project(v)
 
 
+def degenerate_vertex_cases(seed, count, top):
+    """``(poly, v)`` of ``test_projection_stress_at_degenerate_vertices``,
+    drawn as it draws them from ``default_rng(seed)``, with ``||v||`` up to
+    ``10 ** top``."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        d = 2 + k % 4
+        box = Polytope.box(-np.ones(d), np.ones(d))
+        normals = rng.standard_normal((1 + k % 2, d))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        a_mat = np.vstack([box.a_mat, normals])
+        b_vec = np.concatenate([box.b_vec, np.abs(normals).sum(axis=1)])
+        rows = rng.integers(len(b_vec), size=2)
+        scale = np.array([10.0 ** rng.uniform(-3, 3), 1.0])
+        poly = Polytope(np.vstack([a_mat, scale[:, None] * a_mat[rows]]),
+                        np.concatenate([b_vec, scale * b_vec[rows]]))
+        direction = rng.standard_normal(d)
+        yield poly, 10.0 ** rng.uniform(-3, top) * direction / np.linalg.norm(direction)
+
+
 def enumeration_cases():
     """``(poly, v, bound)`` of the two stress tests of ``TestEnumerationOracle``,
     drawn as they draw them: 300 cut polytopes (their oracle bound 1e-10),
@@ -495,20 +528,7 @@ def enumeration_cases():
         direction = rng.standard_normal(3)
         v = base + 10.0 ** rng.uniform(-3, 3) * direction / np.linalg.norm(direction)
         yield poly, v, 1e-10
-    rng = np.random.default_rng(23)
-    for k in range(400):
-        d = 2 + k % 4
-        box = Polytope.box(-np.ones(d), np.ones(d))
-        normals = rng.standard_normal((1 + k % 2, d))
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
-        a_mat = np.vstack([box.a_mat, normals])
-        b_vec = np.concatenate([box.b_vec, np.abs(normals).sum(axis=1)])
-        rows = rng.integers(len(b_vec), size=2)
-        scale = np.array([10.0 ** rng.uniform(-3, 3), 1.0])
-        poly = Polytope(np.vstack([a_mat, scale[:, None] * a_mat[rows]]),
-                        np.concatenate([b_vec, scale * b_vec[rows]]))
-        direction = rng.standard_normal(d)
-        v = 10.0 ** rng.uniform(-3, 6) * direction / np.linalg.norm(direction)
+    for poly, v in degenerate_vertex_cases(23, 400, 6.0):
         yield poly, v, 1e-12 * (1.0 + np.max(np.abs(v)))
 
 
