@@ -11,19 +11,19 @@ over the agent's polytope, where ``g_i`` is the augmented-Lagrangian block
 gradient at the snapshot, ``B_i = b_i I`` is a scaled identity curvature
 surrogate and ``alpha`` is the proximal weight ``alpha_min``.  The
 minimiser is the Euclidean projection of ``x_i - g_i / (b_i + alpha)``
-onto the polytope: boxes clip; other polytopes take the rows active at
-``x_i`` as working set when the projection's KKT conditions hold on it,
-else solve one least-distance problem by nonnegative least squares
-(:meth:`~dist_alm.model.Polytope.project`).  Every block therefore stays
-inside its polytope up to rounding.
+onto the polytope, which the set layer takes for a whole colour class
+(``model._SetGroup.project``): boxes clip; other polytopes take the rows
+active at ``x_i`` as working set when the projection's KKT conditions hold
+on it, else solve one least-distance problem by nonnegative least squares.
+Every block therefore stays inside its polytope up to rounding.
 
 One kernel serves every configuration.  A colour class is the members of
 one colour in one set group of the problem (boxes of one dimension, or
 other polytopes of one row shape), so each holds ``(K, d)`` arrays.  Per
 class the kernel takes one batched gradient (one call of the problem's
 ``block_gradients`` hook when there is one, see
-:class:`~dist_alm.model.NlpProblem`), one step size per agent, and one clip
-for a class of boxes, else one projection per agent.  The hooks must agree
+:class:`~dist_alm.model.NlpProblem`), one step size per agent, and one
+projection call.  The hooks must agree
 with the problem's ``agents`` and ``coupling``;
 ``dataclasses.replace(problem, agents=...)`` keeps the old hooks.
 
@@ -60,10 +60,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, PreconditionError
+from .errors import ConfigurationError, ConvergenceError
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
-                    Polytope, _aug_lagrangian, _block_gradients, _block_values,
-                    _row_dots)
+                    _aug_lagrangian, _block_gradients, _block_values, _row_dots)
 from .verify import _residual_and_gradients, criticality_residual
 
 __all__ = [
@@ -243,31 +242,6 @@ def _sample_rng(i: int):
     return np.random.default_rng(_SAMPLE_SEED + 7919 * (i + 1))
 
 
-def _sample_in_polytope(poly: Polytope, rng, count: int) -> np.ndarray:
-    """``count`` points of ``poly`` from ``rng``: uniform on a box, else on
-    random chords through the Chebyshev centre (one LP), at most 95% of the
-    way to the boundary."""
-    if poly.is_box:
-        return rng.uniform(poly.lower, poly.upper, (count, poly.dim))
-    center = poly.chebyshev_center()
-    slack = poly.b_vec - poly.a_mat @ center
-    points = np.empty((count, poly.dim))
-    for k in range(count):
-        direction = rng.standard_normal(poly.dim)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            points[k] = center
-            continue
-        direction /= norm
-        along = poly.a_mat @ direction
-        up, down = along > 1e-14, along < -1e-14
-        t_hi = np.min(slack[up] / along[up], initial=np.inf)
-        t_lo = np.max(slack[down] / along[down], initial=-np.inf)
-        t_hi, t_lo = (t if np.isfinite(t) else 0.0 for t in (t_hi, t_lo))
-        points[k] = center + direction * rng.uniform(0.95 * t_lo, 0.95 * t_hi)
-    return points
-
-
 def _agent_samples(problem, samples: int) -> list:
     """Per agent, its ``(samples, d_i)`` curvature sample points, drawn from
     its own set and stream (:func:`_sample_rng`).  They are drawn once per
@@ -275,7 +249,7 @@ def _agent_samples(problem, samples: int) -> list:
     cache = problem._sweep_cache
     if ("samples", samples) not in cache:
         cache["samples", samples] = [
-            _sample_in_polytope(a.feasible_set, _sample_rng(i), samples)
+            a.feasible_set._sample(_sample_rng(i), samples)
             for i, a in enumerate(problem.agents)]
     return cache["samples", samples]
 
@@ -356,24 +330,15 @@ def _color_classes(problem, coloring) -> tuple:
     return classes
 
 
-def _solve_rows(problem, cls, rows, x_old, grad, m_diag, sweep):
-    """Block minimisers of the agents ``cls.idx[rows]`` from ``x_old``.
-
-    Row ``k`` is the projection of ``x_old[k] - grad[k] / m_diag`` (see
-    :func:`_b_scales`) onto its agent's polytope: a clip for a class of
-    boxes, else a projection warm-started from ``x_old[k]``.
-    """
-    target = x_old - grad / m_diag
-    if cls.lower is not None:
-        return target.clip(cls.lower[rows], cls.upper[rows])
-    if not np.isfinite(target).all():
-        raise PreconditionError("projection target is not finite")
-    for k, i in enumerate(cls.idx[rows].tolist()):
-        try:
-            target[k] = problem.agents[i].feasible_set._project(target[k], x_old[k])
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"agent {i}, sweep {sweep}: {exc}") from exc
-    return target
+def _solve_rows(cls, x_old, grad, m_diag, sweep):
+    """Block minimisers of the members of the class ``cls`` from ``x_old``:
+    row ``k`` projects ``x_old[k] - grad[k] / m_diag`` (see :func:`_b_scales`)
+    onto its agent's set, warm-started from ``x_old[k]``
+    (``model._SetGroup.project``)."""
+    try:
+        return cls.project(x_old - grad / m_diag, x_old)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"sweep {sweep}, {exc}") from exc
 
 
 def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
@@ -410,7 +375,7 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
             rows = np.flatnonzero(pending)
             m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + cfg.alpha_min
             if attempt:
-                x_new[rows] = _solve_rows(problem, cls, rows, x_old[rows], grad[rows],
+                x_new[rows] = _solve_rows(cls.take(rows), x_old[rows], grad[rows],
                                           m_diag, sweep)
             step[rows] = x_new[rows] - x_old[rows]
             snorm[rows] = np.sqrt(_row_dots(step[rows], step[rows]))
@@ -463,8 +428,8 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
 
     Blocks inside one color class read the same frozen snapshot (they do
     not interact) and are updated together: one batched gradient, one step
-    size per agent, and one clip for a class of boxes (else one projection
-    per agent, warm-started from its block).  With certificates, or
+    size per agent, and one projection call of the class (a clip for boxes),
+    warm-started from its blocks.  With certificates, or
     under a banded surrogate, the class's steps are then checked against
     the snapshot together, which needs the curvature bounds.  Classes are
     applied in ascending color order, which realises a Gauss-Seidel pass
@@ -509,7 +474,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
         grad = _block_gradients(problem, view, mu, rho, idx) if grads is None else grads
         m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + cfg.alpha_min
         x_old = flat[pos]
-        x_new = _solve_rows(problem, cls, slice(None), x_old, grad, m_diag, sweep_index)
+        x_new = _solve_rows(cls, x_old, grad, m_diag, sweep_index)
         if check:
             _check_class(problem, view, mu, rho, cfg, cls, grad, x_old, x_new,
                          c_bounds, sweep_index, cert,

@@ -76,9 +76,10 @@ class Polytope:
     """Bounded polyhedron ``{x : A x <= b}`` with an optional box shortcut.
 
     Boxes are stored with explicit ``lower``/``upper`` vectors and expand to
-    the rows ``[I; -I] x <= [upper; -lower]``; both representations agree on
-    membership.  Row ``j`` of a box is the upper bound of coordinate ``j``
-    and row ``dim + j`` its lower bound.
+    the rows ``[I; -I] x <= [upper; -lower]``; a set given both bounds must
+    have exactly these rows, so both representations agree.  Row ``j`` of a
+    box is the upper bound of coordinate ``j`` and row ``dim + j`` its lower
+    bound.
     """
 
     a_mat: np.ndarray
@@ -97,16 +98,24 @@ class Polytope:
             raise StructureError("polytope rows and offsets must be finite")
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "b_vec", b)
+        if self.lower is None and self.upper is None:
+            return
+        # finite bounds follow from the offsets, which are finite
+        lo, hi, d = np.asarray(self.lower, float), np.asarray(self.upper, float), a.shape[1]
+        eye = np.eye(d)
+        if not (lo.shape == hi.shape == (d,) and (lo <= hi).all()
+                and np.array_equal(a, np.vstack([eye, -eye]))
+                and np.array_equal(b, np.concatenate([hi, -lo]))):
+            raise StructureError("a box needs lower <= upper, both of the set's "
+                                 "dimension, and rows [I; -I] x <= [upper; -lower]")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
 
     @classmethod
     def box(cls, lower, upper) -> "Polytope":
         lo = _as_float_vector(lower, "lower")
         hi = _as_float_vector(upper, "upper")
-        if lo.shape != hi.shape:
-            raise StructureError("box bounds must have equal length")
-        if np.any(lo > hi):
-            raise StructureError("box has lower > upper")
-        eye = np.eye(lo.shape[0])
+        eye = np.eye(lo.shape[0])  # __post_init__ checks the bounds
         return cls(
             a_mat=np.vstack([eye, -eye]),
             b_vec=np.concatenate([hi, -lo]),
@@ -176,13 +185,13 @@ class Polytope:
         by more than ``FEAS_TOL`` (``W`` holds one of two nearly parallel
         rows where the projection needs the other), the violated rows join
         ``W`` and one row of ``W`` at a time leaves it, until a set meets
-        the projection's KKT conditions (see :meth:`_gram_step`); if none
+        the projection's KKT conditions (see :func:`_gram_step`); if none
         does (far from ``v`` the Gram point loses about
         ``eps ||v||_inf`` to cancellation), one least-squares solve moves
         the point back onto ``A_W x = b_W``, and it is kept if it then
         violates no row by more than ``FEAS_TOL``.  A point inside is
-        returned unchanged.  In a sweep, the block's previous value first
-        proposes ``W`` (see :meth:`_project`).
+        returned unchanged.  This is :meth:`_SetGroup.project` on the set
+        alone; in a sweep, each block's previous value first proposes ``W``.
 
         Raises
         ------
@@ -193,82 +202,38 @@ class Polytope:
         ConvergenceError
             If NNLS reaches its iteration cap.
         """
-        v = self._point(v)
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v := self._point(v))):
             raise PreconditionError("projection target is not finite")
-        return self._project(v)
-
-    def _project(self, v, near=None) -> np.ndarray:
-        """:meth:`project` of a finite float vector ``v`` of the set's dimension,
-        warm-started (Ferreau, Bock & Diehl, 2008) from ``near``, a point of the
-        set: NNLS runs only if its active rows fail as ``W`` (:meth:`_gram_step`)."""
-        if self.is_box:
-            return v.clip(self.lower, self.upper)
-        h = self.a_mat @ v - self.b_vec
-        if not (h > 0.0).any():
-            return v.copy()
-        if near is not None:
-            guess = self.b_vec - self.a_mat @ near <= self._group.active_tol[0]
-            if guess.any() and (x := self._gram_step(v, h, guess, True)) is not None:
-                return x
-        from scipy.optimize import nnls
-
-        e_last = np.zeros(self.dim + 1)
-        e_last[-1] = 1.0
-        try:
-            u, rnorm = nnls(np.concatenate([-self.a_mat.T, (h / h.max())[None]]), e_last)
-        except RuntimeError as exc:
-            raise ConvergenceError(f"polytope projection: {exc}") from exc
-        # ||r||^2 is 1 / (1 + (||x - v|| / max h)^2), or 0 if there is no x
-        if 1.0 + rnorm * rnorm == 1.0:
-            raise PreconditionError("projection onto an empty polytope")
-        working = u > 0.0
-        gram_x = self._gram_step(v, h, working, False)
-        gap = self.a_mat @ gram_x - self.b_vec
-        broken = gap > FEAS_TOL
-        if not broken.any():
-            return gram_x
-        # NNLS can hold one of two nearly parallel rows where the projection
-        # needs the other: add the rows it broke, then drop one working row at
-        # a time, until a set meets the KKT conditions
-        for drop in [-1, *np.flatnonzero(working).tolist()]:
-            trial = (working | broken) & (np.arange(self.n_rows) != drop)
-            if (x := self._gram_step(v, h, trial, True)) is not None:
-                return x
-        # far from v, the Gram point loses about eps ||v||_inf to cancellation:
-        # one least-squares correction back onto A_W x = b_W, from the point
-        a_w = self.a_mat[working]
-        x = gram_x - np.linalg.lstsq(a_w @ a_w.T, gap[working])[0] @ a_w
-        if (self.a_mat @ x - self.b_vec).max() <= FEAS_TOL:
-            return x
-        raise PreconditionError("projection onto an empty polytope")
-
-    def _gram_step(self, v, h, working, guessed):
-        """``x = v - lam @ A_W``, ``W = working``, with ``lam`` from the Gram
-        matrix of ``A_W`` (``h = A v - b``; dependent rows by least squares).
-        A ``guessed`` ``W`` gives ``None`` (also for dependent rows) unless ``x``
-        meets the projection's KKT conditions: ``lam > 0``, and ``A x <= b`` and
-        ``A_W x = b_W`` within :data:`FEAS_TOL`."""
-        a_w = self.a_mat[working]
-        gram, rhs = a_w @ a_w.T, h[working]
-        try:
-            lam = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:  # dependent working rows
-            if guessed:
-                return None
-            lam = np.linalg.lstsq(gram, rhs)[0]
-        x = v - lam @ a_w
-        if guessed:
-            gap = self.a_mat @ x - self.b_vec
-            if not ((lam > 0.0).all() and gap.max() <= FEAS_TOL
-                    and np.abs(gap[working]).max() <= FEAS_TOL):
-                return None
-        return x
+        return self._group.project(v[None])[0]
 
     def chebyshev_center(self) -> np.ndarray:
         """A centre of the largest inscribed ball (box midpoint for boxes), by
         one LP; ``default_start`` solves one LP for all sets of a problem."""
         return _chebyshev_centers([self])[0]
+
+    def _sample(self, rng, count: int) -> np.ndarray:
+        """``count`` points of the set from ``rng`` (curvature sampling):
+        uniform on a box, else on random chords through the Chebyshev centre
+        (one LP), at most 95% of the way to the boundary."""
+        if self.is_box:
+            return rng.uniform(self.lower, self.upper, (count, self.dim))
+        center = self.chebyshev_center()
+        slack = self.b_vec - self.a_mat @ center
+        points = np.empty((count, self.dim))
+        for k in range(count):
+            direction = rng.standard_normal(self.dim)
+            norm = np.linalg.norm(direction)
+            if norm == 0.0:
+                points[k] = center
+                continue
+            direction /= norm
+            along = self.a_mat @ direction
+            up, down = along > 1e-14, along < -1e-14
+            t_hi = np.min(slack[up] / along[up], initial=np.inf)
+            t_lo = np.max(slack[down] / along[down], initial=-np.inf)
+            t_hi, t_lo = (t if np.isfinite(t) else 0.0 for t in (t_hi, t_lo))
+            points[k] = center + direction * rng.uniform(0.95 * t_lo, 0.95 * t_hi)
+        return points
 
     def is_bounded(self) -> bool:
         """Check boundedness (finite extent along every coordinate)."""
@@ -318,8 +283,8 @@ def _chebyshev_centers(polytopes) -> list:
 
 
 class _SetGroup(NamedTuple):
-    """``k`` polytopes of one kind and shape, stacked, with the two kernels
-    of every membership and normal-cone question about them.
+    """``k`` polytopes of one kind and shape, stacked, with the kernels of
+    every membership, normal-cone and projection question about them.
 
     Every group keeps its ``(k, m)`` offsets ``b_vec`` and active-row
     slacks ``active_tol`` (:data:`ACTIVE_TOL`).  Boxes of one dimension
@@ -407,6 +372,86 @@ class _SetGroup(NamedTuple):
         lam = np.zeros(active.shape)
         lam[active] = np.concatenate([np.zeros(0), *parts])  # row-major, as solved
         return lam
+
+    def project(self, v, near=None) -> np.ndarray:
+        """Every member's Euclidean projection (:meth:`Polytope.project`) of
+        its row of the ``(k, d)`` ``v``.  Boxes clip; other sets go one member
+        at a time and, given ``near`` (points of the sets), first try the
+        rows active at its row as ``W`` (:func:`_gram_step`; a warm start,
+        Ferreau, Bock & Diehl, 2008), running NNLS only if they fail.  A
+        target that is not finite raises ``PreconditionError``, NNLS at its
+        iteration cap ``ConvergenceError`` naming the agent."""
+        if self.a_mat is None:
+            return v.clip(self.lower, self.upper)
+        if not np.isfinite(v).all():
+            raise PreconditionError("projection target is not finite")
+        near = [None] * len(v) if near is None else near
+        return np.array([self._project_member(k, v[k], near[k]) for k in range(len(v))])
+
+    def _project_member(self, k, v, near):
+        """Member ``k``'s projection of ``v``, the body of :meth:`project`."""
+        a, b = self.a_mat[k], self.b_vec[k]
+        h = a @ v - b
+        if not (h > 0.0).any():
+            return v
+        if near is not None:
+            guess = b - a @ near <= self.active_tol[k]
+            if guess.any() and (x := _gram_step(a, b, v, h, guess, True)) is not None:
+                return x
+        from scipy.optimize import nnls
+
+        e_last = np.r_[np.zeros(v.shape[0]), 1.0]
+        try:
+            u, rnorm = nnls(np.concatenate([-a.T, (h / h.max())[None]]), e_last)
+        except RuntimeError as exc:
+            who = "" if self.idx is None else f"agent {self.idx[k]}: "
+            raise ConvergenceError(f"{who}polytope projection: {exc}") from exc
+        # ||r||^2 is 1 / (1 + (||x - v|| / max h)^2), or 0 if there is no x
+        if 1.0 + rnorm * rnorm == 1.0:
+            raise PreconditionError("projection onto an empty polytope")
+        working = u > 0.0
+        gram_x = _gram_step(a, b, v, h, working, False)
+        gap = a @ gram_x - b
+        broken = gap > FEAS_TOL
+        if not broken.any():
+            return gram_x
+        # NNLS can hold one of two nearly parallel rows where the projection
+        # needs the other: add the rows it broke, then drop one working row at
+        # a time, until a set meets the KKT conditions
+        for drop in [-1, *np.flatnonzero(working).tolist()]:
+            trial = (working | broken) & (np.arange(a.shape[0]) != drop)
+            if (x := _gram_step(a, b, v, h, trial, True)) is not None:
+                return x
+        # far from v, the Gram point loses about eps ||v||_inf to cancellation:
+        # one least-squares correction back onto A_W x = b_W, from the point
+        a_w = a[working]
+        x = gram_x - np.linalg.lstsq(a_w @ a_w.T, gap[working])[0] @ a_w
+        if (a @ x - b).max() <= FEAS_TOL:
+            return x
+        raise PreconditionError("projection onto an empty polytope")
+
+
+def _gram_step(a, b, v, h, working, guessed):
+    """``x = v - lam @ A_W``, ``W = working``, with ``lam`` from the Gram
+    matrix of ``A_W`` (rows ``a``, offsets ``b``, ``h = A v - b``; dependent
+    rows by least squares).  A ``guessed`` ``W`` gives ``None`` (also for
+    dependent rows) unless ``x`` meets the projection's KKT conditions:
+    ``lam > 0``, and ``A x <= b`` and ``A_W x = b_W`` within :data:`FEAS_TOL`."""
+    a_w = a[working]
+    gram, rhs = a_w @ a_w.T, h[working]
+    try:
+        lam = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:  # dependent working rows
+        if guessed:
+            return None
+        lam = np.linalg.lstsq(gram, rhs)[0]
+    x = v - lam @ a_w
+    if guessed:
+        gap = a @ x - b
+        if not ((lam > 0.0).all() and gap.max() <= FEAS_TOL
+                and np.abs(gap[working]).max() <= FEAS_TOL):
+            return None
+    return x
 
 
 def _row_dots(a, b) -> np.ndarray:

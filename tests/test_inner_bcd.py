@@ -62,8 +62,7 @@ def per_agent_bounds(problem, cfg, z, mu, rho):
     count = cfg.c_source.init_samples
     bounds = []
     for i, agent in enumerate(problem.agents):
-        samples = inner_bcd._sample_in_polytope(agent.feasible_set,
-                                                inner_bcd._sample_rng(i), count)
+        samples = agent.feasible_set._sample(inner_bcd._sample_rng(i), count)
         best = 0.0
         for x in samples:
             hess = np.zeros((agent.dim, agent.dim))
@@ -279,7 +278,7 @@ class TestPolytopeUpdate:
                                     feasible_set=tri)
         problem = NlpProblem(agents=(agent,))
         monkeypatch.setattr("scipy.optimize.nnls", nnls_at_cap)
-        with pytest.raises(ConvergenceError, match=r"^agent 0, sweep 4: "):
+        with pytest.raises(ConvergenceError, match=r"^sweep 4, agent 0: "):
             bcd_sweep(problem, default_start(problem), MultiplierEstimate.zeros(problem),
                       10.0, InnerConfig(), [0], sweep_index=4, with_certificates=False)
 
@@ -287,7 +286,7 @@ class TestPolytopeUpdate:
         # each projection first guesses its working set from the block's
         # previous value; only a failed guess runs NNLS
         import scipy.optimize
-        nnls, project = scipy.optimize.nnls, Polytope._project
+        nnls, project = scipy.optimize.nnls, model._SetGroup.project
         count = {"nnls": 0, "outside": 0}
 
         def counting_nnls(*args):
@@ -295,7 +294,9 @@ class TestPolytopeUpdate:
             return nnls(*args)
 
         def counting_project(self, v, near=None):
-            count["outside"] += bool((self.a_mat @ v > self.b_vec).any())
+            if self.a_mat is not None:  # members outside their cut boxes
+                count["outside"] += int(((self.a_mat @ v[..., None])[..., 0]
+                                         > self.b_vec).any(axis=1).sum())
             return project(self, v, near)
 
         for seed in (1, 2, 3):
@@ -304,7 +305,7 @@ class TestPolytopeUpdate:
             for sweep in range(22):
                 if sweep == 2:  # past the start at the Chebyshev centres
                     monkeypatch.setattr("scipy.optimize.nnls", counting_nnls)
-                    monkeypatch.setattr(Polytope, "_project", counting_project)
+                    monkeypatch.setattr(model._SetGroup, "project", counting_project)
                 z, _ = bcd_sweep(problem, z, mu, 0.1, InnerConfig(), colors,
                                  sweep_index=sweep, with_certificates=False)
             monkeypatch.undo()
@@ -830,6 +831,31 @@ def stop_case(name):
     return problem, z0, mu0, 1.0, True
 
 
+class TestClassProjection:
+    """``model._SetGroup.project`` on a colour class is its members' groups of
+    one, row by row and bitwise; on a class of boxes it is ``np.clip``."""
+
+    @pytest.mark.parametrize("case", ["cut_chain", "mixed_sets", "certified_toy"])
+    def test_rows_equal_the_groups_of_one(self, case):
+        # the certified toy chain has the hooks
+        problem, z, *_ = stop_case(case)
+        rng = np.random.default_rng(11)
+        moved = []
+        for cls in inner_bcd._color_classes(problem, inner_bcd._coloring(problem)):
+            near = z.flat[cls.pos]
+            v = near + rng.standard_normal(near.shape) * rng.uniform(0.01, 3.0, (len(near), 1))
+            for warm in (near, None):
+                x = cls.project(v, warm)
+                for k, i in enumerate(cls.idx.tolist()):
+                    alone = problem.agents[i].feasible_set._group
+                    row = alone.project(v[k:k + 1], None if warm is None else warm[k:k + 1])
+                    assert x[k].tobytes() == row[0].tobytes()
+                if cls.a_mat is None:
+                    assert x.tobytes() == np.clip(v, cls.lower, cls.upper).tobytes()
+            moved.extend((x != v).any(axis=1).tolist())
+        assert 0 < sum(moved) < len(moved)  # targets inside and outside
+
+
 class TestFirstClassStop:
     """``run_inner`` takes its residual target class by class and stops at
     the first colour class after which that part of the residual already
@@ -1101,6 +1127,5 @@ class TestPerAgentPath:
         grad = np.zeros_like(x_old)
         grad[-1, 0] = np.nan
         with pytest.raises(PreconditionError, match="^projection target is not finite"):
-            inner_bcd._solve_rows(problem, cls, slice(None), x_old, grad,
-                                  np.ones(len(cls.idx)), 0)
+            inner_bcd._solve_rows(cls, x_old, grad, np.ones(len(cls.idx)), 0)
 

@@ -269,6 +269,25 @@ class TestPolytope:
         with pytest.raises(StructureError):
             Polytope.box([0.0], [np.inf])
 
+    def test_box_bounds_must_match_the_rows(self):
+        eye = np.eye(2)
+        rows = np.vstack([eye, -eye])
+        box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+        for make in (
+                # one bound only: a clip to it would leave the rows
+                lambda: Polytope(rows, [1, 1, 1, 1], lower=[0, 0]),
+                # the bounds of another box than the rows
+                lambda: Polytope(rows, [1, 1, 1, 1], lower=[-3, -3], upper=[3, 3]),
+                # new rows that keep the old bounds
+                lambda: dataclasses.replace(box, a_mat=[[1, 1]], b_vec=[0.5]),
+                lambda: Polytope(rows, [1, 1, 1, 1], lower=[1, 1], upper=[-1, -1]),
+                lambda: Polytope(rows, [1, 1, 1, 1], lower=[-1], upper=[1])):
+            with pytest.raises(StructureError, match="box"):
+                make()
+        bounds = Polytope(rows, [1, 2, 3, 4], lower=[-3, -4], upper=[1, 2])
+        np.testing.assert_array_equal(bounds.project([5.0, -5.0]), [1.0, -4.0])
+        assert bounds.is_box and box.is_box
+
     def test_box_rows_with_cuts_bounded_without_linear_programs(self, monkeypatch):
         import scipy.optimize
 
@@ -409,13 +428,13 @@ class TestProjection:
         a_w = poly.a_mat[[0, 4]]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(a_w @ a_w.T, np.ones(2))
-        cold = poly._project(v)
+        cold = poly._group.project(v[None])[0]
         import scipy.optimize
         nnls, calls = scipy.optimize.nnls, []
         monkeypatch.setattr("scipy.optimize.nnls",
                             lambda *args: calls.append(1) or nnls(*args))
         for near in (on_face, cold):
-            np.testing.assert_array_equal(poly._project(v, near), cold)
+            np.testing.assert_array_equal(poly._group.project(v[None], near[None])[0], cold)
         assert len(calls) == 2
         np.testing.assert_array_equal(cold, [1.0, 0.5])
 

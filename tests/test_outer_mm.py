@@ -9,6 +9,7 @@ from dist_alm import (ConfigurationError, InnerConfig, MultiplierEstimate,
                       eval_constraints, generate_toy, run_inner, run_outer,
                       toy_initial_guess)
 from dist_alm.model import FEAS_TOL
+from dist_alm.outer_mm import STATIONARITY_FLOOR
 from conftest import (box_with_cuts, cut_chain, mu_like, quadratic_agent, unit_simplex,
                       zvec)
 
@@ -252,9 +253,27 @@ class TestRunOuter:
         icfg = InnerConfig(tau=1e-12, max_sweeps=3000)
         state, status = run_outer(problem, cfg, icfg, z0, mu0,
                                   with_certificates=False)
-        assert status == "converged"
+        # the last two calls end at the sweep cap, at residual 2.6e-2
+        assert status == "feasible_not_stationary"
         assert state.trace[-1].h_inf <= 1e-6
         assert np.max(problem._violations(state.z)) <= FEAS_TOL
+
+    @pytest.mark.parametrize("icfg", [InnerConfig(tau=1e-12, max_sweeps=3),
+                                      InnerConfig(tau=10.0, max_sweeps=3000)],
+                             ids=["sweep_cap", "tau_stop"])
+    def test_feasible_point_off_stationarity_is_not_converged(self, icfg):
+        # eta = 1e3 accepts the first end point; the inner call stops after
+        # 3 sweeps (at its cap) or after 1 (on tau), far from stationary
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=3)
+        problem = generate_toy(params)
+        z0, mu0 = toy_initial_guess(params, problem)
+        cfg = self.outer_cfg(rho0=0.1, beta=100.0, eps0=1e-2, eta=1e3, max_outer=3)
+        state, status = run_outer(problem, cfg, icfg, z0, mu0, with_certificates=False)
+        last = state.trace[-1]
+        assert state.k == 1 and last.h_inf <= cfg.eta
+        assert last.sweeps == (3 if icfg.max_sweeps == 3 else 1)
+        assert last.residual > max(last.eps, STATIONARITY_FLOOR)
+        assert status == "feasible_not_stationary"
 
     def test_converged_oracle_is_approximately_kkt(self, one_agent):
         # on the one-agent problem the eps schedule stays reachable, so the

@@ -11,7 +11,7 @@ from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
                       brute_force_min, criticality_residual, enumerate_projection,
                       fd_gradient_check, generate_toy, kkt_report,
                       regularity_check, solve_prox_qp)
-from dist_alm import verify
+from dist_alm import model, verify
 from dist_alm.model import FEAS_TOL
 from conftest import (box_with_cuts, cut_chain, linear_agent, mixed_sets_problem, mu_like,
                       nnls_at_cap, one_agent_problem, quadratic_agent, site_problem,
@@ -533,23 +533,23 @@ def enumeration_cases():
 
 
 class TestWarmStartedProjection:
-    """``Polytope._project(v, near)``: the working set guessed from ``near``."""
+    """``model._SetGroup.project(v, near)``: the working set guessed from ``near``."""
 
     def test_agrees_with_the_oracle_and_the_cold_projection(self, monkeypatch):
         calls = []  # (working rows, guessed, accepted) of each Gram step
-        gram_step = Polytope._gram_step
+        gram_step = model._gram_step
 
-        def recording(self, v, h, working, guessed):
-            x = gram_step(self, v, h, working, guessed)
+        def recording(a, b, v, h, working, guessed):
+            x = gram_step(a, b, v, h, working, guessed)
             calls.append((working, guessed, x is not None))
             return x
 
-        monkeypatch.setattr(Polytope, "_gram_step", recording)
+        monkeypatch.setattr(model, "_gram_step", recording)
         rng = np.random.default_rng(3)
         outside = accepted = same_rows = 0
         for poly, v, bound in enumeration_cases():
             calls.clear()
-            cold = poly._project(v)
+            cold = poly._group.project(v[None])[0]
             if not calls:  # v inside
                 continue
             outside += 1
@@ -559,7 +559,7 @@ class TestWarmStartedProjection:
             far = rng.standard_normal(poly.dim)
             for near in (cold, poly.project(10.0 * far / np.linalg.norm(far))):
                 calls.clear()
-                x = poly._project(v, near)
+                x = poly._group.project(v[None], near[None])[0]
                 assert np.max(np.abs(x - oracle)) <= bound
                 assert poly.violation(x) <= max(bound, FEAS_TOL)
                 accepted += calls[0][1] and calls[0][2]
