@@ -1,18 +1,13 @@
 """Random chain-coupled NLP family and the feasibility-statistics harness.
 
-The generated instance minimises
-
-    sum_i x_i @ H_i @ x_i + sum_i x_i @ W_i @ x_{i+1}
-
-subject to ``||x_i||^2 = a^2`` per agent and a box ``|x_{i,j}| <= b``,
-with ``a = sqrt(R)``, ``b = 0.6 R``, symmetric ``H_i`` and unsymmetric
-``W_i`` drawn entrywise from U[-1, 1].  Agents interact along a chain, so
-sweeps split into two parallel color classes.
-
-The statistics harness runs the two-level solver over many seeded
-instances with a fixed number of outer iterations, splitting a total sweep
-budget evenly across them, and reports the fraction of instances whose
-final iterate meets each feasibility tolerance.
+The generated instance minimises ``sum_i x_i @ H_i @ x_i + sum_i x_i @ W_i
+@ x_{i+1}`` subject to ``||x_i||^2 = a^2`` per agent and a box ``|x_{i,j}|
+<= b``, with ``a = sqrt(R)``, ``b = 0.6 R``, symmetric ``H_i`` and
+unsymmetric ``W_i`` drawn entrywise from U[-1, 1].  Agents interact along a
+chain, so sweeps split into two color classes.  The statistics harness runs
+the solver over many seeded instances with a fixed number of outer
+iterations, a total sweep budget split evenly across them, and reports the
+fraction of instances whose final iterate meets each feasibility tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, EvaluationError
 from .inner_bcd import FixedScaled, InnerConfig, _check_count
 from .model import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
-                    NlpProblem, Polytope)
+                    NlpProblem, Polytope, _per_index_set)
 from .outer_mm import OuterConfig, run_outer
 
 __all__ = [
@@ -101,47 +95,32 @@ def _quadratic_agent(h_mat: np.ndarray, radius_sq: float, box: Polytope) -> Agen
 
 
 def _chain_coupling(w: np.ndarray) -> CouplingSpec:
-    n = w.shape[0] + 1
-    w_mats = tuple(w)  # row views: a tuple indexes faster per call than the stack
+    """The chain cost ``sum_e x_e @ W_e @ x_{e+1}`` as one term per edge
+    ``(e, e + 1)``.  The evaluators are stacked ``matmul`` calls on the
+    gathered matrices, with the association ``(x_e @ W_e) @ x_{e+1}``; the
+    gradient in ``x_{e+1}`` keeps ``W_e.T`` a transposed view."""
+    edges = np.arange(w.shape[0])
 
-    def cost(blocks, _w=w_mats):
-        return float(sum(blocks[i] @ _w[i] @ blocks[i + 1]
-                         for i in range(len(_w))))
+    def term_cost(t, x):
+        return ((x[0][:, None, :] @ w[t]) @ x[1][:, :, None])[:, 0, 0]
 
-    def cost_block_grad(blocks, i, _w=w_mats):
-        grad = np.zeros_like(blocks[i])
-        if i > 0:
-            grad += _w[i - 1].T @ blocks[i - 1]
-        if i < len(_w):
-            grad += _w[i] @ blocks[i + 1]
-        return grad
+    def term_cost_grad(t, x):
+        w_t = w[t]
+        return ((w_t @ x[1][:, :, None])[:, :, 0],
+                (w_t.transpose(0, 2, 1) @ x[0][:, :, None])[:, :, 0])
 
-    return CouplingSpec(
-        cost=cost, cost_block_grad=cost_block_grad,
-        edges=frozenset((i, i + 1) for i in range(n - 1)),
-    )
-
-
-def _per_index_set(gather):
-    """``gather(idx)``, kept for the 64 index sets asked for last (colour
-    classes, all agents, subsets that backtracking re-solves)."""
-    cached = lru_cache(maxsize=64)(
-        lambda key, dtype: gather(np.frombuffer(key, dtype=dtype)))
-    return lambda idx: cached(idx.tobytes(), idx.dtype)
+    return CouplingSpec(terms=np.stack([edges, edges + 1], axis=1),
+                        term_cost=term_cost, term_cost_grad=term_cost_grad)
 
 
 def _chain_block_gradients(h, w, radius_sq):
-    """Batched block gradients of the chain instance.
-
-    Equal bitwise to the per-agent evaluators (up to the sign of an exact
-    zero): the products are stacked ``matmul`` calls on the same matrix
-    layouts (``W_{i-1}.T`` stays a transposed view) and every row keeps the
-    per-agent summation order
-    ``(2 H x + 2 x (mu + rho F)) + (W_{i-1}.T x_{i-1} + W_i x_{i+1})``.
-    The chain ends take a zero matrix for their missing neighbour.  A
-    ``(P, N, d)`` stack of points broadcasts the same products.  The
-    gathered matrices are kept per index set (see :func:`_per_index_set`).
-    """
+    """Batched block gradients of the chain instance, equal bitwise to the
+    per-agent path (up to the sign of an exact zero): stacked ``matmul`` calls
+    on the same matrix layouts (``W_{i-1}.T`` a transposed view), each row
+    summed as ``(2 H x + 2 x (mu + rho F)) + (W_{i-1}.T x_{i-1} + W_i
+    x_{i+1})``, a zero matrix for a chain end's missing neighbour.  A
+    ``(P, N, d)`` stack of points broadcasts the same products; the gathers
+    are kept per index set (``model._per_index_set``)."""
     zero = np.zeros((1,) + h.shape[1:])
     w_prev = np.concatenate([zero, w])  # row i: W_{i-1}
     w_next = np.concatenate([w, zero])  # row i: W_i
@@ -164,37 +143,37 @@ def _chain_block_gradients(h, w, radius_sq):
 
 
 def _chain_block_values(h, w, radius_sq):
-    """Batched local and coupling terms of the chain instance.
+    """Batched local terms and coupling changes of the chain instance.
 
-    Equal bitwise to the per-agent evaluators: the products are stacked
+    Equal bitwise to the per-agent path: the products are stacked
     ``matmul`` calls with the per-agent association (``(x @ H) @ x`` and
-    ``(x_i @ W_i) @ x_{i+1}``), the local term keeps the order
-    ``J + (mu F + (rho / 2) F^2)``, and each coupling value folds its
-    edge terms left to right, as ``sum`` does, with the moved block's two
-    edge terms replaced.  The gathers are kept per index set (see
-    :func:`_per_index_set`).
+    ``(x_e @ W_e) @ x_{e+1}``), the local term keeps the order
+    ``J + (mu F + (rho / 2) F^2)``, and each coupling change adds the moved
+    block's edge-term changes, new minus old, left edge first, to ``0.0``.
+    The gathers are kept per index set (``model._per_index_set``).
     """
     last = h.shape[0] - 1
 
     @_per_index_set
     def plan(idx):
         k_left, k_right = np.flatnonzero(idx > 0), np.flatnonzero(idx < last)
-        return (h[idx], k_left, idx[k_left] - 1, k_right, idx[k_right],
-                w[idx[k_right]], idx[k_right] + 1)
+        e_left, e_right = idx[k_left] - 1, idx[k_right]
+        return h[idx], k_left, e_left, w[e_left], k_right, e_right, w[e_right]
 
     def block_values(x, mu, rho, idx, trial):
-        h_idx, k_left, e_left, k_right, e_right, w_right, right = plan(idx)
+        h_idx, k_left, e_left, w_left, k_right, e_right, w_right = plan(idx)
         rows = trial[:, None, :]
         cost = ((rows @ h_idx) @ trial[:, :, None])[:, 0, 0]
         sphere = (rows @ trial[:, :, None])[:, 0, 0] - radius_sq
         local = cost + (mu[idx] * sphere + (0.5 * rho) * (sphere * sphere))
-        left = x[:-1, None, :] @ w  # row e: x_e @ W_e
-        terms = np.tile((left @ x[1:, :, None])[:, 0, 0], (idx.shape[0], 1))
-        terms[k_left, e_left] = (left[e_left] @ trial[k_left, :, None])[:, 0, 0]
-        terms[k_right, e_right] = ((rows[k_right] @ w_right)
-                                   @ x[right, :, None])[:, 0, 0]
-        # a left fold from +0.0, as sum's start value gives
-        return local, np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+        change = np.zeros(idx.shape[0])
+        left = x[e_left, None, :] @ w_left  # x_e @ W_e of each left edge
+        change[k_left] += ((left @ trial[k_left, :, None])[:, 0, 0]
+                           - (left @ x[e_left + 1, :, None])[:, 0, 0])
+        after = x[e_right + 1, :, None]
+        change[k_right] += (((rows[k_right] @ w_right) @ after)[:, 0, 0]
+                            - ((x[e_right, None, :] @ w_right) @ after)[:, 0, 0])
+        return local, change
 
     return block_values
 
@@ -211,12 +190,12 @@ def _toy_matrices(params: ToyParams):
 def generate_toy(params: ToyParams) -> NlpProblem:
     """Build one seeded chain instance (PCG64 stream ``default_rng(seed)``).
 
-    The draw order is fixed: the N symmetric diagonal matrices first (each
-    symmetrised as ``(A + A.T) / 2``), then the N - 1 chain matrices,
-    unsymmetrised.  Each kind is one stacked draw, which takes the same
-    numbers as one ``(d, d)`` draw per matrix in that order.  The same seed
-    reproduces the matrices bitwise.  Every agent holds the same box
-    :class:`Polytope` object.
+    The draw order is fixed: the N diagonal matrices, each symmetrised as
+    ``(A + A.T) / 2``, then the N - 1 chain matrices; each kind is one
+    stacked draw, the same numbers as one ``(d, d)`` draw per matrix, so a
+    seed reproduces them bitwise.  Every agent holds the same box
+    :class:`Polytope` object; the coupling is one term per chain edge
+    (:func:`_chain_coupling`).
     """
     h, w = _toy_matrices(params)
     bound = params.box_bound * np.ones(params.block_dim)
@@ -344,9 +323,8 @@ def run_statistics(params_base: ToyParams, instances: int,
     budget split evenly over ``outer_iters`` outer iterations.
     Success at tolerance ``tol`` (finite, >= 0) means the final iterate
     satisfies ``max_i |  ||x_i||^2 - a^2 | <= tol``.  Identical inputs give
-    identical statistics.  ``threads`` is ignored: instances are solved one
-    after another on the calling thread.  It is kept so that existing
-    callers keep working.
+    identical statistics.  ``threads`` is ignored (instances are solved in
+    turn on the calling thread) and kept for existing callers.
     """
     _check_count(instances, "instances", 1)
     if not budgets:

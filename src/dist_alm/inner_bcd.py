@@ -1,54 +1,44 @@
 """Proximal-regularised block coordinate descent over the agent blocks.
 
-One sweep visits every agent once, in graph-coloring order: agents of the
-same color do not interact through the coupling, so a whole color class is
-updated from one frozen snapshot.  Each visit minimises the local quadratic
-model
+One sweep visits every agent once, in graph-coloring order: agents of one
+color share no coupling term, so a color class is updated from one frozen
+snapshot.  Each visit minimises the local quadratic model
 
     g_i @ (x - x_i) + 0.5 * (x - x_i) @ (B_i + alpha I) @ (x - x_i)
 
-over the agent's polytope, where ``g_i`` is the augmented-Lagrangian block
-gradient at the snapshot, ``B_i = b_i I`` is a scaled identity curvature
-surrogate and ``alpha`` is the proximal weight ``alpha_min``.  The
-minimiser is the Euclidean projection of ``x_i - g_i / (b_i + alpha)``
-onto the polytope, which the set layer takes for a whole colour class
-(``model._SetGroup.project``): boxes clip; other polytopes take the rows
-active at ``x_i`` as working set when the projection's KKT conditions hold
-on it, else solve one least-distance problem by nonnegative least squares.
-Every block therefore stays inside its polytope up to rounding.
+over the agent's polytope (``g_i`` the augmented-Lagrangian block gradient
+at the snapshot, ``B_i = b_i I`` a scaled identity curvature surrogate,
+``alpha = alpha_min``): the Euclidean projection of
+``x_i - g_i / (b_i + alpha)``, taken for a whole class by
+``model._SetGroup.project`` (boxes clip; other polytopes keep the rows
+active at ``x_i`` when the KKT conditions hold on them, else solve one
+least-distance problem by NNLS), so every block stays in its polytope.
 
 One kernel serves every configuration.  A colour class is the members of
-one colour in one set group of the problem (boxes of one dimension, or
-other polytopes of one row shape), so each holds ``(K, d)`` arrays.  Per
-class the kernel takes one batched gradient (one call of the problem's
-``block_gradients`` hook when there is one, see
-:class:`~dist_alm.model.NlpProblem`), one step size per agent, and one
-projection call.  The hooks must agree
-with the problem's ``agents`` and ``coupling``;
-``dataclasses.replace(problem, agents=...)`` keeps the old hooks.
+one colour in one set group (boxes of one dimension, or other polytopes of
+one row shape), held as ``(K, d)`` arrays; per class it takes one batched
+gradient (the problem's ``block_gradients`` hook when there is one, see
+:class:`~dist_alm.model.NlpProblem`), one step size per agent and one
+projection call.  Without the hooks the per-agent evaluators give the same
+results.
 
-Every sweep can emit a certificate with, per agent, the two sides of the
-sufficient-decrease inequality and of the relative-error bound
-``(3 C_i + alpha_max) ||step||`` that underpin convergence of the scheme,
-and the augmented Lagrangian before and after the sweep: the sum of local
-and coupling terms (see :mod:`dist_alm.model`) whose changes make up the
-decrease sides.  Both are per-block inequalities, checked against the class
-snapshot after the class step, for the whole class at once: one call of the
-problem's ``block_values`` hook gives every member's value with only its
-own block moved, one gradient call at the moved class gives the new
-gradients, and the agents that fail are re-solved together.  Between two
-sweeps of :func:`run_inner`, the first class's gradients and the
-Lagrangian's terms serve the next sweep's first class, whose snapshot that
-point is.  :func:`run_inner` takes the residual for its target class by
-class, and the first class's part alone rules out most checks.
-``C_i`` is a bound on the curvature of the local Lagrangian, maintained
-by backtracking: seeded by finite-difference sampling and doubled whenever
-a descent or certificate check fails, with the block re-projected when the
-curvature surrogate depends on it.  Sampling takes one gradient call per
-class, on a stack that covers every sample, coordinate and sign; the sample
-points are drawn once per problem.
-Without the hooks every value comes from the per-agent evaluators; the
-results are the same.
+A sweep can emit a certificate: per agent, the sides of the sufficient
+decrease inequality and of the relative-error bound
+``(3 C_i + alpha_max) ||step||`` under which the scheme converges, and the
+Lagrangian before and after.  Both are checked against the class snapshot
+for the whole class at once: a member's decrease sides hold its local term
+at the snapshot and, after its step, its local term plus the coupling
+change of that step alone, from one ``block_values`` call; one gradient
+call at the moved class gives the new gradients, and the agents that fail
+are re-solved together.  Between two sweeps of :func:`run_inner`, the
+first class's gradients and the local terms serve the next first class,
+whose snapshot that point is; the residual of the stop test is taken class
+by class, and the first class alone rules out most checks.  ``C_i`` bounds
+the local curvature by backtracking: seeded by finite-difference sampling
+(one gradient call per class on a stack of every sample, coordinate and
+sign, from points drawn once per problem) and doubled whenever a descent or
+certificate check fails, re-projecting the block when the surrogate
+depends on it.
 """
 
 from __future__ import annotations
@@ -62,7 +52,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
-                    _aug_lagrangian, _block_gradients, _block_values, _row_dots)
+                    _aug_lagrangian, _block_gradients, _block_values, _interaction_graph,
+                    _row_dots)
 from .verify import _residual_and_gradients, criticality_residual
 
 __all__ = [
@@ -173,10 +164,11 @@ class SweepCertificate:
     """Per-agent evidence for one sweep.
 
     ``decrease_lhs <= decrease_rhs + DECREASE_SLACK`` is the sufficient
-    decrease inequality (proximal term included on the left);
-    ``rel_err_lhs <= rel_err_bound + REL_ERR_SLACK`` is the relative error
-    bound with coefficient ``3 C_i + alpha_max``.  ``alpha_used`` holds the
-    proximal weight, ``alpha_min``, of every agent.
+    decrease inequality: the agent's local term plus the coupling change of
+    its step and the proximal term, against its local term at the class
+    snapshot.  ``rel_err_lhs <= rel_err_bound + REL_ERR_SLACK`` is the
+    relative error bound with coefficient ``3 C_i + alpha_max``.
+    ``alpha_used`` holds every agent's proximal weight, ``alpha_min``.
     """
 
     sweep: int
@@ -219,13 +211,9 @@ class InnerResult:
 
 
 def color_interaction_graph(coupling: CouplingSpec, n_agents: int) -> np.ndarray:
-    """Greedy coloring in agent order; adjacent agents never share a color."""
-    adjacency = [[] for _ in range(n_agents)]
-    for i, j in coupling.edges:
-        if not (0 <= i < n_agents and 0 <= j < n_agents):
-            raise ConfigurationError(f"edge ({i}, {j}) references a missing agent")
-        adjacency[i].append(j)
-        adjacency[j].append(i)
+    """Greedy coloring in agent order; agents that share a coupling term
+    never share a color."""
+    adjacency = _interaction_graph(coupling.terms, n_agents)
     colors = np.full(n_agents, -1, dtype=int)
     for i in range(n_agents):
         taken = {colors[j] for j in adjacency[i]}
@@ -255,19 +243,16 @@ def _agent_samples(problem, samples: int) -> list:
 
 
 def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
-    """Every agent's curvature bound ``C_i``, at least ``C_FLOOR``.
+    """Every agent's curvature bound ``C_i``, at least ``C_FLOOR``: 1.5
+    times the largest spectral norm of the symmetrised central-difference
+    Hessian (step ``1e-5 (1 + |x_j|)``) of block ``i``'s gradient over its
+    sample points (:func:`_agent_samples`), the other blocks at ``flat``.
 
-    ``C_i`` is 1.5 times the largest spectral norm of the symmetrised
-    central-difference Hessian (step ``1e-5 (1 + |x_j|)``) of block ``i``'s
-    gradient over its ``cfg.c_source.init_samples`` sample points
-    (:func:`_agent_samples`), the other blocks at ``flat``.
-
-    Members of a colour class share no coupling edge, so each member's
-    block gradient at a point where every member sits at its own sample
-    (or its perturbation) equals the gradient with that member moved
-    alone.  A class therefore takes one ``_block_gradients`` call on the
-    stack of its points, one per sample, coordinate and sign, and one
-    ``eigvalsh`` on the stack of its Hessians, one per sample and member.
+    Members of a colour class share no coupling term, so each member's
+    gradient with every member at its own sample (or its perturbation) is
+    the one with that member moved alone: a class takes one
+    ``_block_gradients`` call on the stack of its points, one per sample,
+    coordinate and sign, and one ``eigvalsh`` on the stack of its Hessians.
     """
     points = _agent_samples(problem, cfg.c_source.init_samples)
     best = np.zeros(problem.n_agents)
@@ -346,23 +331,22 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
     """Certificate values and curvature backtracking for one colour class.
 
     ``flat`` is the read-only class snapshot, ``x_old`` the class's blocks
-    in it and ``x_new`` the class step, updated in place; ``value_old``,
-    the members' values at the snapshot, is evaluated unless given.  Per
-    agent, the descent-lemma check drives the backtracking of ``C_i``
-    (doubled in ``c_bounds`` on failure); a banded surrogate depends on
-    ``C_i``, so the blocks that failed are re-solved together and only
-    their values are taken again, and a failed decrease certificate counts
-    as a failure too.  With a fixed surrogate doubling cannot fix the
-    step, which is recorded as-is.  The members share no coupling edge:
-    their values come from one ``_block_values`` call per evaluation (each
-    with only its own block moved) and their new gradients from one
-    ``_block_gradients`` call at the snapshot with the members moved.
-    ``cert`` (or ``None``) receives the per-agent certificate values.
+    in it and ``x_new`` the class step, updated in place; ``value_old``, the
+    members' local terms at the snapshot, is evaluated unless given, and a
+    member's new value is its local term plus the coupling change of its
+    step alone (one ``_block_values`` call per evaluation).  Per agent, the
+    descent-lemma check drives the backtracking of ``C_i`` (doubled in
+    ``c_bounds`` on failure).  A banded surrogate depends on ``C_i``, so the
+    blocks that failed are re-solved together and only their values taken
+    again, and a failed decrease certificate counts as a failure too; with
+    a fixed surrogate the step is recorded as-is.  The new gradients come
+    from one ``_block_gradients`` call at the snapshot with the members
+    moved.  ``cert`` (or ``None``) receives the per-agent values.
     """
     idx, pos = cls.idx, cls.pos
     band = isinstance(cfg.b_strategy, HessianBand)
     if value_old is None:
-        value_old = np.add(*_block_values(problem, flat, mu, rho, idx))
+        value_old = _block_values(problem, flat, mu, rho, idx)[0]
     moved = np.array(flat)
     moved_view = moved.view()
     moved_view.setflags(write=False)
@@ -412,11 +396,11 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
 class _Boundary:
     """Evaluations at the point between two sweeps, each ``None`` until
     taken: the first colour class's block gradients, and the Lagrangian
-    with its terms."""
+    with the agents' local terms."""
 
     grads: Optional[np.ndarray] = None
     lagrangian: Optional[float] = None
-    terms: Optional[np.ndarray] = None
+    local: Optional[np.ndarray] = None
 
 
 def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
@@ -426,15 +410,13 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
               boundary: Optional[_Boundary] = None):
     """Update every block once, color class by color class.
 
-    Blocks inside one color class read the same frozen snapshot (they do
-    not interact) and are updated together: one batched gradient, one step
-    size per agent, and one projection call of the class (a clip for boxes),
-    warm-started from its blocks.  With certificates, or
+    Blocks of one color class read the same frozen snapshot and are updated
+    together: one batched gradient, one step size per agent and one
+    projection call, warm-started from the blocks.  With certificates, or
     under a banded surrogate, the class's steps are then checked against
-    the snapshot together, which needs the curvature bounds.  Classes are
-    applied in ascending color order, which realises a Gauss-Seidel pass
-    in the color-sorted agent order.  ``c_bounds`` is updated in place
-    when backtracking refines a curvature bound.
+    the snapshot, which needs the curvature bounds (``c_bounds``, updated
+    in place).  Classes go in ascending color order: a Gauss-Seidel pass in
+    the color-sorted agent order.
 
     ``boundary`` is for :func:`run_inner`: the first class, whose snapshot
     is ``z``, takes the evaluations it holds (at ``z``) in place of its own.
@@ -460,15 +442,15 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     at = _Boundary() if boundary is None else boundary
     cert = None
     if with_certificates:
-        if at.terms is None:
-            at.lagrangian, at.terms = _aug_lagrangian(problem, view, mu, rho)
+        if at.local is None:
+            at.lagrangian, at.local = _aug_lagrangian(problem, view, mu, rho)
         cert = SweepCertificate(sweep_index, *(np.full(n, math.nan) for _ in range(4)),
                                 step_norms=np.zeros(n), c_used=None,
                                 alpha_used=np.full(n, cfg.alpha_min, dtype=float),
                                 lagrangian_before=at.lagrangian,
                                 lagrangian_after=math.nan)
 
-    grads, terms = at.grads, at.terms  # at z: the first class's snapshot
+    grads, local = at.grads, at.local  # at z: the first class's snapshot
     for cls in classes:
         idx, pos = cls.idx, cls.pos
         grad = _block_gradients(problem, view, mu, rho, idx) if grads is None else grads
@@ -478,14 +460,14 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
         if check:
             _check_class(problem, view, mu, rho, cfg, cls, grad, x_old, x_new,
                          c_bounds, sweep_index, cert,
-                         None if terms is None else terms[idx])
+                         None if local is None else local[idx])
         flat[pos] = x_new
-        grads = terms = None
+        grads = local = None
 
-    at.grads = at.lagrangian = at.terms = None
+    at.grads = at.lagrangian = at.local = None
     if cert is not None:
         cert.c_used = np.array(c_bounds)
-        at.lagrangian, at.terms = _aug_lagrangian(problem, view, mu, rho)
+        at.lagrangian, at.local = _aug_lagrangian(problem, view, mu, rho)
         cert.lagrangian_after = at.lagrangian
     return z._with_flat(flat), cert
 
@@ -496,19 +478,16 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
               with_certificates: bool = True) -> InnerResult:
     """Sweep until the step, the residual target, or the budget stops it.
 
-    Without ``eps_target`` the loop stops once a full sweep moves less than
-    ``cfg.tau`` in the sup norm (at least one sweep is performed).  With a
-    target, the criticality residual is checked first and after every
-    sweep; reaching it counts as achieving the target, while stopping on
-    ``tau`` alone does not.  A check takes the residual colour class by
-    colour class and stops at the first class after which the part taken
-    already exceeds the target; the next sweep's first class takes the
-    first class's gradients.  After the last sweep (the budget spent or the
-    step at most ``tau``) the check takes every class, so
-    ``final_residual`` is the residual at the returned point.
-    Exhausting the sweep budget raises no error: the result carries a
-    soft-failure flag instead.  Every block of ``z0`` must lie in its
-    polytope up to ``model.FEAS_TOL``.
+    Without ``eps_target`` the loop stops once a sweep moves less than
+    ``cfg.tau`` in the sup norm (after at least one sweep).  With a target,
+    the criticality residual is checked first and after every sweep;
+    reaching it achieves the target, stopping on ``tau`` does not.  A check
+    takes the residual class by class and stops at the first class after
+    which the part taken exceeds the target (whose gradients the next
+    sweep's first class takes); after the last sweep it takes every class,
+    so ``final_residual`` is the residual at the returned point.  A spent
+    budget raises no error but sets a soft-failure flag.  Every block of
+    ``z0`` must lie in its polytope up to ``model.FEAS_TOL``.
     """
     problem.check_membership(z0)
     coloring = _coloring(problem)

@@ -1,32 +1,28 @@
 """Block-structured nonlinear programs with partially penalised equalities.
 
 The decision variable is split into per-agent blocks ``z_1 .. z_N``.  Each
-agent carries a smooth cost, an equality-constraint map and a bounded
-polytopic feasible set; an optional coupling adds a smooth joint cost and a
-joint equality map over all blocks.  The stacked equality map is
-
-    H(z) = (F_1(z_1), ..., F_N(z_N), G(z_1, ..., z_N))
-
-and the augmented Lagrangian with penalty ``rho`` and multiplier estimate
-``mu`` is
+agent carries a smooth cost, an equality map and a bounded polytope; an
+optional coupling adds a joint cost ``Q = sum_t q_t`` and equality map
+``G = (g_1, ..., g_T)`` as local terms over tuples of agents
+(:class:`CouplingSpec`).  With ``H(z) = (F_1(z_1), ..., F_N(z_N), G(z))``,
+the augmented Lagrangian with penalty ``rho`` and multipliers ``mu`` is
 
     L_rho(z, mu) = sum_i J_i(z_i) + Q(z) + mu @ H(z) + (rho / 2) ||H(z)||^2.
 
 The solver evaluates it one way only: as the exactly rounded sum of the
 agents' local terms ``J_i + mu_i @ F_i + (rho/2) ||F_i||^2`` and the
-coupling term ``Q + mu_G @ G + (rho/2) ||G||^2``, which the inner loop's
-block certificates telescope; the oracles in ``verify`` keep the form above.
+coupling term, the sum of the term values ``q_t + mu_t @ g_t + (rho/2)
+||g_t||^2``; the oracles in ``verify`` keep the form above.  Moving one
+block changes the coupling term by the changes of its incident terms, which
+the block certificates add to the local terms.  The interaction graph, the
+incident terms and the rows of ``G`` follow from the term tuples alone.
+Only the equalities are penalised; the polytopes stay hard constraints, and
+membership and normal-cone distances take one stacked kernel call per group
+of sets of one kind and shape (``_SetGroup``).  Agent indices are 0-based.
 
-Only the equality constraints are penalised; the polytopes stay as hard
-constraints on every subproblem.  Membership and normal-cone distances take
-one stacked kernel call per group of sets of one kind and shape
-(``_SetGroup``), for one set as for all blocks.  Agent indices are 0-based
-throughout.
-
-Evaluators are plain callables returning values and first derivatives; they
-must be pure functions of their inputs.  Problem objects are immutable after
-construction, apart from the layout and curvature-sample caches the inner
-loop fills on first use; every solve runs on the calling thread.
+Evaluators are pure callables returning values and first derivatives.
+Problems are immutable apart from the caches filled on first use; every
+solve runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -172,35 +168,23 @@ class Polytope:
                 np.flatnonzero(active[0]))
 
     def project(self, v) -> np.ndarray:
-        """Euclidean projection of ``v`` onto the polytope.
+        """Euclidean projection of ``v`` onto the polytope:
+        :meth:`_SetGroup.project` on the set alone.
 
         Boxes clip.  Other polytopes solve the least-distance problem by its
         reduction to one nonnegative least-squares problem (Lawson & Hanson,
         *Solving Least Squares Problems*, 1974, ch. 23): with
         ``h = A v - b``, the ``u >= 0`` minimising
         ``||[-A^T; h^T / max(h)] u - e_{d+1}||`` is positive on a set ``W``
-        of rows that hold with equality at the projection, which is then
-        the projection of ``v`` onto ``{x : A_W x = b_W}``, by one solve
-        with the Gram matrix of ``A_W``.  Where that point violates a row
-        by more than ``FEAS_TOL`` (``W`` holds one of two nearly parallel
-        rows where the projection needs the other), the violated rows join
-        ``W`` and one row of ``W`` at a time leaves it, until a set meets
-        the projection's KKT conditions (see :func:`_gram_step`); if none
-        does (far from ``v`` the Gram point loses about
-        ``eps ||v||_inf`` to cancellation), one least-squares solve moves
-        the point back onto ``A_W x = b_W``, and it is kept if it then
-        violates no row by more than ``FEAS_TOL``.  A point inside is
-        returned unchanged.  This is :meth:`_SetGroup.project` on the set
-        alone; in a sweep, each block's previous value first proposes ``W``.
+        of rows active at the projection, which then is the projection of
+        ``v`` onto ``{x : A_W x = b_W}`` (one Gram solve).  Where that point
+        breaks a row by more than ``FEAS_TOL`` (nearly parallel rows), rows
+        are exchanged until the KKT conditions hold (:func:`_gram_step`),
+        else one least-squares step corrects the cancellation far from
+        ``v``.  A point inside is returned unchanged.
 
-        Raises
-        ------
-        PreconditionError
-            If ``v`` is not finite, or the polytope is empty (NNLS finds no
-            point, or no exchanged set meets the KKT conditions and the
-            corrected point breaks a row by more than ``FEAS_TOL``).
-        ConvergenceError
-            If NNLS reaches its iteration cap.
+        Raises ``PreconditionError`` if ``v`` is not finite or the polytope
+        is empty, and ``ConvergenceError`` at the NNLS iteration cap.
         """
         if not np.all(np.isfinite(v := self._point(v))):
             raise PreconditionError("projection target is not finite")
@@ -254,14 +238,11 @@ class Polytope:
 
 
 def _chebyshev_centers(polytopes) -> list:
-    """A centre of the largest inscribed ball of each polytope, by one LP.
-
-    Boxes take their midpoints.  The other sets ``i`` share the LP
-    ``max sum_i r_i`` s.t. ``A_i x_i + ||a_ij|| r_i <= b_i``, ``r_i >= 0``,
-    whose ``A_ub`` is sparse and block-diagonal; the objective is separable,
-    so each ``r_i`` is maximal.  Where a centre is not unique, the LP picks
-    one.  If the LP fails (a set is empty), this raises ``StructureError``.
-    """
+    """A centre of the largest inscribed ball of each polytope, by one LP:
+    boxes take their midpoints, the other sets ``i`` share ``max sum_i r_i``
+    s.t. ``A_i x_i + ||a_ij|| r_i <= b_i``, ``r_i >= 0`` (block-diagonal and
+    separable, so each ``r_i`` is maximal; the LP picks among equal
+    centres).  A failed LP (an empty set) raises ``StructureError``."""
     rest, centres = [p for p in polytopes if not p.is_box], iter(())
     if rest:
         from scipy.optimize import linprog
@@ -284,17 +265,14 @@ def _chebyshev_centers(polytopes) -> list:
 
 class _SetGroup(NamedTuple):
     """``k`` polytopes of one kind and shape, stacked, with the kernels of
-    every membership, normal-cone and projection question about them.
-
-    Every group keeps its ``(k, m)`` offsets ``b_vec`` and active-row
-    slacks ``active_tol`` (:data:`ACTIVE_TOL`).  Boxes of one dimension
-    ``d`` (``m = 2 d``) also keep their ``(k, d)`` bounds ``lower`` and
-    ``upper``, other sets of one row shape ``(m, d)`` their rows ``a_mat``.
-    ``idx`` are the members' agents, ascending, and ``pos`` the ``(k, d)``
-    positions of their blocks in the flat point (both ``None`` for a set
-    alone, :attr:`Polytope._group`).  Row ``k`` of a kernel's output is
-    member ``k``'s, bitwise that of its group of one.
-    """
+    every membership, normal-cone and projection question about them: their
+    ``(k, m)`` offsets ``b_vec`` and active-row slacks ``active_tol``
+    (:data:`ACTIVE_TOL`), and the ``(k, d)`` bounds of boxes of one
+    dimension (``m = 2 d``) or the rows ``a_mat`` of other sets of one row
+    shape.  ``idx`` are the members' agents, ascending, and ``pos`` the
+    ``(k, d)`` positions of their blocks in the flat point (``None`` for a
+    set alone, :attr:`Polytope._group`).  Row ``k`` of a kernel's output is
+    member ``k``'s, bitwise that of its group of one."""
 
     idx: Optional[np.ndarray]
     pos: Optional[np.ndarray]
@@ -330,13 +308,10 @@ class _SetGroup(NamedTuple):
         """Every member's squared distance of ``-grad`` to the normal cone at
         ``x`` (rows of ``(k, d)`` arrays, ``x`` feasible), ``(k,)``, the mask
         of active rows, ``(k, m)``, and the parts :meth:`multipliers` builds
-        the row multipliers attaining the distances from.
-
-        Boxes take the closed form (rows ``j`` and ``d + j`` bound
-        coordinate ``j`` above and below).  Other sets take every slack from
-        one product; a member without active rows has distance ``g @ g``,
-        the others one NNLS on their active rows, which raises
-        ``ConvergenceError`` naming the agent at its iteration cap.
+        the row multipliers from.  Boxes take the closed form (rows ``j`` and
+        ``d + j`` bound coordinate ``j``); other sets take every slack from
+        one product, and a member with active rows one NNLS on them (at its
+        iteration cap ``ConvergenceError`` naming the agent), else ``g @ g``.
         """
         if self.a_mat is None:
             d = x.shape[1]
@@ -455,11 +430,8 @@ def _gram_step(a, b, v, h, working, guessed):
 
 
 def _row_dots(a, b) -> np.ndarray:
-    """``a[k] @ b[k]`` for every row of two ``(K, d)`` arrays.
-
-    Stacked ``matmul`` computes each row with the inner-product routine of
-    a 1-D ``@``, so each entry equals the per-row product bitwise.
-    """
+    """``a[k] @ b[k]`` for every row of two ``(K, d)`` arrays, bitwise the
+    per-row product (stacked ``matmul`` uses the routine of a 1-D ``@``)."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
@@ -469,19 +441,25 @@ def _partition(dims: tuple) -> tuple:
     return dims, (0, *accumulate(dims))
 
 
+def _per_index_set(gather):
+    """``gather(idx)``, kept for the 64 index sets asked for last (colour
+    classes, all agents, subsets that backtracking re-solves)."""
+    cached = lru_cache(maxsize=64)(
+        lambda key, dtype: gather(np.frombuffer(key, dtype=dtype)))
+    return lambda idx: cached(idx.tobytes(), idx.dtype)
+
+
 def _cut(flat: np.ndarray, offsets: tuple) -> tuple:
     """The views of ``flat`` between consecutive ``offsets``."""
     return tuple(flat[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1))
 
 
 class _FlatParts:
-    """One read-only flat float64 array cut into consecutive read-only views.
-
-    ``_dims`` are the lengths of the views and ``_offsets`` their starts
-    (plus the end of the last); an array past their sum (the coupling part
-    of a multiplier) is allowed.  Views are made on access, not stored, and
-    vectors of one partition share its two tuples (see :func:`_partition`),
-    so that a retained vector costs one array.
+    """One read-only flat float64 array cut into consecutive read-only views:
+    ``_dims`` are their lengths and ``_offsets`` their starts (plus the end
+    of the last); an array past their sum (a multiplier's coupling part) is
+    allowed.  Views are made on access, and vectors of one partition share
+    its two tuples (:func:`_partition`): a retained vector costs one array.
     """
 
     __slots__ = ("_flat", "_dims", "_offsets")
@@ -611,80 +589,96 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Joint cost and joint equality map over all blocks.
+    """Joint cost and joint equality map as sums of local terms.
 
-    ``edges`` lists unordered agent pairs (i, j) whose blocks interact
-    through the coupling; the block gradients of non-adjacent agents must
-    not depend on each other's values.  Evaluators receive the full list of
-    blocks; block derivatives additionally receive the agent index.
+    ``terms`` is a ``(T, a)`` integer array: term ``t`` reads the blocks of
+    the ``a`` distinct agents ``terms[t]``, in that order; the agents at one
+    position ``j`` have blocks of one dimension ``d_j``.  ``Q`` adds the
+    term costs and ``G`` stacks each term's ``constraint_rows`` rows, term
+    by term.  Every evaluator takes an integer array ``t`` of terms and
+    ``x``, a tuple of ``a`` arrays, ``x[j]`` the ``(len(t), d_j)`` stack of
+    their ``j``-th blocks.  ``term_cost`` returns ``(len(t),)`` costs and
+    ``term_constraint`` ``(len(t), constraint_rows)`` rows;
+    ``term_cost_grad`` and ``term_constraint_jac`` return per position
+    ``j`` the ``(len(t), d_j)`` and ``(len(t), constraint_rows, d_j)``
+    derivatives in block ``j``.  Row ``k`` of an output may depend only on
+    ``t[k]`` and row ``k`` of ``x``.  No evaluator sees a block outside its
+    terms, which thus define the interaction graph.
     """
 
-    cost: Optional[Callable] = None
-    cost_block_grad: Optional[Callable] = None
-    constraint: Optional[Callable] = None
-    constraint_block_jac: Optional[Callable] = None
-    constraint_dim: int = 0
-    edges: frozenset = frozenset()
+    terms: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=int))
+    term_cost: Optional[Callable] = None
+    term_cost_grad: Optional[Callable] = None
+    term_constraint: Optional[Callable] = None
+    term_constraint_jac: Optional[Callable] = None
+    constraint_rows: int = 0
 
     def __post_init__(self):
-        if (self.cost is None) != (self.cost_block_grad is None):
-            raise StructureError("coupling cost and its gradient must come together")
-        if (self.constraint is None) != (self.constraint_block_jac is None):
-            raise StructureError("coupling constraint and Jacobian must come together")
-        if self.constraint is None and self.constraint_dim != 0:
-            raise StructureError("constraint_dim > 0 requires a constraint evaluator")
-        norm = frozenset(tuple(sorted(map(int, e))) for e in self.edges)
-        for i, j in norm:
-            if i == j:
-                raise StructureError(f"self-edge ({i}, {j}) is not allowed")
-        object.__setattr__(self, "edges", norm)
+        terms = np.array(self.terms, dtype=np.intp)
+        tuples = np.sort(terms, axis=1) if terms.ndim == 2 and terms.shape[1] else None
+        if tuples is None or (tuples[:, 1:] == tuples[:, :-1]).any():
+            raise StructureError("terms must be a (T, a) array, a >= 1, of distinct agents "
+                                 "per term")
+        terms.setflags(write=False)
+        object.__setattr__(self, "terms", terms)
+        if ((self.term_cost is None) != (self.term_cost_grad is None)
+                or (self.term_constraint is None) != (self.term_constraint_jac is None)
+                or (self.term_constraint is None) != (self.constraint_rows == 0)
+                or self.constraint_rows < 0):
+            raise StructureError("a coupling cost comes with its gradient, and constraint "
+                                 "rows (constraint_rows >= 1) with their Jacobian")
 
     @classmethod
     def none(cls) -> "CouplingSpec":
         return cls()
+
+    @property
+    def constraint_dim(self) -> int:
+        return self.terms.shape[0] * self.constraint_rows
+
+    def cost(self, blocks) -> float:
+        """``Q`` at the full list of ``blocks``: the term costs from one call,
+        added left to right from ``0.0`` (:func:`_fold`)."""
+        if self.term_cost is None or not self.terms.size:
+            return 0.0
+        x = tuple(np.stack([blocks[i] for i in col]) for col in self.terms.T.tolist())
+        t = np.arange(self.terms.shape[0])
+        return _fold(_checked(self.term_cost(t, x), t.shape, "coupling cost"))
 
 
 @dataclass(frozen=True)
 class NlpProblem:
     """Agents plus coupling; owns the stacked constraint layout.
 
-    The stacked equality map orders blocks as (F_0, ..., F_{N-1}, G); the
-    multiplier layout follows the same order.
+    The stacked equality map, and the multipliers, order blocks as
+    (F_0, ..., F_{N-1}, G), ``G`` term by term.  A coupling term naming a
+    missing agent, or agents of two block dimensions at one position of the
+    terms, raises ``StructureError``.
 
-    ``block_gradients(x, mu, rho, idx)`` is an optional batched form of the
-    block gradients for problems whose blocks all have one dimension ``d``.
-    ``x`` is the read-only ``(N, d)`` array of all blocks, ``mu`` the flat
-    multiplier vector (length ``r``), ``rho`` the penalty and ``idx`` an
-    integer array of agent indices.  It returns the ``(len(idx), d)`` array
-    whose row ``k`` equals :func:`eval_block_gradient` for agent
-    ``idx[k]``.  A stack of ``P`` points, ``x`` of shape ``(P, N, d)``,
-    gives ``(P, len(idx), d)``, whose row ``[p, k]`` depends only on
-    ``x[p]`` and ``idx[k]`` (curvature sampling takes such stacks).
+    Two optional batched hooks serve problems whose blocks all have one
+    dimension ``d``; ``x`` is the read-only ``(N, d)`` array of all blocks,
+    ``mu`` the flat multipliers, ``rho`` the penalty and ``idx`` an integer
+    array of agents.  ``block_gradients(x, mu, rho, idx)`` returns the
+    ``(len(idx), d)`` array whose row ``k`` is :func:`eval_block_gradient`
+    of agent ``idx[k]``; a ``(P, N, d)`` stack of points gives
+    ``(P, len(idx), d)``, row ``[p, k]`` from ``x[p]`` (curvature sampling).
+    ``block_values(x, mu, rho, idx, trial)``, ``trial`` a ``(len(idx), d)``
+    array, returns two arrays: entry ``k`` of the first is agent
+    ``idx[k]``'s local term ``J_i + mu_i @ F_i + (rho/2) ||F_i||^2`` at
+    ``trial[k]``, and of the second the change of the coupling term when
+    only block ``idx[k]`` moves to ``trial[k]``: the new values of its
+    incident terms minus the old, added in term order to ``0.0``.  Both
+    hooks must agree with ``agents`` and ``coupling`` (one that rounds
+    otherwise moves certificate values in the last bits), and
+    ``dataclasses.replace(problem, agents=...)`` keeps them.  Row ``k`` may
+    depend only on ``idx[k]`` (and ``trial[k]``): the inner loop takes rows
+    of a call over all agents for a colour class.
 
-    ``block_values(x, mu, rho, idx, trial)`` is the optional batched form
-    of the values that certify a block step, under the same conditions.
-    ``x``, ``mu``, ``rho`` and ``idx`` are as above and ``trial`` is a
-    ``(len(idx), d)`` array of trial blocks.  It returns two arrays of
-    length ``len(idx)``: entry ``k`` of the first is agent ``idx[k]``'s
-    local term ``J_i + mu_i @ F_i + (rho/2) ||F_i||^2`` at ``trial[k]``,
-    and entry ``k`` of the second the coupling term
-    ``Q + mu_G @ G + (rho/2) ||G||^2`` at ``x`` with only block ``idx[k]``
-    replaced by ``trial[k]``.  Certificate values are sums of these terms,
-    so a hook that rounds differently from the per-agent evaluators moves
-    them in the last bits.
-
-    Both hooks must agree with ``agents`` and ``coupling``;
-    ``dataclasses.replace(problem, agents=...)`` keeps the old hooks.  Row
-    ``k`` of a hook's output may depend only on ``idx[k]`` (and
-    ``trial[k]``), not on the other rows: the inner loop takes rows of a
-    call over all agents in place of a call over a colour class.
-
-    Every evaluator and hook output is checked where the solver and the
-    oracles read it, by ``_checked`` in this module: a wrong shape raises
-    ``StructureError`` and a non-finite entry ``EvaluationError`` naming the
-    agent of a call's first bad output (``None`` for the coupling's values).
-    :meth:`check_membership` is the one polytope-membership gate of the
-    solver and the oracles.
+    Every evaluator and hook output is checked where it is read (``_checked``):
+    a wrong shape raises ``StructureError``, a non-finite entry
+    ``EvaluationError`` naming the agent of a call's first bad output
+    (``None`` for coupling values, the member agent for a term derivative).
+    :meth:`check_membership` is the one polytope-membership gate.
     """
 
     agents: tuple
@@ -701,10 +695,11 @@ class NlpProblem:
         if not agents:
             raise StructureError("a problem needs at least one agent")
         object.__setattr__(self, "agents", agents)
-        n = len(agents)
-        for i, j in self.coupling.edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise StructureError(f"edge ({i}, {j}) references a missing agent")
+        terms = _checked_terms(self.coupling.terms, len(agents))
+        dims = np.array(self.block_dims)[terms]
+        if (dims != dims[:1]).any():
+            raise StructureError("the agents at one position of the coupling's terms "
+                                 "need blocks of one dimension")
         for idx, agent in enumerate(agents):
             if not agent.feasible_set.is_bounded():
                 raise StructureError(f"agent {idx} has an unbounded feasible set")
@@ -747,9 +742,40 @@ class NlpProblem:
             )
 
     def check_multiplier(self, mu: "MultiplierEstimate"):
-        if mu.total_dim != self.r:
+        if mu.total_dim != self.r or mu._dims != self.constraint_dims:
             raise StructureError(
-                f"multiplier has dimension {mu.total_dim}, expected r={self.r}")
+                f"multiplier has agent parts {mu._dims} and dimension {mu.total_dim}, "
+                f"expected {self.constraint_dims} and r={self.r}")
+
+    @cached_property
+    def _offsets(self) -> tuple:
+        return _partition(self.block_dims)[1]
+
+    @cached_property
+    def _term_gather(self) -> tuple:
+        """Per tuple position, the ``(T, d_j)`` positions of the terms' blocks."""
+        starts = np.array(self._offsets[:-1])
+        return tuple(starts[col][:, None] + np.arange(self.block_dims[col[0]] if col.size else 0)
+                     for col in self.coupling.terms.T)
+
+    @cached_property
+    def _incident(self):
+        """Per index set ``idx`` (:func:`_per_index_set`): the terms ``t``
+        incident to its agents, ascending, their agents and their blocks'
+        positions per tuple position, and ``(k, r, j)`` per agent ``idx[k]``
+        and term ``t[r]`` of it, in term order, ``j`` its position there."""
+        def plan(idx):
+            member = np.full(self.n_agents, -1)
+            member[idx] = np.arange(idx.size)
+            k = member[self.coupling.terms]
+            t_hit, j_hit = np.nonzero(k >= 0)
+            order = np.argsort(k[t_hit, j_hit], kind="stable")
+            t = np.unique(t_hit)
+            pairs = zip(k[t_hit, j_hit][order].tolist(),
+                        np.searchsorted(t, t_hit[order]).tolist(), j_hit[order].tolist())
+            return (t, self.coupling.terms[t], tuple(gather[t] for gather in self._term_gather),
+                    list(pairs))
+        return _per_index_set(plan)
 
     @cached_property
     def _set_groups(self) -> tuple:
@@ -830,20 +856,18 @@ class MultiplierEstimate(_FlatParts):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation helpers working on plain block lists (hot path for the sweeps).
+# Evaluation helpers working on the flat point (hot path for the sweeps).
 # ---------------------------------------------------------------------------
 
 def _checked(raw, shape, what, agent=None, outputs=None, rows=None):
     """One evaluator or hook output, checked: a finite float or float array.
 
-    ``shape=()`` takes a 0-d cost through ``float``, an evaluator's vector is
-    flattened and its matrix taken through ``np.atleast_2d``; a hook's array
-    (``rows`` given: row ``k`` is agent ``rows[k]``'s, at every point of a
-    stack) is taken as returned.  A wrong shape raises ``StructureError``, a
-    non-finite entry ``EvaluationError`` naming ``agent`` (or the first bad
-    row's) and ``what.format(agent)``; with ``outputs``, the list of a call,
-    that check waits for the call's one :func:`_check_finite`.
-    """
+    ``shape=()`` takes a 0-d cost through ``float``, a vector is flattened and
+    a matrix taken through ``np.atleast_2d``; an array with ``rows``, the
+    agent of each entry (broadcast to its shape), is taken as returned.  A
+    wrong shape raises ``StructureError``, a non-finite entry
+    ``EvaluationError`` naming ``agent`` (or the first bad entry's); with
+    ``outputs``, a call's list, that waits for its :func:`_check_finite`."""
     if shape == () and (isinstance(raw, float) or np.ndim(raw) == 0):
         val = float(raw)
     else:
@@ -854,11 +878,11 @@ def _checked(raw, shape, what, agent=None, outputs=None, rows=None):
             raise StructureError(f"{what.format(agent)} returned shape {val.shape}, "
                                  f"expected {shape}")
     if outputs is not None:
-        outputs.append((val, what, agent))
+        outputs.append((val, what, agent, rows))
     elif not (finite := np.isfinite(val)).all():
         if rows is not None:
-            agent = int(rows[np.argwhere(~finite)[0, -2 if len(shape) > 1 else 0]])
-            what = f"agent {agent}: {what}"
+            agent = int(np.broadcast_to(rows, val.shape)[~finite][0])
+            what = what if "{}" in what else "agent {}: " + what
         raise EvaluationError(f"{what.format(agent)} returned a non-finite value",
                               agent=agent)
     return val
@@ -867,8 +891,31 @@ def _checked(raw, shape, what, agent=None, outputs=None, rows=None):
 def _check_finite(outputs):
     """One finiteness check over a call's ``outputs``, naming the first bad one."""
     if outputs and not np.isfinite(np.concatenate([o[0] for o in outputs], None)).all():
-        for val, what, agent in outputs:
-            _checked(val, np.shape(val), what, agent)
+        for val, what, agent, rows in outputs:
+            _checked(val, np.shape(val), what, agent, rows=rows)
+
+
+def _fold(values) -> float:
+    """``values`` added left to right from ``0.0`` (``sum`` compensates from 3.12 on)."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def _checked_terms(terms, n_agents) -> np.ndarray:
+    if terms.size and not 0 <= terms.min() <= terms.max() < n_agents:
+        raise StructureError(f"a coupling term names an agent outside 0..{n_agents - 1}")
+    return terms
+
+
+def _interaction_graph(terms, n_agents) -> list:
+    """Per agent, ascending, the agents it shares a coupling term with."""
+    linked = [set() for _ in range(n_agents)]
+    for tup in _checked_terms(terms, n_agents).tolist():
+        for i in tup:
+            linked[i].update(tup)
+    return [sorted(others - {i}) for i, others in enumerate(linked)]
 
 
 def _agent_constraint(problem, x_i, i, outputs=None):
@@ -878,45 +925,111 @@ def _agent_constraint(problem, x_i, i, outputs=None):
                         "agent {} constraint", i, outputs)
 
 
-def _coupling_constraint(problem, blocks, outputs=None):
-    coup = problem.coupling
-    if coup.constraint is not None:
-        return _checked(coup.constraint(blocks), (coup.constraint_dim,),
+def _term_blocks(problem, flat) -> tuple:
+    """Per tuple position, every term's blocks at ``flat`` (copies)."""
+    return tuple(flat[gather] for gather in problem._term_gather)
+
+
+def _term_rows(problem, t, x, outputs=None):
+    """The checked constraint rows of the terms ``t`` at their blocks ``x``."""
+    if (coup := problem.coupling).term_constraint is not None:
+        return _checked(coup.term_constraint(t, x), (t.size, coup.constraint_rows),
                         "coupling constraint", None, outputs)
 
 
-def _constraints(problem, blocks):
-    outputs = []
-    for i, x_i in enumerate(blocks):
-        _agent_constraint(problem, x_i, i, outputs)
-    _coupling_constraint(problem, blocks, outputs)
+def _term_values(problem, t, x, mu_g, rho) -> np.ndarray:
+    """Per term of ``t`` at its blocks ``x``, ``q_t + mu_t @ g_t + (rho/2)
+    ||g_t||^2``: one call per evaluator, checked at once."""
+    cost, outputs = problem.coupling.term_cost, []
+    values = np.zeros(t.size) if cost is None else _checked(cost(t, x), t.shape,
+                                                             "coupling cost", None, outputs)
+    g_val = _term_rows(problem, t, x, outputs)
     _check_finite(outputs)
-    return np.concatenate([np.zeros(0), *(val for val, _, _ in outputs)])
+    if g_val is None:
+        return values
+    mu_t = mu_g.reshape(-1, g_val.shape[1])[t]
+    return values + (_row_dots(mu_t, g_val) + 0.5 * rho * _row_dots(g_val, g_val))
 
 
-def _objective(problem, blocks):
+def _term_derivative(evaluator, t, x, agents, what, outputs, rows=()):
+    """A term gradient (``rows=()``) or Jacobian, if there is its ``evaluator``:
+    per position ``j``, the ``(len(t), *rows, d_j)`` derivatives, joining
+    ``outputs`` (a non-finite entry names its term's agent ``agents[:, j]``)."""
+    if evaluator is None:
+        return None
+    raw = evaluator(t, x)
+    if not isinstance(raw, (tuple, list, np.ndarray)) or len(raw) != len(x):
+        raise StructureError(f"{what.format('*')} must return one array per term position")
+    agents = agents.reshape(t.size, *(1 for _ in rows), -1)
+    return [_checked(part, (t.size, *rows, x_j.shape[1]), what, int(agents.flat[j]), outputs,
+                     agents[..., j:j + 1]) for j, (part, x_j) in enumerate(zip(raw, x))]
+
+
+def _incident_terms(problem, flat, mu_g, idx, outputs):
+    """The terms incident to the agents ``idx`` (``NlpProblem._incident``):
+    their ``(k, r, j)`` pairs, then from one call per evaluator their
+    derivatives (:func:`_term_derivative`), multipliers and rows, each
+    ``None`` where the coupling has none; ``None`` without any of them."""
+    coup = problem.coupling
+    t, agents, gathers, pairs = problem._incident(idx)
+    if not pairs or coup.term_cost is None and coup.term_constraint is None:
+        return None
+    x = tuple(flat[gather] for gather in gathers)
+    g_val = _term_rows(problem, t, x, outputs)
+    return (pairs, _term_derivative(coup.term_cost_grad, t, x, agents,
+                                    "coupling cost gradient of block {}", outputs),
+            _term_derivative(coup.term_constraint_jac, t, x, agents,
+                             "coupling constraint Jacobian of block {}", outputs,
+                             (coup.constraint_rows,)),
+            None if g_val is None else mu_g.reshape(-1, coup.constraint_rows)[t], g_val)
+
+
+def _coupling_changes(problem, flat, mu_g, rho, idx, trial) -> np.ndarray:
+    """Per agent ``idx[k]``, the change of the coupling term when only its
+    block moves to ``trial[k]``: its incident terms' new values minus the old
+    (:func:`_term_values`, one call), added in term order to ``0.0``."""
+    t, _, gathers, pairs = problem._incident(idx)
+    changes = np.zeros(idx.shape[0])
+    if pairs:
+        k, r, j = (np.array(col) for col in zip(*pairs))
+        x = tuple(flat[np.concatenate([gather, gather[r]])] for gather in gathers)
+        for pos, x_j in enumerate(x):
+            if (moved := j == pos).any():
+                x_j[t.size:][moved] = trial[k[moved]]
+        values = _term_values(problem, np.r_[t, t[r]], x, mu_g, rho)
+        for row, change in zip(k.tolist(), (values[t.size:] - values[r]).tolist()):
+            changes[row] += change
+    return changes
+
+
+def _constraints(problem, flat):
+    """``(F_0, ..., F_{N-1}, G)`` at the flat point, ``G`` from one call."""
+    outputs = []
+    for i, x_i in enumerate(_cut(flat, problem._offsets)):
+        _agent_constraint(problem, x_i, i, outputs)
+    if problem.p:
+        t = np.arange(problem.coupling.terms.shape[0])
+        _term_rows(problem, t, _term_blocks(problem, flat), outputs)
+    _check_finite(outputs)
+    return np.concatenate([np.zeros(0), *(val.reshape(-1) for val, *_ in outputs)])
+
+
+def _objective(problem, flat):
     total = 0.0
-    for i, agent in enumerate(problem.agents):
-        total += _checked(agent.cost(blocks[i]), (), "agent {} cost", i)
-    if problem.coupling.cost is not None:
-        total += _checked(problem.coupling.cost(blocks), (), "coupling cost")
-    return total
+    for i, x_i in enumerate(_cut(flat, problem._offsets)):
+        total += _checked(problem.agents[i].cost(x_i), (), "agent {} cost", i)
+    return total + problem.coupling.cost(_cut(flat, problem._offsets))
 
 
-def _values(problem, terms, rho):
-    """Local terms for ``(i, x_i, mu_i)``, coupling terms for ``(None, blocks, mu_G)``."""
-    coup, outputs, parts = problem.coupling, [], []
-    for i, at, _ in terms:
-        if i is None:
-            val = 0.0 if coup.cost is None else _checked(coup.cost(at), (), "coupling cost",
-                                                         None, outputs)
-            parts.append((0.0 + val, _coupling_constraint(problem, at, outputs)))
-        else:
-            val = _checked(problem.agents[i].cost(at), (), "agent {} cost", i, outputs)
-            parts.append((val, _agent_constraint(problem, at, i, outputs)))
+def _values(problem, entries, rho):
+    """Local terms ``J_i + mu_i @ F_i + (rho/2) ||F_i||^2`` for ``(i, x_i, mu_i)``."""
+    outputs, parts = [], []
+    for i, at, _ in entries:
+        parts.append((_checked(problem.agents[i].cost(at), (), "agent {} cost", i, outputs),
+                      _agent_constraint(problem, at, i, outputs)))
     _check_finite(outputs)
     return [value if h is None else value + (float(mult @ h) + 0.5 * rho * float(h @ h))
-            for (value, h), (_, _, mult) in zip(parts, terms)]
+            for (value, h), (_, _, mult) in zip(parts, entries)]
 
 
 def _agent_local_value(problem, x_i, mu_i, rho, i):
@@ -924,101 +1037,89 @@ def _agent_local_value(problem, x_i, mu_i, rho, i):
     return _values(problem, [(i, x_i, mu_i)], rho)[0]
 
 
-def _coupling_value(problem, blocks, mu_g, rho):
-    """Q + mu_G @ G + (rho/2) ||G||^2 at the given partial point."""
-    return _values(problem, [(None, blocks, mu_g)], rho)[0]
+def _coupling_value(problem, flat, mu_g, rho):
+    """Q + mu_G @ G + (rho/2) ||G||^2 at the flat point: every term value
+    from one call per evaluator, added in term order (:func:`_fold`)."""
+    t = np.arange(problem.coupling.terms.shape[0])
+    return _fold(_term_values(problem, t, _term_blocks(problem, flat), mu_g, rho))
 
 
-def _block_gradient(problem, blocks, mu, rho, idx):
-    """:func:`eval_block_gradient` of each agent of the list ``idx``, ``G`` taken once."""
-    coup, outputs, parts = problem.coupling, [], []
-    g_val = _coupling_constraint(problem, blocks, outputs)
-    for i in idx:
-        agent, x_i, d = problem.agents[i], blocks[i], problem.block_dims[i]
+def _block_gradient(problem, flat, mu, rho, idx):
+    """:func:`eval_block_gradient` of each agent of the index array ``idx`` at the
+    flat point: its own evaluators' part, then its incident terms' parts
+    (:func:`_incident_terms`); every output is checked before arithmetic."""
+    outputs, parts, offsets = [], [], problem._offsets
+    for i in idx.tolist():
+        agent, x_i, d = problem.agents[i], flat[offsets[i]:offsets[i + 1]], problem.block_dims[i]
         m_i = agent.constraint_dim
         parts.append((
             _checked(agent.cost_grad(x_i), (d,), "agent {} cost gradient", i, outputs),
             None if agent.constraint is None else (
                 _checked(agent.constraint(x_i), (m_i,), "agent {} constraint", i, outputs),
                 _checked(agent.constraint_jac(x_i), (m_i, d),
-                         "agent {} constraint Jacobian", i, outputs)),
-            None if coup.cost is None else _checked(
-                coup.cost_block_grad(blocks, i), (d,), "coupling cost gradient of block {}",
-                i, outputs),
-            None if g_val is None else _checked(
-                coup.constraint_block_jac(blocks, i), (coup.constraint_dim, d),
-                "coupling constraint Jacobian of block {}", i, outputs)))
+                         "agent {} constraint Jacobian", i, outputs))))
+    incident = _incident_terms(problem, flat, mu.coupling_part, idx, outputs)
     _check_finite(outputs)
+    coupled = [None] * idx.shape[0]  # per agent, its terms in term order from a zero vector
+    if incident is not None:
+        pairs, q_grad, g_jac, mu_t, g_val = incident
+        weight = None if g_val is None else mu_t + rho * g_val
+        for k, r, j in pairs:
+            part = q_grad[j][r] if g_jac is None else g_jac[j][r].T @ weight[r]
+            part = part if q_grad is None or g_jac is None else q_grad[j][r] + part
+            coupled[k] = part + 0.0 if coupled[k] is None else coupled[k] + part
     grads = []
-    for i, (grad, f_parts, q_grad, g_jac) in zip(idx, parts):
+    for i, (grad, f_parts), total in zip(idx.tolist(), parts, coupled):
         # out of place: the evaluator may own its output
         if f_parts is not None:
             grad = grad + f_parts[1].T @ (mu.part(i) + rho * f_parts[0])
-        if q_grad is not None:
-            grad = grad + q_grad
-        if g_jac is not None:
-            grad = grad + g_jac.T @ (mu.coupling_part + rho * g_val)
-        grads.append(grad)
+        grads.append(grad if total is None else grad + total)
     return grads
 
 
 def _block_gradients(problem, flat, mu, rho, idx):
-    """Block gradients of the agents ``idx``, whose blocks share one dimension
-    ``d``, at the read-only point ``flat``: the ``(len(idx), d)`` array whose
-    row ``k`` is agent ``idx[k]``'s.  With the ``block_gradients`` hook this
-    is one call on ``flat`` seen as the ``(N, d)`` array of blocks, checked
-    (a non-finite row names its agent); without it, the rows that
-    :func:`_block_gradient` gives.  A stack of points, ``(P, n)``, gives
-    the ``(P, len(idx), d)`` array, by one call or point by point.
-    """
+    """The ``(len(idx), d)`` block gradients of the agents ``idx`` (blocks of
+    one dimension ``d``) at the read-only point ``flat``, or ``(P, len(idx),
+    d)`` at a ``(P, n)`` stack of points: one checked call of the
+    ``block_gradients`` hook on the ``(N, d)`` blocks, or the rows of
+    :func:`_block_gradient`, point by point."""
     hook = problem.block_gradients
     if hook is None:
         if flat.ndim == 2:
             return np.array([_block_gradients(problem, f, mu, rho, idx) for f in flat])
-        blocks = _cut(flat, _partition(problem.block_dims)[1])
-        return np.array(_block_gradient(problem, blocks, mu, rho, idx.tolist()))
+        return np.array(_block_gradient(problem, flat, mu, rho, idx))
     x = flat.reshape(*flat.shape[:-1], problem.n_agents, -1)
     return _checked(hook(x, mu.flat, rho, idx), (*x.shape[:-2], idx.shape[0], x.shape[-1]),
-                    "block_gradients", rows=idx)
+                    "block_gradients", rows=idx[:, None])
 
 
 def _block_values(problem, flat, mu, rho, idx, trial=None):
-    """Local and coupling terms of the agents ``idx`` at trial blocks.
-
-    Returns two arrays of length ``len(idx)``: agent ``idx[k]``'s local
-    term at ``trial[k]`` and the coupling term at the read-only point
-    ``flat`` with only block ``idx[k]`` replaced by ``trial[k]`` (see
-    ``NlpProblem.block_values``).  ``trial=None`` takes every agent's own
-    block of ``flat``.  With the ``block_values`` hook this is one checked
-    call; without it, one :func:`_values` call gives every local term and
-    one coupling term per trial block (one in all for ``None``).
-    """
-    hook = problem.block_values
-    k = idx.shape[0]
+    """Per agent ``idx[k]``, its local term at ``trial[k]`` and the change of
+    the coupling term when only its block moves from the read-only point
+    ``flat`` to ``trial[k]`` (``NlpProblem.block_values``; ``trial=None``:
+    its own block, no change).  One checked hook call, or :func:`_values`
+    and :func:`_coupling_changes`."""
+    hook, k, members = problem.block_values, idx.shape[0], idx.tolist()
     if hook is None:
-        blocks = _cut(flat, _partition(problem.block_dims)[1])
-        terms = [] if trial is not None else [(None, blocks, mu.coupling_part)]
-        for row, i in enumerate(idx.tolist()):
-            x_i = blocks[i] if trial is None else trial[row]
-            terms.append((i, x_i, mu.part(i)))
-            if trial is not None:
-                terms.append((None, [*blocks[:i], x_i, *blocks[i + 1:]], mu.coupling_part))
-        values = _values(problem, terms, rho)
-        if trial is None:
-            return np.array(values[1:]), np.full(k, values[0])
-        return np.array(values[0::2]), np.array(values[1::2])
+        blocks = _cut(flat, problem._offsets)
+        at = [blocks[i] for i in members] if trial is None else trial
+        local = np.array(_values(problem, [(i, x_i, mu.part(i)) for i, x_i in zip(members, at)],
+                                 rho))
+        return local, (np.zeros(k) if trial is None else _coupling_changes(
+            problem, flat, mu.coupling_part, rho, idx, trial))
     x = flat.reshape(problem.n_agents, -1)
-    local, coupling = hook(x, mu.flat, rho, idx, x[idx] if trial is None else trial)
+    local, change = hook(x, mu.flat, rho, idx, x[idx] if trial is None else trial)
     return (_checked(local, (k,), "block_values local terms", rows=idx),
-            _checked(coupling, (k,), "block_values coupling terms", rows=idx))
+            _checked(change, (k,), "block_values coupling changes", rows=idx))
 
 
 def _aug_lagrangian(problem, flat, mu, rho):
     """The augmented Lagrangian at the read-only point ``flat`` and its
-    per-agent terms (local plus coupling term, the value that certifies a
-    step of that block), from one :func:`_block_values` call over all agents."""
-    local, coupling = _block_values(problem, flat, mu, rho, np.arange(problem.n_agents))
-    return math.fsum([*local.tolist(), coupling[0]]), local + coupling
+    agents' local terms (from one :func:`_block_values` call), with the
+    coupling term (:func:`_coupling_value`) added once."""
+    local = _block_values(problem, flat, mu, rho, np.arange(problem.n_agents))[0]
+    coupling = _coupling_value(problem, flat, mu.coupling_part, rho)
+    return math.fsum([*local.tolist(), coupling]), local
 
 
 # ---------------------------------------------------------------------------
@@ -1026,21 +1127,10 @@ def _aug_lagrangian(problem, flat, mu, rho):
 # ---------------------------------------------------------------------------
 
 def eval_constraints(problem: NlpProblem, z: BlockVector) -> np.ndarray:
-    """Stacked equality constraints (F_0, ..., F_{N-1}, G) at ``z``.
-
-    Parameters
-    ----------
-    problem : NlpProblem
-    z : BlockVector
-        Point with the problem's block structure.
-
-    Returns
-    -------
-    numpy.ndarray, shape (r,)
-        Agent constraints in agent order followed by the coupling map.
-    """
+    """Stacked equality constraints ``(F_0, ..., F_{N-1}, G)``, shape
+    ``(r,)``, at ``z`` (with the problem's block structure)."""
     problem.check_block_structure(z)
-    return _constraints(problem, list(z.blocks))
+    return _constraints(problem, z.flat)
 
 
 def eval_aug_lagrangian(problem: NlpProblem, z: BlockVector,
@@ -1069,7 +1159,7 @@ def eval_block_gradient(problem: NlpProblem, z: BlockVector,
     if not (0 <= i < problem.n_agents):
         raise StructureError(f"agent index {i} out of range [0, {problem.n_agents})")
     problem.check_multiplier(mu)
-    return _block_gradient(problem, list(z.blocks), mu, rho, [i])[0]
+    return _block_gradient(problem, z.flat, mu, rho, np.array([i]))[0]
 
 
 def _require_positive_rho(rho):

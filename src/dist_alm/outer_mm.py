@@ -164,43 +164,22 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
               sweep_budgets=None, inner_eps_stop: bool = True):
     """Run the two-level method until feasibility or the iteration cap.
 
-    Parameters
-    ----------
-    problem, cfg, inner_cfg
-        Problem and the two loop configurations.
-    z0, mu0
-        Start point (default: polytope centers) and multiplier estimate
-        (default: zero).  ``z0`` must lie in the polytopes up to
-        ``model.FEAS_TOL``.
-    with_certificates
-        Passed through to the inner loop.
-    threads
-        Ignored: the inner loop updates a color class as one batch on
-        the calling thread.  Kept so that existing callers keep working.
-    sweep_budgets
-        Optional per-outer-iteration sweep caps, integers >= 0 (benchmark
-        mode).
-    inner_eps_stop
-        When ``False``, the inner loop ignores the ``eps`` target and runs
-        to its own stopping rule or budget (benchmark mode).
+    ``z0`` (default: the polytope centres) must lie in the polytopes up to
+    ``model.FEAS_TOL``; ``mu0`` defaults to zero.  ``with_certificates`` is
+    passed to the inner loop; ``threads`` is ignored (a color class is one
+    batch on the calling thread) and kept for existing callers.  In
+    benchmark mode ``sweep_budgets`` caps each outer iteration's sweeps
+    (integers >= 0) and ``inner_eps_stop=False`` lets the inner loop ignore
+    its ``eps`` target.
 
-    Returns
-    -------
-    (OuterState, str)
-        Final state (with per-iteration trace) and a status string:
-        ``"converged"`` once the constraints' sup norm reaches ``eta`` with
-        the last inner call's residual at most
-        ``max(eps_k, STATIONARITY_FLOOR)``, and
-        ``"feasible_not_stationary"`` if it reaches ``eta`` above that;
-        else ``"inner_failure"`` if any inner call missed its target (see
-        ``IterTrace.inner_achieved``) and ``"iteration_cap"`` if every
-        one met it.
-
-    Notes
-    -----
-    An inner call that exhausts its sweep budget is a soft failure: the
-    dual update still uses the best available point and the loop goes on.
-    Hard evaluator errors propagate.
+    Returns ``(OuterState, status)``: the final state with its trace, and
+    ``"converged"`` once the constraints' sup norm reaches ``eta`` with the
+    last inner residual at most ``max(eps_k, STATIONARITY_FLOOR)``,
+    ``"feasible_not_stationary"`` if it reaches ``eta`` above that, else
+    ``"inner_failure"`` if an inner call missed its target
+    (``IterTrace.inner_achieved``) and ``"iteration_cap"`` if none did.  An
+    inner call that spends its budget is a soft failure: the dual update
+    uses its point and the loop goes on.  Evaluator errors propagate.
     """
     z = default_start(problem) if z0 is None else z0
     mu = MultiplierEstimate.zeros(problem) if mu0 is None else mu0

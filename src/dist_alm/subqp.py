@@ -6,12 +6,11 @@ The QP minimises
 
 over the agent's feasible set, with ``M`` symmetric positive definite.  Its
 minimiser is the projection of the Newton point ``center - M^{-1} g`` onto
-the set in the norm of ``M``, and :func:`solve_prox_qp` computes it with
-the package's one projection kernel, ``Polytope.project`` (least distance
-by NNLS).  The inner loop's block updates have ``M = m I``; they call
-``Polytope.project`` directly and build no QP.  The exact check of that
-projection, in any ``M``, is ``verify.enumerate_projection``.  The solve
-function is stateless and safe to call concurrently on distinct instances.
+the set in the norm of ``M``, which :func:`solve_prox_qp` computes by
+``Polytope.project`` (least distance by NNLS).  The inner loop's block
+updates have ``M = m I``; they project a whole colour class by
+``model._SetGroup.project`` and build no QP.  The exact check of the
+projection, in any ``M``, is ``verify.enumerate_projection``.
 """
 
 from __future__ import annotations

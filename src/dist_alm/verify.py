@@ -1,23 +1,15 @@
 """Independent checks: criticality residual, derivative tests, brute force.
 
-The criticality residual measures the distance of the augmented-Lagrangian
-gradient to the negative normal cone of the feasible polytope,
-
-    d(0, grad L_rho(z, mu) + N_Z(z)),
-
-which is the inexactness the inner loop must drive below the outer loop's
-tolerance.  One pass computes it, part by part: one gradient call and one
-kernel call per set group of the problem (sets of one kind and shape,
-``model._SetGroup``), or per colour class for the inner loop's stop test,
-which may stop after the first part that already exceeds its target.  The
-kernel is the one ``Polytope.normal_cone_distance`` runs on a group of one:
-boxes use the per-coordinate closed form, other polytopes reconstruct the
-inequality multipliers by nonnegative least squares on the rows active by
-``ACTIVE_TOL``.  ``kkt_report`` reads its multipliers from the same pass.
-The remaining routines are deliberately simple, derivative-
-free or exhaustive, so they can serve as oracles for the solver itself;
-``enumerate_projection`` is the reference for ``Polytope.project``, which
-solves one least-distance problem by nonnegative least squares.
+The criticality residual ``d(0, grad L_rho(z, mu) + N_Z(z))`` is the
+inexactness the inner loop drives below the outer tolerance.  One pass
+takes it part by part: one gradient call and one kernel call per set group
+(``model._SetGroup``), or per colour class for the inner loop's stop test,
+which may stop after the first part above its target.  The kernel is that
+of ``Polytope.normal_cone_distance``: a closed form on boxes, else NNLS on
+the rows active by ``ACTIVE_TOL``; ``kkt_report`` reads its multipliers
+from the same pass.  The other routines are deliberately simple,
+derivative-free or exhaustive oracles for the solver;
+``enumerate_projection`` is the reference for ``Polytope.project``.
 """
 
 from __future__ import annotations
@@ -32,7 +24,8 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError, RefusalError
 from .model import (BlockVector, MultiplierEstimate, NlpProblem, Polytope,
                     _agent_constraint, _block_gradient, _block_gradients, _checked,
-                    _constraints, _coupling_constraint, _objective)
+                    _check_finite, _constraints, _fold, _objective, _term_blocks,
+                    _term_derivative, _term_rows)
 
 __all__ = [
     "KktReport",
@@ -67,19 +60,9 @@ class KktReport:
 
 def criticality_residual(problem: NlpProblem, z: BlockVector,
                          mu: MultiplierEstimate, rho: float) -> float:
-    """Distance of the augmented-Lagrangian gradient to -N_Z(z).
-
-    Parameters
-    ----------
-    problem, z, mu, rho
-        Point and dual data; ``z`` must lie in the polytope up to
-        ``model.FEAS_TOL``.
-
-    Returns
-    -------
-    float
-        ``min_{v in N_Z(z)} || grad L_rho(z, mu) + v ||_2``.
-    """
+    """``min_{v in N_Z(z)} || grad L_rho(z, mu) + v ||_2``, the distance of
+    the augmented-Lagrangian gradient to ``-N_Z(z)``; ``z`` must lie in the
+    polytope up to ``model.FEAS_TOL``."""
     return _residual_and_gradients(problem, z, mu, rho)[0]
 
 
@@ -112,10 +95,7 @@ def _residual_and_gradients(problem, z, mu, rho, parts=None, above=None):
 def _root_of_sum(dists) -> float:
     """The square root of the squared distances ``dists`` added one by one,
     in their order (agent order for the residual)."""
-    total = 0.0
-    for dist_sq in dists.tolist():
-        total += dist_sq
-    return float(np.sqrt(total))
+    return float(np.sqrt(_fold(dists)))
 
 
 def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
@@ -132,7 +112,7 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
         lam = group.multipliers(active, parts)
         for k, i in enumerate(group.idx.tolist()):
             lams[i], masks[i] = lam[k], active[k]
-    h_val = _constraints(problem, list(z.blocks))
+    h_val = _constraints(problem, z.flat)
     return KktReport(
         stationarity=stationarity,
         feasibility_inf=float(np.max(np.abs(h_val), initial=0.0)),
@@ -142,10 +122,10 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     )
 
 
-def _oracle_lagrangian(problem, blocks, mu, rho):
-    """``J + mu @ H + (rho/2) ||H||^2`` from the per-agent evaluators."""
-    h_val = _constraints(problem, blocks)
-    return _objective(problem, blocks) + float(mu.flatten() @ h_val) \
+def _oracle_lagrangian(problem, flat, mu, rho):
+    """``J + mu @ H + (rho/2) ||H||^2`` from the evaluators at the flat point."""
+    h_val = _constraints(problem, flat)
+    return _objective(problem, flat) + float(mu.flatten() @ h_val) \
         + 0.5 * rho * float(h_val @ h_val)
 
 
@@ -162,19 +142,18 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
     problem.check_block_structure(z)
     if not (h > 0 and math.isfinite(h)):
         raise PreconditionError(f"step must be finite and positive, got {h}")
-    blocks = list(z.blocks)
     worst = 0.0
     for i, agent in enumerate(problem.agents):
-        grad = _block_gradient(problem, blocks, mu, rho, [i])[0]
+        grad = _block_gradient(problem, z.flat, mu, rho, np.array([i]))[0]
         fd = np.zeros_like(grad)
+        start = problem._offsets[i]
         for j in range(agent.dim):
-            step = h * (1.0 + abs(blocks[i][j]))
-            hi, lo = list(blocks), list(blocks)
-            hi[i], lo[i] = np.array(blocks[i]), np.array(blocks[i])
-            hi[i][j] += step
-            lo[i][j] -= step
-            if not all(agent.feasible_set.contains(pt)
-                       for pt in (hi[i], lo[i])):
+            step = h * (1.0 + abs(z.flat[start + j]))
+            hi, lo = z.flatten(), z.flatten()
+            hi[start + j] += step
+            lo[start + j] -= step
+            if not all(agent.feasible_set.contains(pt[start:start + agent.dim])
+                       for pt in (hi, lo)):
                 raise PreconditionError(
                     f"block {i} is closer than {step:.1e} to its boundary "
                     f"in coordinate {j}")
@@ -209,13 +188,16 @@ def regularity_check(problem: NlpProblem, z: BlockVector,
                 "agent {} constraint Jacobian", i)
             row += agent.constraint_dim
         col += agent.dim
-    if problem.coupling.constraint is not None:
-        col = 0
-        for i, agent in enumerate(problem.agents):
-            jac[row:, col:col + agent.dim] = _checked(
-                problem.coupling.constraint_block_jac(blocks, i), (problem.p, agent.dim),
-                "coupling constraint Jacobian of block {}", i)
-            col += agent.dim
+    coup, t = problem.coupling, np.arange(problem.coupling.terms.shape[0])
+    if coup.term_constraint is not None and t.size:
+        # every term's derivatives, from one call, at its rows and its blocks' columns
+        outputs, rows = [], row + np.arange(problem.p).reshape(t.size, -1, 1)
+        jacs = _term_derivative(coup.term_constraint_jac, t, _term_blocks(problem, z.flat),
+                                coup.terms, "coupling constraint Jacobian of block {}",
+                                outputs, (coup.constraint_rows,))
+        _check_finite(outputs)
+        for part, gather in zip(jacs, problem._term_gather):
+            jac[rows, gather[:, None, :]] = part
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return False
@@ -244,23 +226,14 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
                     feasibility_band: float = None,
                     mu: MultiplierEstimate = None, rho: float = None,
                     max_points: int = 2_000_000):
-    """Exhaustive grid minimisation on tiny problems.
+    """Exhaustive grid minimisation on tiny problems: the best grid point
+    and its value, ``(BlockVector, float)``.
 
     With ``mu``/``rho`` given, minimises the augmented Lagrangian over the
-    full grid.  Otherwise minimises the objective restricted to grid points
-    with every equality within ``feasibility_band`` (required whenever the
-    problem has equality constraints).
-
-    Returns
-    -------
-    (BlockVector, float)
-        Best grid point and its value.
-
-    Raises
-    ------
-    RefusalError
-        On more than four variables, an empty feasibility band, or a grid
-        larger than ``max_points`` combinations.
+    full grid; otherwise the objective over the grid points with every
+    equality within ``feasibility_band`` (required with equalities).
+    Raises ``RefusalError`` on more than four variables, an empty band, or
+    more than ``max_points`` combinations.
     """
     if problem.total_dim > 4:
         raise RefusalError(
@@ -304,25 +277,26 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
         raise RefusalError("empty grid")
 
     check_coupling_band = (not lagrangian_mode and feasibility_band is not None
-                           and problem.coupling.constraint is not None)
-    best_val, best_blocks = np.inf, None
+                           and problem.p > 0)
+    terms = np.arange(problem.coupling.terms.shape[0])
+    best_val, best = np.inf, None
     for combo in itertools.product(*grids):
-        blocks = [np.array(c) for c in combo]
+        flat = np.concatenate(combo)
         if check_coupling_band:
-            g_val = _coupling_constraint(problem, blocks)
-            if g_val.size and np.max(np.abs(g_val)) > feasibility_band:
+            g_val = _term_rows(problem, terms, _term_blocks(problem, flat))
+            if np.max(np.abs(g_val)) > feasibility_band:
                 continue
         if lagrangian_mode:
-            val = _oracle_lagrangian(problem, blocks, mu, rho)
+            val = _oracle_lagrangian(problem, flat, mu, rho)
         else:
-            val = _objective(problem, blocks)
+            val = _objective(problem, flat)
         if val < best_val:
-            best_val, best_blocks = val, blocks
-    if best_blocks is None:
+            best_val, best = val, flat
+    if best is None:
         raise RefusalError(
             "no grid point satisfies the coupling feasibility band"
         )
-    return BlockVector(best_blocks), float(best_val)
+    return BlockVector.from_flat(best, problem.block_dims), float(best_val)
 
 
 def enumerate_projection(poly: Polytope, v, m_mat=None):

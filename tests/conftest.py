@@ -126,19 +126,22 @@ def zvec(*blocks):
     return BlockVector([np.atleast_1d(np.asarray(b, dtype=float)) for b in blocks])
 
 
-def _chain_neighbours_sum(blocks, i):
-    return sum(blocks[j] for j in (i - 1, i + 1) if 0 <= j < len(blocks))
+def _site_cost_grad(t, x):
+    """Gradients of ``x_0 @ x_1 + x_1 @ x_2`` in its three blocks."""
+    return x[1], x[0] + x[2], x[1]
 
 
 def site_problem(site=None, bad=None):
-    """Three agents with 2-D boxes, one constraint each, and a coupling with
-    a chain cost and one constraint row over all three blocks, so that every
-    pair of agents shares an edge.
+    """Three agents with 2-D boxes, one constraint each, and a coupling of
+    one term over all three blocks: the chain cost ``x_0 @ x_1 + x_1 @
+    x_2`` and the row ``x_0[0] + x_1[0] + x_2[0]``, so that every pair of
+    agents interacts.
 
     With ``site`` (an ``AgentSpec`` or ``CouplingSpec`` field, the latter
     prefixed ``coupling.``), that evaluator returns ``bad``: for agent 1
-    only, for the coupling's block derivatives only for block 1, and for
-    the coupling's values always.
+    only, for the coupling's derivatives only in block 1 (the term's
+    second position), and for the coupling's values always, once per term
+    of the call.
     """
     agents = [AgentSpec(cost=lambda x: float(x @ x), cost_grad=lambda x: 2.0 * x,
                         feasible_set=Polytope.box([-1.0, -1.0], [1.0, 1.0]),
@@ -146,27 +149,38 @@ def site_problem(site=None, bad=None):
                         constraint_jac=lambda x: np.array([[1.0, 1.0]]),
                         constraint_dim=1)
               for _ in range(3)]
+    one_row = np.array([[1.0, 0.0]])
     coupling = CouplingSpec(
-        cost=lambda b: float(b[0] @ b[1] + b[1] @ b[2]),
-        cost_block_grad=_chain_neighbours_sum,
-        constraint=lambda b: np.array([b[0][0] + b[1][0] + b[2][0]]),
-        constraint_block_jac=lambda b, i: np.array([[1.0, 0.0]]),
-        constraint_dim=1, edges={(0, 1), (1, 2), (0, 2)})
+        terms=np.array([[0, 1, 2]]),
+        term_cost=lambda t, x: _row_dots(x[0], x[1]) + _row_dots(x[1], x[2]),
+        term_cost_grad=_site_cost_grad,
+        term_constraint=lambda t, x: (x[0][:, :1] + x[1][:, :1]) + x[2][:, :1],
+        term_constraint_jac=lambda t, x: (np.tile(one_row, (len(t), 1, 1)),) * 3,
+        constraint_rows=1)
     if site is not None and site.startswith("coupling."):
         name = site.split(".")[1]
         good = getattr(coupling, name)
-        if name in ("cost", "constraint"):
-            evaluator = lambda blocks: bad  # noqa: E731
+
+        def stacked(t):
+            return np.tile(bad, (len(t),) + (1,) * np.ndim(bad))
+
+        if name in ("term_cost", "term_constraint"):
+            evaluator = lambda t, x: stacked(t)  # noqa: E731
         else:
-            evaluator = lambda blocks, i: bad if i == 1 else good(blocks, i)  # noqa: E731
+            evaluator = lambda t, x: (good(t, x)[0], stacked(t), good(t, x)[2])  # noqa: E731
         coupling = dataclasses.replace(coupling, **{name: evaluator})
     elif site is not None:
         agents[1] = dataclasses.replace(agents[1], **{site: lambda x: bad})
     return NlpProblem(agents=tuple(agents), coupling=coupling)
 
 
-# The per-agent evaluation written out plainly, one evaluator output at a
-# time: the reference that the solver's per-agent path must equal bitwise.
+def _row_dots(a, b):
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+# The per-agent evaluation written out plainly, one evaluator output and one
+# coupling term at a time: the reference that the solver's per-agent path
+# must equal bitwise.
 
 def _as_vector(raw):
     return np.asarray(raw, dtype=float).reshape(-1)
@@ -176,33 +190,66 @@ def _as_matrix(raw):
     return np.atleast_2d(np.asarray(raw, dtype=float))
 
 
+def _term_at(coupling, t, blocks):
+    """Term ``t``'s index array and blocks, as a one-term evaluator call."""
+    return np.array([t]), tuple(blocks[i][None] for i in coupling.terms[t].tolist())
+
+
+def _incident(coupling, i):
+    """Agent ``i``'s ``(term, position)`` pairs, in term order."""
+    return [(t, tup.index(i)) for t, tup in enumerate(coupling.terms.tolist()) if i in tup]
+
+
+def _term_value(coupling, t, blocks, mu, rho):
+    """``q_t + mu_t @ g_t + (rho/2) ||g_t||^2`` of term ``t`` at ``blocks``."""
+    at = _term_at(coupling, t, blocks)
+    value = 0.0 if coupling.term_cost is None else float(coupling.term_cost(*at)[0])
+    if coupling.term_constraint is not None:
+        g_val = _as_vector(coupling.term_constraint(*at))
+        mu_t = mu.coupling_part.reshape(-1, coupling.constraint_rows)[t]
+        value += float(mu_t @ g_val) + 0.5 * rho * float(g_val @ g_val)
+    return value
+
+
 def reference_gradients(problem, flat, mu, rho, idx):
-    """``grad J_i + Jac F_i.T (mu_i + rho F_i) + grad_i Q + Jac_i G.T (mu_G +
-    rho G)`` for each agent of ``idx`` at ``flat`` (or at each row of it),
-    one row per agent."""
+    """``grad J_i + Jac F_i.T (mu_i + rho F_i)``, then for each incident
+    term ``t`` in term order, from a zero vector, ``grad_i q_t + Jac_i
+    g_t.T (mu_t + rho g_t)``, for each agent of ``idx`` at ``flat`` (or at
+    each row of it), one row per agent."""
     if flat.ndim == 2:
         return np.array([reference_gradients(problem, f, mu, rho, idx) for f in flat])
     blocks = list(BlockVector.from_flat(flat, problem.block_dims).blocks)
     coup, grads = problem.coupling, []
     for i in idx.tolist():
         agent, x_i = problem.agents[i], blocks[i]
-        grad = _as_vector(agent.cost_grad(x_i)).copy()
+        grad = _as_vector(agent.cost_grad(x_i))
         if agent.constraint is not None:
             f_val = _as_vector(agent.constraint(x_i))
-            grad += _as_matrix(agent.constraint_jac(x_i)).T @ (mu.part(i) + rho * f_val)
-        if coup.cost is not None:
-            grad += _as_vector(coup.cost_block_grad(blocks, i))
-        if coup.constraint is not None:
-            g_val = _as_vector(coup.constraint(blocks))
-            grad += (_as_matrix(coup.constraint_block_jac(blocks, i)).T
-                     @ (mu.coupling_part + rho * g_val))
+            grad = grad + _as_matrix(agent.constraint_jac(x_i)).T @ (mu.part(i) + rho * f_val)
+        terms = []
+        for t, j in _incident(coup, i):
+            at = _term_at(coup, t, blocks)
+            part = None if coup.term_cost is None else coup.term_cost_grad(*at)[j][0]
+            if coup.term_constraint is not None:
+                g_val = coup.term_constraint(*at)[0]
+                mu_t = mu.coupling_part.reshape(-1, coup.constraint_rows)[t]
+                g_part = coup.term_constraint_jac(*at)[j][0].T @ (mu_t + rho * g_val)
+                part = g_part if part is None else part + g_part
+            terms.append(part)
+        if terms:
+            total = np.zeros(grad.shape)
+            for part in terms:
+                total = total + part
+            grad = grad + total
         grads.append(grad)
     return np.array(grads)
 
 
 def reference_values(problem, flat, mu, rho, idx, trial=None):
-    """Per agent of ``idx``, its local term at its trial block and the
-    coupling term with only that block moved (see ``NlpProblem``)."""
+    """Per agent of ``idx``, its local term at its trial block and the change
+    of the coupling term when only that block moves (see ``NlpProblem``):
+    its incident terms' new values minus their old ones, in term order,
+    added to ``0.0``."""
     blocks = list(BlockVector.from_flat(flat, problem.block_dims).blocks)
     coup, local, coupling = problem.coupling, [], []
     for row, i in enumerate(idx.tolist()):
@@ -214,23 +261,22 @@ def reference_values(problem, flat, mu, rho, idx, trial=None):
             value += float(mu.part(i) @ f_val) + 0.5 * rho * float(f_val @ f_val)
         local.append(value)
         moved = [*blocks[:i], x_i, *blocks[i + 1:]]
-        value = 0.0
-        if coup.cost is not None:
-            value += float(coup.cost(moved))
-        if coup.constraint is not None:
-            g_val = _as_vector(coup.constraint(moved))
-            value += float(mu.coupling_part @ g_val) + 0.5 * rho * float(g_val @ g_val)
-        coupling.append(value)
+        change = 0.0
+        for t, _ in _incident(coup, i) if trial is not None else ():
+            change += (_term_value(coup, t, moved, mu, rho)
+                       - _term_value(coup, t, blocks, mu, rho))
+        coupling.append(change)
     return np.array(local), np.array(coupling)
 
 
 def reference_constraints(problem, z):
-    """``(F_0, ..., F_{N-1}, G)`` at ``z``."""
-    blocks = list(z.blocks)
+    """``(F_0, ..., F_{N-1}, G)`` at ``z``, ``G`` term by term."""
+    blocks, coup = list(z.blocks), problem.coupling
     pieces = [_as_vector(a.constraint(x)) for a, x in zip(problem.agents, blocks)
               if a.constraint is not None]
-    if problem.coupling.constraint is not None:
-        pieces.append(_as_vector(problem.coupling.constraint(blocks)))
+    if coup.term_constraint is not None:
+        pieces += [_as_vector(coup.term_constraint(*_term_at(coup, t, blocks)))
+                   for t in range(coup.terms.shape[0])]
     return np.concatenate([np.zeros(0), *pieces])
 
 

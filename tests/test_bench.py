@@ -48,7 +48,7 @@ class TestToyFamily:
 
         params = ToyParams(n_agents=7, block_dim=2, scale=2.0, seed=0)
         problem = generate_toy(params)
-        assert problem.coupling.edges == frozenset((i, i + 1) for i in range(6))
+        assert problem.coupling.terms.tolist() == [[i, i + 1] for i in range(6)]
         colors = color_interaction_graph(problem.coupling, 7)
         assert set(colors.tolist()) == {0, 1}
 
@@ -121,12 +121,9 @@ class TestToyDraws:
             h_i = np.column_stack([agent.cost_grad(e) / 2.0 for e in eye])
             assert h_i.tobytes() == h_ref[i].tobytes(), i
         for i in range(n - 1):
-            blocks = [np.zeros(d) for _ in range(n)]
-            w_i = []
-            for e in eye:
-                blocks[i + 1] = e
-                w_i.append(problem.coupling.cost_block_grad(blocks, i))
-            assert np.column_stack(w_i).tobytes() == w_ref[i].tobytes(), i
+            # the gradient of edge term i in x_i at x_{i+1} = e_j is W_i e_j
+            grad = problem.coupling.term_cost_grad(np.full(d, i), (np.zeros((d, d)), eye))[0]
+            assert grad.T.tobytes() == w_ref[i].tobytes(), i
 
         rng = np.random.default_rng(seed + bench._INIT_STREAM)
         b = params.box_bound

@@ -41,10 +41,9 @@ def unequal_blocks_problem():
     coupling cost, so the colour classes are {0, 1} and {2}."""
     w_mat = np.arange(1.0, 7.0).reshape(2, 3) / 4.0
     coupling = CouplingSpec(
-        cost=lambda b: float(b[1] @ w_mat @ b[2]),
-        cost_block_grad=lambda b, i: (w_mat @ b[2] if i == 1 else
-                                      w_mat.T @ b[1] if i == 2 else np.zeros(1)),
-        edges=frozenset({(1, 2)}))
+        terms=np.array([[1, 2]]),
+        term_cost=lambda t, x: ((x[0] @ w_mat)[:, None, :] @ x[1][:, :, None])[:, 0, 0],
+        term_cost_grad=lambda t, x: (x[1] @ w_mat.T, x[0] @ w_mat))
     agents = tuple(quadratic_agent(np.diag(np.arange(1.0, d + 1) - 2.5),
                                    -np.ones(d), np.ones(d)) for d in (1, 2, 3))
     problem = NlpProblem(agents=agents, coupling=coupling)
@@ -87,21 +86,41 @@ class TestColoring:
         assert set(colors.tolist()) == {0, 1}
         assert int(np.sum(colors == 0)) == 10 and int(np.sum(colors == 1)) == 10
 
-    def test_empty_edges_single_color(self):
+    def test_no_terms_single_color(self):
         colors = color_interaction_graph(CouplingSpec.none(), 5)
         assert set(colors.tolist()) == {0}
 
     def test_complete_graph_needs_n_colors(self):
-        coupling = CouplingSpec(edges={(i, j) for i in range(4)
-                                       for j in range(i + 1, 4)})
+        coupling = CouplingSpec(terms=[(i, j) for i in range(4) for j in range(i + 1, 4)])
         colors = color_interaction_graph(coupling, 4)
         assert sorted(colors.tolist()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("case, expected", [
+        ("toy_chain", [0, 1, 0, 1, 0, 1, 0]), ("site_problem", [0, 1, 2]),
+        ("unequal_blocks", [0, 0, 1]), ("mixed_class", [0, 1, 0, 1, 0, 1])])
+    def test_colorings_derived_from_the_terms(self, case, expected):
+        # the colourings the hand-written edge sets gave: chain edges, every
+        # pair of one 3-ary term, the one edge (1, 2), the six-agent chain
+        problem = (generate_toy(ToyParams(n_agents=7, block_dim=3, seed=2))
+                   if case == "toy_chain" else parity_case(case)[0])
+        colors = color_interaction_graph(problem.coupling, problem.n_agents)
+        assert colors.tolist() == expected
+        assert inner_bcd._coloring(problem).tolist() == expected
+
+    def test_terms_of_three_agents_link_every_pair(self):
+        coupling = CouplingSpec(terms=[(0, 2, 4), (4, 5, 1)])
+        assert color_interaction_graph(coupling, 6).tolist() == [0, 0, 1, 0, 2, 1]
+
+    def test_agent_outside_the_problem_is_structural(self):
+        with pytest.raises(StructureError, match="outside 0..2"):
+            color_interaction_graph(CouplingSpec(terms=[(0, 3)]), 3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=15))
     def test_adjacent_agents_never_share_a_color(self, raw_edges):
-        edges = {(min(i, j), max(i, j)) for i, j in raw_edges if i != j}
-        colors = color_interaction_graph(CouplingSpec(edges=edges), 8)
+        edges = sorted((min(i, j), max(i, j)) for i, j in raw_edges if i != j)
+        terms = np.array(edges, dtype=int).reshape(-1, 2)
+        colors = color_interaction_graph(CouplingSpec(terms=terms), 8)
         for i, j in edges:
             assert colors[i] != colors[j]
 
@@ -1091,9 +1110,9 @@ class TestPerAgentPath:
     def test_coupling_constraint_taken_once_per_gradient_call(self, monkeypatch):
         base, z0, mu = parity_case("site_problem")
         g_calls, grad_calls = [], []
-        constraint = base.coupling.constraint
+        constraint = base.coupling.term_constraint
         problem = dataclasses.replace(base, coupling=dataclasses.replace(
-            base.coupling, constraint=lambda b: g_calls.append(1) or constraint(b)))
+            base.coupling, term_constraint=lambda t, x: g_calls.append(1) or constraint(t, x)))
         gradients = inner_bcd._block_gradients
 
         def counted(*args):

@@ -40,12 +40,12 @@ def two_agent_coupled():
         ),
     )
     coupling = CouplingSpec(
-        cost=lambda blocks: float(blocks[0][0] * blocks[1][0]),
-        cost_block_grad=lambda blocks, i: np.array([blocks[1 - i][0]]),
-        constraint=lambda blocks: np.array([blocks[0][0] + blocks[1][0]]),
-        constraint_block_jac=lambda blocks, i: np.array([[1.0]]),
-        constraint_dim=1,
-        edges={(0, 1)},
+        terms=np.array([[0, 1]]),
+        term_cost=lambda t, x: x[0][:, 0] * x[1][:, 0],
+        term_cost_grad=lambda t, x: (x[1], x[0]),
+        term_constraint=lambda t, x: x[0] + x[1],
+        term_constraint_jac=lambda t, x: (np.ones((len(t), 1, 1)),) * 2,
+        constraint_rows=1,
     )
     return NlpProblem(agents=agents, coupling=coupling)
 
@@ -127,8 +127,7 @@ class TestAugLagrangian:
             terms = [model._agent_local_value(
                 prob, blocks[i], mult.part(i) if a.constraint is not None else None,
                 rho, i) for i, a in enumerate(prob.agents)]
-            terms.append(model._coupling_value(prob, list(blocks), mult.coupling_part,
-                                               rho))
+            terms.append(model._coupling_value(prob, point.flat, mult.coupling_part, rho))
             assert eval_aug_lagrangian(prob, point, mult, rho) == math.fsum(terms)
 
     def test_nonfinite_cost_carries_agent_index(self):
@@ -190,11 +189,11 @@ class TestBlockGradient:
 
 class TestCouplingEdges:
     def test_non_adjacent_gradients_ignore_each_other(self):
-        # chain instance: agents 0 and 2 share no edge, so perturbing
+        # chain instance: agents 0 and 2 share no term, so perturbing
         # block 2 must leave agent 0's coupling gradient untouched
         params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=13)
         problem = generate_toy(params)
-        assert (0, 2) not in problem.coupling.edges
+        assert problem.coupling.terms.tolist() == [[0, 1], [1, 2], [2, 3]]
         rng = np.random.default_rng(1)
         blocks = [rng.uniform(-1.0, 1.0, 3) for _ in range(4)]
         mu = MultiplierEstimate.zeros(problem)
@@ -478,6 +477,28 @@ class TestMultiplier:
         with pytest.raises(StructureError):
             MultiplierEstimate.from_flat(problem, np.zeros(2))
 
+    def test_partition_must_match_the_constraints(self):
+        # constraint dims (0, 2): one entry per agent has the length r = 2
+        # but another partition, which gave agent 1 the multiplier [2, 2]
+        box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+        problem = NlpProblem(agents=(
+            quadratic_agent(np.eye(2), [-1.0, -1.0], [1.0, 1.0]),
+            AgentSpec(cost=lambda x: float(x @ x), cost_grad=lambda x: 2.0 * x,
+                      feasible_set=box, constraint=lambda x: x - 0.1,
+                      constraint_jac=lambda x: np.eye(2), constraint_dim=2)))
+        z = zvec([0.1, 0.2], [0.3, 0.4])
+        wrong, right = MultiplierEstimate([[1.0], [2.0]]), MultiplierEstimate([[], [1.0, 2.0]])
+        calls = [lambda mu: eval_block_gradient(problem, z, mu, 1.0, 1),
+                 lambda mu: eval_aug_lagrangian(problem, z, mu, 1.0),
+                 lambda mu: run_outer(problem, OuterConfig(rho0=1.0, beta=10.0, eps0=1.0,
+                                                           eta=0.0, max_outer=1),
+                                      InnerConfig(max_sweeps=1), z, mu)]
+        for call in calls:
+            with pytest.raises(StructureError, match="agent parts"):
+                call(wrong)
+            call(right)
+        np.testing.assert_allclose(eval_block_gradient(problem, z, right, 1.0, 1), [1.8, 3.1])
+
 
 NAN = float("nan")
 
@@ -489,11 +510,11 @@ EVALUATOR_SITES = {
     "cost_grad": ("gradient", np.zeros(3), np.array([NAN, 0.0]), 1),
     "constraint": ("constraints", np.zeros(2), np.array([NAN]), 1),
     "constraint_jac": ("gradient", np.zeros((1, 1)), np.full((1, 2), NAN), 1),
-    "coupling.cost": ("lagrangian", np.zeros(2), NAN, None),
-    "coupling.cost_block_grad": ("gradient", np.zeros(3), np.array([0.0, NAN]), 1),
-    "coupling.constraint": ("constraints", np.zeros(2), np.array([NAN]), None),
-    "coupling.constraint_block_jac": ("gradient", np.zeros((1, 1)),
-                                      np.full((1, 2), NAN), 1),
+    "coupling.term_cost": ("lagrangian", np.zeros(2), NAN, None),
+    "coupling.term_cost_grad": ("gradient", np.zeros(3), np.array([0.0, NAN]), 1),
+    "coupling.term_constraint": ("constraints", np.zeros(2), np.array([NAN]), None),
+    "coupling.term_constraint_jac": ("gradient", np.zeros((1, 1)),
+                                     np.full((1, 2), NAN), 1),
 }
 
 
@@ -682,3 +703,114 @@ class TestMembershipGate:
         assert np.max(problem._violations(z)) <= 2e-6
         assert not problem.feasible(z)
         assert problem.feasible(gate_chain(kind, FEAS_TOL / 2)[1])
+
+
+def recording(problem, calls):
+    """``problem`` whose coupling evaluators record ``(name, t, x)`` per call."""
+    coup = problem.coupling
+
+    def record(name):
+        evaluator = getattr(coup, name)
+        return lambda t, x: calls.append((name, t.copy(), [x_j.copy() for x_j in x])) \
+            or evaluator(t, x)
+
+    names = [n for n in ("term_cost", "term_cost_grad", "term_constraint",
+                         "term_constraint_jac") if getattr(coup, n) is not None]
+    return dataclasses.replace(problem, coupling=dataclasses.replace(
+        coup, **{name: record(name) for name in names}))
+
+
+def edge_row_chain(n_agents, length_sq=0.5, seed=3):
+    """A toy chain without hooks whose coupling adds one constraint row per
+    edge, ``||x_i - x_{i+1}||^2 - l^2``, with seeded multipliers."""
+    params = ToyParams(n_agents=n_agents, block_dim=3, scale=2.0, seed=seed)
+    chain = generate_toy(params)
+
+    def rows(t, x):
+        diff = x[0] - x[1]
+        return (diff[:, None, :] @ diff[:, :, None])[:, 0] - length_sq
+
+    def jac(t, x):
+        diff = 2.0 * (x[0] - x[1])
+        return diff[:, None, :], -diff[:, None, :]
+
+    problem = NlpProblem(agents=chain.agents, coupling=dataclasses.replace(
+        chain.coupling, term_constraint=rows, term_constraint_jac=jac, constraint_rows=1))
+    z0, _ = toy_initial_guess(params, chain)
+    rng = np.random.default_rng(seed)
+    return problem, z0, mu_like(problem, rng.uniform(-1.0, 1.0, problem.r))
+
+
+class TestCouplingTerms:
+    """The coupling is a set of terms over agent tuples: the problem derives
+    its structure from them, and every evaluator sees its terms' blocks only."""
+
+    def test_evaluators_receive_only_their_terms_blocks(self):
+        site = site_problem()
+        cases = [(site, zvec([0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]),
+                  mu_like(site, [0.5, -1.0, 2.0, 0.25])), edge_row_chain(6)]
+        for base, z, mu in cases:
+            calls = []
+            problem = recording(base, calls)
+            flat, trial = z.flat, np.clip(z.flat.reshape(-1, 2 if base is site else 3) + 0.05,
+                                          -0.9, 0.9)
+            eval_aug_lagrangian(problem, z, mu, 2.0)
+            eval_constraints(problem, z)
+            for i in range(problem.n_agents):
+                eval_block_gradient(problem, z, mu, 2.0, i)
+            criticality_residual(problem, z, mu, 2.0)
+            kkt_report(problem, z, mu, 2.0)
+            moved = np.arange(0, problem.n_agents, 2)
+            model._block_values(problem, flat, mu, 2.0, moved, trial[moved])
+            assert {name for name, _, _ in calls} == {
+                "term_cost", "term_cost_grad", "term_constraint", "term_constraint_jac"}
+            for name, t, x in calls:
+                agents = problem.coupling.terms[t]
+                assert len(x) == agents.shape[1]
+                for j, x_j in enumerate(x):
+                    for k, i in enumerate(agents[:, j].tolist()):
+                        assert (x_j[k].tobytes() == z.block(i).tobytes()
+                                or name in ("term_cost", "term_constraint") and i in moved
+                                and x_j[k].tobytes() == trial[i].tobytes()), (name, k, j)
+
+    def test_class_gradient_reads_each_members_terms_once(self):
+        # one call per evaluator and one row per edge, at every chain length:
+        # a member reads its own one or two edges, not a p x d Jacobian block
+        seen = []
+        for n_agents in (8, 32, 128):
+            calls = []
+            base, z, mu = edge_row_chain(n_agents)
+            problem = recording(base, calls)
+            odd = np.arange(1, n_agents, 2)
+            grads = model._block_gradients(problem, z.flat, mu, 10.0, odd)
+            assert grads.tobytes() == model._block_gradients(base, z.flat, mu, 10.0,
+                                                             odd).tobytes()
+            assert all(t.tolist() == list(range(n_agents - 1)) for _, t, _ in calls)
+            seen.append(sorted(name for name, _, _ in calls))
+        assert seen[0] == seen[1] == seen[2] == [
+            "term_constraint", "term_constraint_jac", "term_cost_grad"]
+
+    def test_edge_row_gradients_match_finite_differences(self):
+        from dist_alm import fd_gradient_check
+
+        problem, z, mu = edge_row_chain(5)
+        assert problem.p == 4 and problem.coupling.constraint_dim == 4
+        assert fd_gradient_check(problem, z, mu, rho=3.0) <= 1e-6
+
+    @pytest.mark.parametrize("terms", [[(0, 1), (2, 2)], [(1, 0, 1)]])
+    def test_repeated_agent_is_structural(self, terms):
+        with pytest.raises(StructureError, match="distinct agents"):
+            CouplingSpec(terms=terms)
+
+    @pytest.mark.parametrize("terms", [[(0, 1), (1, 3)], [(-1, 0)]])
+    def test_agent_outside_the_problem_is_structural(self, terms):
+        agents = tuple(quadratic_agent(np.eye(1), [-1.0], [1.0]) for _ in range(3))
+        with pytest.raises(StructureError, match="outside 0..2"):
+            NlpProblem(agents=agents, coupling=CouplingSpec(terms=terms))
+
+    def test_one_dimension_per_tuple_position(self):
+        agents = (quadratic_agent(np.eye(1), [-1.0], [1.0]),
+                  quadratic_agent(np.eye(2), [-1.0, -1.0], [1.0, 1.0]))
+        NlpProblem(agents=agents, coupling=CouplingSpec(terms=[(0, 1)]))
+        with pytest.raises(StructureError, match="one dimension"):
+            NlpProblem(agents=agents, coupling=CouplingSpec(terms=[(0, 1), (1, 0)]))

@@ -315,13 +315,13 @@ class TestKktReport:
 class TestOracleOutputChecks:
     """The oracles check evaluator output like the solver does."""
 
-    @pytest.mark.parametrize("site", ["constraint_jac", "coupling.constraint_block_jac"])
+    @pytest.mark.parametrize("site", ["constraint_jac", "coupling.term_constraint_jac"])
     def test_regularity_rejects_a_wrongly_shaped_jacobian(self, site):
         problem = site_problem(site, np.ones((1, 1)))  # block 1 is 2-D
         with pytest.raises(StructureError):
             regularity_check(problem, zvec([0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]))
 
-    @pytest.mark.parametrize("site", ["constraint_jac", "coupling.constraint_block_jac"])
+    @pytest.mark.parametrize("site", ["constraint_jac", "coupling.term_constraint_jac"])
     def test_regularity_names_the_agent_of_a_non_finite_jacobian(self, site):
         problem = site_problem(site, np.full((1, 2), np.nan))
         with pytest.raises(EvaluationError) as err:
@@ -340,9 +340,10 @@ class TestOracleOutputChecks:
         problem = NlpProblem(
             agents=(linear_agent([1.0], [-1.0], [1.0]), linear_agent([1.0], [-1.0], [1.0])),
             coupling=CouplingSpec(
-                constraint=lambda b: np.array([b[0][0] + b[1][0] if b[0][0] >= 0 else np.nan]),
-                constraint_block_jac=lambda b, i: np.array([[1.0]]),
-                constraint_dim=1, edges={(0, 1)}))
+                terms=np.array([[0, 1]]),
+                term_constraint=lambda t, x: np.where(x[0] >= 0, x[0] + x[1], np.nan),
+                term_constraint_jac=lambda t, x: (np.ones((len(t), 1, 1)),) * 2,
+                constraint_rows=1))
         with pytest.raises(EvaluationError) as err:
             brute_force_min(problem, grid_step=0.5, feasibility_band=1e-2)
         assert err.value.agent is None
