@@ -1,9 +1,9 @@
 """Command-line front end: solve a builtin instance, run the benchmark,
-or run the self-check suite.
+or run the self-check suite; outputs are bit-stable for a fixed seed.
 
-Every flag has a config-file equivalent (a flat JSON object keyed by the
-flag name with dashes replaced by underscores); explicit flags override
-file values.  Outputs are bit-stable for a fixed seed.
+Every flag comes from its mode's table of defaults (``_MODES``) and has a
+config-file equivalent (a flat JSON object keyed by the flag name with
+dashes replaced by underscores); explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .bench import ToyParams, generate_toy, one_agent_problem, run_statistics, \
-    toy_initial_guess, write_stats_csv
+from .bench import ToyParams, _default_inner, _default_outer, generate_toy, \
+    one_agent_problem, run_statistics, toy_initial_guess, write_stats_csv
 from .errors import ConfigurationError, RefusalError
 from .inner_bcd import FixedScaled, InnerConfig
 from .model import (FEAS_TOL, AgentSpec, BlockVector, MultiplierEstimate,
@@ -31,59 +32,15 @@ _SOLVE_DEFAULTS = {
     "eps0": 1e-1, "eta": 1e-6, "max_outer": 25, "tau": 1e-12,
     "max_sweeps": 4000, "b_scale": 30.0, "out": None, "toy": True,
 }
+# bench defaults to the criterion-7 experiment, read from the library
+_TOY, _OUTER, _INNER = ToyParams(), _default_outer(5), _default_inner()
 _BENCH_DEFAULTS = {
-    "n": 20, "d": 3, "r": 2.0, "seed": 0, "rho0": 0.1, "beta": 100.0,
-    "instances": 50, "outer_iters": 5,
+    "n": _TOY.n_agents, "d": _TOY.block_dim, "r": _TOY.scale, "seed": 0,
+    "rho0": _OUTER.rho0, "beta": _OUTER.beta,
+    "instances": 50, "outer_iters": _OUTER.max_outer,
     "budgets": "10,25,50,100,200", "tolerances": "1e-3,1e-4,1e-6",
-    "out": "stats.csv", "trace": None, "b_scale": 30.0,
+    "out": "stats.csv", "trace": None, "b_scale": _INNER.b_strategy.scale,
 }
-_VERIFY_DEFAULTS = {"seed": 0}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dist-alm",
-        description="Two-level augmented-Lagrangian solver for block-structured "
-                    "nonconvex programs.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-
-    solve = sub.add_parser("solve", help="solve one builtin chain instance")
-    bench = sub.add_parser("bench", help="run the feasibility statistics")
-    for mode in (solve, bench):
-        mode.add_argument("--config", type=str, default=None,
-                          help="JSON file with flag defaults")
-        mode.add_argument("--n", type=int, default=None, help="number of agents")
-        mode.add_argument("--d", type=int, default=None, help="block dimension")
-        mode.add_argument("--r", type=float, default=None, help="instance scale R")
-        mode.add_argument("--seed", type=int, default=None)
-        mode.add_argument("--rho0", type=float, default=None)
-        mode.add_argument("--beta", type=float, default=None)
-        mode.add_argument("--b-scale", type=float, default=None, dest="b_scale")
-    solve.add_argument("--toy", action="store_true", default=None,
-                       help="use the builtin random chain family (default)")
-    solve.add_argument("--eps0", type=float, default=None)
-    solve.add_argument("--eta", type=float, default=None)
-    solve.add_argument("--max-outer", type=int, default=None, dest="max_outer")
-    solve.add_argument("--tau", type=float, default=None)
-    solve.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
-    solve.add_argument("--out", type=str, default=None,
-                       help="write the outer-iteration trace as JSON lines")
-
-    bench.add_argument("--instances", type=int, default=None)
-    bench.add_argument("--outer-iters", type=int, default=None, dest="outer_iters")
-    bench.add_argument("--budgets", type=str, default=None,
-                       help="comma-separated total sweep budgets")
-    bench.add_argument("--tolerances", type=str, default=None,
-                       help="comma-separated feasibility tolerances")
-    bench.add_argument("--out", type=str, default=None, help="CSV output path")
-    bench.add_argument("--trace", type=str, default=None,
-                       help="per-run trace JSON-lines path")
-
-    verify = sub.add_parser("verify", help="run the oracle self-checks")
-    verify.add_argument("--config", type=str, default=None)
-    verify.add_argument("--seed", type=int, default=None)
-    return parser
 
 
 def _load_config(path):
@@ -165,14 +122,12 @@ def _cmd_bench(opts) -> int:
     if not all(b >= 1 and b.is_integer() for b in budgets):
         raise ConfigurationError(f"budgets must be positive integers: {opts['budgets']}")
     tolerances = _parse_float_list(opts["tolerances"], "tolerances")
-    outer_iters = int(opts["outer_iters"])
-    outer_cfg = OuterConfig(rho0=opts["rho0"], beta=opts["beta"], eps0=1e-2,
-                            eta=0.0, max_outer=outer_iters)
-    inner_cfg = InnerConfig(tau=1e-12, max_sweeps=10 ** 9,
-                            b_strategy=FixedScaled(opts["b_scale"]))
-    stats = run_statistics(params, int(opts["instances"]), [int(b) for b in budgets],
+    outer_cfg = replace(_default_outer(opts["outer_iters"]), rho0=opts["rho0"],
+                        beta=opts["beta"])
+    inner_cfg = replace(_default_inner(), b_strategy=FixedScaled(opts["b_scale"]))
+    stats = run_statistics(params, opts["instances"], [int(b) for b in budgets],
                            tolerances, outer_cfg=outer_cfg, inner_cfg=inner_cfg,
-                           outer_iters=outer_iters, trace_path=opts["trace"])
+                           outer_iters=opts["outer_iters"], trace_path=opts["trace"])
     write_stats_csv(stats, opts["out"])
     print(f"stats written to {opts['out']} "
           f"({stats.instances} instances, {len(budgets)} budgets)")
@@ -230,10 +185,10 @@ def _cmd_verify(opts) -> int:
            f"qp {agent.cost(x_box):.6f} grid {grid_val:.6f}")
 
     # polytope projection (the block update) against the enumeration oracle
-    # on a block QP at M = 3e8 I over the box [-1.2, 1.2]^3 as six rows,
-    # centred on the face x_1 = 1.2 with a gradient that pushes through it
+    # on a block QP at M = 3e8 I over [-1.2, 1.2]^3 as the rows [-I; I] (no
+    # box: NNLS), centred on the face x_1 = 1.2, a gradient pushing through it
     eye = np.eye(3)
-    poly = Polytope(np.vstack([eye, -eye]), np.full(6, 1.2))
+    poly = Polytope(np.vstack([-eye, eye]), np.full(6, 1.2))
     g = 3e8 * np.array([-5e-4, -1e-3, 3e-4])
     newton = np.array([0.6, 1.2, -0.4]) - g / 3e8
     x_proj = poly.project(newton)
@@ -246,19 +201,51 @@ def _cmd_verify(opts) -> int:
     return 0 if failures == 0 else 1
 
 
+#: Per mode: its help line, its flags' defaults and its command.
+_MODES = {
+    "solve": ("solve one builtin chain instance", _SOLVE_DEFAULTS, _cmd_solve),
+    "bench": ("run the feasibility statistics", _BENCH_DEFAULTS, _cmd_bench),
+    "verify": ("run the oracle self-checks", {"seed": 0}, _cmd_verify),
+}
+_HELP = {
+    "config": "JSON file with flag defaults", "n": "number of agents",
+    "d": "block dimension", "r": "instance scale R",
+    "toy": "use the builtin random chain family (default)",
+    "out": "output path (solve: outer-iteration trace as JSON lines; bench: CSV)",
+    "budgets": "comma-separated total sweep budgets",
+    "tolerances": "comma-separated feasibility tolerances",
+    "trace": "per-run trace JSON-lines path",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Per mode, ``--config`` and a flag ``--key`` per key of its defaults: a
+    switch for a ``bool`` default, else of the default's type (``str`` for
+    ``None``), all ``None`` unless given (see :func:`_resolve`)."""
+    parser = argparse.ArgumentParser(
+        prog="dist-alm",
+        description="Two-level augmented-Lagrangian solver for block-structured "
+                    "nonconvex programs.",
+    )
+    sub = parser.add_subparsers(dest="mode", required=True)
+    for mode, (text, defaults, _) in _MODES.items():
+        flags = sub.add_parser(mode, help=text)
+        for key, default in {"config": None, **defaults}.items():
+            kind = ({"action": "store_true"} if type(default) is bool else
+                    {"type": str if default is None else type(default)})
+            flags.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
+                               help=_HELP.get(key), **kind)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = _load_config(getattr(args, "config", None))
-        if args.mode == "solve":
-            return _cmd_solve(_resolve(args, config, _SOLVE_DEFAULTS))
-        if args.mode == "bench":
-            return _cmd_bench(_resolve(args, config, _BENCH_DEFAULTS))
-        return _cmd_verify(_resolve(args, config, _VERIFY_DEFAULTS))
+        _, defaults, command = _MODES[args.mode]
+        return command(_resolve(args, _load_config(args.config), defaults))
     except (ConfigurationError, RefusalError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ snapshot.  Each visit minimises the local quadratic model
 
 over the agent's polytope (``g_i`` the augmented-Lagrangian block gradient
 at the snapshot, ``B_i = b_i I`` a scaled identity curvature surrogate,
-``alpha = alpha_min``): the Euclidean projection of
+``alpha = ALPHA_MIN``): the Euclidean projection of
 ``x_i - g_i / (b_i + alpha)``, taken for a whole class by
 ``model._SetGroup.project`` (boxes clip; other polytopes keep the rows
 active at ``x_i`` when the KKT conditions hold on them, else solve one
@@ -24,7 +24,7 @@ results.
 
 A sweep can emit a certificate: per agent, the sides of the sufficient
 decrease inequality and of the relative-error bound
-``(3 C_i + alpha_max) ||step||`` under which the scheme converges, and the
+``(3 C_i + ALPHA_MAX) ||step||`` under which the scheme converges, and the
 Lagrangian before and after.  Both are checked against the class snapshot
 for the whole class at once: a member's decrease sides hold its local term
 at the snapshot and, after its step, its local term plus the coupling
@@ -70,6 +70,12 @@ __all__ = [
 
 #: Slack for the sufficient-decrease certificate.
 DECREASE_SLACK = 1e-10
+#: The proximal weight every agent takes on every sweep (PALM's lower bound).
+ALPHA_MIN = 1e-3
+#: Upper bound on the proximal weight, in the relative-error certificate.
+ALPHA_MAX = 1.0
+#: Curvature sample points per agent that seed the backtracking bounds.
+C_SAMPLES = 5
 #: Slack for the relative-error certificate.
 REL_ERR_SLACK = 1e-8
 #: Floor on curvature bounds (zero-curvature blocks).
@@ -115,13 +121,8 @@ class HessianBand:
 
 @dataclass(frozen=True)
 class Backtracking:
-    """Running curvature bound, seeded by sampling ``init_samples`` points
+    """Running curvature bound, seeded by sampling :data:`C_SAMPLES` points
     per agent and doubled on failures."""
-
-    init_samples: int = 5
-
-    def __post_init__(self):
-        _check_count(self.init_samples, "init_samples", 1)
 
 
 BStrategy = Union[FixedScaled, HessianBand]
@@ -131,32 +132,24 @@ BStrategy = Union[FixedScaled, HessianBand]
 class InnerConfig:
     """Settings of the block-coordinate descent loop.
 
-    Every agent takes the proximal weight ``alpha_min`` on every sweep;
-    ``alpha_max`` (scalars, ``0 < alpha_min < alpha_max``) enters the
-    relative-error bound ``(3 C_i + alpha_max) ||step||``; ``c_source``
-    gives the curvature bounds ``C_i`` (see :class:`Backtracking`).
+    ``tau`` (finite, positive) is the sup-norm step at or below which the
+    sweeps stop; ``c_source`` gives the curvature bounds ``C_i`` (see
+    :class:`Backtracking`).  Every agent takes the proximal weight
+    :data:`ALPHA_MIN` on every sweep.
     """
 
     tau: float = 1e-8
-    alpha_min: float = 1e-3
-    alpha_max: float = 1.0
     b_strategy: BStrategy = field(default_factory=FixedScaled)
     c_source: Backtracking = field(default_factory=Backtracking)
     max_sweeps: int = 500
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ConfigurationError(f"tau must be positive and finite, got {self.tau}")
         _check_count(self.max_sweeps, "max_sweeps", 0)
         for name, kind in (("b_strategy", BStrategy), ("c_source", Backtracking)):
             if not isinstance(value := getattr(self, name), kind):
                 raise ConfigurationError(f"{name} has the wrong type: {value!r}")
-        if not (isinstance(self.alpha_min, numbers.Real)
-                and isinstance(self.alpha_max, numbers.Real)
-                and 0 < self.alpha_min < self.alpha_max):
-            raise ConfigurationError(
-                "regularisation bounds need scalars 0 < alpha_min < alpha_max"
-            )
 
 
 @dataclass
@@ -167,8 +160,7 @@ class SweepCertificate:
     decrease inequality: the agent's local term plus the coupling change of
     its step and the proximal term, against its local term at the class
     snapshot.  ``rel_err_lhs <= rel_err_bound + REL_ERR_SLACK`` is the
-    relative error bound with coefficient ``3 C_i + alpha_max``.
-    ``alpha_used`` holds every agent's proximal weight, ``alpha_min``.
+    relative error bound with coefficient ``3 C_i + ALPHA_MAX``.
     """
 
     sweep: int
@@ -178,7 +170,6 @@ class SweepCertificate:
     rel_err_bound: np.ndarray
     step_norms: np.ndarray
     c_used: np.ndarray
-    alpha_used: np.ndarray
     lagrangian_before: float
     lagrangian_after: float
 
@@ -230,19 +221,18 @@ def _sample_rng(i: int):
     return np.random.default_rng(_SAMPLE_SEED + 7919 * (i + 1))
 
 
-def _agent_samples(problem, samples: int) -> list:
-    """Per agent, its ``(samples, d_i)`` curvature sample points, drawn from
-    its own set and stream (:func:`_sample_rng`).  They are drawn once per
-    problem and sample count and kept in the problem's cache."""
+def _agent_samples(problem) -> list:
+    """Per agent, its ``(C_SAMPLES, d_i)`` curvature sample points, drawn
+    from its own set and stream (:func:`_sample_rng`).  They are drawn once
+    per problem and kept in the problem's cache."""
     cache = problem._sweep_cache
-    if ("samples", samples) not in cache:
-        cache["samples", samples] = [
-            a.feasible_set._sample(_sample_rng(i), samples)
-            for i, a in enumerate(problem.agents)]
-    return cache["samples", samples]
+    if "samples" not in cache:
+        cache["samples"] = [a.feasible_set._sample(_sample_rng(i), C_SAMPLES)
+                            for i, a in enumerate(problem.agents)]
+    return cache["samples"]
 
 
-def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
+def _initial_c_bounds(problem, flat, mu, rho) -> np.ndarray:
     """Every agent's curvature bound ``C_i``, at least ``C_FLOOR``: 1.5
     times the largest spectral norm of the symmetrised central-difference
     Hessian (step ``1e-5 (1 + |x_j|)``) of block ``i``'s gradient over its
@@ -254,7 +244,7 @@ def _initial_c_bounds(problem, cfg, flat, mu, rho) -> np.ndarray:
     ``_block_gradients`` call on the stack of its points, one per sample,
     coordinate and sign, and one ``eigvalsh`` on the stack of its Hessians.
     """
-    points = _agent_samples(problem, cfg.c_source.init_samples)
+    points = _agent_samples(problem)
     best = np.zeros(problem.n_agents)
     for idx, pos, *_ in _color_classes(problem, _coloring(problem)):
         k, d = pos.shape
@@ -357,7 +347,7 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
     for attempt in range(_MAX_BACKTRACK + 1):
         if attempt == 0 or band:
             rows = np.flatnonzero(pending)
-            m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + cfg.alpha_min
+            m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + ALPHA_MIN
             if attempt:
                 x_new[rows] = _solve_rows(cls.take(rows), x_old[rows], grad[rows],
                                           m_diag, sweep)
@@ -374,8 +364,8 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
                 resid = g_new - grad[rows] - m_diag * step[rows]
                 re_lhs[rows] = np.sqrt(_row_dots(resid, resid))
         c = c_bounds[idx]
-        re_bound = (3.0 * c + cfg.alpha_max) * snorm
-        dec_lhs = value_new + 0.5 * cfg.alpha_min * snorm_sq
+        re_bound = (3.0 * c + ALPHA_MAX) * snorm
+        dec_lhs = value_new + 0.5 * ALPHA_MIN * snorm_sq
         ok = value_new <= (value_old + _row_dots(grad, step)
                            + 0.5 * c * snorm_sq) + DECREASE_SLACK
         if band:
@@ -433,7 +423,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
         raise ConfigurationError(f"coloring must assign each of the {n} agents")
     check = with_certificates or isinstance(cfg.b_strategy, HessianBand)
     if c_bounds is None and check:
-        c_bounds = _initial_c_bounds(problem, cfg, z.flat, mu, rho)
+        c_bounds = _initial_c_bounds(problem, z.flat, mu, rho)
     classes = _color_classes(problem, coloring)
 
     flat = np.array(z.flat)
@@ -446,7 +436,6 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
             at.lagrangian, at.local = _aug_lagrangian(problem, view, mu, rho)
         cert = SweepCertificate(sweep_index, *(np.full(n, math.nan) for _ in range(4)),
                                 step_norms=np.zeros(n), c_used=None,
-                                alpha_used=np.full(n, cfg.alpha_min, dtype=float),
                                 lagrangian_before=at.lagrangian,
                                 lagrangian_after=math.nan)
 
@@ -454,7 +443,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     for cls in classes:
         idx, pos = cls.idx, cls.pos
         grad = _block_gradients(problem, view, mu, rho, idx) if grads is None else grads
-        m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + cfg.alpha_min
+        m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + ALPHA_MIN
         x_old = flat[pos]
         x_new = _solve_rows(cls, x_old, grad, m_diag, sweep_index)
         if check:
@@ -493,7 +482,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     coloring = _coloring(problem)
     c_bounds = None
     if with_certificates or isinstance(cfg.b_strategy, HessianBand):
-        c_bounds = _initial_c_bounds(problem, cfg, z0.flat, mu, rho)
+        c_bounds = _initial_c_bounds(problem, z0.flat, mu, rho)
 
     cap = cfg.max_sweeps if sweep_cap is None else min(cfg.max_sweeps, sweep_cap)
     classes = _color_classes(problem, coloring)

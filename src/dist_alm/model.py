@@ -69,19 +69,16 @@ def _as_float_vector(x, name="vector"):
 
 @dataclass(frozen=True)
 class Polytope:
-    """Bounded polyhedron ``{x : A x <= b}`` with an optional box shortcut.
+    """Bounded polyhedron ``{x : A x <= b}``.
 
-    Boxes are stored with explicit ``lower``/``upper`` vectors and expand to
-    the rows ``[I; -I] x <= [upper; -lower]``; a set given both bounds must
-    have exactly these rows, so both representations agree.  Row ``j`` of a
-    box is the upper bound of coordinate ``j`` and row ``dim + j`` its lower
-    bound.
+    A box is recognised from its rows: exactly ``[I; -I] x <= [upper;
+    -lower]`` with ``lower <= upper`` (:attr:`is_box`).  Row ``j`` of a box
+    is the upper bound of coordinate ``j`` and row ``dim + j`` its lower
+    bound; boxes are clipped and take closed-form normal cones.
     """
 
     a_mat: np.ndarray
     b_vec: np.ndarray
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a_mat, dtype=float))
@@ -94,30 +91,15 @@ class Polytope:
             raise StructureError("polytope rows and offsets must be finite")
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "b_vec", b)
-        if self.lower is None and self.upper is None:
-            return
-        # finite bounds follow from the offsets, which are finite
-        lo, hi, d = np.asarray(self.lower, float), np.asarray(self.upper, float), a.shape[1]
-        eye = np.eye(d)
-        if not (lo.shape == hi.shape == (d,) and (lo <= hi).all()
-                and np.array_equal(a, np.vstack([eye, -eye]))
-                and np.array_equal(b, np.concatenate([hi, -lo]))):
-            raise StructureError("a box needs lower <= upper, both of the set's "
-                                 "dimension, and rows [I; -I] x <= [upper; -lower]")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @classmethod
     def box(cls, lower, upper) -> "Polytope":
         lo = _as_float_vector(lower, "lower")
         hi = _as_float_vector(upper, "upper")
-        eye = np.eye(lo.shape[0])  # __post_init__ checks the bounds
-        return cls(
-            a_mat=np.vstack([eye, -eye]),
-            b_vec=np.concatenate([hi, -lo]),
-            lower=lo,
-            upper=hi,
-        )
+        if not (lo.shape == hi.shape and (lo <= hi).all()):
+            raise StructureError("a box needs lower <= upper, both of one dimension")
+        eye = np.eye(lo.shape[0])  # __post_init__ checks that they are finite
+        return cls(a_mat=np.vstack([eye, -eye]), b_vec=np.concatenate([hi, -lo]))
 
     @property
     def dim(self) -> int:
@@ -127,9 +109,23 @@ class Polytope:
     def n_rows(self) -> int:
         return self.a_mat.shape[0]
 
-    @property
+    @cached_property
     def is_box(self) -> bool:
-        return self.lower is not None
+        """Whether the rows are exactly ``[I; -I]`` and ``-b[d:] <= b[:d]``
+        (an empty set written as these rows stays a general polytope)."""
+        d, b, eye = self.dim, self.b_vec, np.eye(self.dim)
+        return bool(np.array_equal(self.a_mat, np.vstack([eye, -eye]))
+                    and (-b[d:] <= b[:d]).all())
+
+    @property
+    def lower(self) -> Optional[np.ndarray]:
+        """A box's lower bounds ``-b[d:]`` (``None`` for other sets)."""
+        return -self.b_vec[self.dim:] if self.is_box else None
+
+    @property
+    def upper(self) -> Optional[np.ndarray]:
+        """A box's upper bounds ``b[:d]`` (``None`` for other sets)."""
+        return self.b_vec[:self.dim] if self.is_box else None
 
     def violation(self, x) -> float:
         """Largest constraint violation ``max(A x - b)`` (<= 0 inside)."""
@@ -221,7 +217,7 @@ class Polytope:
 
     def is_bounded(self) -> bool:
         """Check boundedness (finite extent along every coordinate)."""
-        if self.is_box:  # finite bounds, by construction
+        if self.is_box:  # finite bounds, as the offsets are finite
             return True
         # rows that bound one coordinate: a positive multiple of +e_j or -e_j
         axis_rows = self.a_mat[np.count_nonzero(self.a_mat, axis=1) == 1]
@@ -742,10 +738,14 @@ class NlpProblem:
             )
 
     def check_multiplier(self, mu: "MultiplierEstimate"):
+        """Raise unless ``mu`` is partitioned like the constraints and finite."""
         if mu.total_dim != self.r or mu._dims != self.constraint_dims:
             raise StructureError(
                 f"multiplier has agent parts {mu._dims} and dimension {mu.total_dim}, "
                 f"expected {self.constraint_dims} and r={self.r}")
+        bad = np.flatnonzero(~np.isfinite(mu.flat))
+        if bad.size:
+            raise PreconditionError(f"multiplier entry {bad[0]} is not finite")
 
     @cached_property
     def _offsets(self) -> tuple:

@@ -55,7 +55,8 @@ STATIONARITY_FLOOR = 1e-5
 class OuterConfig:
     """Outer-loop settings.
 
-    ``eta`` is the final tolerance on the equality constraints, measured
+    ``eps0`` (finite, positive) is the first inner tolerance and ``eta``
+    (finite) the final tolerance on the equality constraints, measured
     in the sup norm (the trace records the 2-norm too).  Setting
     ``eta = 0`` disables the feasibility stop, which the benchmark harness
     uses to run a fixed number of outer iterations.
@@ -72,10 +73,10 @@ class OuterConfig:
             raise ConfigurationError(f"rho0 must be positive and finite, got {self.rho0}")
         if not 1 < self.beta < math.inf:
             raise ConfigurationError(f"beta must exceed 1 and be finite, got {self.beta}")
-        if not self.eps0 > 0:
-            raise ConfigurationError(f"eps0 must be positive, got {self.eps0}")
-        if not self.eta >= 0:
-            raise ConfigurationError(f"eta must be nonnegative, got {self.eta}")
+        if not 0 < self.eps0 < math.inf:
+            raise ConfigurationError(f"eps0 must be positive and finite, got {self.eps0}")
+        if not 0 <= self.eta < math.inf:
+            raise ConfigurationError(f"eta must be nonnegative and finite, got {self.eta}")
         _check_count(self.max_outer, "max_outer", 1)
 
     def schedule(self, k: int):

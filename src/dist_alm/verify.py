@@ -41,6 +41,8 @@ log = logging.getLogger(__name__)
 
 #: Cap on the row sets ``enumerate_projection`` solves for.
 _MAX_KKT_SOLVES = 100_000
+#: Relative singular-value cutoff of :func:`regularity_check`'s rank test.
+RANK_TOL = 1e-8
 
 
 @dataclass
@@ -62,7 +64,8 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
                          mu: MultiplierEstimate, rho: float) -> float:
     """``min_{v in N_Z(z)} || grad L_rho(z, mu) + v ||_2``, the distance of
     the augmented-Lagrangian gradient to ``-N_Z(z)``; ``z`` must lie in the
-    polytope up to ``model.FEAS_TOL``."""
+    polytope up to ``model.FEAS_TOL`` and ``mu`` be finite."""
+    problem.check_multiplier(mu)
     return _residual_and_gradients(problem, z, mu, rho)[0]
 
 
@@ -99,13 +102,14 @@ def _root_of_sum(dists) -> float:
 
 
 def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
-               rho: float, rank_tol: float = 1e-8) -> KktReport:
+               rho: float) -> KktReport:
     """Assemble stationarity, feasibility, multipliers and regularity.
 
     ``stationarity`` equals :func:`criticality_residual`, and the
     multipliers and active rows come from the same normal-cone pass; ``z``
-    must lie in the polytope up to ``model.FEAS_TOL``.
+    must lie in the polytope up to ``model.FEAS_TOL`` and ``mu`` be finite.
     """
+    problem.check_multiplier(mu)
     stationarity, _, cones = _residual_and_gradients(problem, z, mu, rho)
     lams, masks = [None] * problem.n_agents, [None] * problem.n_agents  # agent order
     for group, (active, parts) in zip(problem._set_groups, cones):
@@ -118,7 +122,7 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
         feasibility_inf=float(np.max(np.abs(h_val), initial=0.0)),
         active_rows=np.flatnonzero(np.concatenate(masks)),
         multipliers=np.concatenate(lams),
-        regular=regularity_check(problem, z, rank_tol),
+        regular=regularity_check(problem, z),
     )
 
 
@@ -164,8 +168,7 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
     return worst
 
 
-def regularity_check(problem: NlpProblem, z: BlockVector,
-                     rank_tol: float = 1e-8) -> bool:
+def regularity_check(problem: NlpProblem, z: BlockVector) -> bool:
     """True iff the stacked constraint Jacobian has full row rank at ``z``.
 
     Returns ``False`` with a logged diagnostic when there are more equality
@@ -201,7 +204,7 @@ def regularity_check(problem: NlpProblem, z: BlockVector,
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return False
-    return int(np.sum(svals > rank_tol * svals[0])) == r
+    return int(np.sum(svals > RANK_TOL * svals[0])) == r
 
 
 def _block_grids(problem: NlpProblem, grid_step: float):

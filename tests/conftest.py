@@ -95,17 +95,18 @@ def stiff_qp():
     """A block QP at the scale of rho = 1e7 on the full benchmark schedule.
 
     ``M = 3e8 I`` over the box [-1.2, 1.2]^3 given as a general polytope
-    (its six rows), centred on the face ``x_1 = 1.2`` with a gradient that
-    pushes through it.  The minimiser lies on that face: it is the
-    projection of ``center - g / 3e8 = (0.6005, 1.201, -0.4003)``.  A KKT
-    solve with a relative rank cutoff drops the face row here and
-    overshoots the face by 1e-3.  ``dist-alm verify`` checks the same
-    projection.
+    (its six rows and the redundant ``x_0 + x_1 + x_2 <= 4``, so it is no
+    box), centred on the face ``x_1 = 1.2`` with a gradient that pushes
+    through it.  The minimiser lies on that face: it is the projection of
+    ``center - g / 3e8 = (0.6005, 1.201, -0.4003)``.  A KKT solve with a
+    relative rank cutoff drops the face row here and overshoots the face
+    by 1e-3.  ``dist-alm verify`` checks the same projection.
     """
     eye = np.eye(3)
     return ProxQp(g=3e8 * np.array([-5e-4, -1e-3, 3e-4]), m_mat=3e8 * eye,
                   center=np.array([0.6, 1.2, -0.4]),
-                  feasible_set=Polytope(np.vstack([eye, -eye]), np.full(6, 1.2)))
+                  feasible_set=Polytope(np.vstack([eye, -eye, np.ones((1, 3))]),
+                                        np.r_[np.full(6, 1.2), 4.0]))
 
 
 def nnls_at_cap(*args, **kwargs):

@@ -151,6 +151,12 @@ class TestConfigHandling:
         assert run_cli(["solve", "--n", "2", "--d", "1", flag, "inf"]) == 2
         assert f"config error: {flag[2:]} must " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--eps0", "--eta", "--tau"])
+    def test_infinite_tolerance_exits_two(self, capsys, flag):
+        assert run_cli(["solve", "--seed", "1", flag, "inf"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag[2:]} must be " in err and "finite" in err
+
     @pytest.mark.parametrize("mode", ["solve", "bench"])
     def test_negative_seed_exits_two(self, tmp_path, capsys, mode):
         extra = ["--instances", "1"] if mode == "bench" else []

@@ -15,7 +15,7 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
                       eval_block_gradient, eval_constraints, generate_toy, kkt_report,
                       run_inner, run_outer, toy_initial_guess)
 from dist_alm import inner_bcd, model, verify
-from dist_alm.inner_bcd import BAND_MARGIN, C_FLOOR
+from dist_alm.inner_bcd import ALPHA_MAX, ALPHA_MIN, BAND_MARGIN, C_FLOOR, C_SAMPLES
 from dist_alm.model import FEAS_TOL
 from conftest import (cut_chain, linear_agent, mixed_class_chain, mixed_sets_problem,
                       mu_like, nnls_at_cap, one_agent_problem, quadratic_agent,
@@ -50,7 +50,7 @@ def unequal_blocks_problem():
     return problem, zvec([0.5], [0.2, -0.4], [0.3, 0.1, -0.6])
 
 
-def per_agent_bounds(problem, cfg, z, mu, rho):
+def per_agent_bounds(problem, z, mu, rho):
     """Reference for ``inner_bcd._initial_c_bounds``, one agent at a time.
 
     Per sample point ``x`` of agent ``i``, the central-difference Hessian
@@ -58,10 +58,9 @@ def per_agent_bounds(problem, cfg, z, mu, rho):
     ``x +- step e_j``, symmetrised; ``C_i`` is 1.5 times the largest
     spectral norm, floored at ``C_FLOOR``.
     """
-    count = cfg.c_source.init_samples
     bounds = []
     for i, agent in enumerate(problem.agents):
-        samples = agent.feasible_set._sample(inner_bcd._sample_rng(i), count)
+        samples = agent.feasible_set._sample(inner_bcd._sample_rng(i), C_SAMPLES)
         best = 0.0
         for x in samples:
             hess = np.zeros((agent.dim, agent.dim))
@@ -129,37 +128,34 @@ class TestHessianBound:
     def test_quadratic_block_cost_bracketed(self):
         p_mat = np.diag([4.0, 2.0])
         problem = NlpProblem(agents=(quadratic_agent(p_mat, [-1, -1], [1, 1]),))
-        cfg = InnerConfig(c_source=Backtracking(init_samples=5))
-        c, = inner_bcd._initial_c_bounds(problem, cfg, np.zeros(2), rho=1.0,
+        c, = inner_bcd._initial_c_bounds(problem, np.zeros(2), rho=1.0,
                                          mu=MultiplierEstimate.zeros(problem))
         assert 4.0 <= c <= 6.0 * (1 + 1e-9)
 
     def test_linear_cost_floors_at_machine_scale(self):
         problem = NlpProblem(agents=(linear_agent([1.0, 2.0], [-1, -1], [1, 1]),))
-        cfg = InnerConfig(c_source=Backtracking(init_samples=3))
-        c, = inner_bcd._initial_c_bounds(problem, cfg, np.zeros(2), rho=1.0,
+        c, = inner_bcd._initial_c_bounds(problem, np.zeros(2), rho=1.0,
                                          mu=MultiplierEstimate.zeros(problem))
         assert c <= 1e-8  # zero curvature collapses to the floor
         assert c >= 1e-12
 
     def test_penalty_curvature_scales_affinely_with_rho(self):
         params, problem, z0, _ = toy_setup(n_agents=4, seed=2)
-        cfg = InnerConfig(c_source=Backtracking(init_samples=5))
         mu = MultiplierEstimate.zeros(problem)
-        c_lo = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, rho=1.0)[1]
-        c_hi = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, rho=10.0)[1]
+        c_lo = inner_bcd._initial_c_bounds(problem, z0.flat, mu, rho=1.0)[1]
+        c_hi = inner_bcd._initial_c_bounds(problem, z0.flat, mu, rho=10.0)[1]
         assert 5.0 < c_hi / c_lo < 15.0
 
     @pytest.mark.parametrize("n_agents", [2, 7, 40])
     @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
-    @pytest.mark.parametrize("source", [Backtracking(init_samples=3), Backtracking()],
-                             ids=["three_samples", "default_samples"])
-    def test_batched_bounds_equal_per_agent_estimates(self, n_agents, rho, source):
+    @pytest.mark.parametrize("zero_mu", [False, True], ids=["start_mu", "zero_mu"])
+    def test_batched_bounds_equal_per_agent_estimates(self, n_agents, rho, zero_mu):
         _, problem, z0, mu = toy_setup(n_agents=n_agents, seed=n_agents)
-        cfg = InnerConfig(c_source=source)
+        if zero_mu:
+            mu = MultiplierEstimate.zeros(problem)
         for variant in (problem, hookless(problem)):
-            batched = inner_bcd._initial_c_bounds(variant, cfg, z0.flat, mu, rho)
-            assert np.array_equal(batched, per_agent_bounds(variant, cfg, z0, mu, rho))
+            batched = inner_bcd._initial_c_bounds(variant, z0.flat, mu, rho)
+            assert np.array_equal(batched, per_agent_bounds(variant, z0, mu, rho))
 
     @pytest.mark.parametrize("case", ["unequal", "cut"])
     def test_batched_bounds_on_unequal_blocks_and_cut_polytopes(self, case):
@@ -168,21 +164,19 @@ class TestHessianBound:
             mu = MultiplierEstimate.zeros(problem)
         else:
             problem, z0, mu = cut_chain(3)
-        for cfg in (InnerConfig(c_source=Backtracking(init_samples=2)), InnerConfig()):
-            for rho in (0.1, 1e3):
-                batched = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, rho)
-                assert np.array_equal(batched, per_agent_bounds(problem, cfg, z0, mu, rho))
+        for rho in (0.1, 1e3):
+            batched = inner_bcd._initial_c_bounds(problem, z0.flat, mu, rho)
+            assert np.array_equal(batched, per_agent_bounds(problem, z0, mu, rho))
 
     def test_replaced_agents_draw_their_own_samples(self):
         _, problem, z0, mu = toy_setup(n_agents=7, seed=7)
-        cfg = InnerConfig()
-        before = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, 1.0)
+        before = inner_bcd._initial_c_bounds(problem, z0.flat, mu, 1.0)
         halved = tuple(dataclasses.replace(a, feasible_set=Polytope.box(
             0.5 * a.feasible_set.lower, 0.5 * a.feasible_set.upper))
             for a in problem.agents)
         replaced = dataclasses.replace(problem, agents=halved)
-        after = inner_bcd._initial_c_bounds(replaced, cfg, z0.flat, mu, 1.0)
-        assert np.array_equal(after, per_agent_bounds(replaced, cfg, z0, mu, 1.0))
+        after = inner_bcd._initial_c_bounds(replaced, z0.flat, mu, 1.0)
+        assert np.array_equal(after, per_agent_bounds(replaced, z0, mu, 1.0))
         assert not np.array_equal(after, before)
 
     def test_one_chebyshev_lp_per_agent(self, monkeypatch):
@@ -195,8 +189,7 @@ class TestHessianBound:
             return centre(poly)
 
         monkeypatch.setattr(Polytope, "chebyshev_center", counted)
-        inner_bcd._initial_c_bounds(problem, InnerConfig(c_source=Backtracking()),
-                                    z0.flat, mu, 1.0)
+        inner_bcd._initial_c_bounds(problem, z0.flat, mu, 1.0)
         assert len(calls) == problem.n_agents
 
 
@@ -250,7 +243,7 @@ class TestSweep:
         mu = MultiplierEstimate.zeros(problem)
         rho, cfg = 0.05, InnerConfig()
         z1, _ = bcd_sweep(problem, z0, mu, rho, cfg, colors, with_certificates=False)
-        m_diag = FixedScaled().scale * rho + cfg.alpha_min
+        m_diag = FixedScaled().scale * rho + ALPHA_MIN
         expected = z0
         for color in (0, 1):
             snapshot = expected
@@ -280,7 +273,7 @@ class TestPolytopeUpdate:
         rho, cfg = 10.0, InnerConfig()
         z1, _ = bcd_sweep(problem, z0, mu0, rho, cfg, colors,
                           with_certificates=False)
-        m_diag = FixedScaled().scale * rho + cfg.alpha_min
+        m_diag = FixedScaled().scale * rho + ALPHA_MIN
         for i in np.flatnonzero(colors == 0):  # the first class reads z0
             g = eval_block_gradient(problem, z0, mu0, rho, i)
             x_old = z0.block(i)
@@ -371,14 +364,14 @@ class TestColorClassSweep:
     @pytest.mark.parametrize("n_agents", [2, 3, 20, 21])
     @pytest.mark.parametrize("block_dim", [1, 3])
     @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
-    @pytest.mark.parametrize("alpha_min", [InnerConfig.alpha_min, 1e-2],
-                             ids=["alpha_min", "larger_alpha_min"])
-    def test_equals_per_agent_sweeps(self, n_agents, block_dim, rho, alpha_min):
+    @pytest.mark.parametrize("scale", [FixedScaled.scale, 3.0],
+                             ids=["default_scale", "smaller_scale"])
+    def test_equals_per_agent_sweeps(self, n_agents, block_dim, rho, scale):
         _, problem, z0, mu = toy_setup(n_agents=n_agents, seed=n_agents,
                                        block_dim=block_dim)
         batched, calls, _ = counting(problem)
         reference = with_hook(problem, None)
-        cfg = InnerConfig(alpha_min=alpha_min)
+        cfg = InnerConfig(b_strategy=FixedScaled(scale))
         colors = color_interaction_graph(problem.coupling, n_agents)
         z, z_ref = z0, z0
         for sweep in range(50):
@@ -440,12 +433,11 @@ class TestColorClassSweep:
             return grad
 
         with pytest.raises(EvaluationError, match="^agent 2: block_gradients") as err:
-            inner_bcd._initial_c_bounds(with_hook(problem, poisoned), InnerConfig(),
-                                        z0.flat, mu, 1.0)
+            inner_bcd._initial_c_bounds(with_hook(problem, poisoned), z0.flat, mu, 1.0)
         assert err.value.agent == 2
         short = with_hook(problem, lambda *args: hook(*args)[..., :-1])
         with pytest.raises(StructureError, match="block_gradients returned shape"):
-            inner_bcd._initial_c_bounds(short, InnerConfig(), z0.flat, mu, 1.0)
+            inner_bcd._initial_c_bounds(short, z0.flat, mu, 1.0)
 
     def test_block_values_checked_at_the_boundary(self):
         _, problem, z0, mu = toy_setup(n_agents=6, seed=5)
@@ -598,7 +590,7 @@ class TestHandOn:
         result, _ = self.certified_run(monkeypatch, problem, z0, mu, cfg)
         monkeypatch.undo()
         colors = color_interaction_graph(problem.coupling, 40)
-        c_bounds = inner_bcd._initial_c_bounds(problem, cfg, z0.flat, mu, 1.0)
+        c_bounds = inner_bcd._initial_c_bounds(problem, z0.flat, mu, 1.0)
         z = z0
         for k, cert in enumerate(result.certificates):
             z, cert_ref = bcd_sweep(problem, z, mu, 1.0, cfg, colors, c_bounds=c_bounds,
@@ -649,7 +641,7 @@ class TestCertificates:
                 moved = snapshot.with_block(i, z1.block(i))
                 change = (eval_aug_lagrangian(problem, moved, mu, rho)
                           - eval_aug_lagrangian(problem, snapshot, mu, rho))
-                prox = 0.5 * cert.alpha_used[i] * cert.step_norms[i] ** 2
+                prox = 0.5 * ALPHA_MIN * cert.step_norms[i] ** 2
                 assert cert.step_norms[i] > 0.0
                 np.testing.assert_allclose(cert.decrease_lhs[i] - cert.decrease_rhs[i],
                                            change + prox, rtol=1e-9, atol=1e-12)
@@ -673,7 +665,7 @@ class TestCertificates:
             for i in members:
                 c = cert.c_used[i]
                 m_diag = min(max(band.scale * rho, c * (1 + BAND_MARGIN)),
-                             2 * c * (1 - BAND_MARGIN)) + cfg.alpha_min
+                             2 * c * (1 - BAND_MARGIN)) + ALPHA_MIN
                 g_old = eval_block_gradient(problem, snapshot, mu, rho, i)
                 box = problem.agents[i].feasible_set
                 x_old = snapshot.block(i)
@@ -685,7 +677,7 @@ class TestCertificates:
                 np.testing.assert_allclose(cert.rel_err_lhs[i],
                                            np.linalg.norm(g_new - g_old - m_diag * step),
                                            rtol=1e-12)
-                assert cert.rel_err_bound[i] == (3 * c + cfg.alpha_max) * np.linalg.norm(step)
+                assert cert.rel_err_bound[i] == (3 * c + ALPHA_MAX) * np.linalg.norm(step)
             for i in members:
                 snapshot = snapshot.with_block(i, z1.block(i))
 
@@ -707,7 +699,7 @@ class TestCertificates:
         z0 = zvec([1.0])
         mu = MultiplierEstimate.zeros(problem)
         cfg = InnerConfig(b_strategy=FixedScaled(1.0),
-                          c_source=Backtracking(2), max_sweeps=1)
+                          c_source=Backtracking(), max_sweeps=1)
         result = run_inner(problem, z0, mu, 1.0, cfg)
         cert = result.certificates[0]
         assert not cert.agent_pass[0]
@@ -725,7 +717,7 @@ class TestCertificates:
         z0 = zvec([2.0])
         mu = MultiplierEstimate.zeros(problem)
         cfg = InnerConfig(b_strategy=HessianBand(0.001),
-                          c_source=Backtracking(init_samples=2), max_sweeps=8)
+                          c_source=Backtracking(), max_sweeps=8)
         result = run_inner(problem, z0, mu, 1.0, cfg)
         for cert in result.certificates:
             assert cert.passed
@@ -791,23 +783,17 @@ class TestRunInner:
             hits += int(result.final_residual <= 1e-2)
         assert hits >= 9
 
-    def test_per_agent_alpha_bounds(self):
-        # the proximal weight is one number: sequences are rejected up front
-        for bounds in (dict(alpha_min=[1e-3, 1e-2, 1e-3, 1e-2],
-                            alpha_max=[1.0, 2.0, 1.0, 2.0]),
-                       dict(alpha_min=[1e-3, 1e-2]),
-                       dict(alpha_max=np.array([1.0, 2.0]))):
-            with pytest.raises(ConfigurationError):
-                InnerConfig(**bounds)
-
     def test_invalid_config_values(self):
         with pytest.raises(ConfigurationError):
             InnerConfig(tau=0.0)
-        with pytest.raises(ConfigurationError):
-            InnerConfig(alpha_min=1.0, alpha_max=0.5)
-        for key in ("tau", "alpha_min", "alpha_max", "max_sweeps"):
+        for key in ("tau", "max_sweeps"):
             with pytest.raises(ConfigurationError):
                 InnerConfig(**{key: np.nan})
+
+    def test_tau_must_be_finite(self):
+        # an infinite tau would end every inner call before its first sweep
+        with pytest.raises(ConfigurationError, match="^tau must be positive and finite"):
+            InnerConfig(tau=np.inf)
 
     @pytest.mark.parametrize("make", [
         lambda v: FixedScaled(scale=v), lambda v: HessianBand(scale=v)],
@@ -830,12 +816,6 @@ class TestRunInner:
     def test_strategy_types_checked_at_construction(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} has the wrong type"):
             InnerConfig(**{field: value})
-
-    @pytest.mark.parametrize("count", [2.5, -3, 0, np.nan, "5"])
-    def test_sample_count_is_a_positive_integer(self, count):
-        with pytest.raises(ConfigurationError, match="^init_samples must be an integer >= 1"):
-            Backtracking(init_samples=count)
-        assert Backtracking(init_samples=np.int64(2)).init_samples == 2
 
 
 def stop_case(name):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
-                      EvaluationError, InnerConfig, MultiplierEstimate, NlpProblem,
-                      OuterConfig, Polytope, PreconditionError, StructureError,
+                      EvaluationError, HessianBand, InnerConfig, MultiplierEstimate,
+                      NlpProblem, OuterConfig, Polytope, PreconditionError, StructureError,
                       ToyParams, bcd_sweep, color_interaction_graph,
                       criticality_residual, default_start, eval_aug_lagrangian,
                       eval_block_gradient, eval_constraints, generate_toy,
@@ -268,24 +268,45 @@ class TestPolytope:
         with pytest.raises(StructureError):
             Polytope.box([0.0], [np.inf])
 
-    def test_box_bounds_must_match_the_rows(self):
+    def test_box_is_recognised_from_its_rows(self):
         eye = np.eye(2)
         rows = np.vstack([eye, -eye])
-        box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
-        for make in (
-                # one bound only: a clip to it would leave the rows
-                lambda: Polytope(rows, [1, 1, 1, 1], lower=[0, 0]),
-                # the bounds of another box than the rows
-                lambda: Polytope(rows, [1, 1, 1, 1], lower=[-3, -3], upper=[3, 3]),
-                # new rows that keep the old bounds
-                lambda: dataclasses.replace(box, a_mat=[[1, 1]], b_vec=[0.5]),
-                lambda: Polytope(rows, [1, 1, 1, 1], lower=[1, 1], upper=[-1, -1]),
-                lambda: Polytope(rows, [1, 1, 1, 1], lower=[-1], upper=[1])):
+        for lower, upper in (([1, 1], [-1, -1]), ([-1], [1, 1])):
             with pytest.raises(StructureError, match="box"):
-                make()
-        bounds = Polytope(rows, [1, 2, 3, 4], lower=[-3, -4], upper=[1, 2])
+                Polytope.box(lower, upper)
+        bounds = Polytope(rows, [1, 2, 3, 4])
         np.testing.assert_array_equal(bounds.project([5.0, -5.0]), [1.0, -4.0])
-        assert bounds.is_box and box.is_box
+        assert bounds.is_box and Polytope.box([-1.0, -1.0], [1.0, 1.0]).is_box
+        np.testing.assert_array_equal(bounds.lower, [-3.0, -4.0])
+        np.testing.assert_array_equal(bounds.upper, [1.0, 2.0])
+        # other rows, another order, or an empty set: a general polytope
+        for a_mat, b_vec in ((rows[::-1], [1, 2, 3, 4]), (rows, [1, 1, -2, 0]),
+                             (np.vstack([rows, [[1.0, 1.0]]]), [1, 2, 3, 4, 9])):
+            poly = Polytope(a_mat, b_vec)
+            assert not poly.is_box and poly.lower is None and poly.upper is None
+
+    def test_box_rows_take_the_box_path(self):
+        # a chain whose sets are written as their rows [I; -I] forms the set
+        # groups of its boxes, and sweeps and residuals keep their bits
+        params = ToyParams(n_agents=6, block_dim=3, scale=2.0, seed=4)
+        boxes = generate_toy(params)
+        rows = dataclasses.replace(boxes, agents=tuple(
+            dataclasses.replace(a, feasible_set=Polytope(a.feasible_set.a_mat.copy(),
+                                                         a.feasible_set.b_vec.copy()))
+            for a in boxes.agents))
+        for group, ref in zip(rows._set_groups, boxes._set_groups, strict=True):
+            for value, expected in zip(group, ref, strict=True):
+                assert (value is None) == (expected is None)
+                assert value is None or value.tobytes() == expected.tobytes()
+        z0, mu = toy_initial_guess(params, boxes)
+        colors = color_interaction_graph(boxes.coupling, params.n_agents)
+        cfg = InnerConfig(b_strategy=HessianBand())
+        z_rows, cert_rows = bcd_sweep(rows, z0, mu, 1.0, cfg, colors)
+        z_box, cert_box = bcd_sweep(boxes, z0, mu, 1.0, cfg, colors)
+        assert z_rows.flat.tobytes() == z_box.flat.tobytes()
+        assert cert_rows.decrease_lhs.tobytes() == cert_box.decrease_lhs.tobytes()
+        assert criticality_residual(rows, z_rows, mu, 1.0) == \
+            criticality_residual(boxes, z_box, mu, 1.0)
 
     def test_box_rows_with_cuts_bounded_without_linear_programs(self, monkeypatch):
         import scipy.optimize
@@ -498,6 +519,27 @@ class TestMultiplier:
                 call(wrong)
             call(right)
         np.testing.assert_allclose(eval_block_gradient(problem, z, right, 1.0, 1), [1.8, 3.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_the_callers(self, bad):
+        # a non-finite start multiplier is refused at the boundary, naming its
+        # entry, not blamed on an evaluator
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=0)
+        problem = generate_toy(params)
+        z, mu = toy_initial_guess(params, problem)
+        flat = mu.flatten()
+        flat[2] = bad
+        mu = MultiplierEstimate.from_flat(problem, flat)
+        calls = [lambda: run_outer(problem, OuterConfig(rho0=1.0, beta=10.0, eps0=1.0,
+                                                        eta=0.0, max_outer=1),
+                                   InnerConfig(max_sweeps=1), z, mu),
+                 lambda: eval_aug_lagrangian(problem, z, mu, 1.0),
+                 lambda: eval_block_gradient(problem, z, mu, 1.0, 0),
+                 lambda: criticality_residual(problem, z, mu, 1.0),
+                 lambda: kkt_report(problem, z, mu, 1.0)]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="^multiplier entry 2 is not finite"):
+                call()
 
 
 NAN = float("nan")

@@ -71,8 +71,15 @@ class TestSchedule:
         base = dict(rho0=1.0, beta=2.0, eps0=1.0, eta=1e-6)
         with pytest.raises(ConfigurationError, match=f"^{key} must "):
             OuterConfig(**dict(base, **{key: float("inf")}))
-        # an infinite tolerance means "stop at once" and stays allowed
-        OuterConfig(**dict(base, eps0=float("inf"), eta=float("inf")))
+
+    @pytest.mark.parametrize("key", ["eps0", "eta"])
+    def test_infinite_tolerance_rejected(self, key):
+        # eta = inf passed any end point as converged, eps0 = inf ended every
+        # inner call before its first sweep; eta = 0 still turns the stop off
+        base = dict(rho0=1.0, beta=2.0, eps0=1.0, eta=0.0)
+        with pytest.raises(ConfigurationError, match=f"^{key} must be .*finite"):
+            OuterConfig(**dict(base, **{key: float("inf")}))
+        OuterConfig(**base)
 
     @pytest.mark.parametrize("count", [2.5, 3.0, 0, "3"])
     def test_max_outer_is_a_positive_integer(self, count):

@@ -149,10 +149,11 @@ class TestValidation:
 
 class TestPolytopePath:
     def box_as_rows(self, lo, hi):
+        # the rows [I; -I] and one redundant row, so the set is no box
         n = len(lo)
         eye = np.eye(n)
-        return Polytope(a_mat=np.vstack([eye, -eye]),
-                        b_vec=np.concatenate([hi, -np.asarray(lo, float)]))
+        return Polytope(a_mat=np.vstack([eye, -eye, np.ones((1, n))]),
+                        b_vec=np.concatenate([hi, -np.asarray(lo, float), [np.sum(hi) + 1.0]]))
 
     def test_agrees_with_box_path(self):
         rng = np.random.default_rng(3)

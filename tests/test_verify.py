@@ -78,8 +78,9 @@ class TestCriticalityResidual:
         lo, hi = [-1.0, -1.0], [1.0, 1.0]
         as_box = gradient_probe_problem(g, lo, hi)
         eye = np.eye(2)
-        rows = Polytope(a_mat=np.vstack([eye, -eye]),
-                        b_vec=np.array([1.0, 1.0, 1.0, 1.0]))
+        # the box's rows and the redundant x_0 + x_1 <= 3, so the set is no box
+        rows = Polytope(a_mat=np.vstack([eye, -eye, [[1.0, 1.0]]]),
+                        b_vec=np.array([1.0, 1.0, 1.0, 1.0, 3.0]))
         as_rows = NlpProblem(agents=(
             AgentSpec(cost=as_box.agents[0].cost,
                       cost_grad=as_box.agents[0].cost_grad,
@@ -92,6 +93,8 @@ class TestCriticalityResidual:
         assert r_rows == pytest.approx(r_box, abs=1e-9)
         k_box = kkt_report(as_box, z, mu_box, 1.0)
         k_rows = kkt_report(as_rows, z, mu_box, 1.0)
+        assert k_rows.multipliers[4] == 0.0  # the redundant row is never active
+        k_rows.multipliers = k_rows.multipliers[:4]
         np.testing.assert_array_equal(k_rows.active_rows, k_box.active_rows)
         np.testing.assert_allclose(k_rows.multipliers, k_box.multipliers, atol=1e-9)
 
