@@ -30,7 +30,7 @@ from .verify import brute_force_min, enumerate_projection, fd_gradient_check
 _SOLVE_DEFAULTS = {
     "n": 2, "d": 1, "r": 4.0, "seed": 0, "rho0": 1.0, "beta": 10.0,
     "eps0": 1e-1, "eta": 1e-6, "max_outer": 25, "tau": 1e-12,
-    "max_sweeps": 4000, "b_scale": 30.0, "out": None, "toy": True,
+    "max_sweeps": 4000, "b_scale": 30.0, "out": None,
 }
 # bench defaults to the criterion-7 experiment, read from the library
 _TOY, _OUTER, _INNER = ToyParams(), _default_outer(5), _default_inner()
@@ -210,7 +210,6 @@ _MODES = {
 _HELP = {
     "config": "JSON file with flag defaults", "n": "number of agents",
     "d": "block dimension", "r": "instance scale R",
-    "toy": "use the builtin random chain family (default)",
     "out": "output path (solve: outer-iteration trace as JSON lines; bench: CSV)",
     "budgets": "comma-separated total sweep budgets",
     "tolerances": "comma-separated feasibility tolerances",
@@ -219,9 +218,8 @@ _HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Per mode, ``--config`` and a flag ``--key`` per key of its defaults: a
-    switch for a ``bool`` default, else of the default's type (``str`` for
-    ``None``), all ``None`` unless given (see :func:`_resolve`)."""
+    """Per mode, ``--config`` and per key of its defaults a flag ``--key`` of
+    the default's type (``str`` for ``None``), ``None`` unless given."""
     parser = argparse.ArgumentParser(
         prog="dist-alm",
         description="Two-level augmented-Lagrangian solver for block-structured "
@@ -231,10 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     for mode, (text, defaults, _) in _MODES.items():
         flags = sub.add_parser(mode, help=text)
         for key, default in {"config": None, **defaults}.items():
-            kind = ({"action": "store_true"} if type(default) is bool else
-                    {"type": str if default is None else type(default)})
             flags.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
-                               help=_HELP.get(key), **kind)
+                               type=str if default is None else type(default),
+                               help=_HELP.get(key))
     return parser
 
 

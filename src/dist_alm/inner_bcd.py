@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
                     _aug_lagrangian, _block_gradients, _block_values, _interaction_graph,
-                    _row_dots)
+                    _require_positive_rho, _row_dots)
 from .verify import _residual_and_gradients, criticality_residual
 
 __all__ = [
@@ -87,36 +87,32 @@ _MAX_BACKTRACK = 60
 _SAMPLE_SEED = 0x5EED
 
 
-def _check_scale(scale):
-    if not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
-        raise ConfigurationError(f"scale must be finite and positive, got {scale!r}")
-
-
 def _check_count(count, name, least):
     if not (isinstance(count, numbers.Integral) and count >= least):
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 @dataclass(frozen=True)
-class FixedScaled:
-    """Curvature surrogate ``B_i = scale * rho * I`` (experiment default)."""
+class _Scaled:
+    """A curvature surrogate built from ``scale * rho`` (finite, positive)."""
 
     scale: float = 30.0
 
     def __post_init__(self):
-        _check_scale(self.scale)
+        if not (isinstance(self.scale, numbers.Real) and 0 < self.scale < math.inf):
+            raise ConfigurationError(f"scale must be finite and positive, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
-class HessianBand:
+class FixedScaled(_Scaled):
+    """Curvature surrogate ``B_i = scale * rho * I`` (experiment default)."""
+
+
+@dataclass(frozen=True)
+class HessianBand(_Scaled):
     """Clip ``scale * rho`` into the open band ``(C_i, 2 C_i)``, strictly
     inside it: into ``(C_i (1 + m), 2 C_i (1 - m))`` with ``m = BAND_MARGIN``.
     """
-
-    scale: float = 30.0
-
-    def __post_init__(self):
-        _check_scale(self.scale)
 
 
 @dataclass(frozen=True)
@@ -417,6 +413,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     (BlockVector, SweepCertificate or None)
     """
     problem.check_block_structure(z)
+    _require_positive_rho(rho)
     n = problem.n_agents
     coloring = np.asarray(coloring, dtype=int)
     if coloring.shape != (n,):
@@ -476,9 +473,11 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     sweep's first class takes); after the last sweep it takes every class,
     so ``final_residual`` is the residual at the returned point.  A spent
     budget raises no error but sets a soft-failure flag.  Every block of
-    ``z0`` must lie in its polytope up to ``model.FEAS_TOL``.
+    ``z0`` must lie in its polytope up to ``model.FEAS_TOL``, and ``mu`` be finite.
     """
     problem.check_membership(z0)
+    _require_positive_rho(rho)
+    problem.check_multiplier(mu)
     coloring = _coloring(problem)
     c_bounds = None
     if with_certificates or isinstance(cfg.b_strategy, HessianBand):

@@ -21,8 +21,10 @@ membership and normal-cone distances take one stacked kernel call per group
 of sets of one kind and shape (``_SetGroup``).  Agent indices are 0-based.
 
 Evaluators are pure callables returning values and first derivatives.
-Problems are immutable apart from the caches filled on first use; every
-solve runs on the calling thread.
+Problems, agents, sets and couplings are immutable apart from the caches
+filled on first use, and each is equal only to itself; every solve runs on
+the calling thread.  Every public entry that takes a penalty requires
+``0 < rho < inf`` (``PreconditionError``).
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _as_float_vector(x, name="vector"):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Bounded polyhedron ``{x : A x <= b}``.
 
@@ -104,10 +106,6 @@ class Polytope:
     @property
     def dim(self) -> int:
         return self.a_mat.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.a_mat.shape[0]
 
     @cached_property
     def is_box(self) -> bool:
@@ -319,16 +317,11 @@ class _SetGroup(NamedTuple):
             takes = active & (push >= 0)
             res = np.where(takes[:, :d] | takes[:, d:], 0.0, grad)
             return _row_dots(res, res), active, push
-        from scipy.optimize import nnls
-
         active = self.b_vec - self._ax(x) <= self.active_tol
         dist_sq, solved = _row_dots(grad, grad), []
         for k in np.flatnonzero(active.any(axis=1)).tolist():
-            try:
-                lam_k, rnorm = nnls(self.a_mat[k][active[k]].T, -grad[k])
-            except RuntimeError as exc:
-                who = "" if self.idx is None else f"agent {self.idx[k]}: "
-                raise ConvergenceError(f"{who}normal-cone distance: {exc}") from exc
+            lam_k, rnorm = self._nnls(k, self.a_mat[k][active[k]].T, -grad[k],
+                                      "normal-cone distance")
             dist_sq[k] = float(rnorm) ** 2
             solved.append(lam_k)
         return dist_sq, active, solved
@@ -369,14 +362,9 @@ class _SetGroup(NamedTuple):
             guess = b - a @ near <= self.active_tol[k]
             if guess.any() and (x := _gram_step(a, b, v, h, guess, True)) is not None:
                 return x
-        from scipy.optimize import nnls
-
         e_last = np.r_[np.zeros(v.shape[0]), 1.0]
-        try:
-            u, rnorm = nnls(np.concatenate([-a.T, (h / h.max())[None]]), e_last)
-        except RuntimeError as exc:
-            who = "" if self.idx is None else f"agent {self.idx[k]}: "
-            raise ConvergenceError(f"{who}polytope projection: {exc}") from exc
+        u, rnorm = self._nnls(k, np.concatenate([-a.T, (h / h.max())[None]]), e_last,
+                              "polytope projection")
         # ||r||^2 is 1 / (1 + (||x - v|| / max h)^2), or 0 if there is no x
         if 1.0 + rnorm * rnorm == 1.0:
             raise PreconditionError("projection onto an empty polytope")
@@ -400,6 +388,16 @@ class _SetGroup(NamedTuple):
         if (a @ x - b).max() <= FEAS_TOL:
             return x
         raise PreconditionError("projection onto an empty polytope")
+
+    def _nnls(self, k, a, b, what):
+        """Member ``k``'s scipy NNLS; its cap raises ``ConvergenceError`` naming ``what``."""
+        from scipy.optimize import nnls
+
+        try:
+            return nnls(a, b)
+        except RuntimeError as exc:
+            who = "" if self.idx is None else f"agent {self.idx[k]}: "
+            raise ConvergenceError(f"{who}{what}: {exc}") from exc
 
 
 def _gram_step(a, b, v, h, working, guessed):
@@ -553,7 +551,7 @@ class BlockVector(_FlatParts):
         return f"BlockVector(dims={self.block_dims})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentSpec:
     """One agent: smooth cost, equality map and bounded polytopic set.
 
@@ -583,7 +581,7 @@ class AgentSpec:
         return self.feasible_set.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingSpec:
     """Joint cost and joint equality map as sums of local terms.
 
@@ -624,10 +622,6 @@ class CouplingSpec:
             raise StructureError("a coupling cost comes with its gradient, and constraint "
                                  "rows (constraint_rows >= 1) with their Jacobian")
 
-    @classmethod
-    def none(cls) -> "CouplingSpec":
-        return cls()
-
     @property
     def constraint_dim(self) -> int:
         return self.terms.shape[0] * self.constraint_rows
@@ -642,7 +636,7 @@ class CouplingSpec:
         return _fold(_checked(self.term_cost(t, x), t.shape, "coupling cost"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NlpProblem:
     """Agents plus coupling; owns the stacked constraint layout.
 
@@ -678,13 +672,12 @@ class NlpProblem:
     """
 
     agents: tuple
-    coupling: CouplingSpec = field(default_factory=CouplingSpec.none)
+    coupling: CouplingSpec = field(default_factory=CouplingSpec)
     block_gradients: Optional[Callable] = None
     block_values: Optional[Callable] = None
     # what the inner loop derives from the problem (colouring, colour
     # classes, curvature sample points), filled on first use
-    _sweep_cache: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    _sweep_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         agents = tuple(self.agents)
@@ -715,7 +708,7 @@ class NlpProblem:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
-    @property
+    @cached_property
     def constraint_dims(self) -> tuple:
         return tuple(a.constraint_dim for a in self.agents)
 
@@ -1051,12 +1044,11 @@ def _block_gradient(problem, flat, mu, rho, idx):
     outputs, parts, offsets = [], [], problem._offsets
     for i in idx.tolist():
         agent, x_i, d = problem.agents[i], flat[offsets[i]:offsets[i + 1]], problem.block_dims[i]
-        m_i = agent.constraint_dim
         parts.append((
             _checked(agent.cost_grad(x_i), (d,), "agent {} cost gradient", i, outputs),
             None if agent.constraint is None else (
-                _checked(agent.constraint(x_i), (m_i,), "agent {} constraint", i, outputs),
-                _checked(agent.constraint_jac(x_i), (m_i, d),
+                _agent_constraint(problem, x_i, i, outputs),
+                _checked(agent.constraint_jac(x_i), (agent.constraint_dim, d),
                          "agent {} constraint Jacobian", i, outputs))))
     incident = _incident_terms(problem, flat, mu.coupling_part, idx, outputs)
     _check_finite(outputs)
@@ -1139,7 +1131,7 @@ def eval_aug_lagrangian(problem: NlpProblem, z: BlockVector,
 
     The exactly rounded sum of the local and coupling terms (see the module
     docstring).  Only the equality constraints enter the penalty; the
-    polytopes are not part of this value.  ``rho`` must be positive.
+    polytopes are not part of this value.
     """
     _require_positive_rho(rho)
     problem.check_block_structure(z)
@@ -1163,5 +1155,5 @@ def eval_block_gradient(problem: NlpProblem, z: BlockVector,
 
 
 def _require_positive_rho(rho):
-    if not rho > 0:
-        raise PreconditionError(f"penalty parameter must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise PreconditionError(f"penalty parameter must be positive and finite, got {rho}")

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, StructureError
 from .inner_bcd import InnerConfig, _check_count, run_inner
 from .model import (BlockVector, MultiplierEstimate, NlpProblem, _chebyshev_centers,
-                    eval_aug_lagrangian, eval_constraints)
+                    _require_positive_rho, eval_aug_lagrangian, eval_constraints)
 
 __all__ = [
     "IterTrace",
@@ -133,6 +133,7 @@ class OuterState:
 
 def dual_update(mu: MultiplierEstimate, rho: float, h_val) -> MultiplierEstimate:
     """First-order multiplier step ``mu + rho * H``; partition preserved."""
+    _require_positive_rho(rho)
     h_val = np.asarray(h_val, dtype=float).reshape(-1)
     if h_val.shape[0] != mu.total_dim:
         raise StructureError(
@@ -180,7 +181,8 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
     ``"inner_failure"`` if an inner call missed its target
     (``IterTrace.inner_achieved``) and ``"iteration_cap"`` if none did.  An
     inner call that spends its budget is a soft failure: the dual update
-    uses its point and the loop goes on.  Evaluator errors propagate.
+    uses its point and the loop goes on.  Evaluator errors propagate; a
+    ``rho_k`` that overflows raises ``ConfigurationError`` before its call.
     """
     z = default_start(problem) if z0 is None else z0
     mu = MultiplierEstimate.zeros(problem) if mu0 is None else mu0
@@ -198,6 +200,8 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
     all_achieved = True
     while state.k < cfg.max_outer:
         rho, eps = cfg.schedule(state.k)
+        if rho == math.inf:
+            raise ConfigurationError(f"the penalty overflows at outer iteration {state.k}")
         state.rho, state.eps = rho, eps
         budget = None if sweep_budgets is None else sweep_budgets[state.k]
         inner = run_inner(

@@ -15,7 +15,6 @@ derivative-free or exhaustive oracles for the solver;
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -24,8 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError, RefusalError
 from .model import (BlockVector, MultiplierEstimate, NlpProblem, Polytope,
                     _agent_constraint, _block_gradient, _block_gradients, _checked,
-                    _check_finite, _constraints, _fold, _objective, _term_blocks,
-                    _term_derivative, _term_rows)
+                    _check_finite, _constraints, _fold, _objective, _require_positive_rho,
+                    _term_blocks, _term_derivative, _term_rows)
 
 __all__ = [
     "KktReport",
@@ -37,12 +36,14 @@ __all__ = [
     "regularity_check",
 ]
 
-log = logging.getLogger(__name__)
-
 #: Cap on the row sets ``enumerate_projection`` solves for.
 _MAX_KKT_SOLVES = 100_000
+#: Cap on the grid points ``brute_force_min`` enumerates.
+_MAX_GRID_POINTS = 2_000_000
 #: Relative singular-value cutoff of :func:`regularity_check`'s rank test.
 RANK_TOL = 1e-8
+#: Central-difference step of :func:`fd_gradient_check`, times ``1 + |z_j|``.
+FD_STEP = 1e-6
 
 
 @dataclass
@@ -65,6 +66,7 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
     """``min_{v in N_Z(z)} || grad L_rho(z, mu) + v ||_2``, the distance of
     the augmented-Lagrangian gradient to ``-N_Z(z)``; ``z`` must lie in the
     polytope up to ``model.FEAS_TOL`` and ``mu`` be finite."""
+    _require_positive_rho(rho)
     problem.check_multiplier(mu)
     return _residual_and_gradients(problem, z, mu, rho)[0]
 
@@ -106,9 +108,10 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     """Assemble stationarity, feasibility, multipliers and regularity.
 
     ``stationarity`` equals :func:`criticality_residual`, and the
-    multipliers and active rows come from the same normal-cone pass; ``z``
-    must lie in the polytope up to ``model.FEAS_TOL`` and ``mu`` be finite.
+    multipliers and active rows come from the same normal-cone pass; the
+    inputs are those of :func:`criticality_residual`.
     """
+    _require_positive_rho(rho)
     problem.check_multiplier(mu)
     stationarity, _, cones = _residual_and_gradients(problem, z, mu, rho)
     lams, masks = [None] * problem.n_agents, [None] * problem.n_agents  # agent order
@@ -134,25 +137,23 @@ def _oracle_lagrangian(problem, flat, mu, rho):
 
 
 def fd_gradient_check(problem: NlpProblem, z: BlockVector,
-                      mu: MultiplierEstimate, rho: float,
-                      h: float = 1e-6) -> float:
+                      mu: MultiplierEstimate, rho: float) -> float:
     """Worst relative error of the block gradients vs central differences.
 
-    The step ``h`` (finite, positive) is scaled per coordinate as ``h * (1 +
-    |z_j|)``; every perturbed point must stay inside the polytope, otherwise
-    the interior margin precondition is violated (membership up to
-    ``model.FEAS_TOL``).
+    The step is :data:`FD_STEP`, scaled per coordinate; every perturbed
+    point must stay inside the polytope (membership up to
+    ``model.FEAS_TOL``), and ``mu`` must be finite.
     """
     problem.check_block_structure(z)
-    if not (h > 0 and math.isfinite(h)):
-        raise PreconditionError(f"step must be finite and positive, got {h}")
+    _require_positive_rho(rho)
+    problem.check_multiplier(mu)
     worst = 0.0
     for i, agent in enumerate(problem.agents):
         grad = _block_gradient(problem, z.flat, mu, rho, np.array([i]))[0]
         fd = np.zeros_like(grad)
         start = problem._offsets[i]
         for j in range(agent.dim):
-            step = h * (1.0 + abs(z.flat[start + j]))
+            step = FD_STEP * (1.0 + abs(z.flat[start + j]))
             hi, lo = z.flatten(), z.flatten()
             hi[start + j] += step
             lo[start + j] -= step
@@ -169,18 +170,12 @@ def fd_gradient_check(problem: NlpProblem, z: BlockVector,
 
 
 def regularity_check(problem: NlpProblem, z: BlockVector) -> bool:
-    """True iff the stacked constraint Jacobian has full row rank at ``z``.
-
-    Returns ``False`` with a logged diagnostic when there are more equality
-    constraints than variables.
-    """
+    """True iff the stacked constraint Jacobian has full row rank at ``z``
+    (never with more equality constraints than variables)."""
     problem.check_block_structure(z)
     r, n = problem.r, problem.total_dim
     if r == 0:
         return True
-    if r > n:
-        log.warning("regularity impossible: r=%d equality rows exceed n=%d", r, n)
-        return False
     blocks = list(z.blocks)
     jac = np.zeros((r, n))
     row = col = 0
@@ -227,16 +222,15 @@ def _block_grids(problem: NlpProblem, grid_step: float):
 
 def brute_force_min(problem: NlpProblem, grid_step: float,
                     feasibility_band: float = None,
-                    mu: MultiplierEstimate = None, rho: float = None,
-                    max_points: int = 2_000_000):
+                    mu: MultiplierEstimate = None, rho: float = None):
     """Exhaustive grid minimisation on tiny problems: the best grid point
     and its value, ``(BlockVector, float)``.
 
     With ``mu``/``rho`` given, minimises the augmented Lagrangian over the
-    full grid; otherwise the objective over the grid points with every
-    equality within ``feasibility_band`` (required with equalities).
-    Raises ``RefusalError`` on more than four variables, an empty band, or
-    more than ``max_points`` combinations.
+    full grid (``mu`` finite); otherwise the objective over the grid points
+    with every equality within ``feasibility_band`` (required with
+    equalities).  Raises ``RefusalError`` on more than four variables, an
+    empty band, or more than ``_MAX_GRID_POINTS`` combinations.
     """
     if problem.total_dim > 4:
         raise RefusalError(
@@ -247,6 +241,9 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
     lagrangian_mode = mu is not None or rho is not None
     if lagrangian_mode and (mu is None or rho is None):
         raise ConfigurationError("augmented-Lagrangian mode needs both mu and rho")
+    if lagrangian_mode:
+        _require_positive_rho(rho)
+        problem.check_multiplier(mu)
     if not lagrangian_mode and problem.r > 0 and feasibility_band is None:
         raise ConfigurationError(
             "a feasibility band is required when equality constraints are present"
@@ -272,9 +269,9 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
     combos = 1
     for pts in grids:
         combos *= pts.shape[0]
-    if combos > max_points:
+    if combos > _MAX_GRID_POINTS:
         raise RefusalError(
-            f"grid would enumerate {combos} combinations (cap {max_points})"
+            f"grid would enumerate {combos} combinations (cap {_MAX_GRID_POINTS})"
         )
     if combos == 0:
         raise RefusalError("empty grid")
@@ -315,7 +312,7 @@ def enumerate_projection(poly: Polytope, v, m_mat=None):
     Raises ``RefusalError`` on more than ``_MAX_KKT_SOLVES`` sets, or when no
     set comes within ``1e-9 (1 + max|v| + max|b|)`` of those conditions.
     """
-    a_mat, b_vec, n, rows = poly.a_mat, poly.b_vec, poly.dim, poly.n_rows
+    a_mat, b_vec, (rows, n) = poly.a_mat, poly.b_vec, poly.a_mat.shape
     v = np.asarray(v, dtype=float)
     m_mat = np.eye(n) if m_mat is None else np.asarray(m_mat, dtype=float)
     sizes = range(min(n, rows) + 1)

@@ -13,7 +13,7 @@ def run_cli(args):
 class TestSolve:
     def test_small_instance_converges(self, capsys, tmp_path):
         out = tmp_path / "trace.jsonl"
-        code = run_cli(["solve", "--toy", "--n", "2", "--d", "1", "--seed", "1",
+        code = run_cli(["solve", "--n", "2", "--d", "1", "--seed", "1",
                         "--eta", "1e-6", "--out", str(out)])
         captured = capsys.readouterr().out
         assert code == 0
@@ -23,7 +23,7 @@ class TestSolve:
         assert rows and rows[0]["k"] == 0
 
     def test_unsolvable_budget_returns_one(self, capsys):
-        code = run_cli(["solve", "--toy", "--n", "2", "--d", "1", "--seed", "1",
+        code = run_cli(["solve", "--n", "2", "--d", "1", "--seed", "1",
                         "--eta", "1e-6", "--max-outer", "1", "--max-sweeps", "1"])
         assert code == 1
 
@@ -166,6 +166,12 @@ class TestConfigHandling:
         assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
 
     def test_invalid_numeric_field_exits_two(self, capsys):
-        assert run_cli(["solve", "--toy", "--beta", "0.5"]) == 2
+        assert run_cli(["solve", "--beta", "0.5"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_overflowing_penalty_exits_two(self, capsys):
+        # the second inner call once ran at rho = inf, and the exit status was 1
+        assert run_cli(["solve", "--rho0", "1e100", "--beta", "1e300", "--eta", "0",
+                        "--max-outer", "3"]) == 2
+        assert "config error: the penalty overflows" in capsys.readouterr().err
 

@@ -86,7 +86,7 @@ class TestColoring:
         assert int(np.sum(colors == 0)) == 10 and int(np.sum(colors == 1)) == 10
 
     def test_no_terms_single_color(self):
-        colors = color_interaction_graph(CouplingSpec.none(), 5)
+        colors = color_interaction_graph(CouplingSpec(), 5)
         assert set(colors.tolist()) == {0}
 
     def test_complete_graph_needs_n_colors(self):

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
                       EvaluationError, HessianBand, InnerConfig, MultiplierEstimate,
                       NlpProblem, OuterConfig, Polytope, PreconditionError, StructureError,
-                      ToyParams, bcd_sweep, color_interaction_graph,
-                      criticality_residual, default_start, eval_aug_lagrangian,
-                      eval_block_gradient, eval_constraints, generate_toy,
+                      ToyParams, bcd_sweep, brute_force_min, color_interaction_graph,
+                      criticality_residual, default_start, dual_update, eval_aug_lagrangian,
+                      eval_block_gradient, eval_constraints, fd_gradient_check, generate_toy,
                       kkt_report, run_inner, run_outer, toy_initial_guess)
 from dist_alm import model
 from dist_alm.model import FEAS_TOL
 from conftest import (box_with_cuts, cut_chain, mixed_sets_problem, mu_like, nnls_at_cap,
-                      quadratic_agent, site_problem, unit_simplex, zvec)
+                      one_agent_problem, quadratic_agent, site_problem, unit_simplex, zvec)
 
 
 def two_agent_coupled():
@@ -540,6 +540,88 @@ class TestMultiplier:
         for call in calls:
             with pytest.raises(PreconditionError, match="^multiplier entry 2 is not finite"):
                 call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_inner_loop_and_oracles_check_the_multiplier(self, bad):
+        # run_inner once blamed block_gradients, fd_gradient_check returned
+        # 0.0 (a pass) and brute_force_min refused on its coupling band
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=1)
+        problem = generate_toy(params)
+        z, mu = toy_initial_guess(params, problem)
+        flat = mu.flatten()
+        flat[2] = bad
+        mu = MultiplierEstimate.from_flat(problem, flat)
+        one = one_agent_problem()
+        calls = [lambda: run_inner(problem, z, mu, 1.0, InnerConfig(max_sweeps=1)),
+                 lambda: fd_gradient_check(problem, z, mu, 1.0),
+                 lambda: brute_force_min(one, 0.5, mu=mu_like(one, [bad]), rho=1.0)]
+        for call in calls:
+            with pytest.raises(PreconditionError, match=r"^multiplier entry \d is not finite"):
+                call()
+
+    def test_oracle_checks_the_partition(self):
+        # parts (2, 0, 1, 1) on constraints (1, 1, 1, 1) once made numpy's
+        # matmul raise ValueError in fd_gradient_check
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=1)
+        problem = generate_toy(params)
+        z, _ = toy_initial_guess(params, problem)
+        wrong = MultiplierEstimate([[0.1, 0.2], [], [0.3], [0.4]])
+        with pytest.raises(StructureError, match="agent parts"):
+            fd_gradient_check(problem, z, wrong, 1.0)
+        # the layout check_multiplier compares is kept, not rebuilt per call
+        assert problem.constraint_dims is problem.constraint_dims
+
+
+def penalty_entry(name, rho):
+    """The public entry ``name`` at penalty ``rho``, as a call: on the seed-1
+    four-agent toy chain, the two grid and difference oracles on the one-agent
+    problem."""
+    params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=1)
+    problem = generate_toy(params)
+    z, mu = toy_initial_guess(params, problem)
+    one = one_agent_problem()
+    coloring = color_interaction_graph(problem.coupling, problem.n_agents)
+    return {
+        "eval_aug_lagrangian": lambda: eval_aug_lagrangian(problem, z, mu, rho),
+        "eval_block_gradient": lambda: eval_block_gradient(problem, z, mu, rho, 0),
+        "run_inner": lambda: run_inner(problem, z, mu, rho, InnerConfig(max_sweeps=1)),
+        "bcd_sweep": lambda: bcd_sweep(problem, z, mu, rho, InnerConfig(), coloring),
+        "criticality_residual": lambda: criticality_residual(problem, z, mu, rho),
+        "kkt_report": lambda: kkt_report(problem, z, mu, rho),
+        "dual_update": lambda: dual_update(mu, rho, np.zeros(problem.r)),
+        "fd_gradient_check": lambda: fd_gradient_check(
+            one, zvec([0.5]), MultiplierEstimate.zeros(one), rho),
+        "brute_force_min": lambda: brute_force_min(
+            one, 0.5, mu=MultiplierEstimate.zeros(one), rho=rho),
+    }[name]
+
+
+class TestPenaltyGate:
+    @pytest.mark.parametrize("entry", ["eval_aug_lagrangian", "eval_block_gradient",
+                                       "run_inner", "bcd_sweep", "criticality_residual",
+                                       "kkt_report", "dual_update", "fd_gradient_check",
+                                       "brute_force_min"])
+    def test_penalty_must_be_positive_and_finite(self, entry):
+        # every entry once took some of these: nan and inf blamed an
+        # evaluator or passed an oracle, 0 and -1 ran
+        for rho in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(PreconditionError,
+                               match="^penalty parameter must be positive and finite"):
+                penalty_entry(entry, rho)()
+        penalty_entry(entry, 1.0)()
+
+
+class TestIdentity:
+    def test_problem_parts_are_equal_only_to_themselves(self):
+        # the generated __eq__ once compared numpy arrays: == raised
+        # ValueError and hash TypeError
+        box = Polytope.box([0.0], [1.0])
+        assert box == box and box != Polytope.box([0.0], [1.0])
+        assert CouplingSpec() != CouplingSpec()
+        problem = two_agent_coupled()
+        assert len({box, problem, problem.coupling, *problem.agents}) == 5
+        copy = dataclasses.replace(problem)
+        assert copy != problem and copy.agents is problem.agents
 
 
 NAN = float("nan")

@@ -89,6 +89,22 @@ class TestSchedule:
         for count in (10 ** 9, np.int64(3)):
             assert OuterConfig(**dict(base, max_outer=count)).max_outer == count
 
+    def test_overflowing_penalty_raises_before_its_inner_call(self, monkeypatch):
+        # rho_1 = 1e400 is inf, at which the inner loop once ran
+        from dist_alm import outer_mm
+
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=1)
+        problem = generate_toy(params)
+        z0, mu0 = toy_initial_guess(params, problem)
+        rhos, real_inner = [], outer_mm.run_inner
+        monkeypatch.setattr(outer_mm, "run_inner",
+                            lambda *args, **kw: rhos.append(args[3]) or real_inner(*args, **kw))
+        cfg = OuterConfig(rho0=1e100, beta=1e300, eps0=0.1, eta=0.0, max_outer=3)
+        with pytest.raises(ConfigurationError,
+                           match="^the penalty overflows at outer iteration 1"):
+            run_outer(problem, cfg, InnerConfig(), z0, mu0, with_certificates=False)
+        assert rhos == [1e100]
+
 
 class TestRunOuter:
     def outer_cfg(self, **kw):
