@@ -16,11 +16,11 @@ least-distance problem by NNLS), so every block stays in its polytope.
 
 One kernel serves every configuration.  A colour class is the members of
 one colour in one set group (boxes of one dimension, or other polytopes of
-one row shape), held as ``(K, d)`` arrays; per class it takes one batched
-gradient (the problem's ``block_gradients`` hook when there is one, see
-:class:`~dist_alm.model.NlpProblem`), one step size per agent and one
-projection call.  Without the hooks the per-agent evaluators give the same
-results.
+one row shape), held as ``(K, d)`` arrays, and the problem owns its
+colouring, classes and sample points (``NlpProblem._classes``).  Per class
+the sweep takes one batched gradient (the problem's ``block_gradients``
+hook when there is one), one step size per agent and one projection call.
+Without the hooks the per-agent evaluators give the same results.
 
 A sweep can emit a certificate: per agent, the sides of the sufficient
 decrease inequality and of the relative-error bound
@@ -36,9 +36,9 @@ whose snapshot that point is; the residual of the stop test is taken class
 by class, and the first class alone rules out most checks.  ``C_i`` bounds
 the local curvature by backtracking: seeded by finite-difference sampling
 (one gradient call per class on a stack of every sample, coordinate and
-sign, from points drawn once per problem) and doubled whenever a descent or
+sign, at the problem's sample points) and doubled whenever a descent or
 certificate check fails, re-projecting the block when the surrogate
-depends on it.
+depends on it.  A bound or residual that overflows names ``rho``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .model import (BlockVector, CouplingSpec, MultiplierEstimate, NlpProblem,
-                    _aug_lagrangian, _block_gradients, _block_values, _interaction_graph,
-                    _require_positive_rho, _row_dots)
-from .verify import _residual_and_gradients, criticality_residual
+from .model import (BlockVector, MultiplierEstimate, NlpProblem, _aug_lagrangian,
+                    _block_gradients, _block_values, _require_positive_rho, _row_dots,
+                    color_interaction_graph)
+from .verify import _residual_and_gradients
 
 __all__ = [
     "Backtracking",
@@ -74,8 +74,6 @@ DECREASE_SLACK = 1e-10
 ALPHA_MIN = 1e-3
 #: Upper bound on the proximal weight, in the relative-error certificate.
 ALPHA_MAX = 1.0
-#: Curvature sample points per agent that seed the backtracking bounds.
-C_SAMPLES = 5
 #: Slack for the relative-error certificate.
 REL_ERR_SLACK = 1e-8
 #: Floor on curvature bounds (zero-curvature blocks).
@@ -84,7 +82,6 @@ C_FLOOR = 1e-12
 BAND_MARGIN = 1e-3
 
 _MAX_BACKTRACK = 60
-_SAMPLE_SEED = 0x5EED
 
 
 def _check_count(count, name, least):
@@ -117,8 +114,8 @@ class HessianBand(_Scaled):
 
 @dataclass(frozen=True)
 class Backtracking:
-    """Running curvature bound, seeded by sampling :data:`C_SAMPLES` points
-    per agent and doubled on failures."""
+    """Running curvature bound, seeded by sampling ``model.C_SAMPLES``
+    points per agent and doubled on failures."""
 
 
 BStrategy = Union[FixedScaled, HessianBand]
@@ -197,42 +194,15 @@ class InnerResult:
     final_step: float
 
 
-def color_interaction_graph(coupling: CouplingSpec, n_agents: int) -> np.ndarray:
-    """Greedy coloring in agent order; agents that share a coupling term
-    never share a color."""
-    adjacency = _interaction_graph(coupling.terms, n_agents)
-    colors = np.full(n_agents, -1, dtype=int)
-    for i in range(n_agents):
-        taken = {colors[j] for j in adjacency[i]}
-        colors[i] = min(set(range(len(taken) + 1)) - taken)
-    return colors
-
-
 # ---------------------------------------------------------------------------
 # Curvature bounds.
 # ---------------------------------------------------------------------------
-
-def _sample_rng(i: int):
-    """Agent ``i``'s own stream of curvature sample points."""
-    return np.random.default_rng(_SAMPLE_SEED + 7919 * (i + 1))
-
-
-def _agent_samples(problem) -> list:
-    """Per agent, its ``(C_SAMPLES, d_i)`` curvature sample points, drawn
-    from its own set and stream (:func:`_sample_rng`).  They are drawn once
-    per problem and kept in the problem's cache."""
-    cache = problem._sweep_cache
-    if "samples" not in cache:
-        cache["samples"] = [a.feasible_set._sample(_sample_rng(i), C_SAMPLES)
-                            for i, a in enumerate(problem.agents)]
-    return cache["samples"]
-
 
 def _initial_c_bounds(problem, flat, mu, rho) -> np.ndarray:
     """Every agent's curvature bound ``C_i``, at least ``C_FLOOR``: 1.5
     times the largest spectral norm of the symmetrised central-difference
     Hessian (step ``1e-5 (1 + |x_j|)``) of block ``i``'s gradient over its
-    sample points (:func:`_agent_samples`), the other blocks at ``flat``.
+    sample points (``NlpProblem._samples``), the other blocks at ``flat``.
 
     Members of a colour class share no coupling term, so each member's
     gradient with every member at its own sample (or its perturbation) is
@@ -240,9 +210,9 @@ def _initial_c_bounds(problem, flat, mu, rho) -> np.ndarray:
     ``_block_gradients`` call on the stack of its points, one per sample,
     coordinate and sign, and one ``eigvalsh`` on the stack of its Hessians.
     """
-    points = _agent_samples(problem)
+    points = problem._samples
     best = np.zeros(problem.n_agents)
-    for idx, pos, *_ in _color_classes(problem, _coloring(problem)):
+    for idx, pos, *_ in problem._classes:
         k, d = pos.shape
         x = np.stack([points[i] for i in idx.tolist()], axis=1)  # (samples, k, d)
         step = 1e-5 * (1.0 + np.abs(x))
@@ -275,31 +245,6 @@ def _b_scales(strategy: BStrategy, rho: float, c_bounds, idx):
 # ---------------------------------------------------------------------------
 # Sweeps and the inner loop.
 # ---------------------------------------------------------------------------
-
-def _coloring(problem) -> np.ndarray:
-    """The problem's :func:`color_interaction_graph`, kept with the problem."""
-    cache = problem._sweep_cache
-    if "coloring" not in cache:
-        cache["coloring"] = color_interaction_graph(problem.coupling, problem.n_agents)
-    return cache["coloring"]
-
-
-def _color_classes(problem, coloring) -> tuple:
-    """Colour classes: per colour, ascending, its members in each set group
-    of the problem (``NlpProblem._set_groups``, in their order), each class
-    a ``model._SetGroup`` (agents ascending, block positions, stacked box
-    bounds or rows).  Built on first use and kept with the problem for the
-    last coloring seen.
-    """
-    key = coloring.tobytes()
-    seen, classes = problem._sweep_cache.get("classes", (None, None))
-    if seen != key:
-        classes = tuple(group.take(members)
-                        for color in np.unique(coloring) for group in problem._set_groups
-                        if (members := coloring[group.idx] == color).any())
-        problem._sweep_cache["classes"] = (key, classes)
-    return classes
-
 
 def _solve_rows(cls, x_old, grad, m_diag, sweep):
     """Block minimisers of the members of the class ``cls`` from ``x_old``:
@@ -402,7 +347,9 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     under a banded surrogate, the class's steps are then checked against
     the snapshot, which needs the curvature bounds (``c_bounds``, updated
     in place).  Classes go in ascending color order: a Gauss-Seidel pass in
-    the color-sorted agent order.
+    the color-sorted agent order.  The problem's own ``coloring``
+    (``NlpProblem._coloring``) takes its cached classes; the classes of any
+    other are built and checked for this sweep (``NlpProblem._classes_of``).
 
     ``boundary`` is for :func:`run_inner`: the first class, whose snapshot
     is ``z``, takes the evaluations it holds (at ``z``) in place of its own.
@@ -414,14 +361,12 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     """
     problem.check_block_structure(z)
     _require_positive_rho(rho)
+    classes = (problem._classes if coloring is problem._coloring
+               else problem._classes_of(coloring))
     n = problem.n_agents
-    coloring = np.asarray(coloring, dtype=int)
-    if coloring.shape != (n,):
-        raise ConfigurationError(f"coloring must assign each of the {n} agents")
     check = with_certificates or isinstance(cfg.b_strategy, HessianBand)
     if c_bounds is None and check:
         c_bounds = _initial_c_bounds(problem, z.flat, mu, rho)
-    classes = _color_classes(problem, coloring)
 
     flat = np.array(z.flat)
     view = flat.view()
@@ -458,6 +403,11 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     return z._with_flat(flat), cert
 
 
+def _overflow(rho, what) -> ConvergenceError:
+    return ConvergenceError(f"the penalty rho = {rho:g} overflows the solver's arithmetic: "
+                            f"{what} is not finite")
+
+
 def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
               rho: float, cfg: InnerConfig, eps_target: Optional[float] = None,
               sweep_cap: Optional[int] = None,
@@ -473,47 +423,48 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     sweep's first class takes); after the last sweep it takes every class,
     so ``final_residual`` is the residual at the returned point.  A spent
     budget raises no error but sets a soft-failure flag.  Every block of
-    ``z0`` must lie in its polytope up to ``model.FEAS_TOL``, and ``mu`` be finite.
+    ``z0`` must lie in its polytope up to ``model.FEAS_TOL``, and ``mu`` be
+    finite.  A curvature bound or residual that overflows (finite evaluator
+    outputs, a huge ``rho``) raises ``ConvergenceError`` naming ``rho``.
     """
     problem.check_membership(z0)
     _require_positive_rho(rho)
     problem.check_multiplier(mu)
-    coloring = _coloring(problem)
-    c_bounds = None
-    if with_certificates or isinstance(cfg.b_strategy, HessianBand):
-        c_bounds = _initial_c_bounds(problem, z0.flat, mu, rho)
-
-    cap = cfg.max_sweeps if sweep_cap is None else min(cfg.max_sweeps, sweep_cap)
-    classes = _color_classes(problem, coloring)
-    z = z0
-    residual = math.nan
-    boundary = _Boundary()
-    certificates = []
-    achieved = False
-    step = math.inf
-    sweeps = 0
-    while True:
-        last = sweeps >= cap or step <= cfg.tau
-        if eps_target is not None:
-            # the first class's part of the residual rules out most checks
-            residual, grads, _ = _residual_and_gradients(
-                problem, z, mu, rho, classes, None if last else eps_target)
-            boundary.grads = grads[0]
-            achieved = residual <= eps_target
-        if achieved or last:
-            break
-        z_next, cert = bcd_sweep(problem, z, mu, rho, cfg, coloring,
-                                 c_bounds=c_bounds, sweep_index=sweeps,
-                                 with_certificates=with_certificates,
-                                 boundary=boundary)
-        step = z.max_block_diff(z_next)
-        z = z_next
-        sweeps += 1
-        if cert is not None:
-            certificates.append(cert)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        c_bounds = None
+        if with_certificates or isinstance(cfg.b_strategy, HessianBand):
+            c_bounds = _initial_c_bounds(problem, z0.flat, mu, rho)
+            if not np.isfinite(c_bounds).all():
+                raise _overflow(rho, "a curvature bound")
+        cap = cfg.max_sweeps if sweep_cap is None else min(cfg.max_sweeps, sweep_cap)
+        z = z0
+        boundary = _Boundary()
+        certificates = []
+        achieved = False
+        step = math.inf
+        sweeps = 0
+        while True:
+            last = sweeps >= cap or step <= cfg.tau
+            if eps_target is not None or last:
+                # the first class's part of the residual rules out most checks
+                residual, grads, _ = _residual_and_gradients(
+                    problem, z, mu, rho, None if last else eps_target)
+                if not math.isfinite(residual):
+                    raise _overflow(rho, "the criticality residual")
+                boundary.grads = grads[0]
+                achieved = eps_target is not None and residual <= eps_target
+            if achieved or last:
+                break
+            z_next, cert = bcd_sweep(problem, z, mu, rho, cfg, problem._coloring,
+                                     c_bounds=c_bounds, sweep_index=sweeps,
+                                     with_certificates=with_certificates,
+                                     boundary=boundary)
+            step = z.max_block_diff(z_next)
+            z = z_next
+            sweeps += 1
+            if cert is not None:
+                certificates.append(cert)
     achieved = achieved or (eps_target is None and step <= cfg.tau)
-    if not np.isfinite(residual):
-        residual = criticality_residual(problem, z, mu, rho)
     hit_cap = (not achieved) and sweeps >= cap
     return InnerResult(z, sweeps, certificates, achieved, hit_cap,
-                       float(residual), 0.0 if math.isinf(step) else float(step))
+                       residual, 0.0 if math.isinf(step) else float(step))

@@ -16,15 +16,16 @@ coupling term, the sum of the term values ``q_t + mu_t @ g_t + (rho/2)
 block changes the coupling term by the changes of its incident terms, which
 the block certificates add to the local terms.  The interaction graph, the
 incident terms and the rows of ``G`` follow from the term tuples alone.
-Only the equalities are penalised; the polytopes stay hard constraints, and
-membership and normal-cone distances take one stacked kernel call per group
-of sets of one kind and shape (``_SetGroup``).  Agent indices are 0-based.
+Only the equalities are penalised; the polytopes stay hard constraints.
+Sets of one kind and shape form stacked groups (``_SetGroup``), and their
+members of one colour the colour classes that every pass walks.  Agent
+indices are 0-based.
 
 Evaluators are pure callables returning values and first derivatives.
-Problems, agents, sets and couplings are immutable apart from the caches
-filled on first use, and each is equal only to itself; every solve runs on
-the calling thread.  Every public entry that takes a penalty requires
-``0 < rho < inf`` (``PreconditionError``).
+Problems, agents, sets and couplings are immutable apart from the derived
+structure they cache as properties on first use, and each is equal only to
+itself; every solve runs on the calling thread.  Every public entry that
+takes a penalty requires ``0 < rho < inf`` (``PreconditionError``).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, EvaluationError, PreconditionError,
-                     StructureError)
+from .errors import (ConfigurationError, ConvergenceError, EvaluationError,
+                     PreconditionError, StructureError)
 
 __all__ = [
     "AgentSpec",
@@ -229,6 +230,16 @@ class Polytope:
             if res.status == 3:  # unbounded
                 return False
         return True
+
+
+#: Curvature sample points per agent that seed the backtracking bounds.
+C_SAMPLES = 5
+_SAMPLE_SEED = 0x5EED
+
+
+def _sample_rng(i: int):
+    """Agent ``i``'s own stream of curvature sample points (:meth:`Polytope._sample`)."""
+    return np.random.default_rng(_SAMPLE_SEED + 7919 * (i + 1))
 
 
 def _chebyshev_centers(polytopes) -> list:
@@ -675,9 +686,6 @@ class NlpProblem:
     coupling: CouplingSpec = field(default_factory=CouplingSpec)
     block_gradients: Optional[Callable] = None
     block_values: Optional[Callable] = None
-    # what the inner loop derives from the problem (colouring, colour
-    # classes, curvature sample points), filled on first use
-    _sweep_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         agents = tuple(self.agents)
@@ -782,6 +790,40 @@ class NlpProblem:
         return tuple(_SetGroup.of([self.agents[i].feasible_set for i in idx], np.array(idx),
                                   starts[idx][:, None] + np.arange(self.block_dims[idx[0]]))
                      for idx in members.values())
+
+    @cached_property
+    def _coloring(self) -> np.ndarray:
+        """The greedy colouring of the interaction graph (:func:`color_interaction_graph`)."""
+        return color_interaction_graph(self.coupling, self.n_agents)
+
+    @cached_property
+    def _classes(self) -> tuple:
+        """The classes of :attr:`_coloring` (:meth:`_classes_of`), the one layout
+        that the sweep, curvature sampling, the residual and the KKT report walk."""
+        return self._classes_of(self._coloring)
+
+    def _classes_of(self, coloring) -> tuple:
+        """Colour classes of ``coloring``: per colour, ascending, its members
+        in each set group (:attr:`_set_groups`, in their order), each class a
+        :class:`_SetGroup`.  A colouring that misses an agent or gives two
+        agents of one coupling term one colour raises ``ConfigurationError``."""
+        coloring = np.asarray(coloring, dtype=int)
+        if coloring.shape != (self.n_agents,):
+            raise ConfigurationError(f"coloring must assign each of the {self.n_agents} agents")
+        colors = np.sort(coloring[self.coupling.terms], axis=1)
+        if (clash := np.flatnonzero((colors[:, 1:] == colors[:, :-1]).any(axis=1))).size:
+            raise ConfigurationError(f"coloring gives two agents of coupling term {clash[0]} "
+                                     f"the same color")
+        return tuple(group.take(members)
+                     for color in np.unique(coloring) for group in self._set_groups
+                     if (members := coloring[group.idx] == color).any())
+
+    @cached_property
+    def _samples(self) -> tuple:
+        """Per agent, its ``(C_SAMPLES, d_i)`` curvature sample points, drawn
+        from its own set and stream (:func:`_sample_rng`)."""
+        return tuple(a.feasible_set._sample(_sample_rng(i), C_SAMPLES)
+                     for i, a in enumerate(self.agents))
 
     def _violations(self, z: BlockVector) -> np.ndarray:
         """Every block's :meth:`Polytope.violation`, one kernel call per set group."""
@@ -902,13 +944,18 @@ def _checked_terms(terms, n_agents) -> np.ndarray:
     return terms
 
 
-def _interaction_graph(terms, n_agents) -> list:
-    """Per agent, ascending, the agents it shares a coupling term with."""
+def color_interaction_graph(coupling: CouplingSpec, n_agents: int) -> np.ndarray:
+    """Greedy coloring in agent order; agents that share a coupling term
+    never share a color."""
     linked = [set() for _ in range(n_agents)]
-    for tup in _checked_terms(terms, n_agents).tolist():
+    for tup in _checked_terms(coupling.terms, n_agents).tolist():
         for i in tup:
             linked[i].update(tup)
-    return [sorted(others - {i}) for i, others in enumerate(linked)]
+    colors = np.full(n_agents, -1, dtype=int)
+    for i, others in enumerate(linked):
+        taken = {colors[j] for j in others - {i}}
+        colors[i] = min(set(range(len(taken) + 1)) - taken)
+    return colors
 
 
 def _agent_constraint(problem, x_i, i, outputs=None):

@@ -2,12 +2,13 @@
 
 The criticality residual ``d(0, grad L_rho(z, mu) + N_Z(z))`` is the
 inexactness the inner loop drives below the outer tolerance.  One pass
-takes it part by part: one gradient call and one kernel call per set group
-(``model._SetGroup``), or per colour class for the inner loop's stop test,
-which may stop after the first part above its target.  The kernel is that
-of ``Polytope.normal_cone_distance``: a closed form on boxes, else NNLS on
-the rows active by ``ACTIVE_TOL``; ``kkt_report`` reads its multipliers
-from the same pass.  The other routines are deliberately simple,
+takes it class by class over the problem's colour classes
+(``NlpProblem._classes``, the layout the sweep walks): one gradient call
+and one kernel call per class, and the inner loop's stop test may stop
+after the first class above its target.  The kernel is that of
+``Polytope.normal_cone_distance``: a closed form on boxes, else NNLS on the
+rows active by ``ACTIVE_TOL``; ``kkt_report`` reads its multipliers from
+the same pass.  The other routines are deliberately simple,
 derivative-free or exhaustive oracles for the solver;
 ``enumerate_projection`` is the reference for ``Polytope.project``.
 """
@@ -71,26 +72,24 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
     return _residual_and_gradients(problem, z, mu, rho)[0]
 
 
-def _residual_and_gradients(problem, z, mu, rho, parts=None, above=None):
-    """:func:`criticality_residual` taken part by part, and per part visited
-    its ``(k, d)`` block gradients (one ``_block_gradients`` call) and the
-    active-row masks and multiplier parts of its ``_SetGroup.cone_parts``.
+def _residual_and_gradients(problem, z, mu, rho, above=None):
+    """:func:`criticality_residual` taken class by class
+    (``NlpProblem._classes``), and per class visited its ``(k, d)`` block
+    gradients (one ``_block_gradients`` call) and the active-row masks and
+    multiplier parts of its ``_SetGroup.cone_parts``.
 
-    ``parts`` are ``_SetGroup`` s that cover every agent once: the problem's
-    set groups by default, or :mod:`~dist_alm.inner_bcd`'s colour classes
-    (each distance is bitwise that of its agent's set group).  With
-    ``above``, the pass stops after the first part where the root of the
-    squared distances so far, summed in agent order with ``0.0`` for every
-    agent not yet visited, exceeds ``above``.  Rounded addition of
+    With ``above``, the pass stops after the first class where the root of
+    the squared distances so far, summed in agent order with ``0.0`` for
+    every agent not yet visited, exceeds ``above``.  Rounded addition of
     nonnegative terms and the square root are monotone, so that value never
     exceeds the residual, bit for bit, and it proves ``residual > above``.
     """
     problem.check_membership(z)
     dists, grads, cones = np.zeros(problem.n_agents), [], []
-    for part in problem._set_groups if parts is None else parts:
-        grads.append(_block_gradients(problem, z.flat, mu, rho, part.idx))
-        dist_sq, *cone = part.cone_parts(z.flat[part.pos], grads[-1])
-        dists[part.idx] = dist_sq
+    for cls in problem._classes:
+        grads.append(_block_gradients(problem, z.flat, mu, rho, cls.idx))
+        dist_sq, *cone = cls.cone_parts(z.flat[cls.pos], grads[-1])
+        dists[cls.idx] = dist_sq
         cones.append(cone)
         if above is not None and (value := _root_of_sum(dists)) > above:
             return value, grads, cones
@@ -115,9 +114,9 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     problem.check_multiplier(mu)
     stationarity, _, cones = _residual_and_gradients(problem, z, mu, rho)
     lams, masks = [None] * problem.n_agents, [None] * problem.n_agents  # agent order
-    for group, (active, parts) in zip(problem._set_groups, cones):
-        lam = group.multipliers(active, parts)
-        for k, i in enumerate(group.idx.tolist()):
+    for cls, (active, parts) in zip(problem._classes, cones):
+        lam = cls.multipliers(active, parts)
+        for k, i in enumerate(cls.idx.tolist()):
             lams[i], masks[i] = lam[k], active[k]
     h_val = _constraints(problem, z.flat)
     return KktReport(
@@ -221,16 +220,14 @@ def _block_grids(problem: NlpProblem, grid_step: float):
 
 
 def brute_force_min(problem: NlpProblem, grid_step: float,
-                    feasibility_band: float = None,
-                    mu: MultiplierEstimate = None, rho: float = None):
+                    feasibility_band: float = None):
     """Exhaustive grid minimisation on tiny problems: the best grid point
     and its value, ``(BlockVector, float)``.
 
-    With ``mu``/``rho`` given, minimises the augmented Lagrangian over the
-    full grid (``mu`` finite); otherwise the objective over the grid points
-    with every equality within ``feasibility_band`` (required with
-    equalities).  Raises ``RefusalError`` on more than four variables, an
-    empty band, or more than ``_MAX_GRID_POINTS`` combinations.
+    Minimises the objective over the grid points with every equality within
+    ``feasibility_band`` (required with equalities).  Raises
+    ``RefusalError`` on more than four variables, an empty band, or more
+    than ``_MAX_GRID_POINTS`` combinations.
     """
     if problem.total_dim > 4:
         raise RefusalError(
@@ -238,19 +235,13 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
         )
     if not (grid_step > 0 and math.isfinite(grid_step)):
         raise PreconditionError(f"grid step must be finite and positive, got {grid_step}")
-    lagrangian_mode = mu is not None or rho is not None
-    if lagrangian_mode and (mu is None or rho is None):
-        raise ConfigurationError("augmented-Lagrangian mode needs both mu and rho")
-    if lagrangian_mode:
-        _require_positive_rho(rho)
-        problem.check_multiplier(mu)
-    if not lagrangian_mode and problem.r > 0 and feasibility_band is None:
+    if problem.r > 0 and feasibility_band is None:
         raise ConfigurationError(
             "a feasibility band is required when equality constraints are present"
         )
     grids = _block_grids(problem, grid_step)
 
-    if not lagrangian_mode and feasibility_band is not None:
+    if feasibility_band is not None:
         kept = []
         for i, pts in enumerate(grids):
             if problem.agents[i].constraint is None:
@@ -276,8 +267,7 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
     if combos == 0:
         raise RefusalError("empty grid")
 
-    check_coupling_band = (not lagrangian_mode and feasibility_band is not None
-                           and problem.p > 0)
+    check_coupling_band = feasibility_band is not None and problem.p > 0
     terms = np.arange(problem.coupling.terms.shape[0])
     best_val, best = np.inf, None
     for combo in itertools.product(*grids):
@@ -286,10 +276,7 @@ def brute_force_min(problem: NlpProblem, grid_step: float,
             g_val = _term_rows(problem, terms, _term_blocks(problem, flat))
             if np.max(np.abs(g_val)) > feasibility_band:
                 continue
-        if lagrangian_mode:
-            val = _oracle_lagrangian(problem, flat, mu, rho)
-        else:
-            val = _objective(problem, flat)
+        val = _objective(problem, flat)
         if val < best_val:
             best_val, best = val, flat
     if best is None:

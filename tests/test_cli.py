@@ -175,3 +175,7 @@ class TestConfigHandling:
                         "--max-outer", "3"]) == 2
         assert "config error: the penalty overflows" in capsys.readouterr().err
 
+    def test_penalty_that_overflows_the_arithmetic_exits_one(self, capsys):
+        # finite at every outer iteration, but its residual overflows
+        assert run_cli(["solve", "--rho0", "1e200", "--eta", "0", "--max-outer", "1"]) == 1
+        assert "solver error: the penalty rho = 1e+200 overflows" in capsys.readouterr().err

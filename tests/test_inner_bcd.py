@@ -15,8 +15,8 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
                       eval_block_gradient, eval_constraints, generate_toy, kkt_report,
                       run_inner, run_outer, toy_initial_guess)
 from dist_alm import inner_bcd, model, verify
-from dist_alm.inner_bcd import ALPHA_MAX, ALPHA_MIN, BAND_MARGIN, C_FLOOR, C_SAMPLES
-from dist_alm.model import FEAS_TOL
+from dist_alm.inner_bcd import ALPHA_MAX, ALPHA_MIN, BAND_MARGIN, C_FLOOR
+from dist_alm.model import C_SAMPLES, FEAS_TOL
 from conftest import (cut_chain, linear_agent, mixed_class_chain, mixed_sets_problem,
                       mu_like, nnls_at_cap, one_agent_problem, quadratic_agent,
                       reference_constraints, reference_gradients, reference_values,
@@ -60,7 +60,7 @@ def per_agent_bounds(problem, z, mu, rho):
     """
     bounds = []
     for i, agent in enumerate(problem.agents):
-        samples = agent.feasible_set._sample(inner_bcd._sample_rng(i), C_SAMPLES)
+        samples = agent.feasible_set._sample(model._sample_rng(i), C_SAMPLES)
         best = 0.0
         for x in samples:
             hess = np.zeros((agent.dim, agent.dim))
@@ -104,7 +104,7 @@ class TestColoring:
                    if case == "toy_chain" else parity_case(case)[0])
         colors = color_interaction_graph(problem.coupling, problem.n_agents)
         assert colors.tolist() == expected
-        assert inner_bcd._coloring(problem).tolist() == expected
+        assert problem._coloring.tolist() == expected
 
     def test_terms_of_three_agents_link_every_pair(self):
         coupling = CouplingSpec(terms=[(0, 2, 4), (4, 5, 1)])
@@ -228,6 +228,17 @@ class TestSweep:
         z_seq, _ = bcd_sweep(problem, z0, mu0, rho, cfg, sequential)
         for i in range(10):
             np.testing.assert_allclose(z_rb.block(i), z_seq.block(i), atol=1e-12)
+
+    def test_colouring_that_joins_a_coupling_term_is_rejected(self):
+        # one colour for the whole chain once passed every agent's
+        # certificate while the Lagrangian rose from 4.54 to 10.58
+        _, problem, z0, mu = toy_setup(n_agents=6, seed=30)
+        cfg = InnerConfig(b_strategy=FixedScaled(0.5))
+        with pytest.raises(ConfigurationError,
+                           match="^coloring gives two agents of coupling term 0 the same color"):
+            bcd_sweep(problem, z0, mu, 1.0, cfg, np.zeros(6, int))
+        with pytest.raises(ConfigurationError, match="^coloring must assign each of the 6"):
+            bcd_sweep(problem, z0, mu, 1.0, cfg, np.zeros(5, int))
 
     def test_feasibility_preserved(self):
         params, problem, z0, mu0 = toy_setup(n_agents=5, seed=8)
@@ -600,13 +611,13 @@ class TestHandOn:
 
     def test_colours_once_per_problem(self, monkeypatch):
         calls = []
-        colour = inner_bcd.color_interaction_graph
+        colour = model.color_interaction_graph
 
         def counted(*args):
             calls.append(args)
             return colour(*args)
 
-        monkeypatch.setattr(inner_bcd, "color_interaction_graph", counted)
+        monkeypatch.setattr(model, "color_interaction_graph", counted)
         _, problem, z0, mu0 = toy_setup(n_agents=8, seed=3)
         outer = OuterConfig(rho0=0.1, beta=100.0, eps0=1e-2, eta=0.0, max_outer=3)
         inner = InnerConfig(b_strategy=HessianBand(), max_sweeps=4)
@@ -840,7 +851,7 @@ class TestClassProjection:
         problem, z, *_ = stop_case(case)
         rng = np.random.default_rng(11)
         moved = []
-        for cls in inner_bcd._color_classes(problem, inner_bcd._coloring(problem)):
+        for cls in problem._classes:
             near = z.flat[cls.pos]
             v = near + rng.standard_normal(near.shape) * rng.uniform(0.01, 3.0, (len(near), 1))
             for warm in (near, None):
@@ -876,13 +887,13 @@ class TestFirstClassStop:
         residual = verify._residual_and_gradients
         calls = {"full": 0}
 
-        def counted(problem, z, mu, rho, parts, above):
-            value, grads, cones = residual(problem, z, mu, rho, parts, above)
-            calls["full"] += len(grads) == len(parts)  # every class taken
+        def counted(problem, z, mu, rho, above):
+            value, grads, cones = residual(problem, z, mu, rho, above)
+            calls["full"] += len(grads) == len(problem._classes)  # every class taken
             return value, grads, cones
 
-        def never_decides(problem, z, mu, rho, parts, above):
-            return counted(problem, z, mu, rho, parts, None)
+        def never_decides(problem, z, mu, rho, above):
+            return counted(problem, z, mu, rho, None)
 
         def solve():
             return run_inner(problem, z0, mu, rho, cfg, eps_target=eps, sweep_cap=cap,
@@ -931,7 +942,7 @@ class TestFirstClassStop:
         # on a cut chain the first class is agents 0, 2 and 4; the stop test
         # evaluates agents 1, 3 and 5 only where it takes the full residual
         problem, z0, mu = cut_chain(seed=1)
-        classes = inner_bcd._color_classes(problem, inner_bcd._coloring(problem))
+        classes = problem._classes
         assert classes[0].idx.tolist() == [0, 2, 4]
         second = classes[1].idx.tolist()
         calls = {"stop test": False, "second": 0}
@@ -976,18 +987,24 @@ class TestResidualByClass:
         # the certified toy chain has the hooks
         problem, z, mu = (parity_case(case) if case == "unequal_blocks"
                           else stop_case(case)[:3])
-        coloring = inner_bcd._coloring(problem)
-        classes = inner_bcd._color_classes(problem, coloring)
+        coloring, classes = problem._coloring, problem._classes
 
         def by_agent(parts, rows):
             return {i: row.tobytes() for part, part_rows in zip(parts, rows)
                     for i, row in zip(part.idx.tolist(), part_rows)}
 
+        def by_set_group(z):
+            # the reference: the same pass taken per set group
+            dists, grads = np.zeros(problem.n_agents), []
+            for group in problem._set_groups:
+                grads.append(model._block_gradients(problem, z.flat, mu, 10.0, group.idx))
+                dists[group.idx] = group.cone_parts(z.flat[group.pos], grads[-1])[0]
+            return verify._root_of_sum(dists), grads
+
         stopped = 0
         for sweep in range(5):
-            full, grads, _ = verify._residual_and_gradients(problem, z, mu, 10.0)
-            value, class_grads, cones = verify._residual_and_gradients(problem, z, mu, 10.0,
-                                                                       classes)
+            full, grads = by_set_group(z)
+            value, class_grads, cones = verify._residual_and_gradients(problem, z, mu, 10.0)
             assert value == full
             assert by_agent(classes, class_grads) == by_agent(problem._set_groups, grads)
             lams = {i: lam for cls, (active, parts) in zip(classes, cones)
@@ -996,7 +1013,7 @@ class TestResidualByClass:
                     == kkt_report(problem, z, mu, 10.0).multipliers.tobytes())
             for above in (0.0, 0.5 * full, np.nextafter(full, 0.0), full, np.inf):
                 value, class_grads, _ = verify._residual_and_gradients(
-                    problem, z, mu, 10.0, classes, above)
+                    problem, z, mu, 10.0, above)
                 assert value == full or above < value <= full
                 stopped += len(class_grads) < len(classes)
             z = bcd_sweep(problem, z, mu, 10.0, InnerConfig(), coloring,
@@ -1120,7 +1137,7 @@ class TestPerAgentPath:
 
     def test_non_finite_projection_target_rejected(self):
         problem, z0, mu = parity_case("mixed_class")
-        classes = inner_bcd._color_classes(problem, inner_bcd._coloring(problem))
+        classes = problem._classes
         cls = next(c for c in classes if c.lower is None)  # a class of cut boxes
         x_old = z0.flat[cls.pos]
         grad = np.zeros_like(x_old)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dist_alm import (AgentSpec, BlockVector, ConvergenceError, CouplingSpec,
                       EvaluationError, HessianBand, InnerConfig, MultiplierEstimate,
                       NlpProblem, OuterConfig, Polytope, PreconditionError, StructureError,
-                      ToyParams, bcd_sweep, brute_force_min, color_interaction_graph,
+                      ToyParams, bcd_sweep, color_interaction_graph,
                       criticality_residual, default_start, dual_update, eval_aug_lagrangian,
                       eval_block_gradient, eval_constraints, fd_gradient_check, generate_toy,
                       kkt_report, run_inner, run_outer, toy_initial_guess)
@@ -543,18 +543,16 @@ class TestMultiplier:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_inner_loop_and_oracles_check_the_multiplier(self, bad):
-        # run_inner once blamed block_gradients, fd_gradient_check returned
-        # 0.0 (a pass) and brute_force_min refused on its coupling band
+        # run_inner once blamed block_gradients and fd_gradient_check returned
+        # 0.0 (a pass)
         params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=1)
         problem = generate_toy(params)
         z, mu = toy_initial_guess(params, problem)
         flat = mu.flatten()
         flat[2] = bad
         mu = MultiplierEstimate.from_flat(problem, flat)
-        one = one_agent_problem()
         calls = [lambda: run_inner(problem, z, mu, 1.0, InnerConfig(max_sweeps=1)),
-                 lambda: fd_gradient_check(problem, z, mu, 1.0),
-                 lambda: brute_force_min(one, 0.5, mu=mu_like(one, [bad]), rho=1.0)]
+                 lambda: fd_gradient_check(problem, z, mu, 1.0)]
         for call in calls:
             with pytest.raises(PreconditionError, match=r"^multiplier entry \d is not finite"):
                 call()
@@ -574,8 +572,7 @@ class TestMultiplier:
 
 def penalty_entry(name, rho):
     """The public entry ``name`` at penalty ``rho``, as a call: on the seed-1
-    four-agent toy chain, the two grid and difference oracles on the one-agent
-    problem."""
+    four-agent toy chain, the difference oracle on the one-agent problem."""
     params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=1)
     problem = generate_toy(params)
     z, mu = toy_initial_guess(params, problem)
@@ -591,16 +588,13 @@ def penalty_entry(name, rho):
         "dual_update": lambda: dual_update(mu, rho, np.zeros(problem.r)),
         "fd_gradient_check": lambda: fd_gradient_check(
             one, zvec([0.5]), MultiplierEstimate.zeros(one), rho),
-        "brute_force_min": lambda: brute_force_min(
-            one, 0.5, mu=MultiplierEstimate.zeros(one), rho=rho),
     }[name]
 
 
 class TestPenaltyGate:
     @pytest.mark.parametrize("entry", ["eval_aug_lagrangian", "eval_block_gradient",
                                        "run_inner", "bcd_sweep", "criticality_residual",
-                                       "kkt_report", "dual_update", "fd_gradient_check",
-                                       "brute_force_min"])
+                                       "kkt_report", "dual_update", "fd_gradient_check"])
     def test_penalty_must_be_positive_and_finite(self, entry):
         # every entry once took some of these: nan and inf blamed an
         # evaluator or passed an oracle, 0 and -1 ran

@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from dist_alm import (ConfigurationError, InnerConfig, MultiplierEstimate,
+from dist_alm import (ConfigurationError, ConvergenceError, EvaluationError,
+                      InnerConfig, MultiplierEstimate,
                       NlpProblem, OuterConfig, Polytope, PreconditionError,
                       StructureError, ToyParams, default_start, dual_update,
                       eval_constraints, generate_toy, run_inner, run_outer,
@@ -104,6 +106,36 @@ class TestSchedule:
                            match="^the penalty overflows at outer iteration 1"):
             run_outer(problem, cfg, InnerConfig(), z0, mu0, with_certificates=False)
         assert rhos == [1e100]
+
+    @pytest.mark.parametrize("rho0, max_outer, certified",
+                             [(1e300, 3, True), (1e200, 1, False)],
+                             ids=["certified", "uncertified"])
+    def test_penalty_that_overflows_the_arithmetic_is_named(self, rho0, max_outer,
+                                                              certified):
+        # a finite rho whose residual overflows once raised numpy's warning
+        # (certified) or ended in inner_failure at residual inf
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=1)
+        problem = generate_toy(params)
+        z0, mu0 = toy_initial_guess(params, problem)
+        cfg = OuterConfig(rho0=rho0, beta=1e10, eps0=0.1, eta=0.0, max_outer=max_outer)
+        named = "^" + re.escape(f"the penalty rho = {rho0:g} overflows the solver's arithmetic")
+        with pytest.raises(ConvergenceError, match=named):
+            run_outer(problem, cfg, InnerConfig(), z0, mu0, with_certificates=certified)
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_an_evaluator_that_overflows_names_its_agent(self, certified):
+        # the solver's overflow checks leave an evaluator's own inf to its check
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=1)
+        problem = generate_toy(params)
+        z0, mu0 = toy_initial_guess(params, problem)
+        agents = list(problem.agents)
+        agents[2] = dataclasses.replace(agents[2], cost_grad=lambda x: np.exp(1e3 * (x + 2.0)))
+        problem = dataclasses.replace(problem, agents=tuple(agents), block_gradients=None,
+                                      block_values=None)
+        cfg = OuterConfig(rho0=1.0, beta=10.0, eps0=0.1, eta=0.0, max_outer=1)
+        with pytest.raises(EvaluationError, match="^agent 2 cost gradient") as info:
+            run_outer(problem, cfg, InnerConfig(), z0, mu0, with_certificates=certified)
+        assert info.value.agent == 2
 
 
 class TestRunOuter:

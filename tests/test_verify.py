@@ -173,14 +173,6 @@ class TestBruteForce:
         x_qp, _, _ = solve_prox_qp(qp)
         assert abs(qp.objective(x_qp) - grid_val) <= 1e-3
 
-    def test_lagrangian_mode(self):
-        problem = one_agent_problem()
-        z_best, value = brute_force_min(problem, grid_step=1e-3,
-                                        mu=mu_like(problem, [0.0]), rho=1.0)
-        # L_1(x, 0) = 0.5 x^4 + 0.5, minimised at 0
-        assert abs(z_best.block(0)[0]) <= 1e-3 + 1e-12
-        assert value == pytest.approx(0.5, abs=1e-2)
-
     def test_dimension_refusal(self):
         params = ToyParams(n_agents=2, block_dim=3, scale=4.0, seed=0)
         with pytest.raises(RefusalError):
@@ -605,8 +597,8 @@ class TestStackedConePass:
                     mu = mu_like(problem, rng.standard_normal(problem.r))
                     rho = 10.0 ** rng.uniform(-1, 2)
                     residual, grads, _ = verify._residual_and_gradients(problem, z, mu, rho)
-                    rows = {i: g for group, part in zip(problem._set_groups, grads)
-                            for i, g in zip(group.idx.tolist(), part)}
+                    rows = {i: g for cls, part in zip(problem._classes, grads)
+                            for i, g in zip(cls.idx.tolist(), part)}
                     report = kkt_report(problem, z, mu, rho)
                     total, lams, actives, offset = 0.0, [], [], 0
                     for agent, x, g in zip(problem.agents, z.blocks,
