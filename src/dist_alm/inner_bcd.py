@@ -30,15 +30,20 @@ for the whole class at once: a member's decrease sides hold its local term
 at the snapshot and, after its step, its local term plus the coupling
 change of that step alone, from one ``block_values`` call; one gradient
 call at the moved class gives the new gradients, and the agents that fail
-are re-solved together.  Between two sweeps of :func:`run_inner`, the
-first class's gradients and the local terms serve the next first class,
-whose snapshot that point is; the residual of the stop test is taken class
-by class, and the first class alone rules out most checks.  ``C_i`` bounds
-the local curvature by backtracking: seeded by finite-difference sampling
-(one gradient call per class on a stack of every sample, coordinate and
-sign, at the problem's sample points) and doubled whenever a descent or
-certificate check fails, re-projecting the block when the surrogate
-depends on it.  A bound or residual that overflows names ``rho``.
+are re-solved together.  A certified sweep evaluates each point once: the
+local terms at its start are every class's snapshot values, its steps'
+give the Lagrangian at its end, and the gradient call at a moved class
+(the next class's snapshot) takes the next class's step gradients too, if
+the two share a block dimension and no member was re-solved.  Between two
+sweeps of :func:`run_inner`, the first class's gradients and the local
+terms serve the next sweep and the stop test, whose residual is taken
+class by class.  Only ``z0`` is gated: every projection path ends within
+``model.FEAS_TOL``.  ``C_i`` bounds the local curvature by backtracking:
+seeded by finite-difference sampling (one gradient call per class on a
+stack of every sample, coordinate and sign, at the problem's sample
+points) and doubled whenever a descent or certificate check fails,
+re-projecting the block when the surrogate depends on it.  A bound or
+residual that overflows names ``rho``.
 """
 
 from __future__ import annotations
@@ -257,22 +262,26 @@ def _solve_rows(cls, x_old, grad, m_diag, sweep):
         raise ConvergenceError(f"sweep {sweep}, {exc}") from exc
 
 
-def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
-                 c_bounds, sweep, cert, value_old=None):
+def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new, m_diag,
+                 c_bounds, sweep, cert, value_old, local, ahead):
     """Certificate values and curvature backtracking for one colour class.
 
     ``flat`` is the read-only class snapshot, ``x_old`` the class's blocks
-    in it and ``x_new`` the class step, updated in place; ``value_old``, the
-    members' local terms at the snapshot, is evaluated unless given, and a
-    member's new value is its local term plus the coupling change of its
-    step alone (one ``_block_values`` call per evaluation).  Per agent, the
-    descent-lemma check drives the backtracking of ``C_i`` (doubled in
-    ``c_bounds`` on failure).  A banded surrogate depends on ``C_i``, so the
-    blocks that failed are re-solved together and only their values taken
-    again, and a failed decrease certificate counts as a failure too; with
-    a fixed surrogate the step is recorded as-is.  The new gradients come
-    from one ``_block_gradients`` call at the snapshot with the members
-    moved.  ``cert`` (or ``None``) receives the per-agent values.
+    in it and ``x_new`` the class step, taken with the diagonal ``m_diag``
+    and updated in place; ``value_old``, the members' local terms at the
+    snapshot, is evaluated if ``None``, and a member's new value is its
+    local term plus the coupling change of its step alone (one
+    ``_block_values`` call per evaluation), whose local part goes to the
+    ``(N,)`` array ``local``.  Per agent, the descent-lemma check drives the
+    backtracking of ``C_i`` (doubled in ``c_bounds`` on failure; a doubling
+    past the float range names ``rho``).  A banded surrogate depends on
+    ``C_i``, so the blocks that failed are re-solved together and only their
+    values taken again, and a failed decrease certificate counts as a
+    failure too; with a fixed surrogate the step is recorded as-is.  The new
+    gradients come from one ``_block_gradients`` call at the snapshot with
+    the members moved, which also takes the agents ``ahead`` (the next
+    class, or ``idx`` if it is the only one), whose rows are returned unless
+    a member was re-solved.  ``cert`` receives the values.
     """
     idx, pos = cls.idx, cls.pos
     band = isinstance(cfg.b_strategy, HessianBand)
@@ -285,11 +294,12 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
     step = np.empty_like(x_new)
     snorm, snorm_sq, value_new, re_lhs = (np.empty(k) for _ in range(4))
     pending = np.ones(k, dtype=bool)
+    rows, handed = slice(None), None  # every member, then those still failing
     for attempt in range(_MAX_BACKTRACK + 1):
         if attempt == 0 or band:
-            rows = np.flatnonzero(pending)
-            m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + ALPHA_MIN
             if attempt:
+                rows = np.flatnonzero(pending)
+                m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + ALPHA_MIN
                 x_new[rows] = _solve_rows(cls.take(rows), x_old[rows], grad[rows],
                                           m_diag, sweep)
             step[rows] = x_new[rows] - x_old[rows]
@@ -297,12 +307,15 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
             # Python's float power (libm pow): it rounds differently from
             # s * s for about one value in a thousand
             snorm_sq[rows] = [s ** 2 for s in snorm[rows].tolist()]
-            value_new[rows] = np.add(*_block_values(problem, flat, mu, rho, idx[rows],
-                                                    x_new[rows]))
+            new_local, change = _block_values(problem, flat, mu, rho, idx[rows], x_new[rows])
+            value_new[rows], local[idx[rows]] = np.add(new_local, change), new_local
             if cert is not None:
                 moved[pos[rows]] = x_new[rows]
-                g_new = _block_gradients(problem, moved_view, mu, rho, idx[rows])
-                resid = g_new - grad[rows] - m_diag * step[rows]
+                asked = (idx[rows] if attempt or ahead is None or ahead is idx
+                         else np.concatenate([idx, ahead]))
+                g_new = _block_gradients(problem, moved_view, mu, rho, asked)
+                handed = None if attempt or ahead is None else g_new[-ahead.shape[0]:]
+                resid = g_new[:len(step[rows])] - grad[rows] - m_diag * step[rows]
                 re_lhs[rows] = np.sqrt(_row_dots(resid, resid))
         c = c_bounds[idx]
         re_bound = (3.0 * c + ALPHA_MAX) * snorm
@@ -316,11 +329,14 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new,
         pending &= ~ok
         if not pending.any() or attempt == _MAX_BACKTRACK:
             break
-        c_bounds[idx[pending]] = 2.0 * c[pending]
+        if not np.isfinite(doubled := 2.0 * c[pending]).all():
+            raise _overflow(rho, "a curvature bound")
+        c_bounds[idx[pending]] = doubled
     if cert is not None:
         cert.decrease_lhs[idx], cert.decrease_rhs[idx] = dec_lhs, value_old
         cert.rel_err_lhs[idx], cert.rel_err_bound[idx] = re_lhs, re_bound
         cert.step_norms[idx] = snorm
+    return handed
 
 
 @dataclass
@@ -353,7 +369,7 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
 
     ``boundary`` is for :func:`run_inner`: the first class, whose snapshot
     is ``z``, takes the evaluations it holds (at ``z``) in place of its own.
-    On return it holds those of the Lagrangian at the new point, if any.
+    On return it holds those at the new point that the sweep took, if any.
 
     Returns
     -------
@@ -382,23 +398,26 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
                                 lagrangian_after=math.nan)
 
     grads, local = at.grads, at.local  # at z: the first class's snapshot
-    for cls in classes:
+    local_new = np.empty(n) if check else None  # the local terms of the steps
+    for c, cls in enumerate(classes):
         idx, pos = cls.idx, cls.pos
         grad = _block_gradients(problem, view, mu, rho, idx) if grads is None else grads
         m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + ALPHA_MIN
         x_old = flat[pos]
         x_new = _solve_rows(cls, x_old, grad, m_diag, sweep_index)
+        grads = None
         if check:
-            _check_class(problem, view, mu, rho, cfg, cls, grad, x_old, x_new,
-                         c_bounds, sweep_index, cert,
-                         None if local is None else local[idx])
+            ahead = classes[(c + 1) % len(classes)]
+            grads = _check_class(
+                problem, view, mu, rho, cfg, cls, grad, x_old, x_new, m_diag, c_bounds,
+                sweep_index, cert, None if local is None else local[idx], local_new,
+                ahead.idx if ahead.pos.shape[1] == pos.shape[1] else None)
         flat[pos] = x_new
-        grads = local = None
 
-    at.grads = at.lagrangian = at.local = None
+    at.grads, at.lagrangian, at.local = grads, None, None
     if cert is not None:
         cert.c_used = np.array(c_bounds)
-        at.lagrangian, at.local = _aug_lagrangian(problem, view, mu, rho)
+        at.lagrangian, at.local = _aug_lagrangian(problem, view, mu, rho, local_new)
         cert.lagrangian_after = at.lagrangian
     return z._with_flat(flat), cert
 
@@ -448,7 +467,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
             if eps_target is not None or last:
                 # the first class's part of the residual rules out most checks
                 residual, grads, _ = _residual_and_gradients(
-                    problem, z, mu, rho, None if last else eps_target)
+                    problem, z, mu, rho, None if last else eps_target, first=boundary.grads)
                 if not math.isfinite(residual):
                     raise _overflow(rho, "the criticality residual")
                 boundary.grads = grads[0]

@@ -1152,11 +1152,12 @@ def _block_values(problem, flat, mu, rho, idx, trial=None):
             _checked(change, (k,), "block_values coupling changes", rows=idx))
 
 
-def _aug_lagrangian(problem, flat, mu, rho):
-    """The augmented Lagrangian at the read-only point ``flat`` and its
-    agents' local terms (from one :func:`_block_values` call), with the
-    coupling term (:func:`_coupling_value`) added once."""
-    local = _block_values(problem, flat, mu, rho, np.arange(problem.n_agents))[0]
+def _aug_lagrangian(problem, flat, mu, rho, local=None):
+    """The augmented Lagrangian at the read-only point ``flat`` and its agents'
+    local terms (``local``, else from one :func:`_block_values` call), with
+    the coupling term (:func:`_coupling_value`) added once."""
+    if local is None:
+        local = _block_values(problem, flat, mu, rho, np.arange(problem.n_agents))[0]
     coupling = _coupling_value(problem, flat, mu.coupling_part, rho)
     return math.fsum([*local.tolist(), coupling]), local
 

@@ -69,14 +69,17 @@ def criticality_residual(problem: NlpProblem, z: BlockVector,
     polytope up to ``model.FEAS_TOL`` and ``mu`` be finite."""
     _require_positive_rho(rho)
     problem.check_multiplier(mu)
+    problem.check_membership(z)
     return _residual_and_gradients(problem, z, mu, rho)[0]
 
 
-def _residual_and_gradients(problem, z, mu, rho, above=None):
+def _residual_and_gradients(problem, z, mu, rho, above=None, *, first=None):
     """:func:`criticality_residual` taken class by class
-    (``NlpProblem._classes``), and per class visited its ``(k, d)`` block
-    gradients (one ``_block_gradients`` call) and the active-row masks and
-    multiplier parts of its ``_SetGroup.cone_parts``.
+    (``NlpProblem._classes``) at a checked ``z``, and per class visited its
+    ``(k, d)`` block gradients (``first`` for the first class if given; one
+    ``_block_gradients`` call per class, or without ``above`` per block
+    dimension) and the active-row masks and multiplier parts of its
+    ``_SetGroup.cone_parts``.
 
     With ``above``, the pass stops after the first class where the root of
     the squared distances so far, summed in agent order with ``0.0`` for
@@ -84,15 +87,21 @@ def _residual_and_gradients(problem, z, mu, rho, above=None):
     nonnegative terms and the square root are monotone, so that value never
     exceeds the residual, bit for bit, and it proves ``residual > above``.
     """
-    problem.check_membership(z)
-    dists, grads, cones = np.zeros(problem.n_agents), [], []
-    for cls in problem._classes:
-        grads.append(_block_gradients(problem, z.flat, mu, rho, cls.idx))
-        dist_sq, *cone = cls.cone_parts(z.flat[cls.pos], grads[-1])
+    classes, dists, cones = problem._classes, np.zeros(problem.n_agents), []
+    grads = [first, *(None for _ in classes[1:])]
+    for c, cls in enumerate(classes):
+        if grads[c] is None:
+            share = [o for o in range(c, len(classes) if above is None else c + 1)
+                     if grads[o] is None and classes[o].pos.shape[1] == cls.pos.shape[1]]
+            rows, end = _block_gradients(problem, z.flat, mu, rho, cls.idx if len(share) == 1
+                                         else np.concatenate([classes[o].idx for o in share])), 0
+            for o in share:
+                grads[o], end = rows[end:end + len(classes[o].idx)], end + len(classes[o].idx)
+        dist_sq, *cone = cls.cone_parts(z.flat[cls.pos], grads[c])
         dists[cls.idx] = dist_sq
         cones.append(cone)
         if above is not None and (value := _root_of_sum(dists)) > above:
-            return value, grads, cones
+            return value, grads[:c + 1], cones
     return _root_of_sum(dists), grads, cones
 
 
@@ -112,6 +121,7 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     """
     _require_positive_rho(rho)
     problem.check_multiplier(mu)
+    problem.check_membership(z)
     stationarity, _, cones = _residual_and_gradients(problem, z, mu, rho)
     lams, masks = [None] * problem.n_agents, [None] * problem.n_agents  # agent order
     for cls, (active, parts) in zip(problem._classes, cones):

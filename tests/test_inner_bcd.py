@@ -472,13 +472,15 @@ class TestColorClassSweep:
     # Gradient calls: sampling the curvature bounds takes one per class
     # (2), on the stack of every sign, coordinate and sample; each class
     # then takes one for its step and, with certificates, one at the moved
-    # class.  Value calls: per checked class, one at the snapshot and one
-    # for the step; with certificates, the Lagrangian takes one over all
-    # agents before and after the sweep, and the first class's snapshot
-    # values come from the one before.  In "polytope", agent 2's set is no
-    # box, so its colour forms two classes: the boxes and agent 2.
+    # class, which also takes the next class's step (the first class's at
+    # the new point, after the last).  Value calls: per checked class, one
+    # at the snapshot and one for the step; with certificates, the
+    # Lagrangian takes one over all agents before the sweep, which gives
+    # every class its snapshot values, and the one after adds the steps'.
+    # In "polytope", agent 2's set is no box, so its colour forms two
+    # classes: the boxes and agent 2.
     @pytest.mark.parametrize("case, grad_calls, value_calls", [
-        ("certificates", 2 + 2 + 2, 1 + 1 + 2 + 1),
+        ("certificates", 2 + 1 + 2, 1 + 2),
         ("band", 2 + 2, 2 + 2),
         ("polytope", 3, 0),
     ], ids=["certificates", "band", "polytope"])
@@ -524,23 +526,27 @@ class TestColorClassSweep:
         assert cert.passed
         doublings = np.log2(c_hook / C_FLOOR)  # exact: powers of two
         assert doublings.min() >= 1
-        # per class: the step's gradient and the snapshot's values, then per
-        # attempt the values and the gradient of the rows still failing; the
-        # Lagrangian's values over all agents come first and last, and the
-        # first class takes its snapshot's values from the first of them
+        # per class: the step's gradient, then per attempt the values and
+        # the gradient of the rows still failing, whose first call also takes
+        # the next class (the first after the last), used only while no
+        # member is re-solved; the Lagrangian's values over all agents come
+        # first and give every class its snapshot's values
         everyone = list(range(6))
-        assert ([i.tolist() for i in values]
-                == [everyone] + [i.tolist() for i in grads][1:] + [everyone])
+        assert [i.tolist() for i in values][0] == everyone
+        expected_grads, class_calls = [], 0
         for color in (0, 1):
             members = np.flatnonzero(colors == color).tolist()
-            calls = [i.tolist() for i in values if set(i.tolist()) <= set(members)]
-            if color == 0:
-                calls.insert(0, members)  # taken from the Lagrangian's call
-            assert calls[:2] == [members, members]
-            for prev, cur in zip(calls[1:], calls[2:]):
+            calls = [i.tolist() for i in values[1:] if set(i.tolist()) <= set(members)]
+            assert calls[0] == members
+            for prev, cur in zip(calls, calls[1:]):
                 assert set(cur) <= set(prev)
             for i in members:
-                assert sum(i in c for c in calls[2:]) == doublings[i]
+                assert sum(i in c for c in calls[1:]) == doublings[i]
+            others = np.flatnonzero(colors != color).tolist()
+            expected_grads += [members, members + others] + calls[1:]
+            class_calls += len(calls)
+        assert len(values) == 1 + class_calls
+        assert [i.tolist() for i in grads] == expected_grads
 
     @pytest.mark.parametrize("rho", [0.1, 10.0, 1e3])
     def test_long_chain_equals_per_agent_path(self, rho):
@@ -577,37 +583,70 @@ class TestHandOn:
 
     def test_per_sweep_hook_calls(self, monkeypatch):
         # Per sweep, the gradients: the first class's step (handed on), its
-        # moved class, the second class's step and moved class, and the
-        # residual at the end point (its first class, which rules the
-        # target out; both classes after the last sweep).  The values: the
-        # first class's snapshot (handed on), its step, the second class's
-        # snapshot and step, and the Lagrangian at the end point.  Before
-        # the first sweep: curvature sampling (one call per class, on the
-        # stack of every sign, coordinate and sample), the residual at the
-        # start (its first class), then the Lagrangian there.
+        # moved class with the second class's step, and the second class's
+        # moved class with the first class's gradients at the end point,
+        # which the residual there takes (its first class rules the target
+        # out; after the last sweep one more call takes the second class).
+        # The values: each class's step; the snapshots' come from the
+        # Lagrangian at the sweep's start, and the Lagrangian at the end
+        # point adds the steps'.  Before the first sweep: curvature sampling
+        # (one call per class, on the stack of every sign, coordinate and
+        # sample), the residual at the start (its first class), then the
+        # Lagrangian there.
         _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
         cfg = InnerConfig(max_sweeps=6)
         result, marks = self.certified_run(monkeypatch, problem, z0, mu, cfg)
         assert result.sweeps == 6 and not result.achieved_target
         assert marks[0] == (2 + 1, 0)
         per_sweep = [(g1 - g0, v1 - v0) for (g0, v0), (g1, v1) in zip(marks, marks[1:])]
-        assert per_sweep == [(4, 1 + 4)] + [(4, 4)] * 4 + [(4 + 1, 4)]
+        assert per_sweep == [(2, 1 + 2)] + [(2, 2)] * 4 + [(2 + 1, 2)]
 
-    @pytest.mark.parametrize("cfg", [InnerConfig(max_sweeps=6),
-                                     InnerConfig(b_strategy=HessianBand(), max_sweeps=6)],
-                             ids=["fixed", "band"])
-    def test_equals_sweeps_that_evaluate_everything(self, monkeypatch, cfg):
-        _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
-        result, _ = self.certified_run(monkeypatch, problem, z0, mu, cfg)
-        monkeypatch.undo()
-        colors = color_interaction_graph(problem.coupling, 40)
-        c_bounds = inner_bcd._initial_c_bounds(problem, z0.flat, mu, 1.0)
-        z = z0
+    # "toy" is the 40-agent chain with hooks, "mixed_class" a chain whose
+    # colour classes hold boxes and cut boxes of one dimension (each hands
+    # on), "unequal_blocks" one whose adjacent classes never share a block
+    # dimension (none hands on); at the larger penalties a banded surrogate
+    # re-solves members, which stops the class's hand-off
+    @pytest.mark.parametrize("case, band, rho", [
+        ("toy", False, 1.0), ("toy", True, 1.0), ("toy", True, 100.0),
+        ("mixed_class", False, 1.0), ("mixed_class", True, 10.0),
+        ("unequal_blocks", False, 1.0), ("unequal_blocks", True, 1.0)])
+    def test_equals_sweeps_that_evaluate_everything(self, monkeypatch, case, band, rho):
+        if case == "toy":
+            _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
+        else:
+            problem, z0, mu = parity_case(case)
+        cfg = InnerConfig(b_strategy=HessianBand() if band else FixedScaled(), max_sweeps=6)
+        result = run_inner(problem, z0, mu, rho, cfg, eps_target=1e-14)
+        assert result.sweeps == 6
+        # the reference: sweeps without hand-on, every evaluation one agent per call
+        gradients, values = model._block_gradients, model._block_values
+
+        def one_by_one_gradients(problem, flat, mu, rho, idx):
+            return np.concatenate([gradients(problem, flat, mu, rho, idx[k:k + 1])
+                                   for k in range(idx.size)], axis=-2)
+
+        def one_by_one_values(problem, flat, mu, rho, idx, trial=None):
+            return tuple(np.concatenate(parts) for parts in zip(*(
+                values(problem, flat, mu, rho, idx[k:k + 1],
+                       None if trial is None else trial[k:k + 1]) for k in range(idx.size))))
+
+        for module in (inner_bcd, verify):
+            monkeypatch.setattr(module, "_block_gradients", one_by_one_gradients)
+        for module in (inner_bcd, model):
+            monkeypatch.setattr(module, "_block_values", one_by_one_values)
+        start = inner_bcd._initial_c_bounds(problem, z0.flat, mu, rho)
+        c_bounds, z = start.copy(), z0
         for k, cert in enumerate(result.certificates):
-            z, cert_ref = bcd_sweep(problem, z, mu, 1.0, cfg, colors, c_bounds=c_bounds,
-                                    sweep_index=k)
+            z, cert_ref = bcd_sweep(problem, z, mu, rho, cfg, problem._coloring,
+                                    c_bounds=c_bounds, sweep_index=k)
             assert_same_certificates(cert, cert_ref)
+            for name in ("decrease_lhs", "decrease_rhs", "rel_err_lhs", "rel_err_bound",
+                         "step_norms", "c_used"):
+                assert getattr(cert, name).tobytes() == getattr(cert_ref, name).tobytes()
         assert z.flat.tobytes() == result.z.flat.tobytes()
+        assert c_bounds.tobytes() == result.certificates[-1].c_used.tobytes()
+        if band:  # a doubled bound re-solved its member
+            assert (c_bounds > start).any() == (rho > 1.0)
 
     def test_colours_once_per_problem(self, monkeypatch):
         calls = []
@@ -735,6 +774,19 @@ class TestCertificates:
         # the sampled start cannot cover x = 2 curvature (480); a doubling
         # must have happened somewhere
         assert max(c.c_used.max() for c in result.certificates) > 1.0
+
+    def test_bound_doubled_past_the_float_range_names_rho(self):
+        # sampling gives finite bounds at this rho, and the first sweep's
+        # band backtracking doubles one of them past the float range (a
+        # failure that the residual after the sweep would otherwise report)
+        params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=4)
+        problem = generate_toy(params)
+        z0, mu0 = toy_initial_guess(params, problem)
+        assert np.isfinite(inner_bcd._initial_c_bounds(problem, z0.flat, mu0, 1e291)).all()
+        cfg = InnerConfig(b_strategy=HessianBand(), max_sweeps=1)
+        with pytest.raises(ConvergenceError, match=r"^the penalty rho = 1e\+291 overflows the "
+                                                   r"solver's arithmetic: a curvature bound"):
+            run_inner(problem, z0, mu0, 1e291, cfg)
 
 
 class TestRunInner:
@@ -887,13 +939,13 @@ class TestFirstClassStop:
         residual = verify._residual_and_gradients
         calls = {"full": 0}
 
-        def counted(problem, z, mu, rho, above):
-            value, grads, cones = residual(problem, z, mu, rho, above)
+        def counted(problem, z, mu, rho, above, **handed):
+            value, grads, cones = residual(problem, z, mu, rho, above, **handed)
             calls["full"] += len(grads) == len(problem._classes)  # every class taken
             return value, grads, cones
 
-        def never_decides(problem, z, mu, rho, above):
-            return counted(problem, z, mu, rho, None)
+        def never_decides(problem, z, mu, rho, above, **handed):
+            return counted(problem, z, mu, rho, None, **handed)
 
         def solve():
             return run_inner(problem, z0, mu, rho, cfg, eps_target=eps, sweep_cap=cap,
@@ -958,10 +1010,10 @@ class TestFirstClassStop:
             for i, a in enumerate(problem.agents)))
 
         def in_stop_test(check):
-            def wrapped(*args):
+            def wrapped(*args, **handed):
                 calls["stop test"] = True
                 try:
-                    return check(*args)
+                    return check(*args, **handed)
                 finally:
                     calls["stop test"] = False
             return wrapped
@@ -1019,6 +1071,28 @@ class TestResidualByClass:
             z = bcd_sweep(problem, z, mu, 10.0, InnerConfig(), coloring,
                           sweep_index=sweep, with_certificates=False)[0]
         assert stopped > 0
+
+    # classes by block dimension: the toy chain's two share d = 3; the
+    # mixed sets are 3, 3, 2, 2 and the unequal blocks 1, 2, 3
+    @pytest.mark.parametrize("case, dims", [("certified_toy", 1), ("mixed_sets", 2),
+                                            ("unequal_blocks", 3)])
+    def test_a_pass_without_target_takes_one_call_per_block_dimension(self, monkeypatch,
+                                                                       case, dims):
+        problem, z, mu = (parity_case(case) if case == "unequal_blocks"
+                          else stop_case(case)[:3])
+        calls, gradients = [], verify._block_gradients
+
+        def counted(*args):
+            calls.append(args[-1].tolist())
+            return gradients(*args)
+
+        monkeypatch.setattr(verify, "_block_gradients", counted)
+        verify.criticality_residual(problem, z, mu, 10.0)
+        assert len(calls) == dims
+        assert sorted(sum(calls, [])) == list(range(problem.n_agents))
+        calls.clear()
+        verify._residual_and_gradients(problem, z, mu, 10.0, np.inf)  # never stops early
+        assert calls == [cls.idx.tolist() for cls in problem._classes]
 
     def test_no_check_evaluates_an_agent_twice(self, monkeypatch):
         # a check that meets the target takes every class, the first once

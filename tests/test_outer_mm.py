@@ -10,6 +10,7 @@ from dist_alm import (ConfigurationError, ConvergenceError, EvaluationError,
                       StructureError, ToyParams, default_start, dual_update,
                       eval_constraints, generate_toy, run_inner, run_outer,
                       toy_initial_guess)
+from dist_alm import inner_bcd
 from dist_alm.model import FEAS_TOL
 from dist_alm.outer_mm import STATIONARITY_FLOOR
 from conftest import (box_with_cuts, cut_chain, mu_like, quadratic_agent, unit_simplex,
@@ -403,13 +404,20 @@ class TestDefaultStart:
 
 
 class TestPolytopeChains:
-    def test_full_schedule_cut_chains_stay_feasible(self):
-        """40 six-agent box-plus-cut chains on the full schedule.
+    def test_full_schedule_cut_chains_stay_feasible(self, monkeypatch):
+        """40 six-agent box-plus-cut chains on the full schedule: every
+        sweep's iterate, and the final blocks, lie in their sets up to
+        ``FEAS_TOL`` (the inner loop gates only its start)."""
+        sweep, sweeps = inner_bcd.bcd_sweep, []
 
-        With the inner residual stop on, ``criticality_residual`` gates every
-        sweep's iterate at ``FEAS_TOL``, so no exception means every iterate
-        stayed inside; the final blocks are checked again here.
-        """
+        def checked(problem, *args, **kwargs):
+            z, cert = sweep(problem, *args, **kwargs)
+            for agent, block in zip(problem.agents, z.blocks):
+                assert agent.feasible_set.violation(block) <= FEAS_TOL, len(sweeps)
+            sweeps.append(kwargs["sweep_index"])
+            return z, cert
+
+        monkeypatch.setattr(inner_bcd, "bcd_sweep", checked)
         outer = OuterConfig(rho0=0.1, beta=100.0, eps0=1e-2, eta=0.0, max_outer=5)
         for seed in range(10000, 10040):
             problem, z0, mu0 = cut_chain(seed)
@@ -417,6 +425,7 @@ class TestPolytopeChains:
                                  with_certificates=False, sweep_budgets=[20] * 5)
             for agent, block in zip(problem.agents, state.z.blocks):
                 assert agent.feasible_set.violation(block) <= FEAS_TOL, seed
+        assert len(sweeps) > 3000  # of at most 40 * 5 * 20
 
     def test_simplex_chain_with_degenerate_vertices(self):
         # every block on the unit simplex, whose vertices each have four
