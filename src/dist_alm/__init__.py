@@ -8,10 +8,9 @@ from .bench import (RunStats, ToyParams, generate_toy, run_statistics,
 from .errors import (ConfigurationError, ConvergenceError, EvaluationError,
                      PreconditionError, RefusalError, StructureError)
 from .inner_bcd import (Backtracking, FixedScaled, HessianBand, InnerConfig,
-                        InnerResult, SweepCertificate, bcd_sweep,
-                        color_interaction_graph, run_inner)
+                        InnerResult, SweepCertificate, bcd_sweep, run_inner)
 from .model import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
-                    NlpProblem, Polytope, eval_aug_lagrangian,
+                    NlpProblem, Polytope, color_interaction_graph, eval_aug_lagrangian,
                     eval_block_gradient, eval_constraints)
 from .outer_mm import (IterTrace, OuterConfig, OuterState, default_start,
                        dual_update, run_outer)

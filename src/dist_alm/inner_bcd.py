@@ -19,7 +19,8 @@ one colour in one set group (boxes of one dimension, or other polytopes of
 one row shape), held as ``(K, d)`` arrays, and the problem owns its
 colouring, classes and sample points (``NlpProblem._classes``).  Per class
 the sweep takes one batched gradient (the problem's ``block_gradients``
-hook when there is one), one step size per agent and one projection call.
+hook when there is one) and one step (:func:`_step`, the one place that
+combines the surrogate, the proximal weight and the projection).
 Without the hooks the per-agent evaluators give the same results.
 
 A sweep can emit a certificate: per agent, the sides of the sufficient
@@ -30,14 +31,15 @@ for the whole class at once: a member's decrease sides hold its local term
 at the snapshot and, after its step, its local term plus the coupling
 change of that step alone, from one ``block_values`` call; one gradient
 call at the moved class gives the new gradients, and the agents that fail
-are re-solved together.  A certified sweep evaluates each point once: the
-local terms at its start are every class's snapshot values, its steps'
-give the Lagrangian at its end, and the gradient call at a moved class
-(the next class's snapshot) takes the next class's step gradients too, if
-the two share a block dimension and no member was re-solved.  Between two
-sweeps of :func:`run_inner`, the first class's gradients and the local
-terms serve the next sweep and the stop test, whose residual is taken
-class by class.  Only ``z0`` is gated: every projection path ends within
+are re-solved together.  A checked sweep (certified or banded) evaluates
+each point once: the local terms at its start are every class's snapshot
+values, its steps' the next sweep's and the Lagrangian at its end, and a
+certified sweep's gradient call at a moved class (the next class's
+snapshot) takes the next class's step gradients too, if the two share a
+block dimension and no member was re-solved.  Between two sweeps of
+:func:`run_inner`, the first class's gradients and the local terms serve
+the next sweep and the stop test, whose residual is taken class by class.
+Only ``z0`` is gated: every projection path ends within
 ``model.FEAS_TOL``.  ``C_i`` bounds the local curvature by backtracking:
 seeded by finite-difference sampling (one gradient call per class on a
 stack of every sample, coordinate and sign, at the problem's sample
@@ -57,8 +59,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .model import (BlockVector, MultiplierEstimate, NlpProblem, _aug_lagrangian,
-                    _block_gradients, _block_values, _require_positive_rho, _row_dots,
-                    color_interaction_graph)
+                    _block_gradients, _block_values, _require_positive_rho, _row_dots)
 from .verify import _residual_and_gradients
 
 __all__ = [
@@ -69,7 +70,6 @@ __all__ = [
     "InnerResult",
     "SweepCertificate",
     "bcd_sweep",
-    "color_interaction_graph",
     "run_inner",
 ]
 
@@ -90,7 +90,8 @@ _MAX_BACKTRACK = 60
 
 
 def _check_count(count, name, least):
-    if not (isinstance(count, numbers.Integral) and count >= least):
+    """``ConfigurationError`` unless ``count`` is an integer >= ``least``, not a bool."""
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= least):
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
@@ -236,28 +237,25 @@ def _initial_c_bounds(problem, flat, mu, rho) -> np.ndarray:
     return np.maximum(1.5 * best, C_FLOOR)
 
 
-def _b_scales(strategy: BStrategy, rho: float, c_bounds, idx):
-    """Multiples of the identity used as curvature surrogate by agents
-    ``idx``: one scalar if fixed, else a ``(len(idx), 1)`` column."""
-    base = strategy.scale * rho
-    if isinstance(strategy, HessianBand):
-        c = c_bounds[idx, None]
-        return np.minimum(np.maximum(base, c * (1.0 + BAND_MARGIN)),
-                          2.0 * c * (1.0 - BAND_MARGIN))
-    return base
-
-
 # ---------------------------------------------------------------------------
 # Sweeps and the inner loop.
 # ---------------------------------------------------------------------------
 
-def _solve_rows(cls, x_old, grad, m_diag, sweep):
-    """Block minimisers of the members of the class ``cls`` from ``x_old``:
-    row ``k`` projects ``x_old[k] - grad[k] / m_diag`` (see :func:`_b_scales`)
-    onto its agent's set, warm-started from ``x_old[k]``
-    (``model._SetGroup.project``)."""
+def _step(cfg, rho, c_bounds, cls, x_old, grad, sweep):
+    """Block minimisers of the members of the class ``cls`` from ``x_old``,
+    and the diagonal ``b_i + ALPHA_MIN`` they used: ``b_i = scale * rho``,
+    clipped into the band of ``C_i`` (``c_bounds``) as a ``(k, 1)`` column
+    under a banded surrogate.  Row ``k`` projects ``x_old[k] - grad[k] /
+    (b_i + ALPHA_MIN)``, warm-started from ``x_old[k]``
+    (``model._SetGroup.project``); a ``ConvergenceError`` names the sweep."""
+    m_diag = cfg.b_strategy.scale * rho
+    if isinstance(cfg.b_strategy, HessianBand):
+        c = c_bounds[cls.idx, None]
+        m_diag = np.minimum(np.maximum(m_diag, c * (1.0 + BAND_MARGIN)),
+                            2.0 * c * (1.0 - BAND_MARGIN))
+    m_diag = m_diag + ALPHA_MIN
     try:
-        return cls.project(x_old - grad / m_diag, x_old)
+        return cls.project(x_old - grad / m_diag, x_old), m_diag
     except ConvergenceError as exc:
         raise ConvergenceError(f"sweep {sweep}, {exc}") from exc
 
@@ -267,26 +265,24 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new, m_diag,
     """Certificate values and curvature backtracking for one colour class.
 
     ``flat`` is the read-only class snapshot, ``x_old`` the class's blocks
-    in it and ``x_new`` the class step, taken with the diagonal ``m_diag``
-    and updated in place; ``value_old``, the members' local terms at the
-    snapshot, is evaluated if ``None``, and a member's new value is its
-    local term plus the coupling change of its step alone (one
-    ``_block_values`` call per evaluation), whose local part goes to the
-    ``(N,)`` array ``local``.  Per agent, the descent-lemma check drives the
-    backtracking of ``C_i`` (doubled in ``c_bounds`` on failure; a doubling
-    past the float range names ``rho``).  A banded surrogate depends on
-    ``C_i``, so the blocks that failed are re-solved together and only their
-    values taken again, and a failed decrease certificate counts as a
-    failure too; with a fixed surrogate the step is recorded as-is.  The new
-    gradients come from one ``_block_gradients`` call at the snapshot with
-    the members moved, which also takes the agents ``ahead`` (the next
-    class, or ``idx`` if it is the only one), whose rows are returned unless
-    a member was re-solved.  ``cert`` receives the values.
+    in it, ``value_old`` their local terms and ``x_new`` the class step
+    (:func:`_step`, with the diagonal ``m_diag``), updated in place; a
+    member's new value is its local term plus the coupling change of its
+    step alone (one ``_block_values`` call per evaluation), whose local part
+    goes to the ``(N,)`` array ``local``.  Per agent, the descent-lemma
+    check drives the backtracking of ``C_i`` (doubled in ``c_bounds`` on
+    failure; a doubling past the float range names ``rho``).  A banded
+    surrogate depends on ``C_i``, so the blocks that failed are re-solved
+    together and only their values taken again, and a failed decrease
+    certificate counts as a failure too; with a fixed surrogate the step is
+    recorded as-is.  The new gradients come from one ``_block_gradients``
+    call at the snapshot with the members moved, which also takes the
+    agents ``ahead`` (the next class, or ``idx`` if it is the only one),
+    whose rows are returned unless a member was re-solved.  ``cert``
+    receives the values.
     """
     idx, pos = cls.idx, cls.pos
     band = isinstance(cfg.b_strategy, HessianBand)
-    if value_old is None:
-        value_old = _block_values(problem, flat, mu, rho, idx)[0]
     moved = np.array(flat)
     moved_view = moved.view()
     moved_view.setflags(write=False)
@@ -299,9 +295,8 @@ def _check_class(problem, flat, mu, rho, cfg, cls, grad, x_old, x_new, m_diag,
         if attempt == 0 or band:
             if attempt:
                 rows = np.flatnonzero(pending)
-                m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx[rows]) + ALPHA_MIN
-                x_new[rows] = _solve_rows(cls.take(rows), x_old[rows], grad[rows],
-                                          m_diag, sweep)
+                x_new[rows], m_diag = _step(cfg, rho, c_bounds, cls.take(rows), x_old[rows],
+                                            grad[rows], sweep)
             step[rows] = x_new[rows] - x_old[rows]
             snorm[rows] = np.sqrt(_row_dots(step[rows], step[rows]))
             # Python's float power (libm pow): it rounds differently from
@@ -358,18 +353,18 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     """Update every block once, color class by color class.
 
     Blocks of one color class read the same frozen snapshot and are updated
-    together: one batched gradient, one step size per agent and one
-    projection call, warm-started from the blocks.  With certificates, or
-    under a banded surrogate, the class's steps are then checked against
-    the snapshot, which needs the curvature bounds (``c_bounds``, updated
-    in place).  Classes go in ascending color order: a Gauss-Seidel pass in
-    the color-sorted agent order.  The problem's own ``coloring``
+    together by one :func:`_step` on one batched gradient.  With
+    certificates, or under a banded surrogate, the class's steps are then
+    checked against the snapshot (its local terms are those at ``z``),
+    which needs the curvature bounds (``c_bounds``, updated in place).
+    Classes go in ascending color order: a Gauss-Seidel pass in the
+    color-sorted agent order.  The problem's own ``coloring``
     (``NlpProblem._coloring``) takes its cached classes; the classes of any
     other are built and checked for this sweep (``NlpProblem._classes_of``).
 
-    ``boundary`` is for :func:`run_inner`: the first class, whose snapshot
-    is ``z``, takes the evaluations it holds (at ``z``) in place of its own.
-    On return it holds those at the new point that the sweep took, if any.
+    ``boundary`` is for :func:`run_inner`: the sweep takes the evaluations
+    it holds (at ``z``) in place of its own, and on return it holds those
+    at the new point that the sweep took, if any.
 
     Returns
     -------
@@ -388,36 +383,37 @@ def bcd_sweep(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     view = flat.view()
     view.setflags(write=False)
     at = _Boundary() if boundary is None else boundary
+    if check and at.local is None:
+        at.local = _block_values(problem, view, mu, rho, np.arange(n))[0]
     cert = None
     if with_certificates:
-        if at.local is None:
-            at.lagrangian, at.local = _aug_lagrangian(problem, view, mu, rho)
+        if at.lagrangian is None:
+            at.lagrangian = _aug_lagrangian(problem, view, mu, rho, at.local)
         cert = SweepCertificate(sweep_index, *(np.full(n, math.nan) for _ in range(4)),
                                 step_norms=np.zeros(n), c_used=None,
                                 lagrangian_before=at.lagrangian,
                                 lagrangian_after=math.nan)
 
-    grads, local = at.grads, at.local  # at z: the first class's snapshot
+    grads, local = at.grads, at.local  # at z: first-class gradients, snapshot values
     local_new = np.empty(n) if check else None  # the local terms of the steps
     for c, cls in enumerate(classes):
         idx, pos = cls.idx, cls.pos
         grad = _block_gradients(problem, view, mu, rho, idx) if grads is None else grads
-        m_diag = _b_scales(cfg.b_strategy, rho, c_bounds, idx) + ALPHA_MIN
         x_old = flat[pos]
-        x_new = _solve_rows(cls, x_old, grad, m_diag, sweep_index)
+        x_new, m_diag = _step(cfg, rho, c_bounds, cls, x_old, grad, sweep_index)
         grads = None
         if check:
             ahead = classes[(c + 1) % len(classes)]
             grads = _check_class(
                 problem, view, mu, rho, cfg, cls, grad, x_old, x_new, m_diag, c_bounds,
-                sweep_index, cert, None if local is None else local[idx], local_new,
+                sweep_index, cert, local[idx], local_new,
                 ahead.idx if ahead.pos.shape[1] == pos.shape[1] else None)
         flat[pos] = x_new
 
-    at.grads, at.lagrangian, at.local = grads, None, None
+    at.grads, at.lagrangian, at.local = grads, None, local_new
     if cert is not None:
         cert.c_used = np.array(c_bounds)
-        at.lagrangian, at.local = _aug_lagrangian(problem, view, mu, rho, local_new)
+        at.lagrangian = _aug_lagrangian(problem, view, mu, rho, local_new)
         cert.lagrangian_after = at.lagrangian
     return z._with_flat(flat), cert
 
@@ -442,13 +438,19 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     sweep's first class takes); after the last sweep it takes every class,
     so ``final_residual`` is the residual at the returned point.  A spent
     budget raises no error but sets a soft-failure flag.  Every block of
-    ``z0`` must lie in its polytope up to ``model.FEAS_TOL``, and ``mu`` be
-    finite.  A curvature bound or residual that overflows (finite evaluator
-    outputs, a huge ``rho``) raises ``ConvergenceError`` naming ``rho``.
+    ``z0`` must lie in its polytope up to ``model.FEAS_TOL``, ``mu`` be
+    finite, ``eps_target`` finite and nonnegative and ``sweep_cap`` an
+    integer >= 0 (else ``ConfigurationError``), each unless ``None``.  A
+    curvature bound or residual that overflows (finite evaluator outputs, a
+    huge ``rho``) raises ``ConvergenceError`` naming ``rho``.
     """
     problem.check_membership(z0)
     _require_positive_rho(rho)
     problem.check_multiplier(mu)
+    if not (eps_target is None or 0 <= eps_target < math.inf):
+        raise ConfigurationError(f"eps_target must be finite and >= 0, got {eps_target!r}")
+    if sweep_cap is not None:
+        _check_count(sweep_cap, "sweep_cap", 0)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
         c_bounds = None
         if with_certificates or isinstance(cfg.b_strategy, HessianBand):

@@ -157,10 +157,9 @@ class Polytope:
         taken to be feasible; ``x`` and ``grad`` of another length than the
         set's dimension raise ``StructureError``.
         """
-        dist_sq, active, parts = self._group.cone_parts(self._point(x)[None],
-                                                        self._point(grad, "gradient")[None])
-        return (float(dist_sq[0]), self._group.multipliers(active, parts)[0],
-                np.flatnonzero(active[0]))
+        dist_sq, active, lam = self._group.cone_parts(self._point(x)[None],
+                                                      self._point(grad, "gradient")[None])
+        return float(dist_sq[0]), lam[0], np.flatnonzero(active[0])
 
     def project(self, v) -> np.ndarray:
         """Euclidean projection of ``v`` onto the polytope:
@@ -312,12 +311,12 @@ class _SetGroup(NamedTuple):
     def cone_parts(self, x, grad):
         """Every member's squared distance of ``-grad`` to the normal cone at
         ``x`` (rows of ``(k, d)`` arrays, ``x`` feasible), ``(k,)``, the mask
-        of active rows, ``(k, m)``, and the parts :meth:`multipliers` builds
-        the row multipliers from.  Boxes take the closed form (rows ``j`` and
-        ``d + j`` bound coordinate ``j``); other sets take every slack from
-        one product, and a member with active rows one NNLS on them (at its
-        iteration cap ``ConvergenceError`` naming the agent), else ``g @ g``.
-        """
+        of active rows and the row multipliers (zero on inactive rows), both
+        ``(k, m)``.  Boxes take the closed form (rows ``j`` and ``d + j`` bound
+        coordinate ``j``, an active one taking the push against it); other sets
+        take every slack from one product, and a member with active rows one
+        NNLS on them, the multipliers (at its iteration cap ``ConvergenceError``
+        naming the agent), else ``g @ g``."""
         if self.a_mat is None:
             d = x.shape[1]
             # the bound moved inwards, not the slack test: box residuals keep their bits
@@ -327,26 +326,16 @@ class _SetGroup(NamedTuple):
             push = np.concatenate([-grad, grad], axis=1)
             takes = active & (push >= 0)
             res = np.where(takes[:, :d] | takes[:, d:], 0.0, grad)
-            return _row_dots(res, res), active, push
+            return _row_dots(res, res), active, np.where(active & (push > 0), push, 0.0)
         active = self.b_vec - self._ax(x) <= self.active_tol
-        dist_sq, solved = _row_dots(grad, grad), []
+        dist_sq, lam, solved = _row_dots(grad, grad), np.zeros(active.shape), []
         for k in np.flatnonzero(active.any(axis=1)).tolist():
             lam_k, rnorm = self._nnls(k, self.a_mat[k][active[k]].T, -grad[k],
                                       "normal-cone distance")
             dist_sq[k] = float(rnorm) ** 2
             solved.append(lam_k)
-        return dist_sq, active, solved
-
-    def multipliers(self, active, parts) -> np.ndarray:
-        """The ``(k, m)`` row multipliers, zero on inactive rows, from the
-        last two outputs of :meth:`cone_parts`: on boxes the push against
-        each active bound (it cancels that gradient), else the members'
-        NNLS solutions on their active rows."""
-        if self.a_mat is None:
-            return np.where(active & (parts > 0), parts, 0.0)
-        lam = np.zeros(active.shape)
-        lam[active] = np.concatenate([np.zeros(0), *parts])  # row-major, as solved
-        return lam
+        lam[active] = np.concatenate([np.zeros(0), *solved])  # row-major, as solved
+        return dist_sq, active, lam
 
     def project(self, v, near=None) -> np.ndarray:
         """Every member's Euclidean projection (:meth:`Polytope.project`) of
@@ -786,7 +775,7 @@ class NlpProblem:
         for i, agent in enumerate(self.agents):
             s = agent.feasible_set
             members.setdefault((s.is_box, s.a_mat.shape), []).append(i)
-        starts = np.array(_partition(self.block_dims)[1])
+        starts = np.array(self._offsets)
         return tuple(_SetGroup.of([self.agents[i].feasible_set for i in idx], np.array(idx),
                                   starts[idx][:, None] + np.arange(self.block_dims[idx[0]]))
                      for idx in members.values())
@@ -1153,13 +1142,12 @@ def _block_values(problem, flat, mu, rho, idx, trial=None):
 
 
 def _aug_lagrangian(problem, flat, mu, rho, local=None):
-    """The augmented Lagrangian at the read-only point ``flat`` and its agents'
-    local terms (``local``, else from one :func:`_block_values` call), with
-    the coupling term (:func:`_coupling_value`) added once."""
+    """The augmented Lagrangian at the read-only point ``flat``: its agents'
+    local terms (``local``, else from one :func:`_block_values` call) and
+    the coupling term (:func:`_coupling_value`), added once."""
     if local is None:
         local = _block_values(problem, flat, mu, rho, np.arange(problem.n_agents))[0]
-    coupling = _coupling_value(problem, flat, mu.coupling_part, rho)
-    return math.fsum([*local.tolist(), coupling]), local
+    return math.fsum([*local.tolist(), _coupling_value(problem, flat, mu.coupling_part, rho)])
 
 
 # ---------------------------------------------------------------------------
@@ -1184,7 +1172,7 @@ def eval_aug_lagrangian(problem: NlpProblem, z: BlockVector,
     _require_positive_rho(rho)
     problem.check_block_structure(z)
     problem.check_multiplier(mu)
-    return _aug_lagrangian(problem, z.flat, mu, rho)[0]
+    return _aug_lagrangian(problem, z.flat, mu, rho)
 
 
 def eval_block_gradient(problem: NlpProblem, z: BlockVector,

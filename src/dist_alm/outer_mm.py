@@ -199,10 +199,9 @@ def run_outer(problem: NlpProblem, cfg: OuterConfig, inner_cfg: InnerConfig,
     cum_sweeps = 0
     all_achieved = True
     while state.k < cfg.max_outer:
-        rho, eps = cfg.schedule(state.k)
+        rho, eps = state.rho, state.eps  # cfg.schedule(state.k), set once per iteration
         if rho == math.inf:
             raise ConfigurationError(f"the penalty overflows at outer iteration {state.k}")
-        state.rho, state.eps = rho, eps
         budget = None if sweep_budgets is None else sweep_budgets[state.k]
         inner = run_inner(
             problem, state.z, state.mu, rho, inner_cfg,

@@ -78,7 +78,7 @@ def _residual_and_gradients(problem, z, mu, rho, above=None, *, first=None):
     (``NlpProblem._classes``) at a checked ``z``, and per class visited its
     ``(k, d)`` block gradients (``first`` for the first class if given; one
     ``_block_gradients`` call per class, or without ``above`` per block
-    dimension) and the active-row masks and multiplier parts of its
+    dimension) and the active-row masks and row multipliers of its
     ``_SetGroup.cone_parts``.
 
     With ``above``, the pass stops after the first class where the root of
@@ -124,8 +124,7 @@ def kkt_report(problem: NlpProblem, z: BlockVector, mu: MultiplierEstimate,
     problem.check_membership(z)
     stationarity, _, cones = _residual_and_gradients(problem, z, mu, rho)
     lams, masks = [None] * problem.n_agents, [None] * problem.n_agents  # agent order
-    for cls, (active, parts) in zip(problem._classes, cones):
-        lam = cls.multipliers(active, parts)
+    for cls, (active, lam) in zip(problem._classes, cones):
         for k, i in enumerate(cls.idx.tolist()):
             lams[i], masks[i] = lam[k], active[k]
     h_val = _constraints(problem, z.flat)
@@ -306,11 +305,12 @@ def enumerate_projection(poly: Polytope, v, m_mat=None):
     The solution that violates ``A x <= b``, ``lam >= 0`` and its own
     equations (the stationarity rows divided by ``max|M|``) least is the
     minimiser, so no tolerance decides between near-degenerate sets.
-    Raises ``RefusalError`` on more than ``_MAX_KKT_SOLVES`` sets, or when no
-    set comes within ``1e-9 (1 + max|v| + max|b|)`` of those conditions.
+    Raises ``StructureError`` if ``v`` is not a vector of the polytope's
+    dimension, ``RefusalError`` on more than ``_MAX_KKT_SOLVES`` sets, or when
+    no set comes within ``1e-9 (1 + max|v| + max|b|)`` of those conditions.
     """
     a_mat, b_vec, (rows, n) = poly.a_mat, poly.b_vec, poly.a_mat.shape
-    v = np.asarray(v, dtype=float)
+    v = poly._point(v)
     m_mat = np.eye(n) if m_mat is None else np.asarray(m_mat, dtype=float)
     sizes = range(min(n, rows) + 1)
     if sum(math.comb(rows, k) for k in sizes) > _MAX_KKT_SOLVES:

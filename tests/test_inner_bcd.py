@@ -473,15 +473,15 @@ class TestColorClassSweep:
     # (2), on the stack of every sign, coordinate and sample; each class
     # then takes one for its step and, with certificates, one at the moved
     # class, which also takes the next class's step (the first class's at
-    # the new point, after the last).  Value calls: per checked class, one
-    # at the snapshot and one for the step; with certificates, the
-    # Lagrangian takes one over all agents before the sweep, which gives
-    # every class its snapshot values, and the one after adds the steps'.
+    # the new point, after the last).  Value calls: a checked sweep takes
+    # one over all agents before it, which gives every class its snapshot
+    # values, and one per class for the step; with certificates, the
+    # Lagrangian before the sweep takes the first, the one after the steps'.
     # In "polytope", agent 2's set is no box, so its colour forms two
     # classes: the boxes and agent 2.
     @pytest.mark.parametrize("case, grad_calls, value_calls", [
         ("certificates", 2 + 1 + 2, 1 + 2),
-        ("band", 2 + 2, 2 + 2),
+        ("band", 2 + 2, 1 + 2),
         ("polytope", 3, 0),
     ], ids=["certificates", "band", "polytope"])
     def test_hook_equals_per_agent_path(self, case, grad_calls, value_calls):
@@ -647,6 +647,21 @@ class TestHandOn:
         assert c_bounds.tobytes() == result.certificates[-1].c_used.tobytes()
         if band:  # a doubled bound re-solved its member
             assert (c_bounds > start).any() == (rho > 1.0)
+
+    def test_band_sweeps_take_snapshot_values_from_the_sweep_start(self):
+        # under a banded surrogate without certificates, the values at the
+        # start serve every class's snapshot, and each sweep hands its
+        # steps' values to the next: one call over all agents, then one per
+        # class per sweep (at rho = 1 no member is re-solved)
+        _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
+        cfg = InnerConfig(b_strategy=HessianBand(), tau=1e-300, max_sweeps=4)
+        counted, _, values = counting(problem)
+        result = run_inner(counted, z0, mu, 1.0, cfg, with_certificates=False)
+        ref = run_inner(hookless(problem), z0, mu, 1.0, cfg, with_certificates=False)
+        assert result.sweeps == ref.sweeps == 4
+        assert result.z.flat.tobytes() == ref.z.flat.tobytes()
+        steps = [cls.idx.tolist() for cls in problem._classes]
+        assert [i.tolist() for i in values] == [list(range(40))] + steps * 4
 
     def test_colours_once_per_problem(self, monkeypatch):
         calls = []
@@ -845,6 +860,35 @@ class TestRunInner:
                                with_certificates=False)
             hits += int(result.final_residual <= 1e-2)
         assert hits >= 9
+
+    # unchecked, each would run silently: to the cap, or (a negative cap)
+    # to no sweep at all, flagged as a spent budget
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eps_target": np.nan}, "^eps_target must be finite and >= 0"),
+        ({"eps_target": -1.0}, "^eps_target must be finite and >= 0"),
+        ({"eps_target": np.inf}, "^eps_target must be finite and >= 0"),
+        ({"sweep_cap": -3}, "^sweep_cap must be an integer >= 0"),
+        ({"sweep_cap": 2.5}, "^sweep_cap must be an integer >= 0"),
+        ({"sweep_cap": True}, "^sweep_cap must be an integer >= 0")])
+    def test_invalid_target_or_cap_rejected(self, kwargs, message):
+        params, problem, z0, mu0 = toy_setup(n_agents=4, seed=1)
+        with pytest.raises(ConfigurationError, match=message):
+            run_inner(problem, z0, mu0, 1.0, InnerConfig(), **kwargs)
+        result = run_inner(problem, z0, mu0, 1.0, InnerConfig(), eps_target=0.0,
+                           sweep_cap=np.int64(2))
+        assert result.sweeps == 2 and result.hit_sweep_cap
+
+    @pytest.mark.parametrize("make", [
+        lambda problem: InnerConfig(max_sweeps=True),
+        lambda problem: OuterConfig(1.0, 10.0, 1.0, 0.0, max_outer=True),
+        lambda problem: ToyParams(seed=False),
+        lambda problem: run_outer(problem, OuterConfig(1.0, 10.0, 1.0, 0.0, max_outer=1),
+                                  InnerConfig(), sweep_budgets=[False])],
+        ids=["max_sweeps", "max_outer", "seed", "sweep_budget"])
+    def test_booleans_are_not_counts(self, make):
+        problem = toy_setup(n_agents=4, seed=1)[1]
+        with pytest.raises(ConfigurationError, match="must be an integer >= "):
+            make(problem)
 
     def test_invalid_config_values(self):
         with pytest.raises(ConfigurationError):
@@ -1059,8 +1103,8 @@ class TestResidualByClass:
             value, class_grads, cones = verify._residual_and_gradients(problem, z, mu, 10.0)
             assert value == full
             assert by_agent(classes, class_grads) == by_agent(problem._set_groups, grads)
-            lams = {i: lam for cls, (active, parts) in zip(classes, cones)
-                    for i, lam in zip(cls.idx.tolist(), cls.multipliers(active, parts))}
+            lams = {i: lam for cls, (_, class_lams) in zip(classes, cones)
+                    for i, lam in zip(cls.idx.tolist(), class_lams)}
             assert (np.concatenate([lams[i] for i in range(problem.n_agents)]).tobytes()
                     == kkt_report(problem, z, mu, 10.0).multipliers.tobytes())
             for above in (0.0, 0.5 * full, np.nextafter(full, 0.0), full, np.inf):
@@ -1217,5 +1261,5 @@ class TestPerAgentPath:
         grad = np.zeros_like(x_old)
         grad[-1, 0] = np.nan
         with pytest.raises(PreconditionError, match="^projection target is not finite"):
-            inner_bcd._solve_rows(cls, x_old, grad, np.ones(len(cls.idx)), 0)
+            inner_bcd._step(InnerConfig(), 1.0, None, cls, x_old, grad, 0)
 

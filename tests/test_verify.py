@@ -366,6 +366,10 @@ class TestEnumerationOracle:
         with pytest.raises(RefusalError, match="cap"):
             enumerate_projection(many, np.zeros(3))
 
+    def test_point_of_another_dimension_is_structural(self):
+        with pytest.raises(StructureError, match="^point has dimension 3, polytope expects 2"):
+            enumerate_projection(self.triangle(), [0.2, 0.3, 0.0])
+
     def test_projection_agrees_on_cut_polytopes(self):
         rng = np.random.default_rng(11)
         box = Polytope.box(-1.2 * np.ones(3), 1.2 * np.ones(3))
