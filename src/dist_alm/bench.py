@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, EvaluationError
-from .inner_bcd import FixedScaled, InnerConfig, _check_count
+from .inner_bcd import FixedScaled, InnerConfig
 from .model import (AgentSpec, BlockVector, CouplingSpec, MultiplierEstimate,
-                    NlpProblem, Polytope, _per_index_set)
+                    NlpProblem, Polytope, _check_count, _is_real, _per_index_set)
 from .outer_mm import OuterConfig, run_outer
 
 __all__ = [
@@ -59,7 +59,7 @@ class ToyParams:
         _check_count(self.n_agents, "n_agents", 2)
         _check_count(self.block_dim, "block_dim", 1)
         _check_count(self.seed, "seed", 0)
-        if not 0 < self.scale < np.inf:
+        if not (_is_real(self.scale) and 0 < self.scale < np.inf):
             raise ConfigurationError(f"scale R must be finite and > 0: {self.scale!r}")
 
     @property

@@ -17,7 +17,7 @@ least-distance problem by NNLS), so every block stays in its polytope.
 One kernel serves every configuration.  A colour class is the members of
 one colour in one set group (boxes of one dimension, or other polytopes of
 one row shape), held as ``(K, d)`` arrays, and the problem owns its
-colouring, classes and sample points (``NlpProblem._classes``).  Per class
+colouring and classes (``NlpProblem._classes``).  Per class
 the sweep takes one batched gradient (the problem's ``block_gradients``
 hook when there is one) and one step (:func:`_step`, the one place that
 combines the surrogate, the proximal weight and the projection).
@@ -41,17 +41,16 @@ block dimension and no member was re-solved.  Between two sweeps of
 the next sweep and the stop test, whose residual is taken class by class.
 Only ``z0`` is gated: every projection path ends within
 ``model.FEAS_TOL``.  ``C_i`` bounds the local curvature by backtracking:
-seeded by finite-difference sampling (one gradient call per class on a
-stack of every sample, coordinate and sign, at the problem's sample
-points) and doubled whenever a descent or certificate check fails,
-re-projecting the block when the surrogate depends on it.  A bound or
-residual that overflows names ``rho``.
+seeded by central differences at the inner call's start point (one
+gradient call per class on a stack of every coordinate and sign) and
+doubled whenever a descent or certificate check fails, re-projecting the
+block when the surrogate depends on it.  A bound or residual that
+overflows names ``rho``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -59,7 +58,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .model import (BlockVector, MultiplierEstimate, NlpProblem, _aug_lagrangian,
-                    _block_gradients, _block_values, _require_positive_rho, _row_dots)
+                    _block_gradients, _block_values, _check_count, _is_real,
+                    _require_positive_rho, _row_dots)
 from .verify import _residual_and_gradients
 
 __all__ = [
@@ -89,12 +89,6 @@ BAND_MARGIN = 1e-3
 _MAX_BACKTRACK = 60
 
 
-def _check_count(count, name, least):
-    """``ConfigurationError`` unless ``count`` is an integer >= ``least``, not a bool."""
-    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= least):
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {count!r}")
-
-
 @dataclass(frozen=True)
 class _Scaled:
     """A curvature surrogate built from ``scale * rho`` (finite, positive)."""
@@ -102,7 +96,7 @@ class _Scaled:
     scale: float = 30.0
 
     def __post_init__(self):
-        if not (isinstance(self.scale, numbers.Real) and 0 < self.scale < math.inf):
+        if not (_is_real(self.scale) and 0 < self.scale < math.inf):
             raise ConfigurationError(f"scale must be finite and positive, got {self.scale!r}")
 
 
@@ -120,8 +114,8 @@ class HessianBand(_Scaled):
 
 @dataclass(frozen=True)
 class Backtracking:
-    """Running curvature bound, seeded by sampling ``model.C_SAMPLES``
-    points per agent and doubled on failures."""
+    """Running curvature bound, seeded at the inner call's start point
+    (:func:`_initial_c_bounds`) and doubled on failures."""
 
 
 BStrategy = Union[FixedScaled, HessianBand]
@@ -143,7 +137,7 @@ class InnerConfig:
     max_sweeps: int = 500
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:
+        if not (_is_real(self.tau) and 0 < self.tau < math.inf):
             raise ConfigurationError(f"tau must be positive and finite, got {self.tau}")
         _check_count(self.max_sweeps, "max_sweeps", 0)
         for name, kind in (("b_strategy", BStrategy), ("c_source", Backtracking)):
@@ -206,34 +200,30 @@ class InnerResult:
 
 def _initial_c_bounds(problem, flat, mu, rho) -> np.ndarray:
     """Every agent's curvature bound ``C_i``, at least ``C_FLOOR``: 1.5
-    times the largest spectral norm of the symmetrised central-difference
-    Hessian (step ``1e-5 (1 + |x_j|)``) of block ``i``'s gradient over its
-    sample points (``NlpProblem._samples``), the other blocks at ``flat``.
+    times the spectral norm of the symmetrised central-difference Hessian
+    (step ``1e-5 (1 + |x_j|)``) of block ``i``'s gradient at ``flat``.
 
     Members of a colour class share no coupling term, so each member's
-    gradient with every member at its own sample (or its perturbation) is
-    the one with that member moved alone: a class takes one
-    ``_block_gradients`` call on the stack of its points, one per sample,
-    coordinate and sign, and one ``eigvalsh`` on the stack of its Hessians.
+    gradient with every member perturbed is the one with that member
+    perturbed alone: a class takes one ``_block_gradients`` call on the
+    stack of its ``2 d`` points, one per coordinate and sign, and one
+    ``eigvalsh`` on the stack of its Hessians.
     """
-    points = problem._samples
     best = np.zeros(problem.n_agents)
     for idx, pos, *_ in problem._classes:
         k, d = pos.shape
-        x = np.stack([points[i] for i in idx.tolist()], axis=1)  # (samples, k, d)
-        step = 1e-5 * (1.0 + np.abs(x))
-        # axes: sample, perturbed coordinate, sign (+, -), flat point
-        at = np.tile(flat, (x.shape[0], d, 2, 1))
-        at[..., pos] = x[:, None, None]
+        step = 1e-5 * (1.0 + np.abs(flat[pos]))
+        # axes: perturbed coordinate, sign (+, -), flat point
+        at = np.tile(flat, (d, 2, 1))
         for j in range(d):
-            at[:, j, 0, pos[:, j]] += step[:, :, j]
-            at[:, j, 1, pos[:, j]] -= step[:, :, j]
+            at[j, 0, pos[:, j]] += step[:, j]
+            at[j, 1, pos[:, j]] -= step[:, j]
         at.setflags(write=False)
-        g = _block_gradients(problem, at.reshape(-1, flat.size), mu, rho, idx)
-        g = g.reshape(*at.shape[:3], k, d)
-        hess = (g[:, :, 0] - g[:, :, 1]).transpose(0, 2, 3, 1) / (2.0 * step[:, :, None])
+        g = _block_gradients(problem, at.reshape(2 * d, flat.size), mu, rho, idx)
+        g = g.reshape(d, 2, k, d)
+        hess = (g[:, 0] - g[:, 1]).transpose(1, 2, 0) / (2.0 * step[:, None])
         hess = 0.5 * (hess + hess.swapaxes(-1, -2))
-        best[idx] = np.max(np.abs(np.linalg.eigvalsh(hess)), axis=(0, 2), initial=0.0)
+        best[idx] = np.max(np.abs(np.linalg.eigvalsh(hess)), axis=1, initial=0.0)
     return np.maximum(1.5 * best, C_FLOOR)
 
 
@@ -447,7 +437,7 @@ def run_inner(problem: NlpProblem, z0: BlockVector, mu: MultiplierEstimate,
     problem.check_membership(z0)
     _require_positive_rho(rho)
     problem.check_multiplier(mu)
-    if not (eps_target is None or 0 <= eps_target < math.inf):
+    if not (eps_target is None or (_is_real(eps_target) and 0 <= eps_target < math.inf)):
         raise ConfigurationError(f"eps_target must be finite and >= 0, got {eps_target!r}")
     if sweep_cap is not None:
         _check_count(sweep_cap, "sweep_cap", 0)

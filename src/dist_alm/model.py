@@ -31,6 +31,7 @@ takes a penalty requires ``0 < rho < inf`` (``PreconditionError``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -59,7 +60,8 @@ __all__ = [
 FEAS_TOL = 1e-10
 
 #: Relative slack for detecting active rows: row ``k`` is active at ``x``
-#: when ``b_k - a_k @ x <= ACTIVE_TOL * (1 + |b_k|)``.
+#: when ``a_k @ x >= b_k - ACTIVE_TOL * (1 + |b_k|)``, the inward bound that
+#: every ``_SetGroup`` holds (``active_bound``).
 ACTIVE_TOL = 1e-8
 
 
@@ -189,30 +191,6 @@ class Polytope:
         one LP; ``default_start`` solves one LP for all sets of a problem."""
         return _chebyshev_centers([self])[0]
 
-    def _sample(self, rng, count: int) -> np.ndarray:
-        """``count`` points of the set from ``rng`` (curvature sampling):
-        uniform on a box, else on random chords through the Chebyshev centre
-        (one LP), at most 95% of the way to the boundary."""
-        if self.is_box:
-            return rng.uniform(self.lower, self.upper, (count, self.dim))
-        center = self.chebyshev_center()
-        slack = self.b_vec - self.a_mat @ center
-        points = np.empty((count, self.dim))
-        for k in range(count):
-            direction = rng.standard_normal(self.dim)
-            norm = np.linalg.norm(direction)
-            if norm == 0.0:
-                points[k] = center
-                continue
-            direction /= norm
-            along = self.a_mat @ direction
-            up, down = along > 1e-14, along < -1e-14
-            t_hi = np.min(slack[up] / along[up], initial=np.inf)
-            t_lo = np.max(slack[down] / along[down], initial=-np.inf)
-            t_hi, t_lo = (t if np.isfinite(t) else 0.0 for t in (t_hi, t_lo))
-            points[k] = center + direction * rng.uniform(0.95 * t_lo, 0.95 * t_hi)
-        return points
-
     def is_bounded(self) -> bool:
         """Check boundedness (finite extent along every coordinate)."""
         if self.is_box:  # finite bounds, as the offsets are finite
@@ -229,16 +207,6 @@ class Polytope:
             if res.status == 3:  # unbounded
                 return False
         return True
-
-
-#: Curvature sample points per agent that seed the backtracking bounds.
-C_SAMPLES = 5
-_SAMPLE_SEED = 0x5EED
-
-
-def _sample_rng(i: int):
-    """Agent ``i``'s own stream of curvature sample points (:meth:`Polytope._sample`)."""
-    return np.random.default_rng(_SAMPLE_SEED + 7919 * (i + 1))
 
 
 def _chebyshev_centers(polytopes) -> list:
@@ -270,13 +238,14 @@ def _chebyshev_centers(polytopes) -> list:
 class _SetGroup(NamedTuple):
     """``k`` polytopes of one kind and shape, stacked, with the kernels of
     every membership, normal-cone and projection question about them: their
-    ``(k, m)`` offsets ``b_vec`` and active-row slacks ``active_tol``
-    (:data:`ACTIVE_TOL`), and the ``(k, d)`` bounds of boxes of one
-    dimension (``m = 2 d``) or the rows ``a_mat`` of other sets of one row
-    shape.  ``idx`` are the members' agents, ascending, and ``pos`` the
-    ``(k, d)`` positions of their blocks in the flat point (``None`` for a
-    set alone, :attr:`Polytope._group`).  Row ``k`` of a kernel's output is
-    member ``k``'s, bitwise that of its group of one."""
+    ``(k, m)`` offsets ``b_vec`` and inward bounds ``active_bound`` (a row
+    is active where ``A x >= active_bound``, :data:`ACTIVE_TOL`), and the
+    ``(k, d)`` bounds of boxes of one dimension (``m = 2 d``) or the rows
+    ``a_mat`` of other sets of one row shape.  ``idx`` are the members'
+    agents, ascending, and ``pos`` the ``(k, d)`` positions of their blocks
+    in the flat point (``None`` for a set alone, :attr:`Polytope._group`).
+    Row ``k`` of a kernel's output is member ``k``'s, bitwise that of its
+    group of one."""
 
     idx: Optional[np.ndarray]
     pos: Optional[np.ndarray]
@@ -284,7 +253,7 @@ class _SetGroup(NamedTuple):
     upper: Optional[np.ndarray]
     a_mat: Optional[np.ndarray]
     b_vec: np.ndarray
-    active_tol: np.ndarray
+    active_bound: np.ndarray
 
     @classmethod
     def of(cls, sets, idx=None, pos=None) -> "_SetGroup":
@@ -292,7 +261,7 @@ class _SetGroup(NamedTuple):
         b_vec = np.array([s.b_vec for s in sets])
         rows = ((np.array([s.lower for s in sets]), np.array([s.upper for s in sets]), None)
                 if sets[0].is_box else (None, None, np.array([s.a_mat for s in sets])))
-        return cls(idx, pos, *rows, b_vec, ACTIVE_TOL * (1.0 + np.abs(b_vec)))
+        return cls(idx, pos, *rows, b_vec, b_vec - ACTIVE_TOL * (1.0 + np.abs(b_vec)))
 
     def take(self, rows) -> "_SetGroup":
         """The group of the members ``rows`` (a mask or an index array)."""
@@ -319,22 +288,19 @@ class _SetGroup(NamedTuple):
         naming the agent), else ``g @ g``."""
         if self.a_mat is None:
             d = x.shape[1]
-            # the bound moved inwards, not the slack test: box residuals keep their bits
-            active = self._ax(x) >= self.b_vec - self.active_tol
+            active = self._ax(x) >= self.active_bound
             # an active bound absorbs a gradient that pushes against it (a
             # coordinate at both bounds any gradient)
             push = np.concatenate([-grad, grad], axis=1)
             takes = active & (push >= 0)
             res = np.where(takes[:, :d] | takes[:, d:], 0.0, grad)
             return _row_dots(res, res), active, np.where(active & (push > 0), push, 0.0)
-        active = self.b_vec - self._ax(x) <= self.active_tol
-        dist_sq, lam, solved = _row_dots(grad, grad), np.zeros(active.shape), []
+        active = self._ax(x) >= self.active_bound
+        dist_sq, lam = _row_dots(grad, grad), np.zeros(active.shape)
         for k in np.flatnonzero(active.any(axis=1)).tolist():
-            lam_k, rnorm = self._nnls(k, self.a_mat[k][active[k]].T, -grad[k],
-                                      "normal-cone distance")
+            lam[k, active[k]], rnorm = self._nnls(k, self.a_mat[k][active[k]].T, -grad[k],
+                                                  "normal-cone distance")
             dist_sq[k] = float(rnorm) ** 2
-            solved.append(lam_k)
-        lam[active] = np.concatenate([np.zeros(0), *solved])  # row-major, as solved
         return dist_sq, active, lam
 
     def project(self, v, near=None) -> np.ndarray:
@@ -359,7 +325,7 @@ class _SetGroup(NamedTuple):
         if not (h > 0.0).any():
             return v
         if near is not None:
-            guess = b - a @ near <= self.active_tol[k]
+            guess = a @ near >= self.active_bound[k]
             if guess.any() and (x := _gram_step(a, b, v, h, guess, True)) is not None:
                 return x
         e_last = np.r_[np.zeros(v.shape[0]), 1.0]
@@ -651,7 +617,7 @@ class NlpProblem:
     array of agents.  ``block_gradients(x, mu, rho, idx)`` returns the
     ``(len(idx), d)`` array whose row ``k`` is :func:`eval_block_gradient`
     of agent ``idx[k]``; a ``(P, N, d)`` stack of points gives
-    ``(P, len(idx), d)``, row ``[p, k]`` from ``x[p]`` (curvature sampling).
+    ``(P, len(idx), d)``, row ``[p, k]`` from ``x[p]`` (curvature seeding).
     ``block_values(x, mu, rho, idx, trial)``, ``trial`` a ``(len(idx), d)``
     array, returns two arrays: entry ``k`` of the first is agent
     ``idx[k]``'s local term ``J_i + mu_i @ F_i + (rho/2) ||F_i||^2`` at
@@ -668,7 +634,10 @@ class NlpProblem:
     a wrong shape raises ``StructureError``, a non-finite entry
     ``EvaluationError`` naming the agent of a call's first bad output
     (``None`` for coupling values, the member agent for a term derivative).
-    :meth:`check_membership` is the one polytope-membership gate.
+    :meth:`check_membership` is the one polytope-membership gate.  Block
+    gradients may be evaluated up to ``1e-5 (1 + |x_j|)`` outside a block's
+    set along each coordinate (curvature seeding), so evaluators must be
+    smooth on a neighbourhood of the sets.
     """
 
     agents: tuple
@@ -788,7 +757,7 @@ class NlpProblem:
     @cached_property
     def _classes(self) -> tuple:
         """The classes of :attr:`_coloring` (:meth:`_classes_of`), the one layout
-        that the sweep, curvature sampling, the residual and the KKT report walk."""
+        that the sweep, curvature seeding, the residual and the KKT report walk."""
         return self._classes_of(self._coloring)
 
     def _classes_of(self, coloring) -> tuple:
@@ -806,13 +775,6 @@ class NlpProblem:
         return tuple(group.take(members)
                      for color in np.unique(coloring) for group in self._set_groups
                      if (members := coloring[group.idx] == color).any())
-
-    @cached_property
-    def _samples(self) -> tuple:
-        """Per agent, its ``(C_SAMPLES, d_i)`` curvature sample points, drawn
-        from its own set and stream (:func:`_sample_rng`)."""
-        return tuple(a.feasible_set._sample(_sample_rng(i), C_SAMPLES)
-                     for i, a in enumerate(self.agents))
 
     def _violations(self, z: BlockVector) -> np.ndarray:
         """Every block's :meth:`Polytope.violation`, one kernel call per set group."""
@@ -1190,6 +1152,18 @@ def eval_block_gradient(problem: NlpProblem, z: BlockVector,
     return _block_gradient(problem, z.flat, mu, rho, np.array([i]))[0]
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a ``bool``: every
+    real-valued input passes this gate before its range test."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_count(count, name, least):
+    """``ConfigurationError`` unless ``count`` is an integer >= ``least``, not a bool."""
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= least):
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {count!r}")
+
+
 def _require_positive_rho(rho):
-    if not 0 < rho < math.inf:
+    if not (_is_real(rho) and 0 < rho < math.inf):
         raise PreconditionError(f"penalty parameter must be positive and finite, got {rho}")

@@ -24,9 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, StructureError
-from .inner_bcd import InnerConfig, _check_count, run_inner
-from .model import (BlockVector, MultiplierEstimate, NlpProblem, _chebyshev_centers,
-                    _require_positive_rho, eval_aug_lagrangian, eval_constraints)
+from .inner_bcd import InnerConfig, run_inner
+from .model import (BlockVector, MultiplierEstimate, NlpProblem, _check_count,
+                    _chebyshev_centers, _is_real, _require_positive_rho, eval_aug_lagrangian,
+                    eval_constraints)
 
 __all__ = [
     "IterTrace",
@@ -69,13 +70,13 @@ class OuterConfig:
     max_outer: int = 30
 
     def __post_init__(self):
-        if not 0 < self.rho0 < math.inf:
+        if not (_is_real(self.rho0) and 0 < self.rho0 < math.inf):
             raise ConfigurationError(f"rho0 must be positive and finite, got {self.rho0}")
-        if not 1 < self.beta < math.inf:
+        if not (_is_real(self.beta) and 1 < self.beta < math.inf):
             raise ConfigurationError(f"beta must exceed 1 and be finite, got {self.beta}")
-        if not 0 < self.eps0 < math.inf:
+        if not (_is_real(self.eps0) and 0 < self.eps0 < math.inf):
             raise ConfigurationError(f"eps0 must be positive and finite, got {self.eps0}")
-        if not 0 <= self.eta < math.inf:
+        if not (_is_real(self.eta) and 0 <= self.eta < math.inf):
             raise ConfigurationError(f"eta must be nonnegative and finite, got {self.eta}")
         _check_count(self.max_outer, "max_outer", 1)
 

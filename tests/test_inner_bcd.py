@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from dist_alm import (AgentSpec, Backtracking, ConfigurationError,
                       run_inner, run_outer, toy_initial_guess)
 from dist_alm import inner_bcd, model, verify
 from dist_alm.inner_bcd import ALPHA_MAX, ALPHA_MIN, BAND_MARGIN, C_FLOOR
-from dist_alm.model import C_SAMPLES, FEAS_TOL
+from dist_alm.model import FEAS_TOL
 from conftest import (cut_chain, linear_agent, mixed_class_chain, mixed_sets_problem,
                       mu_like, nnls_at_cap, one_agent_problem, quadratic_agent,
                       reference_constraints, reference_gradients, reference_values,
@@ -53,14 +54,14 @@ def unequal_blocks_problem():
 def per_agent_bounds(problem, z, mu, rho):
     """Reference for ``inner_bcd._initial_c_bounds``, one agent at a time.
 
-    Per sample point ``x`` of agent ``i``, the central-difference Hessian
+    At agent ``i``'s block ``x`` of ``z``, the central-difference Hessian
     of the public block gradient at ``z`` with block ``i`` moved to
-    ``x +- step e_j``, symmetrised; ``C_i`` is 1.5 times the largest
-    spectral norm, floored at ``C_FLOOR``.
+    ``x +- step e_j``, symmetrised; ``C_i`` is 1.5 times its spectral
+    norm, floored at ``C_FLOOR``.
     """
     bounds = []
     for i, agent in enumerate(problem.agents):
-        samples = agent.feasible_set._sample(model._sample_rng(i), C_SAMPLES)
+        samples = [z.block(i)]
         best = 0.0
         for x in samples:
             hess = np.zeros((agent.dim, agent.dim))
@@ -168,29 +169,34 @@ class TestHessianBound:
             batched = inner_bcd._initial_c_bounds(problem, z0.flat, mu, rho)
             assert np.array_equal(batched, per_agent_bounds(problem, z0, mu, rho))
 
-    def test_replaced_agents_draw_their_own_samples(self):
-        _, problem, z0, mu = toy_setup(n_agents=7, seed=7)
-        before = inner_bcd._initial_c_bounds(problem, z0.flat, mu, 1.0)
-        halved = tuple(dataclasses.replace(a, feasible_set=Polytope.box(
-            0.5 * a.feasible_set.lower, 0.5 * a.feasible_set.upper))
-            for a in problem.agents)
-        replaced = dataclasses.replace(problem, agents=halved)
-        after = inner_bcd._initial_c_bounds(replaced, z0.flat, mu, 1.0)
-        assert np.array_equal(after, per_agent_bounds(replaced, z0, mu, 1.0))
-        assert not np.array_equal(after, before)
-
-    def test_one_chebyshev_lp_per_agent(self, monkeypatch):
+    def test_seeding_solves_no_lp(self, monkeypatch):
         problem, z0, mu = cut_chain(3)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refused)
+        assert (inner_bcd._initial_c_bounds(problem, z0.flat, mu, 1.0) >= C_FLOOR).all()
+
+    @pytest.mark.parametrize("case", ["toy", "unequal"])
+    def test_one_gradient_call_per_class_on_two_points_per_coordinate(self, monkeypatch,
+                                                                      case):
+        if case == "toy":
+            _, problem, z0, mu = toy_setup(n_agents=7, seed=7)
+        else:
+            problem, z0 = unequal_blocks_problem()
+            mu = MultiplierEstimate.zeros(problem)
         calls = []
-        centre = Polytope.chebyshev_center
+        gradients = model._block_gradients
 
-        def counted(poly):
-            calls.append(poly)
-            return centre(poly)
+        def counted(problem, flat, mu, rho, idx):
+            calls.append((flat.shape, idx.tolist()))
+            return gradients(problem, flat, mu, rho, idx)
 
-        monkeypatch.setattr(Polytope, "chebyshev_center", counted)
+        monkeypatch.setattr(inner_bcd, "_block_gradients", counted)
         inner_bcd._initial_c_bounds(problem, z0.flat, mu, 1.0)
-        assert len(calls) == problem.n_agents
+        assert calls == [((2 * cls.pos.shape[1], z0.flat.size), cls.idx.tolist())
+                         for cls in problem._classes]
 
 
 class TestSweep:
@@ -432,7 +438,7 @@ class TestColorClassSweep:
                       with_certificates=False)
 
     def test_stacked_sampling_rows_checked_at_the_boundary(self):
-        # curvature sampling takes a class's gradients in one call on a
+        # curvature seeding takes a class's gradients in one call on a
         # stack of points; a non-finite row of one point names its agent
         _, problem, z0, mu = toy_setup(n_agents=6, seed=5)
         hook = problem.block_gradients
@@ -469,8 +475,8 @@ class TestColorClassSweep:
         with pytest.raises(StructureError):
             bcd_sweep(short, z0, mu, 1.0, InnerConfig(), colors)
 
-    # Gradient calls: sampling the curvature bounds takes one per class
-    # (2), on the stack of every sign, coordinate and sample; each class
+    # Gradient calls: seeding the curvature bounds takes one per class
+    # (2), on the stack of every sign and coordinate; each class
     # then takes one for its step and, with certificates, one at the moved
     # class, which also takes the next class's step (the first class's at
     # the new point, after the last).  Value calls: a checked sweep takes
@@ -589,10 +595,10 @@ class TestHandOn:
         # out; after the last sweep one more call takes the second class).
         # The values: each class's step; the snapshots' come from the
         # Lagrangian at the sweep's start, and the Lagrangian at the end
-        # point adds the steps'.  Before the first sweep: curvature sampling
-        # (one call per class, on the stack of every sign, coordinate and
-        # sample), the residual at the start (its first class), then the
-        # Lagrangian there.
+        # point adds the steps'.  Before the first sweep: curvature seeding
+        # (one call per class, on the stack of every sign and coordinate),
+        # the residual at the start (its first class), then the Lagrangian
+        # there.
         _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
         cfg = InnerConfig(max_sweeps=6)
         result, marks = self.certified_run(monkeypatch, problem, z0, mu, cfg)
@@ -607,7 +613,7 @@ class TestHandOn:
     # dimension (none hands on); at the larger penalties a banded surrogate
     # re-solves members, which stops the class's hand-off
     @pytest.mark.parametrize("case, band, rho", [
-        ("toy", False, 1.0), ("toy", True, 1.0), ("toy", True, 100.0),
+        ("toy", False, 1.0), ("toy", True, 0.1), ("toy", True, 100.0),
         ("mixed_class", False, 1.0), ("mixed_class", True, 10.0),
         ("unequal_blocks", False, 1.0), ("unequal_blocks", True, 1.0)])
     def test_equals_sweeps_that_evaluate_everything(self, monkeypatch, case, band, rho):
@@ -652,12 +658,12 @@ class TestHandOn:
         # under a banded surrogate without certificates, the values at the
         # start serve every class's snapshot, and each sweep hands its
         # steps' values to the next: one call over all agents, then one per
-        # class per sweep (at rho = 1 no member is re-solved)
+        # class per sweep (at rho = 0.1 no member is re-solved)
         _, problem, z0, mu = toy_setup(n_agents=40, seed=40)
         cfg = InnerConfig(b_strategy=HessianBand(), tau=1e-300, max_sweeps=4)
         counted, _, values = counting(problem)
-        result = run_inner(counted, z0, mu, 1.0, cfg, with_certificates=False)
-        ref = run_inner(hookless(problem), z0, mu, 1.0, cfg, with_certificates=False)
+        result = run_inner(counted, z0, mu, 0.1, cfg, with_certificates=False)
+        ref = run_inner(hookless(problem), z0, mu, 0.1, cfg, with_certificates=False)
         assert result.sweeps == ref.sweeps == 4
         assert result.z.flat.tobytes() == ref.z.flat.tobytes()
         steps = [cls.idx.tolist() for cls in problem._classes]
@@ -791,7 +797,7 @@ class TestCertificates:
         assert max(c.c_used.max() for c in result.certificates) > 1.0
 
     def test_bound_doubled_past_the_float_range_names_rho(self):
-        # sampling gives finite bounds at this rho, and the first sweep's
+        # seeding gives finite bounds at this rho, and the first sweep's
         # band backtracking doubles one of them past the float range (a
         # failure that the residual after the sweep would otherwise report)
         params = ToyParams(n_agents=4, block_dim=3, scale=2.0, seed=4)
@@ -889,6 +895,27 @@ class TestRunInner:
         problem = toy_setup(n_agents=4, seed=1)[1]
         with pytest.raises(ConfigurationError, match="must be an integer >= "):
             make(problem)
+
+    # a bool passed every range test below and ran; a string raised a bare
+    # TypeError from the comparison
+    @pytest.mark.parametrize("value", [True, "1.0"], ids=["bool", "str"])
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda p, z, mu, v: run_inner(p, z, mu, v, InnerConfig()), PreconditionError,
+         "^penalty parameter must be positive"),
+        (lambda p, z, mu, v: run_inner(p, z, mu, 1.0, InnerConfig(), eps_target=v),
+         ConfigurationError, "^eps_target must be finite"),
+        (lambda p, z, mu, v: OuterConfig(v, 10.0, 1.0, 0.0), ConfigurationError, "^rho0 must"),
+        (lambda p, z, mu, v: OuterConfig(1.0, 10.0, v, 0.0), ConfigurationError, "^eps0 must"),
+        (lambda p, z, mu, v: OuterConfig(1.0, 10.0, 1.0, v), ConfigurationError, "^eta must"),
+        (lambda p, z, mu, v: InnerConfig(tau=v), ConfigurationError, "^tau must"),
+        (lambda p, z, mu, v: FixedScaled(v), ConfigurationError, "^scale must"),
+        (lambda p, z, mu, v: ToyParams(scale=v), ConfigurationError, "^scale R must")],
+        ids=["rho", "eps_target", "rho0", "eps0", "eta", "tau", "surrogate_scale",
+             "toy_scale"])
+    def test_real_inputs_refuse_bools_and_non_reals(self, make, error, message, value):
+        _, problem, z0, mu0 = toy_setup(n_agents=4, seed=1)
+        with pytest.raises(error, match=message):
+            make(problem, z0, mu0, value)
 
     def test_invalid_config_values(self):
         with pytest.raises(ConfigurationError):

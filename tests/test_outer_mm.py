@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -58,6 +59,14 @@ class TestSchedule:
         cfg = OuterConfig(rho0=0.1, beta=100.0, eps0=1e-2, eta=1e-9)
         rhos = [cfg.schedule(k)[0] for k in range(3)]
         np.testing.assert_allclose(rhos, [0.1, 10.0, 1000.0], rtol=1e-12)
+
+    def test_float_range_exhausted(self):
+        # beta ** k raises OverflowError: rho is inf, and eps is 0.0 because
+        # the denominator grows without bound
+        assert OuterConfig(0.1, 100.0, 1e-2, 0.0).schedule(200) == (math.inf, 0.0)
+        # rho0 ** k underflows to 0.0 while the denominator's log is negative:
+        # eps keeps its cap eps0
+        assert OuterConfig(1e-5, 1.0001, 1e-2, 0.0).schedule(100)[1] == 1e-2
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
